@@ -24,9 +24,12 @@ GATE := BenchmarkDaemonIngest,BenchmarkSnapshotCadence/snapshots=32,BenchmarkBlo
 build:
 	go build ./...
 
+# benchmark/ is a nested module the root ./... cannot reach; vet and
+# short-test it explicitly so internal API changes cannot break it unseen.
 test: build
 	go vet ./...
 	go test ./...
+	cd benchmark && GOWORK=off go vet ./... && GOWORK=off go test -short ./...
 
 fmt:
 	gofmt -l .

@@ -15,26 +15,48 @@ import (
 	"repro/internal/wal"
 )
 
-// TestSegmentedAlignAllocs pins the steady-state batch alignment at one
-// allocation per call: the caller-owned Path copy. The DP matrix, the flat
-// operand arrays, and the traceback scratch all recycle through the pooled
-// aligner — any new per-call allocation in the fill or traceback doubles
-// this count.
+// TestSegmentedAlignAllocs pins a full segment alignment on a reused
+// aligner at zero allocations: Release hands the DP matrix to the cell
+// free-list and the next Align draws it back out, while the operand
+// panels, cost column and traceback scratch stay with the aligner — any
+// new per-call allocation in the fill or traceback shows up here.
 func TestSegmentedAlignAllocs(t *testing.T) {
 	det, p := benchProfilePair(t)
 	ref, _, _ := det.Reference()
-	rs := ref.Segmentize(5)
+	al := dtw.NewSegmentAligner(ref.Segmentize(5), dtw.SegmentAlignOpts{Stiffness: 0.5})
 	qs := p.Segmentize(5)
-	opts := dtw.SegmentAlignOpts{Stiffness: 0.5}
-	// Warm the aligner pool and the cell free-list to steady state.
+	// Warm the aligner's scratch and the cell free-list to steady state.
 	for i := 0; i < 4; i++ {
-		dtw.AlignSegmentsOpenEndOpt(rs, qs, opts)
+		al.Release()
+		al.Align(qs)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		dtw.AlignSegmentsOpenEndOpt(rs, qs, opts)
+		al.Release()
+		al.Align(qs)
+	})
+	if allocs > 0 {
+		t.Fatalf("a full re-alignment allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestDetectAllocs pins the one-shot Detect — what the batch Localizer
+// runs once per tag — at one allocation per call, amortized: its
+// DetectState comes from the detector's pool with segment cache, aligner
+// and curve buffers intact (the bench measures 0 allocs/op). The budget
+// absorbs a pool miss after a GC, not a state built per call, which costs
+// a dozen allocations and trips this immediately.
+func TestDetectAllocs(t *testing.T) {
+	det, p := benchProfilePair(t)
+	for i := 0; i < 4; i++ { // warm the pools to steady state
+		if _, err := det.Detect(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		det.Detect(p)
 	})
 	if allocs > 1 {
-		t.Fatalf("AlignSegmentsOpenEndOpt allocates %.1f/op, want <= 1", allocs)
+		t.Fatalf("one-shot Detect allocates %.1f/op, want <= 1 amortized", allocs)
 	}
 }
 

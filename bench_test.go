@@ -124,15 +124,20 @@ func BenchmarkDetectFullDTW(b *testing.B) {
 	}
 }
 
+// BenchmarkSegmentedAlign measures one whole segment alignment — column
+// fill plus free-end scan and traceback — on a reused aligner: each
+// iteration releases the DP matrix to the cell free-list and re-aligns
+// the full query from scratch.
 func BenchmarkSegmentedAlign(b *testing.B) {
 	det, p := benchProfilePair(b)
 	ref, _, _ := det.Reference()
-	rs := ref.Segmentize(5)
+	al := dtw.NewSegmentAligner(ref.Segmentize(5), dtw.SegmentAlignOpts{Stiffness: 0.5})
 	qs := p.Segmentize(5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dtw.AlignSegmentsOpenEndOpt(rs, qs, dtw.SegmentAlignOpts{Stiffness: 0.5})
+		al.Release()
+		al.Align(qs)
 	}
 }
 
@@ -615,18 +620,21 @@ func endlessPolicy() stpp.FinalizePolicy {
 }
 
 // runEndlessStream consumes a belt log through a lifecycle-enabled
-// streaming engine with a sweep every 2048 reads, and returns the final
-// checkpoint blob size, the peak resident (unfinalized) tag count, and
-// how many tags were emitted. The caller owns the returned engine.
-func runEndlessStream(tb testing.TB, reads []reader.TagRead, cfg stpp.Config) (eng *pipeline.Engine, ckptBytes, maxResident int) {
+// one-reader deployment — the engine stppd runs — with a sweep every 2048
+// reads, and returns the final checkpoint blob size and the peak resident
+// (unfinalized) tag count. The caller owns the returned engine.
+func runEndlessStream(tb testing.TB, reads []reader.TagRead, cfg stpp.Config) (eng *deploy.ShardedEngine, ckptBytes, maxResident int) {
 	tb.Helper()
-	eng, err := pipeline.New(cfg, pipeline.Options{Finalize: endlessPolicy()})
+	d := deploy.Deployment{Readers: []deploy.ReaderSpec{{ID: 0, Config: cfg}}}
+	eng, err := deploy.NewSharded(d, deploy.Options{Finalize: endlessPolicy()})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	const chunk = 2048
 	for start := 0; start < len(reads); start += chunk {
-		eng.Consume(reads[start:min(start+chunk, len(reads))])
+		if err := eng.Consume(reads[start:min(start+chunk, len(reads))]); err != nil {
+			tb.Fatal(err)
+		}
 		if _, err := eng.Snapshot(); err != nil {
 			tb.Fatal(err)
 		}
@@ -784,22 +792,5 @@ func BenchmarkFullDTWAlign(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dtw.Align(ref.Phases, p.Phases, nil)
-	}
-}
-
-// BenchmarkAlignBanded measures the banded alignment on a measured
-// profile at several band widths. allocs/op shows the flat pooled cost
-// matrix: the former dense implementation allocated one row slice per
-// reference sample regardless of the band.
-func BenchmarkAlignBanded(b *testing.B) {
-	det, p := benchProfilePair(b)
-	ref, _, _ := det.Reference()
-	for _, bw := range []int{5, 20, 80} {
-		b.Run(fmt.Sprintf("band=%d", bw), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dtw.AlignBanded(ref.Phases, p.Phases, nil, bw)
-			}
-		})
 	}
 }

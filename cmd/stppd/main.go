@@ -101,7 +101,6 @@ func main() {
 		finAft  = flag.Float64("finalize-after", 0, "finalize a tag after this many seconds of phase quiet in every zone that saw it (0 = lifecycle off; must exceed the longest mid-pass read gap)")
 		finMrg  = flag.Float64("finalize-margin", 0, "extra seconds the V-zone center must sit behind the frontier before a tag is conclusive")
 		maxTags = flag.Int("max-active-tags", 0, "reject ingest while a session holds this many resident (unfinalized) tags (0 = unbounded)")
-		blockKB = flag.Int("detect-block-kb", 0, "cache budget per detection run, KiB: dirty tags are detected in blocks whose DP columns fit this budget (0 = default 256)")
 		pp      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
 	)
 	flag.Parse()
@@ -128,7 +127,6 @@ func main() {
 		FinalizeAfter:       *finAft,
 		FinalizeMargin:      *finMrg,
 		MaxActiveTags:       *maxTags,
-		DetectBlockBytes:    *blockKB << 10,
 	})
 	if err != nil {
 		fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/epcgen2"
 	"repro/internal/pipeline"
 )
 
@@ -28,13 +27,9 @@ func (se *ShardedEngine) Checkpoint(dst []byte) []byte {
 	dst = ckpt.AppendU64(dst, uint64(se.late))
 	dst = ckpt.AppendU32(dst, uint32(len(se.emitted)))
 	for _, em := range se.emitted {
-		dst = em.AppendCheckpoint(dst)
+		dst = appendEmittedTag(dst, em)
 	}
-	dst = ckpt.AppendU32(dst, uint32(len(se.finalOrder)))
-	for _, epc := range se.finalOrder {
-		dst = append(dst, epc[:]...)
-	}
-	return dst
+	return pipeline.AppendFinalSet(dst, se.finalOrder)
 }
 
 // Restore rebuilds the shard engines from Checkpoint output. The engine
@@ -66,31 +61,13 @@ func (se *ShardedEngine) Restore(data []byte) error {
 		sh.cached = nil
 	}
 	late := int64(r.U64())
-	var emitted []pipeline.EmittedTag
+	var emitted []EmittedTag
 	if n := int(r.U32()); r.Err() == nil {
 		for i := 0; i < n && r.Err() == nil; i++ {
-			emitted = append(emitted, pipeline.ReadEmittedTagCkpt(r))
+			emitted = append(emitted, readEmittedTag(r))
 		}
 	}
-	var finalOrder []epcgen2.EPC
-	var final map[epcgen2.EPC]bool
-	if n := int(r.U32()); r.Err() == nil {
-		if n > 0 || se.policy.Enabled() {
-			final = make(map[epcgen2.EPC]bool, n)
-		}
-		for i := 0; i < n && r.Err() == nil; i++ {
-			var epc epcgen2.EPC
-			for j := range epc {
-				epc[j] = r.U8()
-			}
-			if final[epc] {
-				r.Failf("duplicate finalized tag %v", epc)
-				break
-			}
-			final[epc] = true
-			finalOrder = append(finalOrder, epc)
-		}
-	}
+	final, finalOrder := pipeline.ReadFinalSet(r, se.policy.Enabled())
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("deploy: restore: %w", err)
 	}
@@ -100,4 +77,35 @@ func (se *ShardedEngine) Restore(data []byte) error {
 	se.late, se.emitted = late, emitted
 	se.final, se.finalOrder = final, finalOrder
 	return nil
+}
+
+// appendEmittedTag serializes one emission-stream entry: the raw EPC bytes
+// plus the seven XKey floats. The compact per-tag footprint is what keeps
+// checkpoint blobs flat in belt length.
+func appendEmittedTag(dst []byte, em EmittedTag) []byte {
+	dst = append(dst, em.EPC[:]...)
+	k := em.X
+	dst = ckpt.AppendF64(dst, k.BottomTime)
+	dst = ckpt.AppendF64(dst, k.BottomPhase)
+	dst = ckpt.AppendF64(dst, k.Fit.A)
+	dst = ckpt.AppendF64(dst, k.Fit.B)
+	dst = ckpt.AppendF64(dst, k.Fit.C)
+	dst = ckpt.AppendF64(dst, k.R2)
+	dst = ckpt.AppendF64(dst, k.Sigma)
+	return dst
+}
+
+// readEmittedTag decodes one appendEmittedTag entry.
+func readEmittedTag(r *ckpt.Reader) (em EmittedTag) {
+	for j := range em.EPC {
+		em.EPC[j] = r.U8()
+	}
+	em.X.BottomTime = r.F64()
+	em.X.BottomPhase = r.F64()
+	em.X.Fit.A = r.F64()
+	em.X.Fit.B = r.F64()
+	em.X.Fit.C = r.F64()
+	em.X.R2 = r.F64()
+	em.X.Sigma = r.F64()
+	return em
 }

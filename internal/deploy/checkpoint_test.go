@@ -2,9 +2,12 @@ package deploy
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/scenario"
 )
 
@@ -127,5 +130,39 @@ func TestShardedRestoreRejectsMismatch(t *testing.T) {
 	}
 	if err := fresh.Restore(bad); err == nil {
 		t.Error("corrupt sharded checkpoint restored without error")
+	}
+}
+
+// TestShardedRestoreRejectsHostileCounts: a real lifecycle checkpoint of
+// the portal corpus trace whose trailing counts are rewritten to hostile
+// values must fail the restore with ckpt.ErrCorrupt before any count
+// sizes an allocation. A finalized-tag count of 0xFFFFFFFF once reached a
+// map make() hint unchecked and ended Restore in an unrecoverable
+// out-of-memory fatal, taking the daemon down at boot.
+func TestShardedRestoreRejectsHostileCounts(t *testing.T) {
+	d, tr := goldenTrace(t, "portals")
+	se, err := NewSharded(d, Options{Finalize: portalPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Localize(tr.Reads); err != nil {
+		t.Fatal(err)
+	}
+	if len(se.finalOrder) != 0 || len(se.emitted) != 0 {
+		t.Fatal("portal replay finalized tags; the trailing-count offsets below assume none")
+	}
+	blob := se.Checkpoint(nil)
+	// The blob ends with the global emission-stream count and the
+	// finalized-tag count, both little-endian u32.
+	for name, off := range map[string]int{"finalized": len(blob) - 4, "emitted": len(blob) - 8} {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
+		fresh, err := NewSharded(d, Options{Finalize: portalPolicy()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Restore(bad); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s count 0xFFFFFFFF: restore error %v, want ckpt.ErrCorrupt", name, err)
+		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"sort"
 
 	"repro/internal/epcgen2"
-	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/reader"
 	"repro/internal/scenario"
@@ -155,15 +154,13 @@ type Options struct {
 	// shard can use the whole machine.
 	Workers int
 	// Group tags the deployment's scheduler work for fairness accounting.
-	// Nil uses the scheduler's default group.
+	// Nil gives the deployment a group of its own on the default
+	// scheduler, shared by every shard.
 	Group *sched.Group
-	// DetectBlockBytes is each shard engine's cache budget for the
-	// blocked detection kernel (pipeline.Options.DetectBlockBytes);
-	// 0 uses the pipeline default.
-	DetectBlockBytes int
 	// Finalize enables the tag lifecycle across the deployment. Shard
-	// engines run with emission held — they propose conclusive tags but
-	// never emit or evict on their own; the sharded engine finalizes a
+	// engines only run the lifecycle's admission path (late-read drop,
+	// frontier tracking) and never emit or evict on their own; the
+	// sharded engine is the one lifecycle coordinator: it finalizes a
 	// tag only when every zone holding it agrees its pass concluded and
 	// the deployment-wide frontier has moved past it, then emits it to
 	// the global emission stream and evicts it from every shard. The
@@ -201,7 +198,7 @@ type ShardedEngine struct {
 	policy     stpp.FinalizePolicy
 	final      map[epcgen2.EPC]bool
 	finalOrder []epcgen2.EPC
-	emitted    []pipeline.EmittedTag
+	emitted    []EmittedTag
 	late       int64
 	discarded  int64            // lapsed-but-unorderable tags evicted without emission
 	routeBuf   []reader.TagRead // scratch for the late-read filter
@@ -225,17 +222,19 @@ func NewSharded(d Deployment, opts Options) (*ShardedEngine, error) {
 	if err := opts.Finalize.Validate(); err != nil {
 		return nil, err
 	}
-	se := &ShardedEngine{workers: total, group: opts.Group, byID: make(map[int]*shard, len(d.Readers)), policy: opts.Finalize}
+	group := opts.Group
+	if group == nil {
+		group = sched.Default().NewGroup("deploy")
+	}
+	se := &ShardedEngine{workers: total, group: group, byID: make(map[int]*shard, len(d.Readers)), policy: opts.Finalize}
 	if se.policy.Enabled() {
 		se.final = make(map[epcgen2.EPC]bool)
 	}
 	for _, spec := range d.Readers {
 		eng, err := pipeline.New(spec.Config, pipeline.Options{
-			Workers:          total,
-			Group:            opts.Group,
-			Finalize:         opts.Finalize,
-			HoldEmission:     true,
-			DetectBlockBytes: opts.DetectBlockBytes,
+			Workers:  total,
+			Group:    group,
+			Finalize: opts.Finalize,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("deploy: reader %d: %w", spec.ID, err)
@@ -503,7 +502,7 @@ func (se *ShardedEngine) sweep() {
 	}
 	for _, epc := range emit {
 		in := byEPC[epc]
-		se.emitted = append(se.emitted, pipeline.EmittedTag{EPC: epc, X: in.bestX})
+		se.emitted = append(se.emitted, EmittedTag{EPC: epc, X: in.bestX})
 		se.final[epc] = true
 		se.finalOrder = append(se.finalOrder, epc)
 		se.evictEverywhere(epc)
@@ -543,10 +542,20 @@ func (se *ShardedEngine) filterFinal(order []epcgen2.EPC) []epcgen2.EPC {
 	return kept
 }
 
+// EmittedTag is one entry of the ordered emission stream: a finalized
+// tag's identity and its frozen X key on the deployment clock. Seq is
+// implicit — an entry's index in ShardedEngine.Emitted (and in the
+// cursor-paginated serve endpoint) is its emission sequence number, and it
+// never changes once assigned.
+type EmittedTag struct {
+	EPC epcgen2.EPC
+	X   stpp.XKey
+}
+
 // Emitted returns the deployment's ordered emission stream so far, X keys
 // on the deployment clock. The backing array is append-only: entries never
 // change once emitted.
-func (se *ShardedEngine) Emitted() []pipeline.EmittedTag { return se.emitted }
+func (se *ShardedEngine) Emitted() []EmittedTag { return se.emitted }
 
 // LateReads counts reads dropped deployment-wide because their tag was
 // already final when they arrived — at the router plus inside each shard.
@@ -563,10 +572,10 @@ func (se *ShardedEngine) Finalized() int { return len(se.emitted) }
 
 // Discarded counts tags evicted deployment-wide without emission: every
 // zone that held them judged detection permanently failed (profile lapsed
-// quiet with Err set everywhere), so they could never be ordered. Like
-// pipeline.Engine.Discarded the tally is process-local diagnostics — the
-// final marking a discard leaves behind is checkpointed, the counter is
-// not.
+// quiet with Err set everywhere), so they could never be ordered. The tally
+// is process-local diagnostics — the final marking a discard leaves behind
+// is checkpointed, the counter is not, so it restarts at zero after a
+// restore.
 func (se *ShardedEngine) Discarded() int64 { return se.discarded }
 
 // ShardResult is one zone's localization outcome.
@@ -603,7 +612,7 @@ type GlobalResult struct {
 	// finalized tag in its frozen, immutable global position. XOrder's
 	// leading entries are exactly these tags. Nil when the lifecycle is
 	// disabled.
-	Emitted []pipeline.EmittedTag
+	Emitted []EmittedTag
 	// XConfidence scores each adjacent pair of XOrder (length
 	// len(XOrder)-1, or nil below two tags): stpp.PairConfidence between
 	// the pair's X keys on the deployment clock — frozen keys for the
@@ -656,11 +665,7 @@ func (se *ShardedEngine) Snapshot() (*GlobalResult, error) {
 		}
 		results[i] = res
 	}
-	if se.group != nil {
-		se.group.For(len(refresh), len(refresh), snapOne)
-	} else {
-		par.For(len(refresh), len(refresh), snapOne)
-	}
+	se.group.For(len(refresh), len(refresh), snapOne)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("deploy: reader %d: %w", refresh[i].spec.ID, err)

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/stpp"
@@ -55,3 +56,54 @@ func FuzzTraceDeployment(f *testing.F) {
 
 // valid reports shard existence on a possibly-nil map entry.
 func (sh *shard) valid() bool { return sh != nil }
+
+// FuzzShardedRestore: a CRC-valid but hostile checkpoint — the bytes a
+// damaged or tampered WAL checkpoint record hands recovery — must make
+// Restore return an error or succeed. It must never panic, and no count
+// in the blob may size an allocation beyond what the blob's own bytes can
+// back: a lying length prefix has to fail validation before make(), or one
+// bad record takes the whole daemon down at boot with an out-of-memory
+// fatal.
+func FuzzShardedRestore(f *testing.F) {
+	type target struct {
+		d      Deployment
+		policy stpp.FinalizePolicy
+	}
+	var targets []target
+	for _, name := range []string{"portals", "conveyor-churn"} {
+		d, tr := goldenTrace(f, name)
+		for _, n := range []int{len(tr.Reads) / 8, len(tr.Reads)} {
+			se, err := NewSharded(d, Options{Workers: 1, Finalize: portalPolicy()})
+			if err != nil {
+				f.Fatal(err)
+			}
+			if _, err := se.Localize(tr.Reads[:n]); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(len(targets)), se.Checkpoint(nil))
+		}
+		targets = append(targets, target{d, portalPolicy()})
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		tg := targets[int(which)%len(targets)]
+		se, err := NewSharded(tg.d, Options{Workers: 1, Finalize: tg.policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		restoreErr := se.Restore(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > restoreAllocBound(len(data)) {
+			t.Fatalf("restore of a %d-byte blob allocated %d bytes (err %v)", len(data), grew, restoreErr)
+		}
+	})
+}
+
+// restoreAllocBound is the most a Restore of an n-byte blob may allocate.
+// A real checkpoint restores at about 1.5 bytes allocated per blob byte
+// (decoded arrays plus maps and per-tag state); the generous slack admits
+// adversarial blobs whose small records expand into per-tag structures,
+// while a lying 32-bit count — gigabytes — still fails by orders of
+// magnitude.
+func restoreAllocBound(n int) uint64 { return 64*uint64(n) + 4<<20 }

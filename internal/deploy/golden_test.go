@@ -1,6 +1,8 @@
 package deploy
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"os"
 	"path/filepath"
@@ -118,7 +120,6 @@ func multiTrace(name string, seed int64, ms *scenario.MultiScene) (*trace.Trace,
 //
 // Regenerate with: go test ./internal/deploy -run TestGoldenTraces -update
 func TestGoldenTraces(t *testing.T) {
-	base := goldenBase()
 	for _, gc := range goldenCases() {
 		t.Run(gc.name, func(t *testing.T) {
 			tracePath := filepath.Join("testdata", "golden", gc.name+".jsonl")
@@ -141,17 +142,7 @@ func TestGoldenTraces(t *testing.T) {
 				f.Close()
 			}
 
-			f, err := os.Open(tracePath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := trace.ReadJSONL(f)
-			f.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			d := FromHeader(tr.Header, base, false, false)
+			d, tr := goldenTrace(t, gc.name)
 			se, err := NewSharded(d, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -162,14 +153,19 @@ func TestGoldenTraces(t *testing.T) {
 			}
 			gotX := trace.EncodeEPCs(res.XOrder)
 			gotY := trace.EncodeEPCs(res.YOrder)
+			gotCkpt := lifecycleCkptDigest(t, d, tr)
 
 			if *updateGolden {
-				content := "x: " + strings.Join(gotX, " ") + "\ny: " + strings.Join(gotY, " ") + "\n"
+				content := "x: " + strings.Join(gotX, " ") + "\ny: " + strings.Join(gotY, " ") +
+					"\nckpt: " + gotCkpt + "\n"
 				if err := os.WriteFile(orderPath, []byte(content), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			wantX, wantY := readGolden(t, orderPath)
+			wantX, wantY, wantCkpt := readGolden(t, orderPath)
+			if gotCkpt != wantCkpt {
+				t.Errorf("lifecycle checkpoint bytes drifted from the committed golden:\n  got  sha256 %s\n  want sha256 %s", gotCkpt, wantCkpt)
+			}
 			if !slices.Equal(gotX, wantX) {
 				t.Errorf("sharded X order drifted from the committed golden:\n  got  %v\n  want %v", gotX, wantX)
 			}
@@ -199,7 +195,41 @@ func TestGoldenTraces(t *testing.T) {
 	}
 }
 
-func readGolden(t *testing.T, path string) (x, y []string) {
+// goldenTrace loads a committed corpus trace and the deployment its header
+// describes under the fixed replay configuration.
+func goldenTrace(t testing.TB, name string) (Deployment, *trace.Trace) {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "golden", name+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := trace.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return FromHeader(tr.Header, goldenBase(), false, false), tr
+}
+
+// lifecycleCkptDigest replays the trace through a sharded engine under
+// the portal lifecycle policy and returns the SHA-256 of its checkpoint.
+// The digest pins the checkpoint byte format — shard layout, per-tag
+// detection state and the lifecycle sections — so an encoding change
+// shows up as a golden diff, not as WALs that silently stop restoring.
+func lifecycleCkptDigest(t *testing.T, d Deployment, tr *trace.Trace) string {
+	t.Helper()
+	se, err := NewSharded(d, Options{Finalize: portalPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Localize(tr.Reads); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(se.Checkpoint(nil))
+	return hex.EncodeToString(sum[:])
+}
+
+func readGolden(t *testing.T, path string) (x, y []string, ckptDigest string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -211,14 +241,16 @@ func readGolden(t *testing.T, path string) (x, y []string) {
 			x = strings.Fields(strings.TrimPrefix(line, "x: "))
 		case strings.HasPrefix(line, "y: "):
 			y = strings.Fields(strings.TrimPrefix(line, "y: "))
+		case strings.HasPrefix(line, "ckpt: "):
+			ckptDigest = strings.TrimPrefix(line, "ckpt: ")
 		default:
 			t.Fatalf("unrecognized golden line %q", line)
 		}
 	}
-	if len(x) == 0 || len(y) == 0 {
+	if len(x) == 0 || len(y) == 0 || ckptDigest == "" {
 		t.Fatalf("golden file %s is incomplete", path)
 	}
-	return x, y
+	return x, y, ckptDigest
 }
 
 // TestGoldenTracesAreFresh guards the corpus against rot: the committed

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/epcgen2"
-	"repro/internal/pipeline"
 	"repro/internal/reader"
 	"repro/internal/scenario"
 	"repro/internal/stpp"
@@ -54,14 +53,14 @@ func portalBelt(t *testing.T) (Deployment, []reader.TagRead) {
 // observation point it asserts the emitted stream only ever grew. It
 // returns the final emitted stream, final global snapshot and late-read
 // count.
-func runShardedLifecycle(t *testing.T, d Deployment, reads []reader.TagRead, rng *rand.Rand, crash bool) ([]pipeline.EmittedTag, *GlobalResult, int64) {
+func runShardedLifecycle(t *testing.T, d Deployment, reads []reader.TagRead, rng *rand.Rand, crash bool) ([]EmittedTag, *GlobalResult, int64) {
 	t.Helper()
 	opts := Options{Workers: 1 + rng.Intn(4), Finalize: portalPolicy()}
 	se, err := NewSharded(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prefix []pipeline.EmittedTag
+	var prefix []EmittedTag
 	checkPrefix := func() {
 		t.Helper()
 		em := se.Emitted()
@@ -112,7 +111,7 @@ func runShardedLifecycle(t *testing.T, d Deployment, reads []reader.TagRead, rng
 		t.Fatal(err)
 	}
 	checkPrefix()
-	return append([]pipeline.EmittedTag(nil), se.Emitted()...), gr, se.LateReads()
+	return append([]EmittedTag(nil), se.Emitted()...), gr, se.LateReads()
 }
 
 // TestShardedLifecycleEmittedPrefixProperty pins the cross-shard lifecycle:
@@ -154,7 +153,7 @@ func TestShardedLifecycleEmittedPrefixProperty(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(41))
-	var want []pipeline.EmittedTag
+	var want []EmittedTag
 	for trial := 0; trial < 6; trial++ {
 		crash := trial%2 == 1
 		em, gr, late := runShardedLifecycle(t, d, reads, rng, crash)

@@ -24,9 +24,15 @@ func randSegs(rng *rand.Rand, n int) []Segment {
 	return out
 }
 
+// alignOnce is a one-shot open-end alignment: a fresh aligner's first
+// Align, whose answer nothing resumed can have influenced.
+func alignOnce(p, q []Segment, opts SegmentAlignOpts) (Result, int, int) {
+	return NewSegmentAligner(p, opts).Align(q)
+}
+
 // TestSegmentAlignerMatchesBatch grows a query segment by segment and
 // asserts that the resumable aligner answers every prefix byte-identically
-// to a fresh batch alignment — distance, path, and matched interval.
+// to a fresh one-shot alignment — distance, path, and matched interval.
 func TestSegmentAlignerMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -40,7 +46,7 @@ func TestSegmentAlignerMatchesBatch(t *testing.T) {
 			if n > len(q) {
 				n = len(q)
 			}
-			wantRes, wantS, wantE := AlignSegmentsOpenEndOpt(p, q[:n], opts)
+			wantRes, wantS, wantE := alignOnce(p, q[:n], opts)
 			gotRes, gotS, gotE := al.Align(q[:n])
 			if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE {
 				t.Fatalf("trial %d n=%d: got (%v,%d,%d), want (%v,%d,%d)",
@@ -56,7 +62,7 @@ func TestSegmentAlignerMatchesBatch(t *testing.T) {
 // TestSegmentAlignerRewrittenTail mutates the tail of a previously aligned
 // query — the re-segmentation pattern an out-of-order read causes — and
 // checks the aligner recomputes from the first changed column only, still
-// matching batch.
+// matching a one-shot alignment.
 func TestSegmentAlignerRewrittenTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randSegs(rng, 8)
@@ -70,7 +76,7 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 
 	// Rewrite the last 5 segments, then shrink the query.
 	q2 := append(append([]Segment(nil), q[:35]...), randSegs(rng, 5)...)
-	wantRes, wantS, wantE := AlignSegmentsOpenEndOpt(p, q2, opts)
+	wantRes, wantS, wantE := alignOnce(p, q2, opts)
 	gotRes, gotS, gotE := al.Align(q2)
 	if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE ||
 		!reflect.DeepEqual(wantRes.Path, gotRes.Path) {
@@ -78,7 +84,7 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 	}
 
 	short := q2[:12]
-	wantRes, wantS, wantE = AlignSegmentsOpenEndOpt(p, short, opts)
+	wantRes, wantS, wantE = alignOnce(p, short, opts)
 	gotRes, gotS, gotE = al.Align(short)
 	if al.Cols() != 12 {
 		t.Fatalf("cols after shrink = %d, want 12", al.Cols())
@@ -89,7 +95,8 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 	}
 }
 
-// TestSegmentAlignerEmpty mirrors the batch zero-value contract.
+// TestSegmentAlignerEmpty: an empty reference or query yields the zero
+// Result and a [0, 0] match.
 func TestSegmentAlignerEmpty(t *testing.T) {
 	al := NewSegmentAligner(nil, SegmentAlignOpts{})
 	if res, s, e := al.Align([]Segment{{Hi: 1, Interval: 1}}); res.Path != nil || s != 0 || e != 0 {
@@ -101,30 +108,33 @@ func TestSegmentAlignerEmpty(t *testing.T) {
 	}
 }
 
-// TestAlignSegmentsPooled proves the flat pooled matrices are actually
-// reused: steady-state batch alignments allocate only the returned path,
-// not the O(m·n) cost matrix.
+// TestSegmentAlignerBothEmpty: with both reference and query empty the
+// aligner returns a zero distance and a [0, 0] match.
+func TestSegmentAlignerBothEmpty(t *testing.T) {
+	res, s, e := NewSegmentAligner(nil, SegmentAlignOpts{}).Align(nil)
+	if res.Distance != 0 || s != 0 || e != 0 {
+		t.Errorf("empty = %+v %d %d", res, s, e)
+	}
+}
+
+// TestAlignSegmentsPooled proves the aligner's DP matrices are actually
+// recycled: after Release hands the matrix back to the shared free-list, a
+// full re-alignment draws it out again instead of allocating (and zeroing)
+// a fresh O(m·n) array.
 func TestAlignSegmentsPooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, q := randSegs(rng, 30), randSegs(rng, 200)
-	// Warm the pools.
-	AlignSegmentsOpenEndOpt(p, q, SegmentAlignOpts{Stiffness: 0.5})
-	AlignSegmentsOpt(p, q, SegmentAlignOpts{Stiffness: 0.5})
+	al := NewSegmentAligner(p, SegmentAlignOpts{Stiffness: 0.5})
+	al.Align(q) // warm the free-list and the aligner's scratch
 
-	// 30×200 matrix = 48000 bytes; the path is ~230 steps ≈ 4KB. Anything
-	// near the matrix size means the pool is not being hit.
-	openAllocs := testing.AllocsPerRun(50, func() {
-		AlignSegmentsOpenEndOpt(p, q, SegmentAlignOpts{Stiffness: 0.5})
+	// 30×200 matrix = 48000 bytes. Every scratch buffer is already sized,
+	// so anything above zero means the matrix is not coming back from the
+	// free-list.
+	allocs := testing.AllocsPerRun(50, func() {
+		al.Release()
+		al.Align(q)
 	})
-	closedAllocs := testing.AllocsPerRun(50, func() {
-		AlignSegmentsOpt(p, q, SegmentAlignOpts{Stiffness: 0.5})
-	})
-	// The traceback path grows by doubling: ≤ 16 allocations, vs hundreds
-	// for a [][]float64 matrix build.
-	if openAllocs > 16 {
-		t.Errorf("open-end align allocates %.0f objects/op, want path-only", openAllocs)
-	}
-	if closedAllocs > 16 {
-		t.Errorf("closed align allocates %.0f objects/op, want path-only", closedAllocs)
+	if allocs > 0 {
+		t.Errorf("release + full re-alignment allocates %.0f objects/op, want 0", allocs)
 	}
 }

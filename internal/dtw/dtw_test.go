@@ -88,80 +88,6 @@ func checkPath(t *testing.T, p Path, m, n int) {
 	}
 }
 
-func TestAlignBandedMatchesFullWhenWide(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := make([]float64, 40)
-	b := make([]float64, 40)
-	for i := range a {
-		a[i] = rng.Float64()
-		b[i] = rng.Float64()
-	}
-	full := Align(a, b, nil)
-	banded := AlignBanded(a, b, nil, 40)
-	if !approx(full.Distance, banded.Distance, 1e-12) {
-		t.Errorf("wide band %v != full %v", banded.Distance, full.Distance)
-	}
-}
-
-func TestAlignBandedNarrowIsUpperBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := make([]float64, 50)
-	b := make([]float64, 50)
-	for i := range a {
-		a[i] = rng.Float64() * 10
-		b[i] = rng.Float64() * 10
-	}
-	full := Align(a, b, nil)
-	banded := AlignBanded(a, b, nil, 3)
-	if banded.Distance < full.Distance-1e-9 {
-		t.Errorf("banded %v < full %v: band cannot beat optimum", banded.Distance, full.Distance)
-	}
-}
-
-func TestAlignBandedFallbackWhenDisconnected(t *testing.T) {
-	// Band 0 with very unequal lengths can disconnect; must still return a
-	// valid alignment (falls back to full DTW).
-	a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	b := []float64{1, 8}
-	r := AlignBanded(a, b, nil, 0)
-	checkPath(t, r.Path, len(a), len(b))
-}
-
-func TestAlignOpenEndFindsPattern(t *testing.T) {
-	// Pattern embedded in the middle of a longer sequence.
-	q := []float64{5, 5, 5, 1, 2, 3, 2, 1, 5, 5, 5, 5}
-	p := []float64{1, 2, 3, 2, 1}
-	r, start, end := AlignOpenEnd(p, q, nil)
-	if r.Distance != 0 {
-		t.Errorf("embedded distance = %v, want 0", r.Distance)
-	}
-	if start != 3 || end != 7 {
-		t.Errorf("match = [%d,%d], want [3,7]", start, end)
-	}
-}
-
-func TestAlignOpenEndStretchedPattern(t *testing.T) {
-	q := []float64{9, 9, 1, 1, 2, 2, 3, 3, 2, 2, 1, 1, 9, 9}
-	p := []float64{1, 2, 3, 2, 1}
-	r, start, end := AlignOpenEnd(p, q, nil)
-	if r.Distance != 0 {
-		t.Errorf("distance = %v, want 0", r.Distance)
-	}
-	if start > 3 || end < 10 {
-		t.Errorf("match [%d,%d] does not cover the stretched pattern", start, end)
-	}
-	if start < 2 || end > 11 {
-		t.Errorf("match [%d,%d] spills outside the pattern", start, end)
-	}
-}
-
-func TestAlignOpenEndEmpty(t *testing.T) {
-	r, s, e := AlignOpenEnd(nil, []float64{1}, nil)
-	if r.Distance != 0 || s != 0 || e != 0 {
-		t.Errorf("empty open-end = %+v %d %d", r, s, e)
-	}
-}
-
 func TestCustomDist(t *testing.T) {
 	sq := func(a, b float64) float64 { d := a - b; return d * d }
 	a := []float64{0, 10}
@@ -221,156 +147,17 @@ func TestQuickSelfZeroNonNegative(t *testing.T) {
 	}
 }
 
-// Property: the open-end match distance never exceeds the full alignment
-// distance (it optimizes over a superset of paths for the same pattern).
-func TestQuickOpenEndUpperBoundedByFull(t *testing.T) {
-	f := func(ra, rb []uint8) bool {
-		if len(ra) == 0 || len(ra) > 30 || len(rb) < len(ra) || len(rb) > 40 {
-			return true
-		}
-		p := make([]float64, len(ra))
-		for i, v := range ra {
-			p[i] = float64(v)
-		}
-		q := make([]float64, len(rb))
-		for i, v := range rb {
-			q[i] = float64(v)
-		}
-		full := Align(p, q, nil).Distance
-		open, _, _ := AlignOpenEnd(p, q, nil)
-		return open.Distance <= full+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestBandWindowMatchesPredicate: the per-row windows of the flat matrix
-// must contain exactly the cells the dense band predicate admitted, for
-// awkward shapes (unequal lengths, band 0, band wider than the matrix).
-func TestBandWindowMatchesPredicate(t *testing.T) {
-	for _, tc := range []struct{ m, n, band int }{
-		{1, 1, 0}, {1, 9, 0}, {9, 1, 2}, {7, 5, 0}, {5, 7, 1},
-		{12, 8, 3}, {8, 12, 3}, {6, 6, 100}, {10, 40, 2}, {40, 10, 2},
-	} {
-		for i := 0; i < tc.m; i++ {
-			lo, hi := bandWindow(i, tc.m, tc.n, tc.band)
-			diag := float64(i) * float64(tc.n-1) / float64(max(tc.m-1, 1))
-			for j := 0; j < tc.n; j++ {
-				want := math.Abs(float64(j)-diag) <= float64(tc.band)
-				got := j >= lo && j < hi
-				if want != got {
-					t.Fatalf("m=%d n=%d band=%d: row %d col %d in-window=%v, want %v",
-						tc.m, tc.n, tc.band, i, j, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestBandWindowExhaustive: the closed-form window bounds must admit
-// exactly the cells of the dense predicate |j − diag| <= band for EVERY
-// row of EVERY small shape — the proof that replacing the per-row linear
-// scan changed nothing.
-func TestBandWindowExhaustive(t *testing.T) {
-	for m := 1; m <= 14; m++ {
-		for n := 1; n <= 14; n++ {
-			for band := 0; band <= n+2; band++ {
-				for i := 0; i < m; i++ {
-					lo, hi := bandWindow(i, m, n, band)
-					diag := float64(i) * float64(n-1) / float64(max(m-1, 1))
-					// The admitted set must be contiguous, so comparing
-					// membership per column fully determines (lo, hi).
-					for j := 0; j < n; j++ {
-						want := math.Abs(float64(j)-diag) <= float64(band)
-						got := j >= lo && j < hi
-						if want != got {
-							t.Fatalf("m=%d n=%d band=%d row=%d col=%d: in-window=%v, want %v (window [%d,%d))",
-								m, n, band, i, j, got, want, lo, hi)
-						}
-					}
-					if lo == hi && (lo != 0 || hi != 0) {
-						t.Fatalf("m=%d n=%d band=%d row=%d: empty window not normalized: [%d,%d)", m, n, band, i, lo, hi)
-					}
-				}
-			}
-		}
-	}
-}
-
-// denseBanded is the reference implementation: the full m×n matrix with
-// out-of-band cells pinned to inf, exactly what the flat windowed matrix
-// replaced.
-func denseBanded(a, b []float64, d Dist, band int) float64 {
-	m, n := len(a), len(b)
-	cost := make([][]float64, m)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-		diag := float64(i) * float64(n-1) / float64(max(m-1, 1))
-		for j := 0; j < n; j++ {
-			if band >= 0 && math.Abs(float64(j)-diag) > float64(band) {
-				cost[i][j] = inf
-				continue
-			}
-			c := d(a[i], b[j])
-			switch {
-			case i == 0 && j == 0:
-				cost[i][j] = c
-			case i == 0:
-				cost[i][j] = c + cost[i][j-1]
-			case j == 0:
-				cost[i][j] = c + cost[i-1][j]
-			default:
-				cost[i][j] = c + min3(cost[i-1][j], cost[i][j-1], cost[i-1][j-1])
-			}
-		}
-	}
-	return cost[m-1][n-1]
-}
-
-// TestAlignBandedMatchesDenseExhaustive: over every small (m, n, band) the
-// windowed alignment must produce the dense matrix's distance (including
-// the unconstrained fallback when the band disconnects the corners).
-func TestAlignBandedMatchesDenseExhaustive(t *testing.T) {
-	seq := func(n int, phase float64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Sin(float64(i)*0.9+phase) + 0.25*math.Cos(float64(i)*2.3)
-		}
-		return out
-	}
-	for m := 1; m <= 9; m++ {
-		for n := 1; n <= 9; n++ {
-			a, b := seq(m, 0), seq(n, 0.7)
-			for band := 0; band <= n+1; band++ {
-				want := denseBanded(a, b, AbsDist, band)
-				if want == inf {
-					// Band too narrow to connect the corners; the windowed
-					// path falls back to the unconstrained alignment.
-					want = denseBanded(a, b, AbsDist, -1)
-				}
-				got := AlignBanded(a, b, AbsDist, band)
-				if !approx(got.Distance, want, 1e-12) {
-					t.Fatalf("m=%d n=%d band=%d: distance %v, dense %v", m, n, band, got.Distance, want)
-				}
-				checkPath(t, got.Path, m, n)
-			}
-		}
-	}
-}
-
-// TestMatrixPoolBalanced: every Align/AlignBanded/AlignOpenEnd return path
-// must release its pooled matrix — including the banded fallback recursion
-// and degenerate inputs. Leaks would show as gets outrunning puts.
+// TestMatrixPoolBalanced: every Align return path must release its pooled
+// matrix — including unequal lengths and degenerate inputs. Leaks would
+// show as gets outrunning puts.
 func TestMatrixPoolBalanced(t *testing.T) {
 	gets0, puts0 := matrixGets.Load(), matrixPuts.Load()
 	a := []float64{0, 1, 2, 3, 4, 5, 6, 7}
 	b := []float64{7, 6, 5, 4, 3, 2, 1, 0}
 	Align(a, b, nil)
-	AlignBanded(a, b, nil, 2)
-	AlignBanded(a, b, nil, 0) // non-integer diagonals: fallback recursion
-	AlignOpenEnd(a[:3], b, nil)
-	AlignOpenEnd(a[:3], nil, nil) // degenerate: no matrix at all
+	Align(a[:3], b, nil)
+	Align(a, b[:2], nil)
+	Align(a[:3], nil, nil) // degenerate: no matrix at all
 	Align(nil, b, nil)
 	gets, puts := matrixGets.Load()-gets0, matrixPuts.Load()-puts0
 	if gets != puts {
@@ -381,24 +168,24 @@ func TestMatrixPoolBalanced(t *testing.T) {
 	}
 }
 
-// TestAlignBandedAllocs: the banded alignment must run on the pooled flat
+// TestAlignAllocs: the sample-level alignment must run on the pooled flat
 // matrix — a handful of allocations for the returned path, not one slice
 // per matrix row.
-func TestAlignBandedAllocs(t *testing.T) {
+func TestAlignAllocs(t *testing.T) {
 	a := make([]float64, 400)
 	b := make([]float64, 400)
 	for i := range a {
 		a[i] = math.Sin(float64(i) / 7)
 		b[i] = math.Sin(float64(i)/7 + 0.3)
 	}
-	AlignBanded(a, b, nil, 10) // warm the pool
+	Align(a, b, nil) // warm the pool
 	allocs := testing.AllocsPerRun(20, func() {
-		AlignBanded(a, b, nil, 10)
+		Align(a, b, nil)
 	})
-	// The dense implementation allocated one row slice per sample (400+)
-	// plus the matrix spine; the flat pooled matrix leaves only the
-	// traceback path and pool bookkeeping.
+	// A [][]float64 matrix would allocate one row slice per sample (400+)
+	// plus the spine; the flat pooled matrix leaves only the traceback path
+	// and pool bookkeeping.
 	if allocs > 40 {
-		t.Errorf("AlignBanded allocs/op = %v, want the pooled flat matrix (<= 40)", allocs)
+		t.Errorf("Align allocs/op = %v, want the pooled flat matrix (<= 40)", allocs)
 	}
 }

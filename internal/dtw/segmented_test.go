@@ -43,7 +43,7 @@ func TestQuickSegDistSymmetric(t *testing.T) {
 
 func TestAlignSegmentsIdentical(t *testing.T) {
 	p := []Segment{seg(0, 1, 0.1), seg(1, 2, 0.1), seg(2, 3, 0.1)}
-	r := AlignSegments(p, p)
+	r, _, _ := alignOnce(p, p, SegmentAlignOpts{})
 	if r.Distance != 0 {
 		t.Errorf("self distance = %v", r.Distance)
 	}
@@ -53,7 +53,7 @@ func TestAlignSegmentsIdentical(t *testing.T) {
 }
 
 func TestAlignSegmentsEmpty(t *testing.T) {
-	if r := AlignSegments(nil, []Segment{seg(0, 1, 1)}); r.Distance != 0 || r.Path != nil {
+	if r, _, _ := alignOnce(nil, []Segment{seg(0, 1, 1)}, SegmentAlignOpts{}); r.Distance != 0 || r.Path != nil {
 		t.Errorf("empty = %+v", r)
 	}
 }
@@ -64,14 +64,14 @@ func TestAlignSegmentsIntervalWeighting(t *testing.T) {
 	p := []Segment{seg(0, 1, 1.0)}
 	qNear := []Segment{seg(2, 3, 0.1)}
 	qFar := []Segment{seg(2, 3, 1.0)}
-	near := AlignSegments(p, qNear).Distance
-	far := AlignSegments(p, qFar).Distance
-	if !(near < far) {
-		t.Errorf("interval weighting: near=%v far=%v", near, far)
+	near, _, _ := alignOnce(p, qNear, SegmentAlignOpts{})
+	far, _, _ := alignOnce(p, qFar, SegmentAlignOpts{})
+	if !(near.Distance < far.Distance) {
+		t.Errorf("interval weighting: near=%v far=%v", near.Distance, far.Distance)
 	}
 	// min(1.0, 0.1)*1 = 0.1 and min(1,1)*1 = 1.
-	if !approx(near, 0.1, 1e-12) || !approx(far, 1.0, 1e-12) {
-		t.Errorf("costs = %v, %v", near, far)
+	if !approx(near.Distance, 0.1, 1e-12) || !approx(far.Distance, 1.0, 1e-12) {
+		t.Errorf("costs = %v, %v", near.Distance, far.Distance)
 	}
 }
 
@@ -84,14 +84,20 @@ func TestAlignSegmentsWarped(t *testing.T) {
 		seg(2, 3, 0.1), seg(3, 4, 0.1),
 		seg(4, 5, 0.1), seg(5, 6, 0.1),
 	}
-	r := AlignSegments(p, q)
+	r, start, end := alignOnce(p, q, SegmentAlignOpts{})
 	if r.Distance != 0 {
 		t.Errorf("warped distance = %v, want 0", r.Distance)
 	}
-	checkPath(t, r.Path, len(p), len(q))
+	// Open end: the match may start past column 0 (p[0] already touches
+	// q[2]), but the path must consume the whole reference and run from
+	// the reported start to the reported end.
+	if r.Path[0].J != start {
+		t.Errorf("path starts at column %d, match start %d", r.Path[0].J, start)
+	}
+	checkPath(t, r.Path, len(p), end+1)
 }
 
-func TestAlignSegmentsOpenEndLocatesVZone(t *testing.T) {
+func TestSegmentAlignerLocatesVZone(t *testing.T) {
 	// A "V" of ranges embedded among flat high segments.
 	flat := seg(5.5, 6, 0.1)
 	v := []Segment{seg(3, 4, 0.1), seg(1, 3, 0.1), seg(0, 1, 0.1), seg(1, 3, 0.1), seg(3, 4, 0.1)}
@@ -99,43 +105,11 @@ func TestAlignSegmentsOpenEndLocatesVZone(t *testing.T) {
 	q = append(q, v...)
 	q = append(q, flat, flat, flat)
 
-	r, start, end := AlignSegmentsOpenEnd(v, q)
+	r, start, end := alignOnce(v, q, SegmentAlignOpts{})
 	if r.Distance != 0 {
 		t.Errorf("distance = %v, want 0", r.Distance)
 	}
 	if start != 3 || end != 7 {
 		t.Errorf("match [%d,%d], want [3,7]", start, end)
-	}
-}
-
-func TestAlignSegmentsOpenEndEmpty(t *testing.T) {
-	r, s, e := AlignSegmentsOpenEnd(nil, nil)
-	if r.Distance != 0 || s != 0 || e != 0 {
-		t.Errorf("empty = %+v %d %d", r, s, e)
-	}
-}
-
-// Property: segment DTW distance is symmetric and non-negative.
-func TestQuickAlignSegmentsSymmetry(t *testing.T) {
-	mk := func(raw []uint8) []Segment {
-		var out []Segment
-		for i := 0; i+1 < len(raw); i += 2 {
-			lo := float64(raw[i]) / 40
-			hi := lo + float64(raw[i+1])/40
-			out = append(out, seg(lo, hi, 0.1))
-		}
-		return out
-	}
-	f := func(ra, rb []uint8) bool {
-		p, q := mk(ra), mk(rb)
-		if len(p) == 0 || len(q) == 0 || len(p) > 20 || len(q) > 20 {
-			return true
-		}
-		ab := AlignSegments(p, q).Distance
-		ba := AlignSegments(q, p).Distance
-		return approx(ab, ba, 1e-9) && ab >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"repro/internal/par"
+	"repro/internal/sched"
 )
 
 // workers returns the effective repetition worker-pool width.
@@ -27,7 +27,7 @@ func repMap[T any](r Runner, n int, fn func(rep int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
 	var failed atomic.Bool
-	par.For(r.workers(), n, func(rep int) {
+	sched.Default().For(nil, r.workers(), n, func(rep int) {
 		if failed.Load() {
 			return // a rep already failed; the run is doomed
 		}

@@ -10,11 +10,12 @@ import (
 )
 
 // engineCkptVersion versions the Engine checkpoint encoding. Version 2
-// added the tag lifecycle: frontier, late-read count, the emission stream
-// (EPC + frozen X key per entry, ~60 bytes) and the finalized-tag set.
-// Evicted tags appear ONLY there — their profiles and detection states
-// are gone — so on an endless belt the blob is sized by the active set
-// plus a compact emitted summary, flat in belt length. Version 3 added
+// added the tag lifecycle: frontier, late-read count, an emission-stream
+// count (always 0 since the deploy coordinator owns emission; the field
+// keeps the layout) and the finalized-tag set. Evicted tags appear ONLY
+// there — their profiles and detection states are gone — so on an
+// endless belt the blob is sized by the active set plus a compact
+// finalized summary, flat in belt length. Version 3 added
 // the X key's Sigma (bottom-time uncertainty) to every serialized key,
 // so restored engines publish the same per-pair confidences as the
 // engines that wrote them.
@@ -42,11 +43,6 @@ const engineCkptVersion = 3
 // advance amortizes the same way snapshots do.
 func (e *Engine) Checkpoint(dst []byte) []byte {
 	e.recompute(e.builder.TakeDirty())
-	// A checkpoint is a sweep point like a snapshot: conclusive residents
-	// emit and evict first, so the blob never re-serializes state the
-	// lifecycle is about to discard. Emission order is cadence-invariant,
-	// so sweeping here cannot diverge from a run that only snapshots.
-	e.sweep()
 	dst = ckpt.AppendU8(dst, engineCkptVersion)
 	dst = ckpt.AppendU64(dst, uint64(e.reads))
 	dst = e.builder.AppendCheckpoint(dst)
@@ -86,55 +82,53 @@ func (e *Engine) Checkpoint(dst []byte) []byte {
 	}
 	dst = ckpt.AppendF64(dst, e.frontier)
 	dst = ckpt.AppendU64(dst, uint64(e.late))
-	dst = ckpt.AppendU32(dst, uint32(len(e.emitted)))
-	for _, em := range e.emitted {
-		dst = em.AppendCheckpoint(dst)
-	}
-	dst = ckpt.AppendU32(dst, uint32(len(e.finalOrder)))
-	for _, epc := range e.finalOrder {
+	dst = ckpt.AppendU32(dst, 0) // emission-stream count: shards never emit
+	return AppendFinalSet(dst, e.finalOrder)
+}
+
+// AppendFinalSet serializes a finalized-tag set in marking order: a u32
+// count, then each EPC's raw bytes. deploy.ShardedEngine checkpoints its
+// global set with the same codec.
+func AppendFinalSet(dst []byte, order []epcgen2.EPC) []byte {
+	dst = ckpt.AppendU32(dst, uint32(len(order)))
+	for _, epc := range order {
 		dst = append(dst, epc[:]...)
 	}
 	return dst
 }
 
-// AppendCheckpoint serializes one emission-stream entry (raw EPC bytes
-// plus the seven XKey floats, ~70 bytes) — the compact per-tag footprint
-// that keeps checkpoint blobs flat in belt length. deploy.ShardedEngine
-// reuses the codec for its global emission stream.
-func (em EmittedTag) AppendCheckpoint(dst []byte) []byte {
-	dst = append(dst, em.EPC[:]...)
-	return appendXKey(dst, em.X)
-}
-
-// ReadEmittedTagCkpt decodes one AppendCheckpoint entry.
-func ReadEmittedTagCkpt(r *ckpt.Reader) (em EmittedTag) {
-	for j := range em.EPC {
-		em.EPC[j] = r.U8()
+// ReadFinalSet decodes an AppendFinalSet section into the set and its
+// marking order. The set is nil when it is empty and keep is false (a
+// disabled lifecycle holds none). A count the remaining input cannot back
+// or a duplicate EPC fails the reader before anything is sized by it: a
+// CRC-valid blob with a hostile count must not reach a make() hint.
+func ReadFinalSet(r *ckpt.Reader, keep bool) (map[epcgen2.EPC]bool, []epcgen2.EPC) {
+	n := int(r.U32())
+	if r.Err() != nil {
+		return nil, nil
 	}
-	em.X = readXKey(r)
-	return em
-}
-
-func appendXKey(dst []byte, k stpp.XKey) []byte {
-	dst = ckpt.AppendF64(dst, k.BottomTime)
-	dst = ckpt.AppendF64(dst, k.BottomPhase)
-	dst = ckpt.AppendF64(dst, k.Fit.A)
-	dst = ckpt.AppendF64(dst, k.Fit.B)
-	dst = ckpt.AppendF64(dst, k.Fit.C)
-	dst = ckpt.AppendF64(dst, k.R2)
-	dst = ckpt.AppendF64(dst, k.Sigma)
-	return dst
-}
-
-func readXKey(r *ckpt.Reader) (k stpp.XKey) {
-	k.BottomTime = r.F64()
-	k.BottomPhase = r.F64()
-	k.Fit.A = r.F64()
-	k.Fit.B = r.F64()
-	k.Fit.C = r.F64()
-	k.R2 = r.F64()
-	k.Sigma = r.F64()
-	return k
+	if n > r.Len()/len(epcgen2.EPC{}) {
+		r.Failf("%d finalized tags in %d bytes", n, r.Len())
+		return nil, nil
+	}
+	var final map[epcgen2.EPC]bool
+	if n > 0 || keep {
+		final = make(map[epcgen2.EPC]bool, n)
+	}
+	var order []epcgen2.EPC
+	for i := 0; i < n && r.Err() == nil; i++ {
+		var epc epcgen2.EPC
+		for j := range epc {
+			epc[j] = r.U8()
+		}
+		if final[epc] {
+			r.Failf("duplicate finalized tag %v", epc)
+			break
+		}
+		final[epc] = true
+		order = append(order, epc)
+	}
+	return final, order
 }
 
 // RestoreCheckpoint rebuilds the engine from Checkpoint output read
@@ -188,38 +182,17 @@ func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 	}
 	frontier := r.F64()
 	late := int64(r.U64())
-	var emitted []EmittedTag
-	if n := int(r.U32()); r.Err() == nil {
-		for i := 0; i < n && r.Err() == nil; i++ {
-			emitted = append(emitted, ReadEmittedTagCkpt(r))
-		}
+	if n := r.U32(); r.Err() == nil && n != 0 {
+		r.Failf("%d emitted entries in a shard checkpoint", n)
 	}
-	var finalOrder []epcgen2.EPC
-	var final map[epcgen2.EPC]bool
-	if n := int(r.U32()); r.Err() == nil {
-		if n > 0 || e.policy.Enabled() {
-			final = make(map[epcgen2.EPC]bool, n)
-		}
-		for i := 0; i < n && r.Err() == nil; i++ {
-			var epc epcgen2.EPC
-			for j := range epc {
-				epc[j] = r.U8()
-			}
-			if final[epc] {
-				r.Failf("duplicate finalized tag %v", epc)
-				break
-			}
-			final[epc] = true
-			finalOrder = append(finalOrder, epc)
-		}
-	}
+	final, finalOrder := ReadFinalSet(r, e.policy.Enabled())
 	if err := r.Err(); err != nil {
 		reset()
 		return fmt.Errorf("pipeline: restore: %w", err)
 	}
 	e.cached, e.states, e.reads = cached, states, reads
 	e.frontier, e.late = frontier, late
-	e.emitted, e.final, e.finalOrder = emitted, final, finalOrder
+	e.final, e.finalOrder = final, finalOrder
 	return nil
 }
 
@@ -233,8 +206,8 @@ func (e *Engine) resetEmpty() {
 	e.cached = make(map[epcgen2.EPC]stpp.TagResult)
 	e.states = make(map[epcgen2.EPC]*tagState)
 	e.reads = 0
-	e.frontier, e.late, e.discarded = 0, 0, 0
-	e.emitted, e.finalOrder = nil, nil
+	e.frontier, e.late = 0, 0
+	e.finalOrder = nil
 	e.final = nil
 	if e.policy.Enabled() {
 		e.final = make(map[epcgen2.EPC]bool)

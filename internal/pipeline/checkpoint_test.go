@@ -2,9 +2,12 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/stpp"
 )
 
@@ -156,5 +159,41 @@ func TestRestoreRoundTripCounts(t *testing.T) {
 	}
 	if back.Tags() != eng.Tags() {
 		t.Errorf("restored %d tags, want %d", back.Tags(), eng.Tags())
+	}
+}
+
+// TestRestoreRejectsHostileCounts: the trailing section counts of a
+// CRC-valid but hostile blob must fail the restore before they size an
+// allocation. A finalized-tag count of 0xFFFFFFFF once reached a map
+// make() hint unchecked and killed the process with an unrecoverable
+// out-of-memory fatal — at boot, for every session. A non-zero
+// emission-stream count is corrupt too: shard engines never emit.
+func TestRestoreRejectsHostileCounts(t *testing.T) {
+	s := scenes(t)["conveyor"]
+	reads, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := stpp.NewLocalizer(s.STPPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewFromLocalizer(loc, Options{})
+	eng.Consume(reads[:500])
+	blob := eng.Checkpoint(nil)
+	// The blob ends with the emission-stream count and the (empty, with
+	// the lifecycle off) finalized-tag count, both little-endian u32.
+	for name, off := range map[string]int{"finalized": len(blob) - 4, "emitted": len(blob) - 8} {
+		for _, n := range []uint32{1, 0xFFFFFFFF} {
+			bad := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint32(bad[off:], n)
+			fresh := NewFromLocalizer(loc, Options{})
+			if err := fresh.Restore(bad); !errors.Is(err, ckpt.ErrCorrupt) {
+				t.Errorf("%s count %#x: restore error %v, want ckpt.ErrCorrupt", name, n, err)
+			}
+			if fresh.Reads() != 0 || fresh.Tags() != 0 {
+				t.Errorf("%s count %#x: failed restore left %d reads, %d tags", name, n, fresh.Reads(), fresh.Tags())
+			}
+		}
 	}
 }

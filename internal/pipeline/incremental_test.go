@@ -44,21 +44,19 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1234))
-	// Sweep the detection block budget alongside cadence and batch size:
-	// a degenerate 1-byte budget (clamps to the minimum block), a budget
-	// small enough to split the dirty set into several runs, the default,
-	// and one block covering everything. Blocked detection must be
-	// invisible in the results at every size.
-	blockBudgets := []int{1, 4 << 10, 0, 8 << 20}
+	// Sweep the detection block size alongside cadence and batch size:
+	// the block a degenerate 1-byte budget clamps to, one small enough to
+	// split the dirty set into several runs, the default, and one block
+	// covering everything. Blocked detection must be invisible in the
+	// results at every size.
+	blockBudgets := []int{1, 4 << 10, detectBudget, 8 << 20}
 	for trial := 0; trial < 6; trial++ {
 		reads := base
 		if trial%2 == 1 {
 			reads = perturb(rng, base, 0.08)
 		}
-		eng := NewFromLocalizer(loc, Options{
-			Workers:          1 + rng.Intn(4),
-			DetectBlockBytes: blockBudgets[trial%len(blockBudgets)],
-		})
+		eng := NewFromLocalizer(loc, Options{Workers: 1 + rng.Intn(4)})
+		eng.block = blockForBudget(blockBudgets[trial%len(blockBudgets)], loc.Detector().RefSegments())
 		pos, snaps := 0, 0
 		for pos < len(reads) {
 			n := 1 + rng.Intn(97)

@@ -1,4 +1,9 @@
-package pipeline
+// The lifecycle's admission path lives in the Engine, but emission and
+// eviction belong to deploy.ShardedEngine, the one lifecycle coordinator.
+// These properties therefore run the engine the way stppd does — as the
+// single shard of a one-reader deployment — which deploy imports pipeline
+// to build, hence the external test package.
+package pipeline_test
 
 import (
 	"math/rand"
@@ -6,7 +11,9 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/deploy"
 	"repro/internal/epcgen2"
+	"repro/internal/pipeline"
 	"repro/internal/reader"
 	"repro/internal/scenario"
 	"repro/internal/stpp"
@@ -38,21 +45,32 @@ func churnReads(t *testing.T) (*scenario.Scene, []reader.TagRead) {
 	return s, reads
 }
 
-// runLifecycle replays reads through a lifecycle engine under a random
+// oneReader builds the one-reader deployment stppd runs for a trace
+// without reader metadata.
+func oneReader(t *testing.T, s *scenario.Scene, opts deploy.Options) *deploy.ShardedEngine {
+	t.Helper()
+	se, err := deploy.NewSharded(deploy.Deployment{Readers: []deploy.ReaderSpec{{ID: 0, Config: s.STPPConfig()}}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return se
+}
+
+// runLifecycle replays reads through a lifecycle deployment under a random
 // schedule of batch sizes, snapshot points and checkpoint points; with
 // crash set, every checkpoint also simulates a crash — the blob restores
-// into a brand-new engine which carries on. At every observation point it
-// asserts the emitted stream only ever grew (prefix immutability within
-// the run). It returns the final emitted stream, final active snapshot and
+// into a brand-new deployment which carries on. At every observation point
+// it asserts the emitted stream only ever grew (prefix immutability within
+// the run). It returns the final emitted stream, final global snapshot and
 // late-read count.
-func runLifecycle(t *testing.T, loc *stpp.Localizer, reads []reader.TagRead, rng *rand.Rand, crash bool) ([]EmittedTag, *stpp.Result, int64) {
+func runLifecycle(t *testing.T, s *scenario.Scene, reads []reader.TagRead, rng *rand.Rand, crash bool) ([]deploy.EmittedTag, *deploy.GlobalResult, int64) {
 	t.Helper()
-	opts := Options{Workers: 1 + rng.Intn(4), Finalize: lifecyclePolicy()}
-	eng := NewFromLocalizer(loc, opts)
-	var prefix []EmittedTag
+	opts := deploy.Options{Workers: 1 + rng.Intn(4), Finalize: lifecyclePolicy()}
+	se := oneReader(t, s, opts)
+	var prefix []deploy.EmittedTag
 	checkPrefix := func() {
 		t.Helper()
-		em := eng.Emitted()
+		em := se.Emitted()
 		if len(em) < len(prefix) {
 			t.Fatalf("emitted stream shrank: %d -> %d entries", len(prefix), len(em))
 		}
@@ -69,33 +87,35 @@ func runLifecycle(t *testing.T, loc *stpp.Localizer, reads []reader.TagRead, rng
 		if pos+n > len(reads) {
 			n = len(reads) - pos
 		}
-		eng.Consume(reads[pos : pos+n])
+		if err := se.Consume(reads[pos : pos+n]); err != nil {
+			t.Fatalf("pos %d: %v", pos, err)
+		}
 		pos += n
 		if rng.Float64() < 0.25 {
-			if _, err := eng.Snapshot(); err != nil {
+			if _, err := se.Snapshot(); err != nil {
 				t.Fatalf("pos %d: %v", pos, err)
 			}
 			checkPrefix()
 		}
 		if rng.Float64() < 0.15 {
-			blob := eng.Checkpoint(nil)
+			blob := se.Checkpoint(nil)
 			checkPrefix()
 			if crash {
-				fresh := NewFromLocalizer(loc, opts)
+				fresh := oneReader(t, s, opts)
 				if err := fresh.Restore(blob); err != nil {
 					t.Fatalf("pos %d: restore: %v", pos, err)
 				}
-				eng = fresh
+				se = fresh
 				checkPrefix()
 			}
 		}
 	}
-	res, err := eng.Snapshot()
+	gr, err := se.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPrefix()
-	return append([]EmittedTag(nil), eng.Emitted()...), res, eng.LateReads()
+	return append([]deploy.EmittedTag(nil), se.Emitted()...), gr, se.LateReads()
 }
 
 // TestLifecycleEmittedPrefixProperty is the lifecycle's correctness pin:
@@ -124,10 +144,10 @@ func TestLifecycleEmittedPrefixProperty(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(99))
-	var ref []EmittedTag
+	var ref []deploy.EmittedTag
 	for trial := 0; trial < 8; trial++ {
 		crash := trial%2 == 1
-		em, res, late := runLifecycle(t, loc, reads, rng, crash)
+		em, gr, late := runLifecycle(t, s, reads, rng, crash)
 		if late != 0 {
 			t.Fatalf("trial %d: %d late reads on a workload that honors the gap precondition", trial, late)
 		}
@@ -152,14 +172,9 @@ func TestLifecycleEmittedPrefixProperty(t *testing.T) {
 					trial, i, e.X, batchKey[e.EPC])
 			}
 		}
-		full := make([]epcgen2.EPC, 0, len(batchX))
-		for _, e := range em {
-			full = append(full, e.EPC)
-		}
-		full = append(full, res.XOrderEPCs()...)
-		if !reflect.DeepEqual(full, batchX) {
+		if !reflect.DeepEqual(gr.XOrder, batchX) {
 			t.Fatalf("trial %d: emitted prefix ++ active suffix diverged from batch X order:\n  batch %v\n  got   %v",
-				trial, batchX, full)
+				trial, batchX, gr.XOrder)
 		}
 	}
 }
@@ -169,9 +184,9 @@ func TestLifecycleEmittedPrefixProperty(t *testing.T) {
 // emission barrier forever. Its first read precedes every later tag's
 // bottom, so without the discard path it would hold emission (and the
 // memory behind it) for the rest of the stream. Once its profile lapses
-// quiet the engine discards it: evicted without emission, counted, and
-// invisible to every orderable tag — batch assembly sorts erred tags to
-// the unordered NaN tail of the X order, so emitted prefix ++ active
+// quiet the coordinator discards it: evicted without emission, counted,
+// and invisible to every orderable tag — batch assembly sorts erred tags
+// to the unordered NaN tail of the X order, so emitted prefix ++ active
 // suffix still reproduces the orderable prefix of a batch replay over the
 // exact same reads.
 func TestLifecycleDiscardUnorderable(t *testing.T) {
@@ -210,61 +225,68 @@ func TestLifecycleDiscardUnorderable(t *testing.T) {
 		}
 	}
 
-	eng := NewFromLocalizer(loc, Options{Finalize: lifecyclePolicy()})
+	se := oneReader(t, s, deploy.Options{Finalize: lifecyclePolicy()})
 	for pos := 0; pos < len(reads); pos += 200 {
 		n := min(200, len(reads)-pos)
-		eng.Consume(reads[pos : pos+n])
-		if _, err := eng.Snapshot(); err != nil {
+		if err := se.Consume(reads[pos : pos+n]); err != nil {
+			t.Fatalf("pos %d: %v", pos, err)
+		}
+		if _, err := se.Snapshot(); err != nil {
 			t.Fatalf("pos %d: %v", pos, err)
 		}
 	}
-	if got := eng.Discarded(); got != 1 {
+	if got := se.Discarded(); got != 1 {
 		t.Fatalf("discarded %d tags, want exactly the ghost", got)
 	}
-	em := eng.Emitted()
-	if len(em) == 0 {
+	if len(se.Emitted()) == 0 {
 		t.Fatal("nothing emitted — the ghost wedged the barrier despite the discard path")
 	}
-	res, err := eng.Snapshot()
+	gr, err := se.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := make([]epcgen2.EPC, 0, len(batchX))
-	for _, e := range em {
-		full = append(full, e.EPC)
+	if !reflect.DeepEqual(gr.XOrder, batchX) {
+		t.Fatalf("emitted prefix ++ active suffix diverged from batch X order:\n  batch %v\n  got   %v", batchX, gr.XOrder)
 	}
-	full = append(full, res.XOrderEPCs()...)
-	if !reflect.DeepEqual(full, batchX) {
-		t.Fatalf("emitted prefix ++ active suffix diverged from batch X order:\n  batch %v\n  got   %v", batchX, full)
-	}
-	if eng.LateReads() != 0 {
-		t.Fatalf("%d late reads; the ghost's reads all precede its discard", eng.LateReads())
+	if se.LateReads() != 0 {
+		t.Fatalf("%d late reads; the ghost's reads all precede its discard", se.LateReads())
 	}
 }
 
 // TestLifecycleDisabledIsInert: the zero policy must leave the engine
 // byte-identical to the pre-lifecycle engine — no frontier tracking, no
-// emission, Consume stays the cheap bulk append.
+// emission, no late-read accounting, Consume stays the cheap bulk append —
+// both on its own and as a deployment's shard.
 func TestLifecycleDisabledIsInert(t *testing.T) {
 	s, reads := churnReads(t)
 	loc, err := stpp.NewLocalizer(s.STPPConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewFromLocalizer(loc, Options{})
-	got, err := eng.Localize(reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(eng.Emitted()); n != 0 {
-		t.Fatalf("disabled lifecycle emitted %d tags", n)
-	}
-	if f := eng.Frontier(); f != 0 {
-		t.Fatalf("disabled lifecycle tracked frontier %v", f)
-	}
 	want, err := loc.LocalizeReads(reads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, want, got)
+	eng := pipeline.NewFromLocalizer(loc, pipeline.Options{})
+	got, err := eng.Localize(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := eng.Frontier(); f != 0 {
+		t.Fatalf("disabled lifecycle tracked frontier %v", f)
+	}
+	pipeline.SameResult(t, want, got)
+
+	se := oneReader(t, s, deploy.Options{})
+	gr, err := se.Localize(reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gr.Emitted != nil || len(se.Emitted()) != 0 {
+		t.Fatalf("disabled lifecycle emitted %d tags", len(se.Emitted()))
+	}
+	if n := se.LateReads(); n != 0 {
+		t.Fatalf("disabled lifecycle counted %d late reads", n)
+	}
+	pipeline.SameResult(t, want, gr.Shards[0].Result)
 }

@@ -20,16 +20,19 @@
 // batch Localizer cannot itself wrap the Engine without an import cycle, so
 // the sharing runs the other way: stpp owns the two stages and both the
 // batch facade and this engine compose them.
+//
+// The engine never emits or evicts tags on its own. With a finalize
+// policy it runs only the tag lifecycle's admission path (frontier
+// tracking, the pre-read conclusive check, dropping late reads) and
+// exposes Evict; deploy.ShardedEngine, which runs one Engine per reader,
+// is the one lifecycle coordinator that decides emission and eviction.
 package pipeline
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/epcgen2"
-	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/reader"
 	"repro/internal/sched"
@@ -43,39 +46,26 @@ type Options struct {
 	// the process-global scheduler, so this is a cap, not a pool size.
 	Workers int
 	// Group tags this engine's scheduler work for fairness accounting
-	// (one group per ingest session, say). Nil uses the scheduler's
-	// default group.
+	// (one group per ingest session, say). Nil gives the engine a group
+	// of its own on the default scheduler.
 	Group *sched.Group
-	// Finalize enables the tag lifecycle (active → finalized → evicted):
-	// when a tag's pass is conclusive under the policy, the engine emits
-	// it to the ordered emission stream and evicts its profile and
-	// detection state, bounding memory on endless streams. The zero
-	// policy disables the lifecycle entirely — the engine behaves exactly
-	// as before.
+	// Finalize enables the lifecycle's admission path (see Consume): the
+	// engine tracks the read frontier and drops reads for tags marked
+	// final, by its own pre-read check or by Evict, as late. The zero
+	// policy disables the lifecycle.
 	Finalize stpp.FinalizePolicy
-	// HoldEmission keeps the engine from emitting or evicting on its own
-	// sweeps while still tracking the frontier and dropping late reads
-	// for tags evicted via Evict. deploy.ShardedEngine sets it: shards
-	// propose conclusive tags but only the sharded coordinator — which
-	// knows every zone's opinion — may emit and evict.
-	HoldEmission bool
-	// DetectBlockBytes budgets the cache footprint of one detection run:
-	// the number of dirty tags per scheduler claim is sized so the run's
-	// per-tag DP working set plus the shared reference panels fit the
-	// budget (an L2 slice, roughly). 0 means 256 KiB; the resulting tag
-	// count is clamped to [minDetectBlock, maxDetectBlock].
-	DetectBlockBytes int
 }
 
 // Detection block sizing: one scheduler claim takes a contiguous run of
 // dirty tags, and the blocked kernel (stpp.LocalizeTagsIncremental)
 // interleaves their DP fills over the shared reference panels. The run
 // should be big enough to amortize claim traffic and panel loads, small
-// enough that the run's columns-in-flight stay cache-resident.
+// enough that the run's columns-in-flight stay cache-resident: the budget
+// is an L2 slice, roughly.
 const (
-	defaultDetectBudget = 256 << 10
-	minDetectBlock      = 4
-	maxDetectBlock      = 64
+	detectBudget   = 256 << 10
+	minDetectBlock = 4
+	maxDetectBlock = 64
 )
 
 // blockForBudget sizes a detection run: m is the reference segment count
@@ -85,9 +75,6 @@ const (
 // at least minDetectBlock, so a degenerate budget or a huge reference
 // still makes progress in non-empty runs.
 func blockForBudget(budget, m int) int {
-	if budget <= 0 {
-		budget = defaultDetectBudget
-	}
 	if m <= 0 {
 		m = 1
 	}
@@ -116,18 +103,14 @@ type Engine struct {
 	reads   int64
 
 	// Lifecycle state (all zero/nil when the policy is disabled).
-	policy    stpp.FinalizePolicy
-	hold      bool
-	frontier  float64 // running max read time across every consumed read
-	late      int64   // reads dropped because their tag was already final
-	discarded int64   // lapsed-but-unorderable tags evicted without emission
+	policy   stpp.FinalizePolicy
+	frontier float64 // running max read time across every consumed read
+	late     int64   // reads dropped because their tag was already final
 	// final marks tags whose pass concluded; finalOrder is the same set
 	// in marking order (map iteration is nondeterministic, checkpoints
-	// need a stable order). emitted is the ordered emission stream —
-	// append-only, so any prefix a caller has seen is immutable.
+	// need a stable order).
 	final      map[epcgen2.EPC]bool
 	finalOrder []epcgen2.EPC
-	emitted    []EmittedTag
 
 	// Snapshot-path scratch, reused across snapshots (the engine is
 	// single-goroutine by contract): the assembled tag slice plus the
@@ -154,15 +137,6 @@ type tagState struct {
 	detLen int
 }
 
-// EmittedTag is one entry of the ordered emission stream: a finalized
-// tag's identity and its frozen X key. Seq is implicit — an entry's index
-// in Engine.Emitted (and in the cursor-paginated serve endpoint) is its
-// emission sequence number, and it never changes once assigned.
-type EmittedTag struct {
-	EPC epcgen2.EPC
-	X   stpp.XKey
-}
-
 // New builds an Engine for the given STPP configuration.
 func New(cfg stpp.Config, opts Options) (*Engine, error) {
 	loc, err := stpp.NewLocalizer(cfg)
@@ -178,16 +152,19 @@ func NewFromLocalizer(loc *stpp.Localizer, opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
+	group := opts.Group
+	if group == nil {
+		group = sched.Default().NewGroup("pipeline")
+	}
 	e := &Engine{
 		loc:     loc,
 		builder: profile.NewBuilder(),
 		workers: w,
-		block:   blockForBudget(opts.DetectBlockBytes, loc.Detector().RefSegments()),
-		group:   opts.Group,
+		block:   blockForBudget(detectBudget, loc.Detector().RefSegments()),
+		group:   group,
 		cached:  make(map[epcgen2.EPC]stpp.TagResult),
 		states:  make(map[epcgen2.EPC]*tagState),
 		policy:  opts.Finalize,
-		hold:    opts.HoldEmission,
 	}
 	if e.policy.Enabled() {
 		e.final = make(map[epcgen2.EPC]bool)
@@ -222,9 +199,9 @@ func (e *Engine) Reads() int64 { return e.reads }
 // position), and a read that arrives after a tag's quiet gap has already
 // elapsed triggers an immediate conclusive-pass check of the pre-read
 // profile. Deciding *here*, against the read-stream frontier rather than
-// at the next sweep, makes the finalized set a pure function of the read
-// prefix — independent of snapshot or checkpoint cadence — which is what
-// the emitted-prefix immutability property rests on.
+// at the coordinator's next sweep, makes the finalized set a pure function
+// of the read prefix — independent of snapshot or checkpoint cadence —
+// which is what the emitted-prefix immutability property rests on.
 func (e *Engine) Consume(batch []reader.TagRead) {
 	if !e.policy.Enabled() {
 		e.builder.AddBatch(batch)
@@ -305,17 +282,11 @@ func (e *Engine) markFinal(epc epcgen2.EPC) {
 // them to concurrent queriers) must copy Tags first. XOrder/YOrder are
 // freshly allocated and safe to keep.
 func (e *Engine) Snapshot() (*stpp.Result, error) {
-	if e.builder.Tags() == 0 && len(e.emitted) == 0 {
+	if e.builder.Tags() == 0 {
 		return nil, fmt.Errorf("pipeline: no tag profiles in stream")
 	}
 	e.recompute(e.builder.TakeDirty())
-	e.sweep()
 	epcs := e.builder.EPCs()
-	if len(epcs) == 0 {
-		// Every resident was emitted and evicted: the snapshot's active
-		// part is empty (the full order is Emitted() alone).
-		return &stpp.Result{}, nil
-	}
 	e.tags, e.yst = e.tags[:0], e.yst[:0]
 	for _, epc := range epcs {
 		e.tags = append(e.tags, e.cached[epc])
@@ -369,109 +340,20 @@ func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	}
 	e.results = e.results[:n]
 	results := e.results
-	fillRun := func(lo, hi int) {
+	e.group.ForRuns(e.workers, n, e.block, func(lo, hi int) {
 		e.loc.LocalizeTagsIncremental(e.sts[lo:hi], e.ps[lo:hi], results[lo:hi])
-	}
-	if e.group != nil {
-		e.group.ForRuns(e.workers, n, e.block, fillRun)
-	} else {
-		par.ForRuns(e.workers, n, e.block, fillRun)
-	}
+	})
 	for i, epc := range e.depcs {
 		e.cached[epc] = results[i]
-	}
-}
-
-// sweep emits conclusive residents — in their final order — and evicts
-// them. It must run after recompute (every resident's cached result is
-// current) and is a no-op when the lifecycle is disabled or emission is
-// held for a sharded coordinator.
-//
-// Emission order is ascending frozen bottom time, ties by first-appearance
-// position — the same comparator the batch X order uses — and a candidate
-// only emits while no still-active tag could possibly sort at or before
-// it in the final order: an active detected tag whose current (bottom,
-// position) already sorts ≤ the candidate's blocks it, and so does any
-// active tag whose first read precedes the candidate's bottom (its valley,
-// wherever it lands, can still fit before). The first blocked candidate
-// stops the sweep — emission is strictly a prefix, so an emitted position
-// can never be contradicted later.
-func (e *Engine) sweep() {
-	if !e.policy.Enabled() || e.hold {
-		return
-	}
-	// Discard pass: a resident whose profile lapsed but whose detection
-	// still errs can never be ordered — its profile is frozen, so the
-	// error is permanent, exactly as a batch replay over any longer prefix
-	// would see it. Left alone it would sit in the barrier below as an
-	// eternal blocker (its first read precedes every later tag's bottom)
-	// and wedge emission — and memory — for the rest of the stream.
-	var drop []epcgen2.EPC
-	for _, epc := range e.builder.EPCs() {
-		if tr := e.cached[epc]; tr.Err != nil && e.policy.Lapsed(tr, e.frontier) {
-			drop = append(drop, epc)
-		}
-	}
-	for _, epc := range drop {
-		e.discarded++
-		e.Evict(epc)
-	}
-	epcs := e.builder.EPCs()
-	type cand struct {
-		epc    epcgen2.EPC
-		bottom float64
-		pos    int
-	}
-	var pending []cand
-	for i, epc := range epcs {
-		if e.final[epc] || e.policy.Conclusive(e.cached[epc], e.frontier) {
-			pending = append(pending, cand{epc, e.cached[epc].X.BottomTime, i})
-		}
-	}
-	if len(pending) == 0 {
-		return
-	}
-	slices.SortFunc(pending, func(a, b cand) int {
-		if a.bottom != b.bottom {
-			return cmp.Compare(a.bottom, b.bottom)
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	conclusive := make(map[epcgen2.EPC]bool, len(pending))
-	for _, c := range pending {
-		conclusive[c.epc] = true
-	}
-	emit := 0
-scan:
-	for _, c := range pending {
-		for i, epc := range epcs {
-			if conclusive[epc] {
-				continue
-			}
-			tr := e.cached[epc]
-			if tr.Err == nil {
-				if tr.X.BottomTime < c.bottom || (tr.X.BottomTime == c.bottom && i < c.pos) {
-					break scan
-				}
-			}
-			if tr.Profile != nil && tr.Profile.Len() > 0 && tr.Profile.Times[0] <= c.bottom {
-				break scan
-			}
-		}
-		emit++
-	}
-	for _, c := range pending[:emit] {
-		e.emitted = append(e.emitted, EmittedTag{EPC: c.epc, X: e.cached[c.epc].X})
-		e.Evict(c.epc)
 	}
 }
 
 // Evict force-evicts one resident tag: its profile leaves the builder, its
 // detection state returns to the free-lists, and the EPC is marked final
 // so later reads for it are dropped as late instead of resurrecting the
-// tag. The engine's own sweep calls it after emitting; deploy.ShardedEngine
-// calls it directly on shards (with HoldEmission set) once every
-// overlapping zone agrees the pass concluded. Evicting a non-resident tag
+// tag. deploy.ShardedEngine calls it on its shards once every overlapping
+// zone agrees the pass concluded (or that the tag can never be ordered).
+// Evicting a non-resident tag
 // still marks it final; the return reports whether the tag was resident.
 func (e *Engine) Evict(epc epcgen2.EPC) bool {
 	if ts := e.states[epc]; ts != nil {
@@ -485,22 +367,9 @@ func (e *Engine) Evict(epc epcgen2.EPC) bool {
 	return resident
 }
 
-// Emitted returns the ordered emission stream so far. The backing array is
-// append-only and engine-owned: entries never change once emitted, so any
-// prefix handed out remains valid (and immutable) across further engine
-// calls.
-func (e *Engine) Emitted() []EmittedTag { return e.emitted }
-
 // LateReads counts reads dropped because their tag had already been
 // finalized when they arrived.
 func (e *Engine) LateReads() int64 { return e.late }
-
-// Discarded counts tags evicted without emission: their profile lapsed
-// (quiet past the policy gap, so frozen) while detection still erred, making
-// them permanently unorderable. The counter is process-local diagnostics —
-// the final/finalOrder marking a discard leaves behind IS checkpointed, the
-// tally is not, so it restarts at zero after a restore.
-func (e *Engine) Discarded() int64 { return e.discarded }
 
 // Frontier returns the maximum read time consumed so far (on this
 // engine's read clock), including dropped late reads. Zero until the
@@ -523,7 +392,7 @@ func (e *Engine) Release() {
 }
 
 // Close is Release plus dropping every per-tag reference — profiles,
-// cached results, detection states, the emission stream — returning the
+// cached results, detection states, the finalized set — returning the
 // engine to its freshly-constructed state. A dropped or evicted ingest
 // session calls it so the engine stops pinning its largest allocations
 // the moment the session goes away, not whenever the engine itself is

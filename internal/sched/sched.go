@@ -21,8 +21,8 @@
 //   - Spawned tasks (Go): plain closures, e.g. one ingest session's queue
 //     drain. They run exactly once on some worker.
 //
-//   - Parallel-for jobs (For/ForBlocked): fn(i) over [0, n) with the
-//     result-slot contract par.For established — fn(i) may write slot i of
+//   - Parallel-for jobs (For/ForBlocked/ForRuns): fn(i) over [0, n) with
+//     a result-slot contract — fn(i) may write slot i of
 //     a caller-owned slice and the caller observes every write after For
 //     returns, regardless of which worker ran which index. Indices are
 //     claimed from a shared atomic cursor in contiguous blocks (the

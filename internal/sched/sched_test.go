@@ -297,3 +297,47 @@ func TestForBlockedEdges(t *testing.T) {
 		s.Stop()
 	}
 }
+
+// TestForCoversAllIndices runs For on the process-global pool — the call
+// the engine fan-out and the experiment runner make — across worker
+// bounds below, at and far above n: every index runs exactly once.
+func TestForCoversAllIndices(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 4, 100} {
+		for _, n := range []int{0, 1, 5, 257} {
+			out := make([]int32, n)
+			Default().For(nil, workers, n, func(i int) { atomic.AddInt32(&out[i], 1) })
+			for i, v := range out {
+				if v != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, v)
+				}
+			}
+		}
+	}
+}
+
+// TestForBlockedCoversAllIndices is the blocked-claim counterpart on the
+// process-global pool.
+func TestForBlockedCoversAllIndices(t *testing.T) {
+	for _, block := range []int{1, 3, 64} {
+		out := make([]int32, 100)
+		Default().ForBlocked(nil, 4, len(out), block, func(i int) { atomic.AddInt32(&out[i], 1) })
+		for i, v := range out {
+			if v != 1 {
+				t.Fatalf("block=%d: index %d ran %d times", block, i, v)
+			}
+		}
+	}
+}
+
+// TestForNoGoroutinesPerCall: repeated For calls on the process-global
+// pool ride its fixed workers, so the goroutine count stays flat.
+func TestForNoGoroutinesPerCall(t *testing.T) {
+	Default().For(nil, 4, 16, func(int) {}) // warm the shared pool
+	before := runtime.NumGoroutine()
+	for k := 0; k < 1000; k++ {
+		Default().For(nil, 4, 16, func(int) {})
+	}
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Fatalf("goroutines grew %d -> %d across 1000 For calls", before, after)
+	}
+}

@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/pipeline"
+	"repro/internal/deploy"
 	"repro/internal/reader"
 	"repro/internal/trace"
 )
@@ -299,7 +299,7 @@ func (s *Server) handleEmitted(w http.ResponseWriter, r *http.Request) {
 	}
 	limit = min(limit, 4096)
 	resp := EmittedResponse{SessionID: sess.ID}
-	var em []pipeline.EmittedTag
+	var em []deploy.EmittedTag
 	if snap := sess.Latest(); snap != nil {
 		// The emitted slice's backing array is append-only: entries never
 		// change once emitted, so reading a published snapshot's view is

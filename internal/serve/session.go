@@ -170,9 +170,8 @@ func newSession(id string, srv *Server, h trace.Header) (*Session, error) {
 	d := deploy.FromHeader(h, srv.opts.Config, false, false)
 	group := srv.sched.NewGroup(id)
 	eng, err := deploy.NewSharded(d, deploy.Options{
-		Workers:          srv.opts.Workers,
-		Group:            group,
-		DetectBlockBytes: srv.opts.DetectBlockBytes,
+		Workers: srv.opts.Workers,
+		Group:   group,
 		Finalize: stpp.FinalizePolicy{
 			After:  srv.opts.FinalizeAfter,
 			Margin: srv.opts.FinalizeMargin,

@@ -26,9 +26,8 @@ var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // ps[k]) for every k, but the DTW column fills of all tags in the run are
 // fed to dtw.AlignBatch, which interleaves them over the detector's shared
 // reference panels instead of streaming the panels once per tag. The three
-// slices must have equal length; each tag must own its state (nil states
-// degrade to the stateless LocalizeTag, exactly like the scalar call). The
-// run as a whole is one unit of work — callers parallelize across runs,
+// slices must have equal length and each tag must own its state. The run
+// as a whole is one unit of work — callers parallelize across runs,
 // not within one.
 func (l *Localizer) LocalizeTagsIncremental(sts []*DetectState, ps []*profile.Profile, out []TagResult) {
 	d := l.det
@@ -36,10 +35,6 @@ func (l *Localizer) LocalizeTagsIncremental(sts []*DetectState, ps []*profile.Pr
 	als, qs, tag, segsOf := sc.als[:0], sc.qs[:0], sc.tag[:0], sc.segs[:0]
 	for k, p := range ps {
 		st := sts[k]
-		if st == nil {
-			out[k] = l.LocalizeTag(p)
-			continue
-		}
 		out[k] = TagResult{EPC: p.EPC, Profile: p}
 		if p.Len() < d.cfg.MinVZoneSamples {
 			out[k].Err = fmt.Errorf("stpp: profile has %d samples, need >= %d",

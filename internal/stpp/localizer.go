@@ -113,21 +113,13 @@ func (l *Localizer) Localize(profiles []*profile.Profile) (*Result, error) {
 // the localization cost (segmented DTW plus quadratic fitting) and touches
 // no shared mutable state: the Localizer is immutable after construction,
 // so LocalizeTag is safe to call concurrently for different tags.
+//
+// It is a one-shot LocalizeTagIncremental over a pooled, reset state, so
+// the batch and streaming per-tag stages are one code path.
 func (l *Localizer) LocalizeTag(p *profile.Profile) TagResult {
-	tr := TagResult{EPC: p.EPC, Profile: p}
-	vz, err := l.det.Detect(p)
-	if err != nil {
-		tr.Err = err
-		return tr
-	}
-	tr.VZone = vz
-	xk, err := l.cfg.XKeyOf(p, vz)
-	if err != nil {
-		tr.Err = err
-		return tr
-	}
-	tr.X = xk
-	return tr
+	st := l.det.oneShotState()
+	defer l.det.putOneShot(st)
+	return l.LocalizeTagIncremental(st, p)
 }
 
 // LocalizeTagIncremental is LocalizeTag resuming from per-tag state: the
@@ -135,9 +127,9 @@ func (l *Localizer) LocalizeTag(p *profile.Profile) TagResult {
 // instead of recomputing them from sample 0, so a snapshot pays for the
 // reads that arrived since the previous one. The result is byte-identical
 // to LocalizeTag over the same profile. The profile must have grown
-// append-only since the state's last use (call st.Reset after a re-sort);
-// a nil state degrades to LocalizeTag. Like LocalizeTag it is safe to call
-// concurrently for different tags — each tag owns its state.
+// append-only since the state's last use (call st.Reset after a re-sort).
+// Like LocalizeTag it is safe to call concurrently for different tags —
+// each tag owns its state.
 func (l *Localizer) LocalizeTagIncremental(st *DetectState, p *profile.Profile) TagResult {
 	tr := TagResult{EPC: p.EPC, Profile: p}
 	vz, err := l.det.DetectIncremental(st, p)

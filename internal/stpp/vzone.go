@@ -35,6 +35,10 @@ type Detector struct {
 	refAl *dtw.Reference
 	// segment indices of the reference V-zone within refSegs
 	refSegVS, refSegVE int
+	// oneShot pools the DetectStates of the one-shot Detect and
+	// Localizer.LocalizeTag, so batch detection reuses their segment
+	// cache, aligner and curve buffers instead of allocating them per tag.
+	oneShot sync.Pool
 }
 
 // NewDetector synthesizes the reference profile and prepares its coarse
@@ -77,19 +81,30 @@ func (d *Detector) Reference() (*profile.Profile, int, int) {
 // (Section 3.1.2) — the measured profile may extend well beyond the
 // reference's period count, so the reference is located as a subsequence —
 // and maps the reference's a-priori V-zone bounds through the warping
-// path.
+// path. It is a one-shot DetectIncremental over a pooled, reset state, so
+// batch and incremental detection share every line of code.
 func (d *Detector) Detect(p *profile.Profile) (VZone, error) {
-	if p.Len() < d.cfg.MinVZoneSamples {
-		return VZone{}, fmt.Errorf("stpp: profile has %d samples, need >= %d",
-			p.Len(), d.cfg.MinVZoneSamples)
+	st := d.oneShotState()
+	defer d.putOneShot(st)
+	return d.DetectIncremental(st, p)
+}
+
+// oneShotState takes a pooled DetectState for a one-shot detection; the
+// caller returns it with putOneShot.
+func (d *Detector) oneShotState() *DetectState {
+	if st, ok := d.oneShot.Get().(*DetectState); ok {
+		return st
 	}
-	segs := p.Segmentize(d.cfg.Window)
-	if len(segs) == 0 {
-		return VZone{}, fmt.Errorf("stpp: empty segmentation")
-	}
-	res, _, _ := dtw.AlignSegmentsOpenEndOpt(d.refSegs, segs,
-		dtw.SegmentAlignOpts{Stiffness: d.cfg.DTWStiffness})
-	return d.vzoneFromAlignment(nil, p, segs, res)
+	return d.NewDetectState()
+}
+
+// putOneShot clears a one-shot state back to a fresh state's behaviour —
+// Reset drops the segment cache, Release returns the DTW matrix to the
+// shared free-list — and pools it for the next one-shot detection.
+func (d *Detector) putOneShot(st *DetectState) {
+	st.Reset()
+	st.Release()
+	d.oneShot.Put(st)
 }
 
 // DetectState is the resumable per-tag state behind DetectIncremental: the
@@ -162,9 +177,9 @@ func (s *DetectState) Release() {
 // resuming the cached curves from the last call's length: the unwrap
 // continues the cumulative sum from u[uLen−1], and the median filter
 // recomputes only the indices whose window reaches into the new samples.
-// Bit-identical to the from-scratch computation in refineVZone because the
-// resumed arithmetic runs the same operations in the same order over an
-// unchanged prefix.
+// Bit-identical to a from-scratch computation because the resumed
+// arithmetic runs the same operations in the same order over an unchanged
+// prefix.
 func (s *DetectState) unwrapMedian(p *profile.Profile) []float64 {
 	n := p.Len()
 	n0 := s.uLen
@@ -210,16 +225,12 @@ func (s *DetectState) unwrapMedian(p *profile.Profile) []float64 {
 // DTW extends its held DP columns, and the V-zone refinement resumes its
 // unwrap/median curves from the previous profile length, so a detection
 // after k new reads costs O(refSegs·k/w + k) instead of
-// O(refSegs·len(p)/w² + len(p)). The result is
-// byte-identical to Detect over the same profile — the segment cache
-// reproduces Segmentize exactly on append-only growth, and the batch
-// alignment is itself a one-shot run of the same SegmentAligner code. The
-// profile must extend the one from the previous call by appends only,
-// unless Reset was called in between. A nil state degrades to Detect.
+// O(refSegs·len(p)/w² + len(p)). The result is byte-identical to Detect
+// over the same profile — the segment cache reproduces Segmentize exactly
+// on append-only growth, and Detect is itself a one-shot run of this
+// code. The profile must extend the one from the previous call by appends
+// only, unless Reset was called in between.
 func (d *Detector) DetectIncremental(st *DetectState, p *profile.Profile) (VZone, error) {
-	if st == nil {
-		return d.Detect(p)
-	}
 	if p.Len() < d.cfg.MinVZoneSamples {
 		return VZone{}, fmt.Errorf("stpp: profile has %d samples, need >= %d",
 			p.Len(), d.cfg.MinVZoneSamples)
@@ -234,9 +245,8 @@ func (d *Detector) DetectIncremental(st *DetectState, p *profile.Profile) (VZone
 
 // vzoneFromAlignment maps an open-end alignment of the reference against
 // the measured segmentation onto the measured profile and refines the
-// candidate — the shared back half of Detect and DetectIncremental. A
-// non-nil state supplies the refinement's unwrap/median curves from its
-// incremental cache; nil recomputes them into pooled scratch.
+// candidate over the state's incremental unwrap/median curves — the back
+// half of DetectIncremental and of the blocked LocalizeTagsIncremental.
 func (d *Detector) vzoneFromAlignment(st *DetectState, p *profile.Profile, segs []dtw.Segment, res dtw.Result) (VZone, error) {
 	if len(res.Path) == 0 {
 		return VZone{}, fmt.Errorf("stpp: alignment produced no path")
@@ -261,22 +271,22 @@ func (d *Detector) vzoneFromAlignment(st *DetectState, p *profile.Profile, segs 
 	// differs per tag. Snap to this tag's own V-zone: circular-unwrap the
 	// profile, take the unwrapped minimum near the candidate, and expand
 	// until the phase has risen one full period on each side — the wrap
-	// positions that define the V-zone (Section 2.2).
-	if st != nil {
-		start, end = refineVZoneFiltered(st.unwrapMedian(p), start, end)
-	} else {
-		start, end = refineVZone(p, start, end)
-	}
+	// positions that define the V-zone (Section 2.2). The circular unwrap
+	// is immune to representation wraps; only genuinely fast phase motion
+	// between consecutive reads (>π) aliases, and that happens far from
+	// the V-zone where it cannot move the local minimum. The median filter
+	// keeps noise outliers from faking a bottom or tripping the rise
+	// thresholds.
+	start, end = refineVZone(st.unwrapMedian(p), start, end)
 	if end-start < d.cfg.MinVZoneSamples {
 		return VZone{}, fmt.Errorf("stpp: detected V-zone too sparse (%d samples)", end-start)
 	}
 	return VZone{Start: start, End: end, Cost: res.Distance}, nil
 }
 
-// unwrapScratch pools the profile-length temporaries of the V-zone
-// refinement and valley windowing — both run once per tag per snapshot
-// over the whole profile, so per-call allocation of these was a top GC
-// cost in the snapshot-cadence benchmark.
+// unwrapScratch pools the profile-length temporaries of the stateless
+// valley windowing, which batch assembly runs once per tag over the whole
+// profile.
 type unwrapScratch struct{ u, um []float64 }
 
 var unwrapPool = sync.Pool{New: func() any { return new(unwrapScratch) }}
@@ -309,31 +319,9 @@ func circularUnwrapInto(dst []float64, phases []float64) []float64 {
 const medianWidth = 5
 
 // refineVZone snaps a candidate V-zone region to the enclosing
-// single-period valley of the profile's circular-unwrapped phase.
-func refineVZone(p *profile.Profile, candStart, candEnd int) (int, int) {
-	n := p.Len()
-	if n == 0 {
-		return candStart, candEnd
-	}
-	// Circular unwrap over the whole profile: immune to representation
-	// wraps; only genuinely fast phase motion between consecutive reads
-	// (>π) aliases, and that happens far from the V-zone where it cannot
-	// move the local minimum.
-	sc := unwrapPool.Get().(*unwrapScratch)
-	defer unwrapPool.Put(sc)
-	sc.u = circularUnwrapInto(sc.u, p.Phases)
-	u := sc.u
-
-	// Median-filter the unwrapped curve so noise outliers do not fake a
-	// bottom or trip the rise thresholds.
-	sc.um = dsp.MedianFilterTo(sc.um, u, medianWidth)
-	return refineVZoneFiltered(sc.um, candStart, candEnd)
-}
-
-// refineVZoneFiltered is the search-and-expand half of refineVZone over an
-// already median-filtered unwrap um of the whole profile — shared by the
-// pooled batch path and DetectState's cached incremental path.
-func refineVZoneFiltered(um []float64, candStart, candEnd int) (int, int) {
+// single-period valley of the profile's median-filtered circular unwrap
+// um.
+func refineVZone(um []float64, candStart, candEnd int) (int, int) {
 	n := len(um)
 
 	// Search the candidate region (with half-width margin) for the minimum.
