@@ -592,6 +592,88 @@ func BenchmarkCheckpointedRecovery(b *testing.B) {
 	}
 }
 
+// multiSessionDataDir leaves a crashed daemon's data directory behind:
+// live aisle sessions stopped at 60% of their traces with checkpoints and
+// a suffix past the last one, plus finished sessions. It returns the
+// options a restart boots with and the reads the logs hold. The server
+// that wrote the logs is unreachable once it returns.
+func multiSessionDataDir(b *testing.B, live, finished int) (serve.Options, int64) {
+	b.Helper()
+	opts := serve.Options{
+		DataDir:         b.TempDir(),
+		Fsync:           wal.SyncNever,
+		CheckpointEvery: 8192,
+	}
+	var srv *serve.Server
+	total := int64(0)
+	for i := 0; i < live+finished; i++ {
+		ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(int64(i%4 + 1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		reads, err := ms.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if srv == nil {
+			opts.Config = ms.Readers[0].Scene.STPPConfig()
+			if srv, err = serve.New(opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sess, err := srv.CreateSession(trace.Header{Readers: ms.ReaderMetas()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i < live {
+			reads = reads[:len(reads)*6/10]
+		}
+		for start := 0; start < len(reads); start += 256 {
+			if err := sess.Enqueue(reads[start:min(start+256, len(reads))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		total += int64(len(reads))
+		for sess.Consumed() != sess.Enqueued() {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if i >= live {
+			if _, err := sess.Finish(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return opts, total
+}
+
+// BenchmarkMultiSessionRecovery is a cold boot over the data directory a
+// crash leaves with many sessions: 16 checkpointed live aisle sessions and
+// 4 finished ones. Besides the boot rate it reports what the booted server
+// retains — the live heap after a collection once New returns — which is
+// the recovered engines alone when the boot releases its log input.
+func BenchmarkMultiSessionRecovery(b *testing.B) {
+	opts, total := multiSessionDataDir(b, 16, 4)
+	runtime.GC()
+	b.ResetTimer()
+	var booted *serve.Server
+	for i := 0; i < b.N; i++ {
+		var err error
+		if booted, err = serve.New(opts); err != nil {
+			b.Fatal(err)
+		}
+		if got := booted.Metrics().ReadsRecovered.Load(); got != total {
+			b.Fatalf("recovered %d reads, want %d", got, total)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	b.ReportMetric(float64(m.HeapAlloc)/(1<<20), "retained-MiB")
+	runtime.KeepAlive(booted)
+}
+
 // --- the tag lifecycle: endless belts in bounded memory ---
 
 // endlessBelt builds a conveyor-churn read log of n tags at fixed

@@ -144,9 +144,10 @@ func main() {
 		// counts every read a session came back with, replayed only the
 		// suffix actually re-consumed past the last durable checkpoint.
 		m := srv.Metrics()
-		fmt.Printf("stppd recovered %d sessions (%d reads, %d replayed past checkpoints, %d torn tails, %d skipped) from %s, fsync=%s\n",
+		fmt.Printf("stppd recovered %d sessions (%d reads, %d replayed past checkpoints, %d torn tails, %d skipped) from %s in %v (%d log bytes), fsync=%s\n",
 			m.SessionsRecovered.Load(), m.ReadsRecovered.Load(), m.SuffixReadsReplayed.Load(),
-			m.WALTornTails.Load(), m.WALSkipped.Load(), *dataDir, policy)
+			m.WALTornTails.Load(), m.WALSkipped.Load(), *dataDir,
+			time.Duration(m.RecoveryNanos.Load()).Round(time.Microsecond), m.RecoveryWALBytes.Load(), policy)
 	}
 
 	handler := srv.Handler()

@@ -51,6 +51,7 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -419,9 +420,13 @@ func (s *Scheduler) take(w *worker) (item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		// Own deque, newest first.
+		// Own deque, newest first. Every pop below zeroes the slot it
+		// vacates: a stale item left in a backing array keeps its finished
+		// job — and everything the job's closure captured — reachable
+		// until some later push happens to overwrite the slot.
 		for n := len(w.deque); n > 0; n = len(w.deque) {
 			it := w.deque[n-1]
+			w.deque[n-1] = item{}
 			w.deque = w.deque[:n-1]
 			if it.live() {
 				return it, true
@@ -442,6 +447,7 @@ func (s *Scheduler) take(w *worker) (item, bool) {
 		}
 		if victim != nil {
 			it := victim.deque[0]
+			victim.deque[0] = item{}
 			victim.deque = victim.deque[1:]
 			if it.live() {
 				s.steals.Add(1)
@@ -475,17 +481,19 @@ func (s *Scheduler) pickLocked() (item, bool) {
 		}
 		g := s.ring[best]
 		for len(g.pending) > 0 && !g.pending[0].live() {
+			g.pending[0] = item{}
 			g.pending = g.pending[1:]
 		}
 		var it item
 		ok := len(g.pending) > 0
 		if ok {
 			it = g.pending[0]
+			g.pending[0] = item{}
 			g.pending = g.pending[1:]
 		}
 		if len(g.pending) == 0 {
 			g.pending = nil // release the drained FIFO's backing array
-			s.ring = append(s.ring[:best], s.ring[best+1:]...)
+			s.ring = slices.Delete(s.ring, best, best+1)
 			if s.rr > best {
 				s.rr--
 			}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 // TestForResultSlots checks the deterministic result-slot contract: every
@@ -339,5 +340,139 @@ func TestForNoGoroutinesPerCall(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Fatalf("goroutines grew %d -> %d across 1000 For calls", before, after)
+	}
+}
+
+// forEntries are the three parallel-for entry points, each driving a
+// per-index fn so one test body covers all of them.
+var forEntries = []struct {
+	name string
+	run  func(s *Scheduler, g *Group, maxPar, n int, fn func(int))
+}{
+	{"For", func(s *Scheduler, g *Group, maxPar, n int, fn func(int)) { s.For(g, maxPar, n, fn) }},
+	{"ForBlocked", func(s *Scheduler, g *Group, maxPar, n int, fn func(int)) { s.ForBlocked(g, maxPar, n, 1, fn) }},
+	{"ForRuns", func(s *Scheduler, g *Group, maxPar, n int, fn func(int)) {
+		s.ForRuns(g, maxPar, n, 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
+		})
+	}},
+}
+
+// runCapturing runs one parallel-for whose closure captures a 1 MiB
+// object, calling wait before each index, and returns a weak pointer to
+// the object. It is a separate frame so the caller holds no strong
+// reference once it returns.
+//
+//go:noinline
+func runCapturing(run func(*Scheduler, *Group, int, int, func(int)), s *Scheduler, g *Group, maxPar int, wait func()) weak.Pointer[[1 << 20]byte] {
+	big := new([1 << 20]byte)
+	wp := weak.Make(big)
+	run(s, g, maxPar, 64, func(i int) {
+		wait()
+		big[i]++
+	})
+	return wp
+}
+
+// collected reports whether a weak pointer's object was reclaimed.
+func collected(wp weak.Pointer[[1 << 20]byte]) bool {
+	for k := 0; k < 5; k++ {
+		runtime.GC()
+		if wp.Value() == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// waitInflight returns a wait that spins until at least n participants
+// have worked g's job at once. The first to see them latches it, so a
+// participant that finishes early cannot strand the others.
+func waitInflight(g *Group, n int32) func() {
+	var met atomic.Bool
+	return func() {
+		for !met.Load() {
+			if g.inflight.Load() >= n {
+				met.Store(true)
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// waitParked blocks until every worker of s is parked, i.e. no worker
+// still holds a popped item on its stack.
+func waitParked(t *testing.T, s *Scheduler) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Stats().Idle != s.Workers() {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never parked")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestForReleasesFinishedJob: once For/ForBlocked/ForRuns returns, the
+// scheduler must hold nothing of the job — a join ticket popped from a
+// deque or an injection FIFO by reslicing stays in the backing array,
+// keeping the job's closure (and everything it captured, such as a boot's
+// recovered logs) reachable. Each path a ticket leaves by is forced in
+// turn: a worker popping its own propagated ticket, a worker stealing a
+// neighbour's, and a dead ticket dropped from the injection FIFO ahead of
+// a task that is still queued.
+func TestForReleasesFinishedJob(t *testing.T) {
+	for _, e := range forEntries {
+		t.Run(e.name+"/own-deque", func(t *testing.T) {
+			// One worker, room for a third participant: the worker joins
+			// from the injection FIFO, re-posts a ticket on its own deque
+			// and later pops it, dead, itself.
+			s := New(1)
+			defer s.Stop()
+			g := s.NewGroup("job")
+			wp := runCapturing(e.run, s, g, 3, waitInflight(g, 2))
+			waitParked(t, s)
+			if !collected(wp) {
+				t.Fatal("a worker's deque still pins the finished job")
+			}
+		})
+		t.Run(e.name+"/steal", func(t *testing.T) {
+			// Two workers, three participants: the first joins from the
+			// FIFO and re-posts a ticket; the only way the second can join
+			// is by stealing that ticket from the first's deque.
+			s := New(2)
+			defer s.Stop()
+			g := s.NewGroup("job")
+			wp := runCapturing(e.run, s, g, 3, waitInflight(g, 3))
+			waitParked(t, s)
+			if !collected(wp) {
+				t.Fatal("a victim's deque still pins the stolen job")
+			}
+		})
+		t.Run(e.name+"/injection-fifo", func(t *testing.T) {
+			// The only worker is busy, so the caller runs the whole job and
+			// its ticket stays queued. Two tasks queue behind it; when the
+			// worker frees up it drops the dead ticket and runs the first
+			// task, which holds while the second keeps the FIFO non-empty.
+			s := New(1)
+			defer s.Stop()
+			g := s.NewGroup("job")
+			busy, release := make(chan struct{}), make(chan struct{})
+			s.Go(nil, func() { close(busy); <-release })
+			<-busy
+			wp := runCapturing(e.run, s, g, 0, func() {})
+			running, hold := make(chan struct{}), make(chan struct{})
+			g.Go(func() { close(running); <-hold })
+			g.Go(func() {})
+			close(release)
+			<-running
+			ok := collected(wp)
+			close(hold)
+			if !ok {
+				t.Fatal("the injection FIFO still pins the finished job")
+			}
+		})
 	}
 }

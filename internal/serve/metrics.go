@@ -109,6 +109,10 @@ func (s *Server) PromMetrics() ([]byte, error) {
 	w.Value(float64(st.WALTornTails))
 	w.Counter("stppd_wal_skipped_total", "Log directories too damaged to rebuild (left on disk).")
 	w.Value(float64(st.WALSkipped))
+	w.Gauge("stppd_recovery_seconds", "Wall time of the boot recovery sweep.")
+	w.Value(st.RecoverySeconds)
+	w.Gauge("stppd_recovery_wal_bytes", "Valid write-ahead log bytes the boot recovery scanned.")
+	w.Value(float64(st.RecoveryWALBytes))
 
 	w.Gauge("stppd_tags_active", "Resident (reader, tag) profiles across live sessions.")
 	w.Value(float64(st.ActiveTags))

@@ -204,6 +204,8 @@ type Metrics struct {
 	CheckpointsWritten  atomic.Int64 // checkpoint records journaled
 	SegmentsTruncated   atomic.Int64 // WAL segments deleted behind checkpoints
 	SuffixReadsReplayed atomic.Int64 // boot-replay reads NOT covered by a checkpoint
+	RecoveryNanos       atomic.Int64 // wall time of the boot recovery sweep
+	RecoveryWALBytes    atomic.Int64 // valid log bytes the boot recovery scanned
 
 	// Lifecycle counters, zero unless FinalizeAfter is set.
 	TagsFinalized    atomic.Int64 // tags emitted and evicted across sessions
@@ -247,6 +249,10 @@ type Stats struct {
 	CheckpointsWritten  int64 `json:"wal_checkpoints"`
 	SegmentsTruncated   int64 `json:"wal_segments_truncated"`
 	SuffixReadsReplayed int64 `json:"wal_suffix_reads_replayed"`
+
+	// Boot recovery: wall time of the sweep and the log bytes it scanned.
+	RecoverySeconds  float64 `json:"recovery_seconds"`
+	RecoveryWALBytes int64   `json:"recovery_wal_bytes"`
 
 	// Lifecycle: cumulative finalizations and late-read drops across all
 	// sessions (including finished ones), the current resident-profile
@@ -331,75 +337,91 @@ func (s *Server) walOpts() wal.Options {
 // (no intact header record) are counted and left on disk for inspection,
 // never deleted.
 //
-// The sweep is two-phase: log scanning and registration run sequentially
-// in name order (deterministic IDs and eviction order), then the replays
-// — the dominant boot cost, independent per session — fan out across
-// sessions on the scheduler, and each session's snapshots fan out again
-// across its shards and tags on the same pool, so restart latency does
-// not grow as the sum of every retained session's full replay. Replay
-// feeds batches straight into the engine rather than through Enqueue: no
-// producer exists yet, and a scheduler task must never block on a
-// bounded queue whose drain needs a worker.
+// Every session directory reserves its number first, in name order. Then
+// each session streams through its own scheduler task — scan and repair
+// the log, build the engine, restore the checkpoint, replay the suffix —
+// and the task drops the recovered log input as soon as the engine holds
+// it, so a boot keeps at most one session's input per participant live,
+// not every session's at once. The sessions register in name order after
+// the fan-out returns, so IDs, eviction order and counters do not depend
+// on which worker ran which session. Each session's snapshots fan out
+// again across its shards and tags on the same pool. Replay feeds batches
+// straight into the engine rather than through Enqueue: no producer exists
+// yet, and a scheduler task must never block on a bounded queue whose
+// drain needs a worker.
 func (s *Server) recoverAll() error {
+	start := time.Now()
 	names, err := wal.Sessions(s.opts.DataDir)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	type pending struct {
-		sess *Session
-		rec  *wal.Recovered
-		log  *wal.Log
-	}
-	var replays []pending
 	for _, name := range names {
-		dir := filepath.Join(s.opts.DataDir, name)
-		// Every session directory reserves its number — including damaged
-		// ones that stay on disk unrecovered — so fresh sessions never
-		// collide with a directory already there. (New runs before any
-		// producer can reach the server, so nextID needs no lock here.)
+		// Damaged directories stay on disk unrecovered, so they reserve
+		// their numbers too: fresh sessions never collide with a directory
+		// already there. (New runs before any producer can reach the
+		// server, so nextID needs no lock here.)
 		var n int64
 		if _, err := fmt.Sscanf(name, "s%d", &n); err == nil && n > s.nextID {
 			s.nextID = n
 		}
-		rec, log, err := wal.Recover(dir, s.walOpts())
-		if err != nil {
-			s.metrics.WALSkipped.Add(1)
-			continue
-		}
-		if rec.Torn {
-			s.metrics.WALTornTails.Add(1)
-		}
-		sess, err := newSession(name, s, rec.Header)
-		if err != nil {
-			// A header that no longer builds an engine (config drift since
-			// the log was written): skip, keep the log.
-			if log != nil {
-				log.Close()
-			}
-			s.metrics.WALSkipped.Add(1)
-			continue
-		}
-		sess.walDir = dir
-		s.mu.Lock()
-		s.sessions[name] = sess
-		s.order = append(s.order, name)
-		s.mu.Unlock()
-		// A recovered session enters the registry like a created one (so
-		// SessionsCreated ≥ SessionsFinished always holds); its replayed
-		// reads flow through the ingest counters again — ReadsRecovered
-		// reports how much of that traffic came from the logs.
-		s.metrics.SessionsCreated.Add(1)
-		s.metrics.SessionsRecovered.Add(1)
-		s.metrics.ReadsRecovered.Add(rec.CheckpointReads + int64(rec.Reads))
-		s.metrics.SuffixReadsReplayed.Add(int64(rec.Reads))
-		replays = append(replays, pending{sess: sess, rec: rec, log: log})
 	}
-	s.sched.For(nil, 0, len(replays), func(i int) {
-		p := replays[i]
-		p.sess.replay(p.rec, p.log)
+	recovered := make([]*Session, len(names))
+	s.sched.For(nil, 0, len(names), func(i int) {
+		recovered[i] = s.recoverSession(names[i])
 	})
+	for i, sess := range recovered {
+		if sess != nil {
+			s.sessions[names[i]] = sess
+			s.order = append(s.order, names[i])
+		}
+	}
+	s.metrics.RecoveryNanos.Store(int64(time.Since(start)))
 	return nil
 }
+
+// recoverSession rebuilds the session logged under DataDir/name, or
+// returns nil when the log cannot be rebuilt.
+func (s *Server) recoverSession(name string) *Session {
+	dir := filepath.Join(s.opts.DataDir, name)
+	rec, log, err := wal.Recover(dir, s.walOpts())
+	if err != nil {
+		s.metrics.WALSkipped.Add(1)
+		return nil
+	}
+	if recoveredHook != nil {
+		recoveredHook(rec)
+	}
+	s.metrics.RecoveryWALBytes.Add(rec.Bytes)
+	if rec.Torn {
+		s.metrics.WALTornTails.Add(1)
+	}
+	sess, err := newSession(name, s, rec.Header)
+	if err != nil {
+		// A header that no longer builds an engine (config drift since
+		// the log was written): skip, keep the log.
+		if log != nil {
+			log.Close()
+		}
+		s.metrics.WALSkipped.Add(1)
+		return nil
+	}
+	sess.walDir = dir
+	// A recovered session counts as created (so SessionsCreated ≥
+	// SessionsFinished always holds); its replayed reads flow through the
+	// ingest counters again — ReadsRecovered reports how much of that
+	// traffic came from the logs.
+	s.metrics.SessionsCreated.Add(1)
+	s.metrics.SessionsRecovered.Add(1)
+	s.metrics.ReadsRecovered.Add(rec.CheckpointReads + int64(rec.Reads))
+	s.metrics.SuffixReadsReplayed.Add(int64(rec.Reads))
+	sess.replay(rec, log)
+	return sess
+}
+
+// recoveredHook, when set, sees each log recovery yields before its
+// session replays it, from concurrent recovery tasks; tests use it to
+// watch the input's lifetime.
+var recoveredHook func(*wal.Recovered)
 
 // Metrics exposes the server counters.
 func (s *Server) Metrics() *Metrics { return &s.metrics }
@@ -545,6 +567,8 @@ func (s *Server) Stats() Stats {
 		CheckpointsWritten:  s.metrics.CheckpointsWritten.Load(),
 		SegmentsTruncated:   s.metrics.SegmentsTruncated.Load(),
 		SuffixReadsReplayed: s.metrics.SuffixReadsReplayed.Load(),
+		RecoverySeconds:     float64(s.metrics.RecoveryNanos.Load()) / 1e9,
+		RecoveryWALBytes:    s.metrics.RecoveryWALBytes.Load(),
 
 		TagsFinalized:    s.metrics.TagsFinalized.Load(),
 		TagsDiscarded:    s.metrics.TagsDiscarded.Load(),

@@ -776,10 +776,16 @@ func (s *Session) terminate() {
 // offline replay of the full journaled prefix. Replayed reads flow
 // through the ingest/consume counters like live traffic; ReadsRecovered
 // (bumped by the caller) reports how much of that came from the logs.
+//
+// replay owns rec: it drops the checkpoint blob once the engine holds the
+// state and each batch once the engine consumed it, so the collector may
+// reclaim that input while the rest of the suffix replays.
 func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 	failed := false
 	if rec.Checkpoint != nil {
-		if err := s.eng.Restore(rec.Checkpoint); err != nil {
+		err := s.eng.Restore(rec.Checkpoint)
+		rec.Checkpoint = nil
+		if err != nil {
 			// A checkpoint that no longer restores (config drift since it
 			// was written): the session dies holding the error, exactly
 			// like a journaled batch the engine rejects. Replaying the
@@ -795,10 +801,11 @@ func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 			s.srv.metrics.ReadsConsumed.Add(n)
 		}
 	}
-	for _, batch := range rec.Batches {
+	for k, batch := range rec.Batches {
 		if failed {
 			break
 		}
+		rec.Batches[k] = nil
 		n := int64(len(batch))
 		s.enqueued.Add(n)
 		s.srv.metrics.ReadsIngested.Add(n)

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -240,6 +241,106 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec.Batches, testBatches(5, 3)) {
 		t.Errorf("fallback replay has %d batches, want all 5", len(rec.Batches))
+	}
+}
+
+// readDir maps each file in dir to its content.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = data
+	}
+	return out
+}
+
+// writeDir materializes a readDir image in a fresh directory.
+func writeDir(t *testing.T, files map[string][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestKillMidCheckpointKeepsBasis: a process killed while it writes a
+// checkpoint leaves the new record's segment partly written under its
+// temporary name, or whole but not yet renamed, or renamed with the next
+// segment not yet open. Each of those disk images must recover without a
+// torn tail: to the previous basis and its suffix until the rename, to the
+// new checkpoint after it. The temporary file must be gone afterwards.
+func TestKillMidCheckpointKeepsBasis(t *testing.T) {
+	dir := t.TempDir()
+	l := ckptLog(t, dir, Options{Fsync: SyncNever}, 6, 4)
+	basis := bytes.Repeat([]byte("basis "), 512)
+	if _, err := l.AppendCheckpoint(2, 16, basis); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range testBatches(9, 4)[6:] {
+		if err := l.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := readDir(t, dir) // the log as the kill finds it
+	next := bytes.Repeat([]byte("next state "), 4096)
+	if _, err := l.AppendCheckpoint(1, 32, next); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	// The segment the interrupted call was writing.
+	var name string
+	var record []byte
+	for n, data := range readDir(t, dir) {
+		if _, ok := pre[n]; !ok && len(data) > 0 && data[0] == recCheckpoint {
+			name, record = n, data
+		}
+	}
+	if record == nil {
+		t.Fatal("no new checkpoint segment")
+	}
+	want := recoverDir(t, writeDir(t, pre))
+	if !bytes.Equal(want.Checkpoint, basis) || len(want.Batches) != 5 {
+		t.Fatalf("pre-kill log recovers %d batches past a %d-byte basis", len(want.Batches), len(want.Checkpoint))
+	}
+
+	n := len(record)
+	for _, cut := range []int{0, 1, frameLen - 1, frameLen, frameLen + 1, n / 2, n - 1, n} {
+		files := maps.Clone(pre)
+		files[name+tmpSuffix] = record[:cut]
+		kdir := writeDir(t, files)
+		rec := recoverDir(t, kdir)
+		if rec.Torn {
+			t.Errorf("cut %d/%d: torn tail %v", cut, n, rec.TornCause)
+		}
+		if !bytes.Equal(rec.Checkpoint, basis) || rec.CheckpointReads != want.CheckpointReads ||
+			!reflect.DeepEqual(rec.Batches, want.Batches) {
+			t.Errorf("cut %d/%d: recovered %d batches past a %d-byte basis, want the previous basis and %d batches",
+				cut, n, len(rec.Batches), len(rec.Checkpoint), len(want.Batches))
+		}
+		if _, err := os.Stat(filepath.Join(kdir, name+tmpSuffix)); !os.IsNotExist(err) {
+			t.Errorf("cut %d/%d: temporary segment left behind (%v)", cut, n, err)
+		}
+	}
+
+	// Killed after the rename, before the next segment opened.
+	files := maps.Clone(pre)
+	files[name] = record
+	rec := recoverDir(t, writeDir(t, files))
+	if rec.Torn || !bytes.Equal(rec.Checkpoint, next) || rec.CheckpointReads != 32 || len(rec.Batches) != 1 {
+		t.Errorf("renamed checkpoint: torn=%v, %d-byte basis, %d reads, %d batches; want the new basis and 1 batch",
+			rec.Torn, len(rec.Checkpoint), rec.CheckpointReads, len(rec.Batches))
 	}
 }
 

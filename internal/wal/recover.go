@@ -30,7 +30,10 @@ type Recovered struct {
 	Header trace.Header
 	// Checkpoint is the serialized engine state from the latest valid
 	// checkpoint record, nil if the log holds none. When set, restoring it
-	// and replaying Batches reproduces the full session state.
+	// and replaying Batches reproduces the full session state. It aliases
+	// the buffer its segment was read into — a checkpoint record sits alone
+	// in its segment, so that buffer is the record — rather than copying
+	// state that can run to hundreds of MiB.
 	Checkpoint []byte
 	// CheckpointReads is the read count already folded into Checkpoint;
 	// the session's total is CheckpointReads + Reads.
@@ -66,12 +69,18 @@ type Recovered struct {
 // away (or may survive a crash mid-truncation: the stale prefix is
 // scanned and then superseded when the checkpoint is reached).
 //
+// A checkpoint segment a crash left under its temporary name was never
+// part of the log: Recover deletes it, and the previous basis stands.
+//
 // Recover never panics on corrupt input and never returns a partial
 // batch: a batch record either decodes completely or marks the torn
 // tail. It is idempotent — recovering an already-repaired log returns
 // the identical Recovered with Torn unset.
 func Recover(dir string, opts Options) (*Recovered, *Log, error) {
 	opts.fill()
+	if err := removeTemps(dir); err != nil {
+		return nil, nil, err
+	}
 	segs, err := SegmentFiles(dir)
 	if err != nil {
 		return nil, nil, err
@@ -164,7 +173,7 @@ scan:
 					break scan
 				}
 				rec.Header = h
-				rec.Checkpoint = append(rec.Checkpoint[:0], state...)
+				rec.Checkpoint = state
 				rec.CheckpointReads = reads
 				headerJSON = append(headerJSON[:0], hj...)
 				// The survivors are always a suffix of this checkpoint's
@@ -253,6 +262,32 @@ scan:
 		l.segs = append(l.segs, segMeta{idx: segIndex(segs[si]), firstBatch: firstG[si] - base})
 	}
 	return rec, l, nil
+}
+
+// removeTemps deletes the half-written checkpoint segments a crash left
+// under their temporary names.
+func removeTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	removed := false
+	for _, e := range entries {
+		var idx int
+		name := e.Name()
+		if _, err := fmt.Sscanf(name, segPattern+tmpSuffix, &idx); err != nil ||
+			name != fmt.Sprintf(segPattern+tmpSuffix, idx) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return fmt.Errorf("wal: drop temporary segment: %w", err)
+		}
+		removed = true
+	}
+	if removed {
+		syncDir(dir)
+	}
+	return nil
 }
 
 // parseCheckpoint decodes a checkpoint envelope. The returned slices

@@ -13,11 +13,14 @@
 // torn record at the tail of the last segment, and Recover detects it
 // (short frame, oversized length, unknown type, CRC mismatch or an
 // undecodable CRC-valid payload), truncates the log back to the last good
-// record and replays everything before it. Replaying a recovered log
-// through a fresh engine therefore yields a final order byte-identical to
-// an offline replay of the journaled prefix — the property the
-// crash-injection tests in internal/serve enforce at every record
-// boundary and mid-record.
+// record and replays everything before it. Checkpoint records — large,
+// and written while producers keep appending — never tear at all: each is
+// written whole under a temporary name and renamed into place as its own
+// segment, so a crash leaves either the complete record or none of it.
+// Replaying a recovered log through a fresh engine therefore yields a
+// final order byte-identical to an offline replay of the journaled prefix
+// — the property the crash-injection tests in internal/serve enforce at
+// every record boundary and mid-record.
 //
 // The fsync policy is a knob: SyncAlways fsyncs every append (a crashed
 // *machine* loses at most the torn tail), SyncNever leaves batch appends
@@ -89,6 +92,10 @@ const (
 	// segPattern names segment files; numbering starts at 1, but after
 	// checkpoint truncation the lowest live index may be higher.
 	segPattern = "wal-%08d.seg"
+	// tmpSuffix marks a checkpoint segment still being written. Only the
+	// rename drops it, so SegmentFiles never lists such a file and Recover
+	// deletes any a crash left behind.
+	tmpSuffix = ".tmp"
 )
 
 // ckptVersion versions the checkpoint record envelope.
@@ -418,22 +425,29 @@ func (l *Log) recordSyncErr(target int64, err error) {
 // Recovery restores the state and replays only the last `uncovered` batch
 // records — the suffix — instead of the whole history.
 //
-// Durability ordering makes truncation crash-safe: the checkpoint record
-// is fsynced (appendLocked always syncs non-batch records) before any
-// segment is unlinked, and the directory is fsynced after. A crash
-// mid-truncation leaves stale pre-checkpoint segments behind, which
-// recovery skips past once it scans the checkpoint.
+// The record becomes a segment of its own: the next index, or the current
+// one if that is still empty. It is written whole to a temporary name and
+// fsynced there, the current segment is sealed (fsynced and closed), the
+// temporary file is renamed to its segment name, and the next segment is
+// opened; opening it fsyncs the directory, which makes the rename durable
+// too. A crash before the rename leaves only a stray temporary file, which
+// Recover deletes, so the previous basis stands and no tail is torn; a
+// crash after it leaves the whole record. Either way a checkpoint never
+// shares a segment with batch records.
 //
-// The record is written to a fresh segment (rotating first if the current
-// one holds anything) and sealed alone there (rotating again), so a
-// checkpoint never shares a segment with batch records. Superseded
-// checkpoint segments are truncated to zero length on the spot, and a
-// prefix segment is deleted outright once every batch it holds is covered
-// by the checkpoint, i.e. the NEXT segment's first batch ordinal is
-// ≤ batches-consumed. Together these bound the log's disk footprint and
-// recovery's scan by the checkpoint cadence: one live engine blob plus
-// the uncovered batch suffix, however old the session. Envelope layout
-// (ckpt encoding):
+// Durability ordering makes truncation crash-safe: the checkpoint record
+// is fsynced and renamed before any segment is unlinked, and the
+// directory is fsynced after. A crash mid-truncation leaves stale
+// pre-checkpoint segments behind, which recovery skips past once it scans
+// the checkpoint.
+//
+// Superseded checkpoint segments are truncated to zero length on the
+// spot, and a prefix segment is deleted outright once every batch it
+// holds is covered by the checkpoint, i.e. the NEXT segment's first
+// batch ordinal is ≤ batches-consumed. Together these bound the log's
+// disk footprint and recovery's scan by the checkpoint cadence: one
+// live engine blob plus the uncovered batch suffix, however old the
+// session. Envelope layout (ckpt encoding):
 //
 //	u8 version | u64 uncovered | u64 reads | bytes headerJSON | bytes state
 func (l *Log) AppendCheckpoint(uncovered, reads int64, state []byte) (truncated int, err error) {
@@ -453,24 +467,44 @@ func (l *Log) AppendCheckpoint(uncovered, reads int64, state []byte) (truncated 
 	buf = ckpt.AppendBytes(buf, l.headerJSON)
 	buf = ckpt.AppendBytes(buf, state)
 	l.ckptBuf = buf
+	if len(buf) > MaxCheckpoint {
+		return 0, fmt.Errorf("wal: record payload %d exceeds %d bytes", len(buf), MaxCheckpoint)
+	}
+	idx := l.seg
 	if l.size > 0 {
-		if err := l.rotate(); err != nil {
-			return 0, err
-		}
+		idx++
 	}
-	if err := l.appendLocked(recCheckpoint, buf); err != nil {
+	path := filepath.Join(l.dir, fmt.Sprintf(segPattern, idx))
+	if err := writeRecordFile(path+tmpSuffix, recCheckpoint, buf); err != nil {
 		return 0, err
 	}
-	// Seal the checkpoint alone in its segment by rotating again. Batches
-	// journal ahead of consumption, so a segment mixing a checkpoint with
-	// later batch records stays pinned — its tail batches uncovered — for
-	// several checkpoint cycles, each cycle stranding a full superseded
-	// engine blob on disk and in the recovery scan. Alone, the blob is
-	// reclaimable the moment the next checkpoint lands.
-	if err := l.rotate(); err != nil {
+	if err := l.seal(); err != nil {
+		os.Remove(path + tmpSuffix)
 		return 0, err
 	}
-	l.segs[len(l.segs)-2].ckptOnly = true
+	if err := os.Rename(path+tmpSuffix, path); err != nil {
+		os.Remove(path + tmpSuffix)
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	n := int64(frameLen + len(buf))
+	l.bytes += n
+	totalBytes.Add(n)
+	l.appends++
+	// Alone in its segment, the blob is reclaimable the moment the next
+	// checkpoint lands. Batches journal ahead of consumption, so a segment
+	// mixing a checkpoint with later batch records would stay pinned — its
+	// tail batches uncovered — for several checkpoint cycles, each cycle
+	// stranding a full superseded engine blob on disk and in the recovery
+	// scan.
+	meta := segMeta{idx: idx, firstBatch: l.batches, ckptOnly: true}
+	if idx == l.seg {
+		l.segs[len(l.segs)-1] = meta // the rename replaced the empty segment
+	} else {
+		l.segs = append(l.segs, meta)
+	}
+	if err := l.openSegment(idx + 1); err != nil {
+		return 0, err
+	}
 	// Reclaim superseded checkpoint segments in place. Deleting a middle
 	// segment would leave an index gap, which recovery reads as the end of
 	// the reachable log — so stale checkpoint segments are truncated to
@@ -539,10 +573,7 @@ func (l *Log) appendLocked(typ byte, payload []byte) error {
 			return err
 		}
 	}
-	var hdr [frameLen]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], frameCRC(typ, payload))
+	hdr := frameHeader(typ, payload)
 	if _, err := l.w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -576,8 +607,51 @@ func (l *Log) appendLocked(typ byte, payload []byte) error {
 	return nil
 }
 
-// rotate seals the current segment (always fsynced) and opens the next.
+// frameHeader builds a record's frame prefix.
+func frameHeader(typ byte, payload []byte) [frameLen]byte {
+	var hdr [frameLen]byte
+	hdr[0] = typ
+	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[5:9], frameCRC(typ, payload))
+	return hdr
+}
+
+// writeRecordFile writes one framed record as the whole content of a new
+// file at path and fsyncs it; on failure it removes the file.
+func writeRecordFile(path string, typ byte, payload []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	hdr := frameHeader(typ, payload)
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(payload)
+	}
+	if err == nil {
+		err = syncFile(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
+}
+
+// rotate seals the current segment and opens the next.
 func (l *Log) rotate() error {
+	if err := l.seal(); err != nil {
+		return err
+	}
+	return l.openSegment(l.seg + 1)
+}
+
+// seal flushes, fsyncs and closes the current segment, whatever the
+// policy.
+func (l *Log) seal() error {
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -588,7 +662,7 @@ func (l *Log) rotate() error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.advanceSynced(l.gAppended)
-	return l.openSegment(l.seg + 1)
+	return nil
 }
 
 // Sync flushes and fsyncs the current segment.
