@@ -26,12 +26,6 @@
 //	kill -9 %1 && stppd -addr :7080 -data-dir ./wal &
 //	loadgen -addr 127.0.0.1:7080 -in aisle.jsonl -state replay.json
 //
-// With -overload it additionally scrapes the daemon's /metrics after the
-// run and requires the adaptive publish cadence (stppd -publish-min-delta)
-// to have damped at least once — verifying the daemon shed snapshot work
-// under a repetitive stream while still producing byte-identical final
-// orders.
-//
 // Exit status 0 means every session matched; anything else is a failure.
 package main
 
@@ -96,7 +90,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "per-session progress")
 		stateFile = flag.String("state", "", "kill/restart state file: missing = pause run (needs -stop-after), present = resume run")
 		stopAfter = flag.Int("stop-after", 0, "with -state: batches per session to send before pausing")
-		overload  = flag.Bool("overload", false, "after the run, scrape /metrics and require the adaptive publish cadence to have shed snapshot work (run stppd with -publish-min-delta > 0 and a small -publish)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the client side to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile after the run to this file")
 	)
@@ -210,68 +203,9 @@ func main() {
 		*sessions-failed, *sessions, totalReads, elapsed.Seconds(),
 		float64(totalReads)/elapsed.Seconds())
 	printServerStats(client, base)
-	if *overload {
-		if err := verifyOverload(client, base); err != nil {
-			fatal(err)
-		}
-	}
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// verifyOverload is the -overload check: every session's final order
-// already verified byte-identical above (the cadence must never change
-// WHAT is published, only how often), this scrapes /metrics and requires
-// the adaptive cadence to have actually damped — proof the daemon shed
-// snapshot work while orders were static instead of re-assembling on a
-// fixed clock.
-func verifyOverload(client *http.Client, base string) error {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return fmt.Errorf("overload: scrape: %w", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("overload: scrape: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("overload: /metrics: HTTP %d", resp.StatusCode)
-	}
-	snaps, ok := scrapeValue(body, "stppd_snapshots_total")
-	if !ok {
-		return fmt.Errorf("overload: /metrics is missing stppd_snapshots_total")
-	}
-	damped, ok := scrapeValue(body, "stppd_publishes_damped_total")
-	if !ok {
-		return fmt.Errorf("overload: /metrics is missing stppd_publishes_damped_total")
-	}
-	forced, _ := scrapeValue(body, "stppd_publishes_forced_total")
-	fmt.Printf("overload: %.0f snapshots, %.0f damped publishes, %.0f staleness-forced\n",
-		snaps, damped, forced)
-	if damped <= 0 {
-		return fmt.Errorf("overload: cadence never damped (stppd_publishes_damped_total = 0); run stppd with -publish-min-delta > 0 and a -publish interval small enough to hit static stretches")
-	}
-	return nil
-}
-
-// scrapeValue pulls one unlabeled sample out of a Prometheus text body.
-func scrapeValue(body []byte, name string) (float64, bool) {
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := strings.TrimPrefix(line, name)
-		if !strings.HasPrefix(rest, " ") {
-			continue // a longer family name or a labeled child sample
-		}
-		var v float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(rest), "%g", &v); err == nil {
-			return v, true
-		}
-	}
-	return 0, false
 }
 
 // pauseRun is the first half of a kill/restart replay: create sessions,

@@ -21,8 +21,8 @@
 // the session journals a deterministic engine checkpoint and deletes the
 // WAL segments it covers, so a restart restores the checkpoint and
 // replays only the suffix — paying for the new work, not the history.
-// Under -fsync always, -flush-window coalesces the fsyncs of concurrent
-// ingest batches into one group commit per window.
+// Under -fsync always, batches that arrive while an fsync is in flight
+// share the next one (group commit).
 //
 // With -finalize-after set, sessions run the tag lifecycle: a tag whose
 // pass is conclusively over (its V-zone center sits -finalize-margin
@@ -54,14 +54,6 @@
 //	DELETE /v1/sessions/{id}        abort session
 //	GET    /v1/stats                server counters
 //	GET    /metrics                 Prometheus text exposition
-//
-// -publish-min-delta makes the publish cadence change-driven: while
-// consecutive published X orders move by no more than the threshold
-// (normalized Kendall distance), the effective publish interval backs
-// off up to 8× -publish, snapping back the moment the order moves;
-// -publish-max-staleness bounds how stale the published snapshot may go
-// while backed off. Final orders are unaffected — emission is
-// cadence-invariant.
 package main
 
 import (
@@ -90,14 +82,10 @@ func main() {
 		queue   = flag.Int("queue", 64, "per-session queue capacity, in batches (backpressure bound)")
 		batch   = flag.Int("batch", 256, "max reads per queued batch")
 		publish = flag.Int("publish", 2000, "publish a snapshot every N consumed reads (0 = only on refresh/finish)")
-		pubMin  = flag.Float64("publish-min-delta", 0, "adaptive cadence: while the published X order moves by at most this normalized Kendall distance, back the publish interval off up to 8x (0 = fixed cadence)")
-		pubMax  = flag.Duration("publish-max-staleness", 0, "force a publish after this much wall time while the adaptive cadence is backed off (0 = no floor)")
-		workers = flag.Int("workers", 0, "per-session engine worker budget (0 = all cores)")
 		dataDir = flag.String("data-dir", "", "write-ahead log directory; empty = in-memory sessions (no durability)")
 		fsync   = flag.String("fsync", "always", "WAL fsync policy: always | never")
 		segMB   = flag.Int("segment-mb", 64, "WAL segment rotation size, MiB")
 		ckptN   = flag.Int("checkpoint-every", 100000, "journal an engine checkpoint every N consumed reads and truncate covered WAL segments (0 = never)")
-		flushW  = flag.Duration("flush-window", 0, "group-commit window: wait this long for more batches before each fsync (0 = fsync immediately; only meaningful with -fsync always)")
 		finAft  = flag.Float64("finalize-after", 0, "finalize a tag after this many seconds of phase quiet in every zone that saw it (0 = lifecycle off; must exceed the longest mid-pass read gap)")
 		finMrg  = flag.Float64("finalize-margin", 0, "extra seconds the V-zone center must sit behind the frontier before a tag is conclusive")
 		maxTags = flag.Int("max-active-tags", 0, "reject ingest while a session holds this many resident (unfinalized) tags (0 = unbounded)")
@@ -112,21 +100,17 @@ func main() {
 	cfg := stpp.DefaultConfig(phys.ChinaBand.Wavelength(*ch))
 	cfg.Window = *window
 	srv, err := serve.New(serve.Options{
-		Config:              cfg,
-		QueueBatches:        *queue,
-		MaxBatch:            *batch,
-		PublishEvery:        *publish,
-		PublishMinDelta:     *pubMin,
-		PublishMaxStaleness: *pubMax,
-		Workers:             *workers,
-		DataDir:             *dataDir,
-		Fsync:               policy,
-		SegmentBytes:        int64(*segMB) << 20,
-		CheckpointEvery:     *ckptN,
-		FlushWindow:         *flushW,
-		FinalizeAfter:       *finAft,
-		FinalizeMargin:      *finMrg,
-		MaxActiveTags:       *maxTags,
+		Config:          cfg,
+		QueueBatches:    *queue,
+		MaxBatch:        *batch,
+		PublishEvery:    *publish,
+		DataDir:         *dataDir,
+		Fsync:           policy,
+		SegmentBytes:    int64(*segMB) << 20,
+		CheckpointEvery: *ckptN,
+		FinalizeAfter:   *finAft,
+		FinalizeMargin:  *finMrg,
+		MaxActiveTags:   *maxTags,
 	})
 	if err != nil {
 		fatal(err)

@@ -7,16 +7,12 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-
-	"repro/internal/epcgen2"
 )
 
 // This file is the Prometheus side of the package: a dependency-free
 // text-exposition writer (PromWriter), a concurrent fixed-bucket
 // Histogram for latency distributions, a promtool-style format linter
-// (LintProm) that CI runs as a plain Go test, and OrderDelta — the
-// normalized Kendall distance between two published orders that drives
-// stppd's change-triggered publish cadence.
+// (LintProm) that CI runs as a plain Go test.
 
 // PromWriter builds a Prometheus text-format (version 0.0.4) exposition
 // body. Open a family with Counter/Gauge, then add its samples with
@@ -220,61 +216,4 @@ func (h *Histogram) snapshot() (buckets []int64, sum float64, count int64) {
 // snapshot/publish latency: 100µs to ~10s, roughly ×3 per step.
 func DefaultLatencyBounds() []float64 {
 	return []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1, 3, 10}
-}
-
-// OrderDelta is the normalized Kendall distance between two published
-// orders — the fraction of tag pairs whose relative order differs. It is
-// total over any inputs: tags present in only one order count every pair
-// they touch as changed, so appearance and disappearance both register
-// as movement. Properties (over duplicate-free orders, which X orders
-// are): OrderDelta(a, b) == 0 iff a and b are identical; symmetric;
-// bounded to [0, 1]. Duplicate EPCs collapse to their first occurrence.
-func OrderDelta(a, b []epcgen2.EPC) float64 {
-	posA := firstRanks(a)
-	posB := firstRanks(b)
-	// The union size sets the pair universe.
-	n := len(posA)
-	var common []epcgen2.EPC
-	for e := range posA {
-		if _, inB := posB[e]; inB {
-			common = append(common, e)
-		}
-	}
-	for e := range posB {
-		if _, inA := posA[e]; !inA {
-			n++
-		}
-	}
-	c := len(common)
-	if n < 2 {
-		// No pairs to compare: delta is 0 only when the (collapsed) sets
-		// coincide — both empty, or the same single tag.
-		if len(posA) == len(posB) && c == len(posA) {
-			return 0
-		}
-		return 1
-	}
-	discordant := 0
-	for i := 0; i < c; i++ {
-		for j := i + 1; j < c; j++ {
-			ei, ej := common[i], common[j]
-			if (posA[ei] < posA[ej]) != (posB[ei] < posB[ej]) {
-				discordant++
-			}
-		}
-	}
-	total := n * (n - 1) / 2
-	changed := discordant + (total - c*(c-1)/2)
-	return float64(changed) / float64(total)
-}
-
-// firstRanks maps each distinct EPC to its first-occurrence rank.
-func firstRanks(order []epcgen2.EPC) map[epcgen2.EPC]int {
-	m := make(map[epcgen2.EPC]int, len(order))
-	for _, e := range order {
-		if _, ok := m[e]; !ok {
-			m[e] = len(m)
-		}
-	}
-	return m
 }

@@ -17,86 +17,6 @@ func epcOf(n int) epcgen2.EPC {
 	return e
 }
 
-func epcSeq(ns ...int) []epcgen2.EPC {
-	out := make([]epcgen2.EPC, len(ns))
-	for i, n := range ns {
-		out[i] = epcOf(n)
-	}
-	return out
-}
-
-// TestOrderDeltaProperties pins the contract the adaptive publish cadence
-// depends on: zero exactly for identical duplicate-free orders, symmetry,
-// and the [0, 1] bound — across random permutations, prefixes and
-// disjoint sets.
-func TestOrderDeltaProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	randPerm := func(n int) []epcgen2.EPC {
-		out := make([]epcgen2.EPC, n)
-		for i, p := range rng.Perm(n) {
-			out[i] = epcOf(p)
-		}
-		return out
-	}
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(12)
-		a := randPerm(n)
-		var b []epcgen2.EPC
-		switch trial % 4 {
-		case 0: // permutation of the same set
-			b = randPerm(n)
-		case 1: // identical
-			b = append([]epcgen2.EPC(nil), a...)
-		case 2: // prefix (tags disappeared)
-			b = append([]epcgen2.EPC(nil), a[:rng.Intn(n+1)]...)
-		case 3: // disjoint set
-			b = make([]epcgen2.EPC, rng.Intn(6))
-			for i := range b {
-				b[i] = epcOf(1000 + i)
-			}
-		}
-		ab, ba := OrderDelta(a, b), OrderDelta(b, a)
-		if ab != ba {
-			t.Fatalf("trial %d: not symmetric: %v vs %v", trial, ab, ba)
-		}
-		if ab < 0 || ab > 1 || math.IsNaN(ab) {
-			t.Fatalf("trial %d: out of [0,1]: %v", trial, ab)
-		}
-		identical := len(a) == len(b)
-		for i := 0; identical && i < len(a); i++ {
-			identical = a[i] == b[i]
-		}
-		if identical && ab != 0 {
-			t.Fatalf("trial %d: identical orders, delta %v", trial, ab)
-		}
-		if !identical && ab == 0 {
-			t.Fatalf("trial %d: different orders %v vs %v, delta 0", trial, a, b)
-		}
-	}
-}
-
-func TestOrderDeltaCases(t *testing.T) {
-	cases := []struct {
-		name string
-		a, b []epcgen2.EPC
-		want float64
-	}{
-		{"both empty", nil, nil, 0},
-		{"single same", epcSeq(1), epcSeq(1), 0},
-		{"single different", epcSeq(1), epcSeq(2), 1},
-		{"swap", epcSeq(1, 2), epcSeq(2, 1), 1},
-		{"reversal", epcSeq(1, 2, 3), epcSeq(3, 2, 1), 1},
-		{"one inversion of three", epcSeq(1, 2, 3), epcSeq(1, 3, 2), 1.0 / 3},
-		{"appended tag", epcSeq(1, 2), epcSeq(1, 2, 3), 2.0 / 3},
-		{"disjoint", epcSeq(1, 2), epcSeq(3, 4), 1},
-	}
-	for _, tc := range cases {
-		if got := OrderDelta(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: OrderDelta = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestKendallTauProperties is the rank-correlation companion check: τ = 1
 // exactly on identical permutations, τ = −1 on full reversals, symmetric
 // in its arguments, and bounded to [−1, 1].

@@ -12,6 +12,7 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/reader"
 	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 // CreateResponse answers POST /v1/sessions.
@@ -139,11 +140,19 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 	return sess, ok
 }
 
+// handleCreate opens a session from a trace.Header body. The header is
+// journaled as one WAL record, so a body beyond wal.MaxRecord is refused
+// with 413 before anything is created.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var h trace.Header
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, wal.MaxRecord))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&h); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "header exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "parse header: %v", err)
 		return
 	}

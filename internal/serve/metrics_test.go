@@ -10,13 +10,11 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	prom "repro/internal/metrics"
 )
@@ -428,66 +426,5 @@ func TestStatsScrapeRace(t *testing.T) {
 	waitDrained(t, sess)
 	if _, err := sess.Finish(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAdaptiveCadenceDamps proves the change-driven cadence: on the same
-// byte stream, a server with -publish-min-delta set takes measurably
-// fewer snapshots than the fixed cadence once the order stops moving,
-// counts the damped publishes, honors the staleness floor — and still
-// finishes with the identical final order, because emission and the
-// final snapshot are cadence-invariant.
-func TestAdaptiveCadenceDamps(t *testing.T) {
-	tr, _, opts := aisleTrace(t, 7)
-
-	run := func(minDelta float64, maxStale time.Duration) (m *Metrics, final *Snapshot) {
-		o := opts
-		o.PublishEvery = 100
-		o.PublishMinDelta = minDelta
-		o.PublishMaxStaleness = maxStale
-		srv := newTestServer(t, o)
-		sess, err := srv.CreateSession(tr.Header)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(tr.Reads); i += 100 {
-			end := min(i+100, len(tr.Reads))
-			if err := sess.Enqueue(tr.Reads[i:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		waitDrained(t, sess)
-		snap, err := sess.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv.Metrics(), snap
-	}
-
-	fixedM, fixedFinal := run(0, 0)
-	adaptM, adaptFinal := run(0.01, 0)
-
-	if adaptM.PublishesDamped.Load() == 0 {
-		t.Error("adaptive run never damped: the order delta gate went unexercised")
-	}
-	if fixedM.PublishesDamped.Load() != 0 {
-		t.Errorf("fixed-cadence run damped %d publishes with the knob off", fixedM.PublishesDamped.Load())
-	}
-	if a, f := adaptM.Snapshots.Load(), fixedM.Snapshots.Load(); a >= f {
-		t.Errorf("adaptive cadence took %d snapshots, fixed took %d; want strictly fewer", a, f)
-	}
-	if !reflect.DeepEqual(adaptFinal.Result.XOrder, fixedFinal.Result.XOrder) {
-		t.Errorf("final X order depends on the publish cadence:\n  adaptive %v\n  fixed    %v",
-			adaptFinal.Result.XOrder, fixedFinal.Result.XOrder)
-	}
-	if !reflect.DeepEqual(adaptFinal.Result.YOrder, fixedFinal.Result.YOrder) {
-		t.Error("final Y order depends on the publish cadence")
-	}
-
-	// A nanosecond staleness floor forces a publish on every damped
-	// interval: the forced counter must move once the cadence backs off.
-	forcedM, _ := run(0.01, time.Nanosecond)
-	if forcedM.PublishesDamped.Load() > 0 && forcedM.PublishesForced.Load() == 0 {
-		t.Error("cadence backed off under a staleness floor but never forced a publish")
 	}
 }

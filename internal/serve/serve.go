@@ -73,26 +73,6 @@ type Options struct {
 	// happen only on explicit refresh and at finish. stppd's -publish
 	// flag defaults to 2000.
 	PublishEvery int
-	// PublishMinDelta makes the periodic publish cadence adaptive: when a
-	// periodic snapshot's global X order moved by no more than this
-	// normalized Kendall distance (metrics.OrderDelta, in [0, 1]) since
-	// the previous publish, the session doubles its effective publish
-	// interval — up to 8× PublishEvery — and halves back to PublishEvery
-	// the moment the order moves. A conveyor whose tags are all mid-pass
-	// publishes at full cadence; a quiet stretch stops paying for
-	// assemblies nobody reads. 0 (the default) keeps the fixed cadence.
-	// Emission is cadence-invariant, so final orders are unaffected.
-	PublishMinDelta float64
-	// PublishMaxStaleness bounds how stale the published snapshot may go
-	// while PublishMinDelta is damping: once this much wall time has
-	// passed since the last publish, the next periodic boundary publishes
-	// regardless of the backed-off interval. 0 means no floor.
-	PublishMaxStaleness time.Duration
-	// Workers caps each session engine's per-tag fan-out on the scheduler
-	// (deploy.Options.Workers); 0 = all cores. The scheduler's fixed pool
-	// bounds real concurrency across sessions, so the cap mostly matters
-	// for limiting how much of the pool one session's snapshot may take.
-	Workers int
 	// Scheduler runs the session consumers, the engines' parallel stages
 	// and boot recovery. Nil uses the process-global sched.Default().
 	// Tests inject private schedulers to control worker counts.
@@ -124,11 +104,6 @@ type Options struct {
 	// the log truncate segments the checkpoint covers. 0 (the default)
 	// disables checkpointing: recovery replays the full history.
 	CheckpointEvery int
-	// FlushWindow stretches WAL group commit under fsync=always: the fsync
-	// leader waits this long before syncing so concurrent producers'
-	// appends share the sync. 0 syncs immediately (appends arriving during
-	// an in-flight fsync still coalesce into the next one).
-	FlushWindow time.Duration
 	// FinalizeAfter enables the tag lifecycle on every session: a tag
 	// whose pass has been quiet for this many seconds (stream time) behind
 	// the session's frontier is finalized — emitted to the session's
@@ -178,13 +153,6 @@ type Metrics struct {
 	Snapshots        atomic.Int64
 	SnapshotNanos    atomic.Int64 // cumulative snapshot latency
 
-	// Adaptive publish cadence (zero unless PublishMinDelta is set):
-	// periodic publishes whose order delta stayed at or under the
-	// threshold (backing the interval off), and publishes forced by the
-	// PublishMaxStaleness floor while backed off.
-	PublishesDamped atomic.Int64
-	PublishesForced atomic.Int64
-
 	// SnapshotLatency distributes snapshot latency into the /metrics
 	// histogram; nil until the server is built (New allocates it).
 	SnapshotLatency *prom.Histogram
@@ -230,8 +198,6 @@ type Stats struct {
 	StallSeconds     float64 `json:"stall_seconds"`
 	Snapshots        int64   `json:"snapshots"`
 	AvgSnapshotMs    float64 `json:"avg_snapshot_ms"`
-	PublishesDamped  int64   `json:"publishes_damped"`
-	PublishesForced  int64   `json:"publishes_forced"`
 
 	// Durability: WALEnabled mirrors Options.DataDir; the counters are
 	// this process's recovery and journaling activity.
@@ -293,12 +259,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxActiveTags < 0 {
 		return nil, fmt.Errorf("serve: max active tags %d < 0", opts.MaxActiveTags)
 	}
-	if d := opts.PublishMinDelta; d < 0 || d > 1 {
-		return nil, fmt.Errorf("serve: publish min delta %v outside [0, 1]", d)
-	}
-	if opts.PublishMaxStaleness < 0 {
-		return nil, fmt.Errorf("serve: publish max staleness %v < 0", opts.PublishMaxStaleness)
-	}
 	opts.fill()
 	sc := opts.Scheduler
 	if sc == nil {
@@ -326,7 +286,6 @@ func (s *Server) walOpts() wal.Options {
 	return wal.Options{
 		Fsync:        s.opts.Fsync,
 		SegmentBytes: s.opts.SegmentBytes,
-		FlushWindow:  s.opts.FlushWindow,
 	}
 }
 
@@ -553,8 +512,6 @@ func (s *Server) Stats() Stats {
 		Stalls:           s.metrics.Stalls.Load(),
 		StallSeconds:     float64(s.metrics.StallNanos.Load()) / 1e9,
 		Snapshots:        s.metrics.Snapshots.Load(),
-		PublishesDamped:  s.metrics.PublishesDamped.Load(),
-		PublishesForced:  s.metrics.PublishesForced.Load(),
 
 		WALEnabled:        s.opts.DataDir != "",
 		SessionsRecovered: s.metrics.SessionsRecovered.Load(),

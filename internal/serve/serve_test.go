@@ -7,7 +7,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +18,9 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/reader"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 // aisleTrace builds a small two-reader warehouse-aisle trace plus the
@@ -411,6 +416,28 @@ func TestHTTPRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsOversizedHeader: a session-create body larger than the
+// WAL record bound its header is journaled under answers 413, and neither
+// a session nor its log directory comes into being.
+func TestCreateRejectsOversizedHeader(t *testing.T) {
+	_, _, opts := aisleTrace(t, 3)
+	opts.DataDir = t.TempDir()
+	srv := newTestServer(t, opts)
+
+	body := `{"scenario":"` + strings.Repeat("a", wal.MaxRecord) + `"}`
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized header: status %d, want 413: %.200s", rec.Code, rec.Body)
+	}
+	if n := srv.Metrics().SessionsCreated.Load(); n != 0 {
+		t.Errorf("oversized header created %d sessions", n)
+	}
+	if ents, err := os.ReadDir(opts.DataDir); err != nil || len(ents) != 0 {
+		t.Errorf("oversized header left %d entries in the data dir (err %v)", len(ents), err)
+	}
+}
+
 // TestDropSessionUnblocksProducers: deleting a session must free a
 // producer stalled on a full queue rather than leaking it.
 func TestDropSessionUnblocksProducers(t *testing.T) {
@@ -532,5 +559,96 @@ func TestCoalescingEquivalenceProperty(t *testing.T) {
 			t.Errorf("trial %d (queue=%d publish=%d): Y order diverged:\n  live    %v\n  offline %v",
 				trial, queues[trial], cadence[trial], snap.Result.YOrder, want.YOrder)
 		}
+	}
+
+	// The durable pair: one random batch sequence through a depth-1 queue
+	// that never coalesces, and through a depth-32 queue whose drain is
+	// held off until each round is fully queued, so it absorbs every round
+	// in coalesced pops. Publish and checkpoint points must land on the
+	// same consumed prefixes either way: equal snapshot counts, and
+	// checkpoints journaling the same read counts. A round stays under
+	// CheckpointEvery reads, so it lands at most one checkpoint, which is
+	// read back from the log before the next one reclaims it.
+	const publishEvery, checkpointEvery = 150, 400
+	var rounds [][][]reader.TagRead
+	for pos := 0; pos < len(tr.Reads); {
+		var round [][]reader.TagRead
+		for total := 0; pos < len(tr.Reads); {
+			n := min(1+rng.Intn(120), len(tr.Reads)-pos)
+			if total+n >= checkpointEvery {
+				break
+			}
+			round = append(round, tr.Reads[pos:pos+n])
+			pos += n
+			total += n
+		}
+		rounds = append(rounds, round)
+	}
+	durable := func(queue int, hold bool) (snapshots int64, ckptReads []int64) {
+		sc := sched.New(1)
+		defer sc.Stop()
+		o := opts
+		o.QueueBatches = queue
+		o.PublishEvery = publishEvery
+		o.CheckpointEvery = checkpointEvery
+		o.DataDir = t.TempDir()
+		o.Fsync = wal.SyncNever
+		o.Scheduler = sc
+		srv := newTestServer(t, o)
+		sess, err := srv.CreateSession(tr.Header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, round := range rounds {
+			release := make(chan struct{})
+			if hold {
+				// Occupy the only worker so the round queues up whole.
+				held := make(chan struct{})
+				sc.Go(nil, func() { close(held); <-release })
+				<-held
+			}
+			for _, b := range round {
+				if err := sess.Enqueue(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(release)
+			waitDrained(t, sess)
+			segs, err := wal.SegmentFiles(filepath.Join(o.DataDir, sess.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := int64(-1)
+			for _, r := range walRecords(t, segs) {
+				if r.info.Type == 4 { // checkpoint
+					if _, last, err = wal.InspectCheckpoint(segs[r.seg], r.info); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if last >= 0 && (len(ckptReads) == 0 || ckptReads[len(ckptReads)-1] != last) {
+				ckptReads = append(ckptReads, last)
+			}
+		}
+		snap, err := sess.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(snap.Result.XOrder, want.XOrder) {
+			t.Errorf("durable queue=%d: X order diverged from the offline replay", queue)
+		}
+		return srv.Metrics().Snapshots.Load(), ckptReads
+	}
+	plainSnaps, plainCkpts := durable(1, false)
+	coalSnaps, coalCkpts := durable(32, true)
+	if len(plainCkpts) < 2 {
+		t.Fatalf("durable run journaled %d checkpoints over %d reads; the cadence went unexercised",
+			len(plainCkpts), len(tr.Reads))
+	}
+	if plainSnaps != coalSnaps {
+		t.Errorf("snapshots: %d uncoalesced, %d coalesced", plainSnaps, coalSnaps)
+	}
+	if !slices.Equal(plainCkpts, coalCkpts) {
+		t.Errorf("checkpoint read counts differ:\n  uncoalesced %v\n  coalesced   %v", plainCkpts, coalCkpts)
 	}
 }

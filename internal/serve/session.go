@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"repro/internal/deploy"
-	"repro/internal/epcgen2"
-	prom "repro/internal/metrics"
 	"repro/internal/reader"
 	"repro/internal/sched"
 	"repro/internal/stpp"
@@ -144,16 +142,6 @@ type Session struct {
 	prevFinalized int64
 	prevDiscarded int64
 	prevLate      int64
-
-	// Adaptive publish cadence state, engine-owner only. pubInterval is
-	// the effective periodic-publish interval in reads (PublishEvery when
-	// the order is moving, backed off up to 8× while it is not);
-	// lastPubOrder/havePubOrder remember the last published global X
-	// order for the delta; lastPubAt backs the max-staleness floor.
-	pubInterval  int
-	lastPubOrder []epcgen2.EPC
-	havePubOrder bool
-	lastPubAt    time.Time
 }
 
 // lifecycleView is one coherent sample of a session's lifecycle counters,
@@ -170,8 +158,7 @@ func newSession(id string, srv *Server, h trace.Header) (*Session, error) {
 	d := deploy.FromHeader(h, srv.opts.Config, false, false)
 	group := srv.sched.NewGroup(id)
 	eng, err := deploy.NewSharded(d, deploy.Options{
-		Workers: srv.opts.Workers,
-		Group:   group,
+		Group: group,
 		Finalize: stpp.FinalizePolicy{
 			After:  srv.opts.FinalizeAfter,
 			Margin: srv.opts.FinalizeMargin,
@@ -631,19 +618,13 @@ func (s *Session) drain() {
 
 // cadenceLimit is how many more reads the drain may absorb in one
 // coalesced pop without sliding past a cadence boundary: the next
-// periodic publish (at the adaptive effective interval) or the next WAL
-// checkpoint, whichever comes first. MaxInt when neither cadence is
-// active — the drain may then swallow the whole backlog.
+// periodic publish or the next WAL checkpoint, whichever comes first.
+// MaxInt when neither cadence is active — the drain may then swallow the
+// whole backlog.
 func (s *Session) cadenceLimit() int {
 	limit := math.MaxInt
 	if pe := s.srv.opts.PublishEvery; pe > 0 {
-		iv := s.pubInterval
-		if iv < pe {
-			iv = pe
-		}
-		if r := iv - s.sincePublish; r < limit {
-			limit = r
-		}
+		limit = pe - s.sincePublish
 	}
 	if ce := s.srv.opts.CheckpointEvery; ce > 0 {
 		if r := ce - s.sinceCheckpoint; r < limit {
@@ -850,59 +831,19 @@ func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 }
 
 // maybePublish is the periodic-publish hook, run by the engine owner
-// (drain and boot replay) after each consumed batch of n reads. With a
-// fixed cadence (PublishMinDelta unset) it publishes every PublishEvery
-// reads, exactly as before. With the adaptive cadence it compares each
-// periodic snapshot's global X order against the previous publish: while
-// the order moves by at most PublishMinDelta, the effective interval
-// doubles (up to 8× PublishEvery) — a static belt stops paying for
-// assemblies whose answer nobody new gets — and snaps back to
-// PublishEvery the moment the order moves. PublishMaxStaleness bounds
-// how long the backed-off interval may keep the published snapshot
-// stale. Emission runs inside every snapshot and is cadence-invariant,
-// so damping changes when orders are published, never what they are.
+// (drain and boot replay) after each consumed batch of n reads: it
+// publishes a snapshot every PublishEvery reads.
 func (s *Session) maybePublish(n int) {
 	pe := s.srv.opts.PublishEvery
 	if pe <= 0 {
 		return
 	}
-	if s.pubInterval < pe {
-		s.pubInterval = pe
-	}
-	s.sincePublish += n
-	forced := false
-	if ms := s.srv.opts.PublishMaxStaleness; ms > 0 && s.pubInterval > pe &&
-		!s.lastPubAt.IsZero() && time.Since(s.lastPubAt) >= ms {
-		forced = true
-	}
-	if s.sincePublish < s.pubInterval && !forced {
+	if s.sincePublish += n; s.sincePublish < pe {
 		return
 	}
 	s.sincePublish = 0
 	// Periodic publish; failures here just mean "no tags yet".
-	snap, err := s.takeSnapshot(false)
-	if err != nil {
-		return
-	}
-	s.lastPubAt = snap.At
-	if forced {
-		s.srv.metrics.PublishesForced.Add(1)
-	}
-	md := s.srv.opts.PublishMinDelta
-	if md <= 0 {
-		return
-	}
-	order := snap.Result.XOrder
-	if s.havePubOrder && prom.OrderDelta(order, s.lastPubOrder) <= md {
-		if next := s.pubInterval * 2; next <= 8*pe {
-			s.pubInterval = next
-		}
-		s.srv.metrics.PublishesDamped.Add(1)
-	} else {
-		s.pubInterval = pe
-	}
-	s.lastPubOrder = append(s.lastPubOrder[:0], order...)
-	s.havePubOrder = true
+	_, _ = s.takeSnapshot(false)
 }
 
 // takeSnapshot runs the engine snapshot on the consumer goroutine and

@@ -40,7 +40,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/reader"
@@ -147,12 +146,6 @@ type Options struct {
 	// reaches this size (records never split across segments). Default
 	// 64 MiB.
 	SegmentBytes int64
-	// FlushWindow stretches group commit under SyncAlways: the fsync
-	// leader sleeps this long before syncing, so concurrent producers'
-	// appends coalesce into the same fsync. Zero syncs immediately
-	// (appends arriving during an in-flight fsync still coalesce into the
-	// next one — the natural batching that gives most of the win).
-	FlushWindow time.Duration
 }
 
 func (o *Options) fill() {
@@ -335,9 +328,9 @@ func (l *Log) AppendBatchAsync(batch []reader.TagRead) (seq int64, err error) {
 
 // WaitDurable blocks until every batch append up to seq is fsynced (or
 // known to have failed). The first blocked caller becomes the fsync
-// leader: it optionally sleeps the flush window, syncs once, and releases
-// every waiter the sync covered — appends that landed while the leader
-// was syncing are picked up by the next leader.
+// leader: it syncs once and releases every waiter the sync covered —
+// appends that landed while the leader was syncing are picked up by the
+// next leader, so concurrent producers share fsyncs (group commit).
 func (l *Log) WaitDurable(seq int64) error {
 	if seq <= 0 {
 		return nil
@@ -366,13 +359,10 @@ func (l *Log) WaitDurable(seq int64) error {
 	}
 }
 
-// leadFlush is the group-commit leader's one sync round: sleep the flush
-// window so concurrent appends pile up, then fsync everything appended.
-// Called without gmu held (the leader flag serializes rounds).
+// leadFlush is the group-commit leader's one sync round: fsync everything
+// appended so far. Called without gmu held (the leader flag serializes
+// rounds).
 func (l *Log) leadFlush() {
-	if w := l.opts.FlushWindow; w > 0 {
-		time.Sleep(w)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	target := l.gAppended

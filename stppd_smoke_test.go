@@ -118,7 +118,7 @@ func TestDaemonCrashRecoveryEndToEnd(t *testing.T) {
 	// engine state and replay only the journal suffix.
 	daemon1, addr1, _ := startStppd(t, bins["stppd"],
 		"-addr", "127.0.0.1:0", "-data-dir", dataDir, "-fsync", "always", "-batch", "128",
-		"-checkpoint-every", "150", "-flush-window", "200us")
+		"-checkpoint-every", "150")
 	out, err := exec.Command(bins["loadgen"],
 		"-addr", addr1, "-in", aisle+","+pop, "-sessions", "6", "-batch", "128",
 		"-state", state, "-stop-after", "3").CombinedOutput()
@@ -135,7 +135,7 @@ func TestDaemonCrashRecoveryEndToEnd(t *testing.T) {
 
 	daemon2, addr2, lines := startStppd(t, bins["stppd"],
 		"-addr", "127.0.0.1:0", "-data-dir", dataDir, "-fsync", "always", "-batch", "128",
-		"-checkpoint-every", "150", "-flush-window", "200us")
+		"-checkpoint-every", "150")
 	select {
 	case banner := <-lines:
 		if !strings.Contains(banner, "recovered 6 sessions") {
