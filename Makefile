@@ -1,15 +1,16 @@
 # The repository's tier-1 gates (mirrors .github/workflows/ci.yml) plus
 # the recorded benchmark step that tracks the performance trajectory.
 
-PR := 15
+PR := 16
 
 # The key hot-path benchmarks recorded per PR: the snapshot-cadence
 # evidence, streaming vs batch, the daemon ingest path, the isolated
 # blocked multi-tag detection pass, the segment-DTW kernel (whole
 # alignment and isolated column fill), the WAL append/recovery paths,
-# checkpointed-recovery flatness and group-commit throughput, and the
-# endless-stream lifecycle flatness.
-BENCH_PATTERN := BenchmarkSnapshotCadence|BenchmarkStreamingVsBatch|BenchmarkDaemonIngest|BenchmarkBlockedDetect|BenchmarkShardedAisle|BenchmarkSegmentedAlign|BenchmarkSegmentFill|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkCheckpointedRecovery|BenchmarkWALGroupCommit|BenchmarkEndlessStream
+# checkpointed-recovery flatness and group-commit throughput, the
+# endless-stream lifecycle flatness, and the multi-session cold boot with
+# its retained heap and data-directory size (recorded, not gated).
+BENCH_PATTERN := BenchmarkSnapshotCadence|BenchmarkStreamingVsBatch|BenchmarkDaemonIngest|BenchmarkBlockedDetect|BenchmarkShardedAisle|BenchmarkSegmentedAlign|BenchmarkSegmentFill|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkCheckpointedRecovery|BenchmarkWALGroupCommit|BenchmarkEndlessStream|BenchmarkMultiSessionRecovery
 
 # The regression gate: fail the bench step if any of these benchmarks'
 # reads/s drops more than 15% against the committed pre-PR baseline
@@ -49,7 +50,7 @@ bench:
 	go test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -benchtime 2s -count 1 . | tee BENCH_$(PR).txt
 	go run ./cmd/bench2json -pr $(PR) -baseline bench/baseline_$(PR).txt -current BENCH_$(PR).txt \
 		-gate '$(GATE)' -max-regression 0.15 \
-		-note "baseline = pre-PR-$(PR) tree (adaptive publish cadence, group-commit flush window and per-session worker cap still configurable); current = one fixed publish cadence, group commit without a window, all-core session engines" \
+		-note "baseline = pre-PR-$(PR) tree (checkpoints journal segment lists, DTW cells and unwrap curves; MultiSessionRecovery also reports wal-MiB); current = checkpoints journal profiles and counters, restore recomputes the rest" \
 		> BENCH_$(PR).json
 	go test -run xxx -bench 'BenchmarkDaemonIngest$$' -benchtime 2s -count 1 \
 		-cpuprofile BENCH_$(PR).cpu.pprof -o repro.test .

@@ -8,6 +8,8 @@ package main
 import (
 	"fmt"
 	"io"
+	"io/fs"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -454,14 +456,16 @@ func BenchmarkRecovery(b *testing.B) {
 	b.ReportMetric(float64(len(reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
 }
 
-// BenchmarkCheckpointedRecovery is the tentpole evidence for checkpointed
+// BenchmarkCheckpointedRecovery is the evidence for checkpointed
 // recovery: boot cost over a durable session at a fixed checkpoint cadence,
 // with the session history grown 1× vs 4×. Without checkpoints a boot
 // replays the whole journal, so recovery time scales with history; with
 // them it restores the latest checkpoint and replays only the suffix past
-// it, so the long session's boot stays within a whisker of the short one
-// (the residual growth is the checkpoint blob itself — profiles scale with
-// history, but decoding them is far cheaper than re-running detection).
+// it. The residual growth is the restore itself: a checkpoint journals
+// the profiles and the counters of each tag's detection state, so the
+// restore decodes profiles that scale with history and recomputes each
+// tag's segments and unwrap curves from them, and the first Align after
+// it recomputes the DTW columns the tag still needs.
 func BenchmarkCheckpointedRecovery(b *testing.B) {
 	ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(1))
 	if err != nil {
@@ -593,7 +597,9 @@ func multiSessionDataDir(b *testing.B, live, finished int) (serve.Options, int64
 // crash leaves with many sessions: 16 checkpointed live aisle sessions and
 // 4 finished ones. Besides the boot rate it reports what the booted server
 // retains — the live heap after a collection once New returns — which is
-// the recovered engines alone when the boot releases its log input.
+// the recovered engines alone when the boot releases its log input, and
+// the data directory's size on disk (wal-MiB): the journal and checkpoint
+// bytes the boot reads.
 func BenchmarkMultiSessionRecovery(b *testing.B) {
 	opts, total := multiSessionDataDir(b, 16, 4)
 	runtime.GC()
@@ -614,7 +620,28 @@ func BenchmarkMultiSessionRecovery(b *testing.B) {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	b.ReportMetric(float64(m.HeapAlloc)/(1<<20), "retained-MiB")
+	b.ReportMetric(float64(dirBytes(b, opts.DataDir))/(1<<20), "wal-MiB")
 	runtime.KeepAlive(booted)
+}
+
+// dirBytes sums the sizes of the regular files under dir.
+func dirBytes(tb testing.TB, dir string) int64 {
+	tb.Helper()
+	var total int64
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		info, err := d.Info()
+		if err == nil {
+			total += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return total
 }
 
 // --- the tag lifecycle: endless belts in bounded memory ---

@@ -163,6 +163,28 @@ func (r *Reader) F64s(dst []float64) []float64 {
 	return dst
 }
 
+// Skip advances past n fixed-size elements of size bytes each without
+// decoding them — how a reader steps over the fields an older layout
+// carried and the current one recomputes.
+func (r *Reader) Skip(n, size int, what string) {
+	if r.err == nil && n > len(r.data)/size {
+		r.fail(what)
+		return
+	}
+	r.take(n*size, what)
+}
+
+// SkipF64s advances past a u32-counted float64 slice and returns its
+// element count.
+func (r *Reader) SkipF64s() int {
+	n := int(r.U32())
+	r.Skip(n, 8, "f64 slice")
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 // Bytes reads a u32-length-prefixed byte slice. The returned slice aliases
 // the Reader's input.
 func (r *Reader) Bytes() []byte {

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"os"
 	"runtime"
 	"testing"
 
@@ -63,15 +64,23 @@ func (sh *shard) valid() bool { return sh != nil }
 // in the blob may size an allocation beyond what the blob's own bytes can
 // back: a lying length prefix has to fail validation before make(), or one
 // bad record takes the whole daemon down at boot with an out-of-memory
-// fatal.
+// fatal. A restore that succeeds must leave an engine that snapshots
+// without panicking: restored V-zones and coverage counters index the
+// restored profiles, and one that lies past them once took a later
+// Snapshot — in stppd, every session — down with an index panic.
+//
+// Seeds are current-layout checkpoints of three golden traces, one of
+// them taken from an engine that was itself restored (its aligners'
+// columns still pending), plus the committed legacy-layout blobs.
 func FuzzShardedRestore(f *testing.F) {
 	type target struct {
 		d      Deployment
 		policy stpp.FinalizePolicy
 	}
 	var targets []target
-	for _, name := range []string{"portals", "conveyor-churn"} {
+	for _, name := range []string{"portals", "conveyor-churn", "aisle"} {
 		d, tr := goldenTrace(f, name)
+		which := uint8(len(targets))
 		for _, n := range []int{len(tr.Reads) / 8, len(tr.Reads)} {
 			se, err := NewSharded(d, Options{Workers: 1, Finalize: portalPolicy()})
 			if err != nil {
@@ -80,7 +89,21 @@ func FuzzShardedRestore(f *testing.F) {
 			if _, err := se.Localize(tr.Reads[:n]); err != nil {
 				f.Fatal(err)
 			}
-			f.Add(uint8(len(targets)), se.Checkpoint(nil))
+			blob := se.Checkpoint(nil)
+			f.Add(which, blob)
+			if name == "aisle" {
+				back, err := NewSharded(d, Options{Workers: 1, Finalize: portalPolicy()})
+				if err != nil {
+					f.Fatal(err)
+				}
+				if err := back.Restore(blob); err != nil {
+					f.Fatal(err)
+				}
+				f.Add(which, back.Checkpoint(nil))
+			}
+		}
+		if legacy, err := os.ReadFile(legacyCkptPath(name)); err == nil {
+			f.Add(which, legacy)
 		}
 		targets = append(targets, target{d, portalPolicy()})
 	}
@@ -96,6 +119,11 @@ func FuzzShardedRestore(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > restoreAllocBound(len(data)) {
 			t.Fatalf("restore of a %d-byte blob allocated %d bytes (err %v)", len(data), grew, restoreErr)
+		}
+		if restoreErr == nil {
+			// Errors (sparse or degenerate profiles) are expected; panics
+			// are not.
+			se.Snapshot()
 		}
 	})
 }

@@ -138,3 +138,64 @@ func TestAlignSegmentsPooled(t *testing.T) {
 		t.Errorf("release + full re-alignment allocates %.0f objects/op, want 0", allocs)
 	}
 }
+
+// TestSegmentAlignerRestoreState: an aligner resumed from a query and a
+// tail base computes, on its first Align, exactly the cells a live
+// aligner holds for columns [base, n) and its full last-row mirror — the
+// shape a decode of the cells themselves used to leave — and from there
+// answers every extended, rewritten or shrunken query like a one-shot
+// alignment, reporting the same checkpoint counters as the live aligner.
+func TestSegmentAlignerRestoreState(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		p := randSegs(rng, 1+rng.Intn(12))
+		q := randSegs(rng, 2+rng.Intn(60))
+		opts := SegmentAlignOpts{Stiffness: []float64{0, 0.5}[rng.Intn(2)]}
+		n := 1 + rng.Intn(len(q)-1)
+		live := NewSegmentAligner(p, opts)
+		live.Align(q[:n])
+		base := live.TailBase()
+
+		shape := NewSegmentAligner(p, opts)
+		if err := shape.RestoreState(q[:n], base); err != nil {
+			t.Fatal(err)
+		}
+		if shape.Cols() != n || shape.TailBase() != base {
+			t.Fatalf("trial %d: restored counters %d/%d, want %d/%d", trial, shape.Cols(), shape.TailBase(), n, base)
+		}
+		shape.cost = make([]float64, len(p))
+		shape.materialize()
+		m := len(p)
+		if shape.cm.off != base || !reflect.DeepEqual(shape.cm.cells, live.cm.cells[base*m:n*m]) ||
+			!reflect.DeepEqual(shape.lastRow, live.lastRow[:n]) {
+			t.Fatalf("trial %d: rebuilt columns differ from the live aligner's", trial)
+		}
+
+		restored := NewSegmentAligner(p, opts)
+		if err := restored.RestoreState(q[:n], base); err != nil {
+			t.Fatal(err)
+		}
+		next := q
+		switch rng.Intn(3) {
+		case 1: // rewrite from a random column on
+			k := rng.Intn(n)
+			next = append(append([]Segment(nil), q[:k]...), randSegs(rng, 1+rng.Intn(20))...)
+		case 2: // shrink
+			next = q[:1+rng.Intn(n)]
+		}
+		wantRes, wantS, wantE := alignOnce(p, next, opts)
+		gotRes, gotS, gotE := restored.Align(next)
+		if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE ||
+			!reflect.DeepEqual(wantRes.Path, gotRes.Path) {
+			t.Fatalf("trial %d: restored aligner diverged from a one-shot alignment", trial)
+		}
+		live.Align(next)
+		if restored.Cols() != live.Cols() || restored.TailBase() != live.TailBase() {
+			t.Fatalf("trial %d: counters %d/%d after Align, live %d/%d", trial,
+				restored.Cols(), restored.TailBase(), live.Cols(), live.TailBase())
+		}
+	}
+	if err := NewSegmentAligner(nil, SegmentAlignOpts{}).RestoreState(make([]Segment, 3), 4); err == nil {
+		t.Error("base past the column count restored without error")
+	}
+}

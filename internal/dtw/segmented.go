@@ -62,7 +62,7 @@ type SegmentAlignOpts struct {
 type segMatrix struct {
 	m int // rows: reference segments
 	// off is the first query column the cells actually hold; columns
-	// before it were dropped by a tail-truncated state restore (see
+	// before it were left out by a state restore (see
 	// SegmentAligner.RestoreState). Live aligners always run with off 0.
 	off   int
 	cells []float64
@@ -221,13 +221,17 @@ type SegmentAligner struct {
 	// path is the traceback scratch reused across Aligns; the Result
 	// returned by Align aliases it (see the Align doc).
 	path Path
-	// lastStart is the previous Align's path-start column. State export
-	// truncates the serialized matrix to the columns from lastStart−1 on:
-	// the open end only ever moves forward, so a future traceback revisits
+	// lastStart is the previous Align's path-start column. A restore
+	// rebuilds cells only from column lastStart−1 on (see TailBase): the
+	// open end only ever moves forward, so a future traceback revisits
 	// earlier columns only if the optimal path itself moves back — and
 	// that case rebuilds the full matrix (see Align), keeping results and
 	// future checkpoints byte-identical.
 	lastStart int
+	// pending marks a restored aligner whose held columns (cells and
+	// last-row mirror) are not computed yet; the next Align computes them
+	// before it reuses any (see RestoreState).
+	pending bool
 	// Traceback memo: when the free-end scan picks the same end column as
 	// the previous alignment and no recomputed column reaches it (fillLo >
 	// endJ), every cell the traceback would visit is unchanged, so the
@@ -254,7 +258,8 @@ func NewSharedAligner(ref *Reference) *SegmentAligner {
 }
 
 // Cols reports how many query columns of DP state are held — the next
-// Align pays only for columns beyond the common prefix (exposed for tests).
+// Align pays only for columns beyond the common prefix. A checkpoint
+// records it next to TailBase.
 func (a *SegmentAligner) Cols() int { return len(a.q) }
 
 // Release returns the aligner's DP matrix to the shared free-list and
@@ -270,6 +275,7 @@ func (a *SegmentAligner) Release() {
 	a.q = a.q[:0]
 	a.lastStart = 0
 	a.endValid = false
+	a.pending = false
 }
 
 // Align answers the open-end subsequence query over q: the whole reference
@@ -312,6 +318,13 @@ func (a *SegmentAligner) alignStart(q []Segment) (lo, hi int, ok bool) {
 	for cp < len(a.q) && cp < len(q) && a.q[cp] == q[cp] {
 		cp++
 	}
+	if a.pending && cp > a.cm.off {
+		// A restored aligner reuses held columns: compute them now. (When
+		// the reuse ends at or before off, everything is recomputed below
+		// and the pending columns are simply dropped.)
+		a.materialize()
+	}
+	a.pending = false
 	a.q = append(a.q[:cp], q[cp:]...)
 	if a.cm.off > 0 && cp <= a.cm.off {
 		// The first changed segment lands in (or before) the region a
@@ -404,7 +417,15 @@ func (a *SegmentAligner) rebuildAll() {
 	}
 }
 
-// extendColumn computes DP column j from column j-1 in two passes.
+// extendColumn computes DP column j from column j-1 in the held matrix.
+func (a *SegmentAligner) extendColumn(j int) {
+	col, prev := a.columnSlices(j, len(a.ref.p))
+	a.fillColumn(j, col, prev)
+}
+
+// fillColumn computes DP column j into col from its predecessor prev (nil
+// only for column 0) in two passes, and records the column's last-row
+// cell in the mirror.
 //
 // Pass 1 is the pointwise matching cost — segCost/SegDist with the
 // reference operands read from the flat arrays. It is written as
@@ -420,10 +441,11 @@ func (a *SegmentAligner) rebuildAll() {
 // Pass 2 is the sequential min-of-three DP, which carries the col[i-1]
 // dependency and stays scalar; splitting the cost out of it roughly
 // halves the work on that critical path.
-func (a *SegmentAligner) extendColumn(j int) {
+func (a *SegmentAligner) fillColumn(j int, col, prev []float64) {
 	m := len(a.ref.p)
-	col, prev := a.columnSlices(j, m)
-	cost := a.fillCost(j, m)
+	// Reslicing to m lets the compiler drop the loops' bounds checks.
+	cost := a.fillCost(j, m)[:m]
+	col = col[:m]
 
 	// Row 0 is a free start: the first reference segment may match any
 	// query column at just its pointwise cost. acc carries col[i−1] in a
@@ -444,6 +466,7 @@ func (a *SegmentAligner) extendColumn(j int) {
 		return
 	}
 	horiz := a.ref.opts.Stiffness * a.q[j].Interval
+	prev = prev[:m]
 	diag := prev[0]
 	for i := 1; i < m; i++ {
 		best := acc + pVert[i]

@@ -1,117 +1,82 @@
 package dtw
 
-import "repro/internal/ckpt"
+import "fmt"
 
-// AppendSegmentsCkpt encodes segments for an engine checkpoint: a u32
-// count, then per segment the phase range, sample span, and interval.
-func AppendSegmentsCkpt(dst []byte, segs []Segment) []byte {
-	dst = ckpt.AppendU32(dst, uint32(len(segs)))
-	for _, s := range segs {
-		dst = ckpt.AppendF64(dst, s.Lo)
-		dst = ckpt.AppendF64(dst, s.Hi)
-		dst = ckpt.AppendU64(dst, uint64(s.Start))
-		dst = ckpt.AppendU64(dst, uint64(s.End))
-		dst = ckpt.AppendF64(dst, s.Interval)
-	}
-	return dst
-}
-
-// ReadSegmentsCkpt decodes AppendSegmentsCkpt output into dst[:0].
-func ReadSegmentsCkpt(r *ckpt.Reader, dst []Segment) []Segment {
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	// Each segment is 40 bytes on the wire; reject counts the remaining
-	// input cannot hold before allocating.
-	if n*40 > r.Len() {
-		r.Failf("segment count %d exceeds input", n)
-		return nil
-	}
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, Segment{
-			Lo:       r.F64(),
-			Hi:       r.F64(),
-			Start:    int(r.U64()),
-			End:      int(r.U64()),
-			Interval: r.F64(),
-		})
-	}
-	return dst
-}
-
-// AppendState serializes the aligner's resumable DP state: the covered
-// query columns, the cell matrix tail, and the full last-row mirror.
-// The reference and options are not encoded — they are fixed at
-// construction and the restoring side rebuilds the aligner from the same
-// detector configuration.
-//
-// The matrix is truncated to the columns from the last path start − 1 on,
-// because that is all a resumed aligner reads: extension needs only the
-// final column, the free-end scan reads the (fully kept) last-row
-// mirror, and the open end — hence any future traceback — only moves
-// forward, merging into the previous path's parent chain no earlier than
-// its start. The matrix is the O(reference × history) bulk of a
-// checkpoint, so this is what keeps checkpoint size (and restore time)
-// bounded by the alignment's active region instead of the session's age.
-// If a later traceback does walk behind the kept tail, Align detects it
-// and rebuilds the full matrix from the query — the same values, so
-// results and subsequent checkpoints stay byte-identical.
-func (a *SegmentAligner) AppendState(dst []byte) []byte {
-	m := len(a.ref.p)
-	n := len(a.q)
+// TailBase reports the first query column a resumed aligner can read: the
+// column before the last path start (or the held matrix's first column,
+// if later). Extension needs only the final column, the free-end scan
+// reads the full last-row mirror, and the open end — hence any future
+// traceback — only moves forward, merging into the previous path's parent
+// chain no earlier than its start. A checkpoint records this base next to
+// the column count, and a restored aligner holds cells for [base, cols)
+// only, so its matrix is bounded by the alignment's active region instead
+// of the session's age. If a later traceback does walk behind the base,
+// Align detects it and rebuilds the full matrix — the same values, so
+// results and later checkpoints stay byte-identical.
+func (a *SegmentAligner) TailBase() int {
 	base := a.cm.off
 	if s := a.lastStart - 1; s > base {
 		base = s
 	}
-	dst = AppendSegmentsCkpt(dst, a.q)
-	dst = ckpt.AppendU64(dst, uint64(base))
-	dst = ckpt.AppendF64s(dst, a.cm.cells[(base-a.cm.off)*m:(n-a.cm.off)*m])
-	dst = ckpt.AppendF64s(dst, a.lastRow[:n])
-	return dst
+	return base
 }
 
-// RestoreState loads state produced by AppendState into an aligner built
-// over the same reference and options. The cell matrix lands on a
-// free-list array so restore costs the same recycled memory as live
-// growth.
-func (a *SegmentAligner) RestoreState(r *ckpt.Reader) error {
-	// The restored columns are not the ones the held path was traced over;
+// RestoreState resumes an aligner built over the same reference and
+// options as the one that wrote a checkpoint: q is the query it held and
+// base its TailBase. Nothing of the DP is decoded — the cells are a
+// deterministic function of (reference, q) — and nothing is computed yet:
+// the first Align rebuilds the held columns (see materialize), so a
+// session that is restored and never extended pays no DP work, and a
+// hostile query length cannot size an allocation at restore time. The
+// aligner then holds exactly what a tail-truncated decode would: cells
+// for columns [base, len(q)) and the full last-row mirror.
+func (a *SegmentAligner) RestoreState(q []Segment, base int) error {
+	if base < 0 || base > len(q) {
+		return fmt.Errorf("dtw: aligner base %d for %d columns", base, len(q))
+	}
+	putCells(a.cm.cells)
+	a.cm.cells = nil
+	a.q = append(a.q[:0], q...)
+	a.cm.off = base
+	a.lastRow = a.lastRow[:0]
+	a.lastStart = 0
+	// The restored columns are not the ones a held path was traced over;
 	// the next alignFinish must retrace.
 	a.endValid = false
-	reset := func() {
-		a.q, a.cm.cells, a.cm.off, a.lastStart = a.q[:0], a.cm.cells[:0], 0, 0
-	}
-	a.q = ReadSegmentsCkpt(r, a.q[:0])
-	base := int(r.U64())
-	if r.Err() == nil && (base < 0 || base > len(a.q)) {
-		r.Failf("aligner base %d for %d columns", base, len(a.q))
-	}
-	if err := r.Err(); err != nil {
-		reset()
-		return err
-	}
-	m := len(a.ref.p)
-	need := m * (len(a.q) - base)
-	if cap(a.cm.cells) < need {
-		putCells(a.cm.cells)
-		a.cm.cells = getCells(need)
-	}
-	a.cm.m = m
-	a.cm.off = base
-	a.lastStart = 0
-	a.cm.cells = r.F64s(a.cm.cells[:0])
-	a.lastRow = r.F64s(a.lastRow[:0])
-	if err := r.Err(); err != nil {
-		reset()
-		return err
-	}
-	if len(a.cm.cells) != need || len(a.lastRow) != len(a.q) {
-		cells, lr, cols := len(a.cm.cells), len(a.lastRow), len(a.q)
-		reset()
-		r.Failf("aligner state shape: %d cells, %d last-row for %d×%d+%d", cells, lr, m, cols, base)
-		return r.Err()
-	}
+	a.pending = len(q) > 0
 	return nil
+}
+
+// materialize computes the columns a RestoreState left pending: the full
+// last-row mirror and the cells of columns [off, len(q)). Columns before
+// off roll through a two-column scratch — only their last-row cell is
+// kept — so the rebuild never holds the full m×n matrix the writer
+// dropped. The values are the live fill's, bit for bit.
+func (a *SegmentAligner) materialize() {
+	a.pending = false
+	m := len(a.ref.p)
+	n := len(a.q)
+	off := a.cm.off
+	a.cm.m = m
+	a.cm.cells = getCells(m * (n - off))
+	if cap(a.lastRow) < n {
+		a.lastRow = make([]float64, n, 2*n)
+	}
+	a.lastRow = a.lastRow[:n]
+	var prev []float64
+	if off > 0 {
+		roll := getCells(2 * m)[:2*m]
+		for j := 0; j < off; j++ {
+			col := roll[(j&1)*m : (j&1)*m+m]
+			a.fillColumn(j, col, prev)
+			prev = col
+		}
+		defer putCells(roll)
+	}
+	for j := off; j < n; j++ {
+		a.cm.cells = a.cm.cells[:(j-off+1)*m]
+		col := a.cm.cells[(j-off)*m:]
+		a.fillColumn(j, col, prev)
+		prev = col
+	}
 }

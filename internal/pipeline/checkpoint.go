@@ -18,18 +18,27 @@ import (
 // finalized summary, flat in belt length. Version 3 added
 // the X key's Sigma (bottom-time uncertainty) to every serialized key,
 // so restored engines publish the same per-pair confidences as the
-// engines that wrote them.
-const engineCkptVersion = 3
+// engines that wrote them. Version 4 cut each tag's detection state to
+// four counters (stpp.DetectState.AppendCheckpoint): the segments, DTW
+// columns and unwrap curves version 3 journaled are recomputed from the
+// restored profile. Version 3 blobs still restore — their WAL segments
+// are gone, so they cannot fall back to replay — through the same
+// recompute, stepping over the dropped fields.
+const engineCkptVersion = 4
 
-// Checkpoint serializes the engine's full state — the profile builder,
-// every tag's cached per-tag result, and every tag's resumable detection
-// state (segment cache, DTW columns, unwrap/median curves) — appending to
-// dst. The encoding is byte-stable: it iterates the builder's
-// first-appearance order, never a map, so checkpointing the same state
-// twice yields identical bytes.
+// legacyCkptVersion is the one older layout RestoreCheckpoint reads.
+const legacyCkptVersion = 3
+
+// Checkpoint serializes the engine's state — the profile builder, every
+// tag's cached per-tag result, and the counters of every tag's resumable
+// detection state (how much of the profile its segment cache, DTW columns
+// and unwrap/median curves cover) — appending to dst. The encoding is
+// byte-stable: it iterates the builder's first-appearance order, never a
+// map, so checkpointing the same state twice yields identical bytes.
 //
 // Because every piece of incremental state is a deterministic function of
-// the profile contents, an engine restored from this checkpoint behaves
+// the profile contents, the restoring side recomputes it from the
+// restored profiles, and an engine restored from this checkpoint behaves
 // byte-identically to the engine that wrote it: same snapshot results,
 // same future checkpoints after the same suffix of reads.
 //
@@ -132,11 +141,15 @@ func ReadFinalSet(r *ckpt.Reader, keep bool) (map[epcgen2.EPC]bool, []epcgen2.EP
 }
 
 // RestoreCheckpoint rebuilds the engine from Checkpoint output read
-// sequentially from r, replacing any current contents. On error the engine
-// is left empty (as if freshly constructed).
+// sequentially from r, replacing any current contents; it reads the
+// current and the legacy layout. Cached V-zones and detection-state
+// counters are checked against their restored profiles, so a CRC-valid
+// but hostile blob fails here instead of panicking a later Snapshot. On
+// error the engine is left empty (as if freshly constructed).
 func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 	reset := e.resetEmpty
-	if v := r.U8(); r.Err() == nil && v != engineCkptVersion {
+	v := r.U8()
+	if r.Err() == nil && v != engineCkptVersion && v != legacyCkptVersion {
 		r.Failf("engine checkpoint version %d", v)
 	}
 	reads := int64(r.U64())
@@ -154,8 +167,9 @@ func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 		if r.Err() != nil {
 			break
 		}
+		p := e.builder.LiveProfile(epc)
 		if r.U8() != 0 {
-			tr := stpp.TagResult{EPC: epc, Profile: e.builder.LiveProfile(epc)}
+			tr := stpp.TagResult{EPC: epc, Profile: p}
 			tr.VZone.Start = int(r.U64())
 			tr.VZone.End = int(r.U64())
 			tr.VZone.Cost = r.F64()
@@ -169,11 +183,14 @@ func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 			if r.U8() != 0 {
 				tr.Err = errors.New(r.String())
 			}
+			if vz := tr.VZone; r.Err() == nil && (vz.Start < 0 || vz.End < vz.Start || vz.End > p.Len()) {
+				r.Failf("tag %v: cached V-zone [%d, %d) outside its %d-sample profile", epc, vz.Start, vz.End, p.Len())
+			}
 			cached[epc] = tr
 		}
 		if r.U8() != 0 {
 			ts := &tagState{det: e.loc.NewDetectState(), gen: r.U64()}
-			if err := ts.det.RestoreCheckpoint(r); err != nil {
+			if err := ts.det.RestoreCheckpoint(r, p, v == legacyCkptVersion); err != nil {
 				reset()
 				return fmt.Errorf("pipeline: restore tag state: %w", err)
 			}

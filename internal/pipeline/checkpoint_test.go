@@ -197,3 +197,40 @@ func TestRestoreRejectsHostileCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsVZoneOutsideProfile: a CRC-valid checkpoint whose
+// cached V-zone lies past its tag's profile must fail the restore. Such a
+// blob once restored cleanly and the next Snapshot panicked indexing the
+// profile's unwrap curve — in stppd, a panic that kills every session.
+func TestRestoreRejectsVZoneOutsideProfile(t *testing.T) {
+	s := scenes(t)["conveyor"]
+	reads, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := stpp.NewLocalizer(s.STPPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vz := range map[string]stpp.VZone{
+		"past the end": {Start: 1 << 20, End: 1<<20 + 10},
+		"reversed":     {Start: 10, End: 5},
+		"negative":     {Start: -3, End: 5},
+	} {
+		eng := NewFromLocalizer(loc, Options{})
+		if _, err := eng.Localize(reads[:900]); err != nil {
+			t.Fatal(err)
+		}
+		epc := eng.EPCs()[0]
+		tr := eng.cached[epc]
+		tr.VZone = vz
+		eng.cached[epc] = tr
+		fresh := NewFromLocalizer(loc, Options{})
+		if err := fresh.Restore(eng.Checkpoint(nil)); !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s V-zone %+v: restore error %v, want ckpt.ErrCorrupt", name, vz, err)
+		}
+		if fresh.Tags() != 0 {
+			t.Errorf("%s: failed restore left %d tags", name, fresh.Tags())
+		}
+	}
+}

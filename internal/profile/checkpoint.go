@@ -93,31 +93,16 @@ func (b *Builder) RestoreCheckpoint(r *ckpt.Reader) error {
 	return nil
 }
 
-// AppendCheckpoint serializes the cache's resume position. The segment
-// width is encoded and verified on restore — resuming a cache built for a
-// different width would silently diverge from a fresh Segmentize.
-func (c *SegmentCache) AppendCheckpoint(dst []byte) []byte {
-	dst = ckpt.AppendU32(dst, uint32(c.w))
-	dst = dtw.AppendSegmentsCkpt(dst, c.segs)
-	dst = ckpt.AppendU64(dst, uint64(c.n))
-	return dst
-}
+// Covered reports how many profile samples the cached segmentation covers
+// — the cache's whole resume position, since the segments themselves are
+// a pure function of those samples.
+func (c *SegmentCache) Covered() int { return c.n }
 
-// RestoreCheckpoint loads AppendCheckpoint output into a cache constructed
-// with the same width.
-func (c *SegmentCache) RestoreCheckpoint(r *ckpt.Reader) error {
-	w := int(r.U32())
-	segs := dtw.ReadSegmentsCkpt(r, c.segs[:0])
-	n := int(r.U64())
-	if err := r.Err(); err != nil {
-		c.Invalidate()
-		return err
-	}
-	if w != c.w {
-		c.Invalidate()
-		r.Failf("segment cache width %d, restoring into %d", w, c.w)
-		return r.Err()
-	}
-	c.segs, c.n = segs, n
-	return nil
+// Restore rebuilds the cache over the first n samples of p, as a
+// checkpoint restore does from Covered: by the cache's own contract the
+// result is element-for-element what the writer held. n must not exceed
+// p.Len().
+func (c *SegmentCache) Restore(p *Profile, n int) []dtw.Segment {
+	c.Invalidate()
+	return c.Segments(p.Slice(0, n))
 }

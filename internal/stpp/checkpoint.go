@@ -1,44 +1,94 @@
 package stpp
 
-import "repro/internal/ckpt"
+import (
+	"repro/internal/ckpt"
+	"repro/internal/profile"
+)
 
-// AppendCheckpoint serializes the state's resumable holdings: the segment
-// cache position, the aligner's DP columns, and the unwrap/median curves
-// with their valid prefix length. The pure scratch buffers (valley window,
-// X-key temporaries) are not state and are not encoded.
+// AppendCheckpoint serializes the state as four counters: the profile
+// samples the segment cache covers, the aligner's column count and tail
+// base (dtw.SegmentAligner.TailBase), and the samples the unwrap/median
+// curves cover. What they count — the segments, the DTW columns, the
+// curves — is a deterministic function of the tag's profile, which the
+// engine checkpoint carries anyway, so RestoreCheckpoint recomputes it
+// instead of journaling it. The pure scratch buffers (valley window,
+// X-key temporaries and memo) are not state and are not encoded.
 func (s *DetectState) AppendCheckpoint(dst []byte) []byte {
-	dst = s.segs.AppendCheckpoint(dst)
-	dst = s.al.AppendState(dst)
-	dst = ckpt.AppendU64(dst, uint64(s.uLen))
-	dst = ckpt.AppendF64s(dst, s.u[:s.uLen])
-	dst = ckpt.AppendF64s(dst, s.um[:s.uLen])
-	return dst
+	dst = ckpt.AppendU64(dst, uint64(s.segs.Covered()))
+	dst = ckpt.AppendU64(dst, uint64(s.al.Cols()))
+	dst = ckpt.AppendU64(dst, uint64(s.al.TailBase()))
+	return ckpt.AppendU64(dst, uint64(s.uLen))
 }
 
 // RestoreCheckpoint loads AppendCheckpoint output into a state created by
-// the same detector configuration. On error the state is left Reset (valid
+// the same detector configuration, rebuilding it over p — the restored
+// profile of the tag that wrote it — with the live code: the segment
+// cache re-segments the first n samples, the aligner resumes over those
+// segments (its columns are computed by the next Align), and unwrapMedian
+// recomputes the curves over the first uLen samples. legacy reads the
+// version-3 layout, which carried all of that as well; it is stepped over
+// and recomputed the same way. Counters the profile or its segmentation
+// cannot back fail the reader. On error the state is left Reset (valid
 // but cold).
-func (s *DetectState) RestoreCheckpoint(r *ckpt.Reader) error {
-	if err := s.segs.RestoreCheckpoint(r); err != nil {
-		s.Reset()
-		return err
+func (s *DetectState) RestoreCheckpoint(r *ckpt.Reader, p *profile.Profile, legacy bool) error {
+	var n, cols, base, uLen uint64
+	if legacy {
+		n, cols, base, uLen = readV3Counters(r)
+	} else {
+		n, cols, base, uLen = r.U64(), r.U64(), r.U64(), r.U64()
 	}
-	if err := s.al.RestoreState(r); err != nil {
-		s.Reset()
-		return err
+	if samples := uint64(p.Len()); r.Err() == nil && (n > samples || uLen > samples) {
+		r.Failf("detection state covers %d/%d samples of a %d-sample profile", n, uLen, samples)
 	}
-	uLen := int(r.U64())
-	s.u = r.F64s(s.u[:0])
-	s.um = r.F64s(s.um[:0])
 	if err := r.Err(); err != nil {
 		s.Reset()
 		return err
 	}
-	if len(s.u) != uLen || len(s.um) != uLen {
+	segs := s.segs.Restore(p, int(n))
+	if cols > uint64(len(segs)) || base > cols {
 		s.Reset()
-		r.Failf("unwrap curves: %d/%d values for uLen %d", len(s.u), len(s.um), uLen)
+		r.Failf("aligner state %d columns from %d over %d segments", cols, base, len(segs))
 		return r.Err()
 	}
-	s.uLen = uLen
+	if err := s.al.RestoreState(segs[:cols], int(base)); err != nil {
+		s.Reset()
+		return err
+	}
+	s.uLen = 0
+	if uLen > 0 {
+		s.unwrapMedian(p.Slice(0, int(uLen)))
+	}
 	return nil
+}
+
+// segmentBytes is the encoded size of one dtw.Segment in the version-3
+// layout: Lo, Hi, Start, End and Interval at eight bytes each.
+const segmentBytes = 40
+
+// readV3Counters steps over a version-3 state record — the segment cache
+// (width, segments, coverage), the aligner (query segments, base, cell
+// tail, last-row mirror) and the unwrap/median curves — and returns the
+// four counters version 4 keeps in its place.
+func readV3Counters(r *ckpt.Reader) (n, cols, base, uLen uint64) {
+	skipSegments := func() uint64 {
+		k := r.U32()
+		r.Skip(int(k), segmentBytes, "segment list")
+		return uint64(k)
+	}
+	r.U32() // segment width: the live configuration re-segments
+	skipSegments()
+	n = r.U64()
+	cols = skipSegments()
+	base = r.U64()
+	r.SkipF64s() // DTW cells
+	if k := r.SkipF64s(); r.Err() == nil && uint64(k) != cols {
+		r.Failf("last-row mirror of %d for %d columns", k, cols)
+	}
+	uLen = r.U64()
+	for range 2 { // unwrap and median curves
+		if k := r.SkipF64s(); r.Err() == nil && uint64(k) != uLen {
+			r.Failf("unwrap curve of %d for uLen %d", k, uLen)
+		}
+	}
+	return n, cols, base, uLen
 }

@@ -164,8 +164,8 @@ func (l *Localizer) Assemble(tags []TagResult) *Result {
 }
 
 // AssembleStates is Assemble with per-tag detection states (aligned with
-// tags; nil slice or nil entries degrade to the stateless path) so the Y
-// stage's valley windowing can resume each tag's cached unwrap/median
+// tags; a nil slice or nil entries window over pooled one-shot states) so
+// the Y stage's valley windowing can resume each tag's cached unwrap/median
 // curves instead of recomputing them over the whole profile — the
 // streaming engine assembles every snapshot, so this keeps the Y stage
 // incremental too. Results are bit-identical to Assemble.
@@ -272,7 +272,7 @@ func (l *Localizer) assembleYScratch(sc *asmScratch, tags []TagResult, states []
 		profiles[i] = tags[i].Profile
 		vzones[i] = tags[i].VZone
 	}
-	ykeys, errs := l.cfg.yKeys(sc, states, profiles, vzones, 0)
+	ykeys, errs := l.yKeys(sc, states, profiles, vzones)
 	for i := range tags {
 		if tags[i].Err == nil && errs[i] != nil {
 			tags[i].Err = errs[i]

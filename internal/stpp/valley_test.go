@@ -19,10 +19,21 @@ func valleyProfile(center, slope, base float64) *profile.Profile {
 	return p
 }
 
+// valleyWindow runs DetectState.ValleyWindow over a fresh state, as the Y
+// stage's one-shot path does for a tag without one.
+func valleyWindow(t *testing.T, p *profile.Profile, vz VZone, rise float64) (times, phases []float64) {
+	t.Helper()
+	d, err := NewDetector(DefaultConfig(0.33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.NewDetectState().ValleyWindow(p, vz, rise)
+}
+
 func TestValleyWindowFixedDepth(t *testing.T) {
 	p := valleyProfile(5, 2.0, 1.0) // rises 10 rad over each flank
 	vz := VZone{Start: 0, End: p.Len()}
-	times, phases := ValleyWindow(p, vz, 3.0)
+	times, phases := valleyWindow(t, p, vz, 3.0)
 	if len(times) == 0 {
 		t.Fatal("empty window")
 	}
@@ -49,8 +60,8 @@ func TestValleyWindowEqualDepthAcrossBottoms(t *testing.T) {
 	pb := valleyProfile(5, 2.0, 5.9) // bottom near the wrap boundary
 	vza := VZone{Start: 0, End: pa.Len()}
 	vzb := VZone{Start: 0, End: pb.Len()}
-	_, phA := ValleyWindow(pa, vza, 3.0)
-	_, phB := ValleyWindow(pb, vzb, 3.0)
+	_, phA := valleyWindow(t, pa, vza, 3.0)
+	_, phB := valleyWindow(t, pb, vzb, 3.0)
 	minA, maxA := dsp.MinMax(phA)
 	minB, maxB := dsp.MinMax(phB)
 	if math.Abs((maxA-minA)-(maxB-minB)) > 0.3 {
@@ -66,11 +77,11 @@ func TestValleyWindowEqualDepthAcrossBottoms(t *testing.T) {
 }
 
 func TestValleyWindowDegenerate(t *testing.T) {
-	if ts, ps := ValleyWindow(&profile.Profile{}, VZone{}, 1); ts != nil || ps != nil {
+	if ts, ps := valleyWindow(t, &profile.Profile{}, VZone{}, 1); ts != nil || ps != nil {
 		t.Error("empty profile should yield nil window")
 	}
 	p := valleyProfile(2, 1, 1)
-	if ts, _ := ValleyWindow(p, VZone{Start: 5, End: 5}, 1); ts != nil {
+	if ts, _ := valleyWindow(t, p, VZone{Start: 5, End: 5}, 1); ts != nil {
 		t.Error("empty V-zone should yield nil window")
 	}
 }

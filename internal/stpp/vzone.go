@@ -284,35 +284,6 @@ func (d *Detector) vzoneFromAlignment(st *DetectState, p *profile.Profile, segs 
 	return VZone{Start: start, End: end, Cost: res.Distance}, nil
 }
 
-// unwrapScratch pools the profile-length temporaries of the stateless
-// valley windowing, which batch assembly runs once per tag over the whole
-// profile.
-type unwrapScratch struct{ u, um []float64 }
-
-var unwrapPool = sync.Pool{New: func() any { return new(unwrapScratch) }}
-
-// circularUnwrapInto fills dst (reused when capacity allows) with the
-// profile's circular unwrap: the cumulative sum of wrapped differences
-// folded into (-π, π].
-func circularUnwrapInto(dst []float64, phases []float64) []float64 {
-	n := len(phases)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	u := dst[:n]
-	u[0] = phases[0]
-	for i := 1; i < n; i++ {
-		d := phases[i] - phases[i-1]
-		if d > math.Pi {
-			d -= 2 * math.Pi
-		} else if d <= -math.Pi {
-			d += 2 * math.Pi
-		}
-		u[i] = u[i-1] + d
-	}
-	return u
-}
-
 // medianWidth is the median-filter window of the V-zone refinement and
 // valley re-windowing; DetectState's incremental cache depends on it to
 // know how far a profile append can perturb the filtered curve.
@@ -430,45 +401,19 @@ func anchoredPhasesTo(dst []float64, p *profile.Profile, vz VZone) (times, phase
 // detected V-zones span 2π−φ0, which differs per tag — so all tags are
 // measured over the same depth here. The returned phases are anchored like
 // AnchoredPhases.
-func ValleyWindow(p *profile.Profile, vz VZone, rise float64) (times, phases []float64) {
-	n := p.Len()
-	if n == 0 || vz.End <= vz.Start {
-		return nil, nil
-	}
-	// Circular unwrap of the whole profile (pooled scratch; the returned
-	// phases below are an owned allocation).
-	sc := unwrapPool.Get().(*unwrapScratch)
-	defer unwrapPool.Put(sc)
-	sc.u = circularUnwrapInto(sc.u, p.Phases)
-	sc.um = dsp.MedianFilterTo(sc.um, sc.u, medianWidth)
-	return valleyWindowCurves(nil, sc.u, sc.um, p, vz, rise)
-}
-
-// ValleyWindow is the package-level ValleyWindow resuming this state's
-// cached unwrap/median curves instead of recomputing them over the whole
-// profile — the streaming engine's Y stage runs it once per tag on every
-// snapshot, which made the from-scratch unwrap an O(stream²) term. Same
-// append-only/Reset contract and bit-identical output as the package
-// function.
+//
+// The window reads the state's unwrap/median curves, resumed by
+// unwrapMedian under the usual append-only/Reset contract: the streaming
+// engine's Y stage runs it once per tag on every snapshot, so the curves
+// must cost O(new reads), not O(profile). The phases are state-owned
+// scratch, overwritten by the next call.
 func (s *DetectState) ValleyWindow(p *profile.Profile, vz VZone, rise float64) (times, phases []float64) {
 	n := p.Len()
 	if n == 0 || vz.End <= vz.Start {
 		return nil, nil
 	}
 	um := s.unwrapMedian(p)
-	times, phases = valleyWindowCurves(s.vw, s.u[:n], um, p, vz, rise)
-	s.vw = phases // keep the (possibly grown) scratch for the next snapshot
-	return times, phases
-}
-
-// valleyWindowCurves is the shared body of both ValleyWindow variants over
-// already-computed whole-profile curves: u the circular unwrap, um its
-// median filtering. The returned phases land in dst when its capacity
-// suffices; the package-level entry passes nil so its callers own the
-// result, while DetectState threads its scratch (its callers consume the
-// window within the snapshot).
-func valleyWindowCurves(dst, u, um []float64, p *profile.Profile, vz VZone, rise float64) (times, phases []float64) {
-	n := p.Len()
+	u := s.u[:n]
 	bottom := vz.Start
 	for i := vz.Start; i < vz.End && i < n; i++ {
 		if um[i] < um[bottom] {
@@ -484,9 +429,10 @@ func valleyWindowCurves(dst, u, um []float64, p *profile.Profile, vz VZone, rise
 		end++
 	}
 	anchor := p.Phases[bottom] - u[bottom]
+	dst := s.vw
 	if cap(dst) < end-start {
-		// Geometric growth — the DetectState entry threads this scratch
-		// through every snapshot of a growing window.
+		// Geometric growth — the scratch is threaded through every
+		// snapshot of a growing window.
 		c := 2 * cap(dst)
 		if c < end-start {
 			c = end - start
@@ -497,6 +443,7 @@ func valleyWindowCurves(dst, u, um []float64, p *profile.Profile, vz VZone, rise
 	for i := start; i < end; i++ {
 		phases[i-start] = u[i] + anchor
 	}
+	s.vw = phases // keep the (possibly grown) scratch for the next snapshot
 	return p.Times[start:end], phases
 }
 

@@ -60,31 +60,22 @@ type YKey struct {
 	Signed float64
 }
 
-// YKeysOf computes each tag's V-zone segment means and its YKey against
-// the pivot tag (index into profiles). Profiles whose V-zone is unusable
-// yield an error at that index in errs; their key is the zero value and
-// they sort adjacent to the pivot.
-func (c Config) YKeysOf(profiles []*profile.Profile, vzones []VZone, pivot int) ([]YKey, []error) {
-	return c.yKeys(nil, nil, profiles, vzones, pivot)
-}
-
-// YKeysOfStates is YKeysOf with per-tag detection states supplying cached
-// unwrap/median curves to the valley windowing: the streaming engine's
-// snapshot cadence calls this once per snapshot over every tag, and the
-// cached curves turn the Y stage from O(profile) per tag back into
-// O(new reads). states may be nil, or hold nil entries for tags without
-// state; those fall back to the from-scratch windowing. Output is
-// bit-identical to YKeysOf either way.
-func (c Config) YKeysOfStates(states []*DetectState, profiles []*profile.Profile, vzones []VZone, pivot int) ([]YKey, []error) {
-	return c.yKeys(nil, states, profiles, vzones, pivot)
-}
-
-// yKeys is the shared body of the public YKey entry points. A non-nil
-// scratch supplies the returned keys/errs slices and the per-tag means
-// (one flat backing array instead of one slice per tag) — the returned
-// slices then alias the scratch and are only valid until its next use;
-// the public entry points pass nil so their results are caller-owned.
-func (c Config) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile.Profile, vzones []VZone, pivot int) ([]YKey, []error) {
+// yKeys computes each tag's V-zone segment means and its YKey against
+// the pivot tag, the first tag with usable means. Profiles whose V-zone
+// is unusable yield an error at that index in errs; their key is the zero
+// value and they sort adjacent to the pivot. states, aligned with
+// profiles, supply each tag's cached unwrap/median curves to the valley
+// windowing — the streaming engine assembles every snapshot, and the
+// cached curves keep the Y stage O(new reads) per tag. A nil slice or nil
+// entry windows over a pooled one-shot state instead, as Detect does, so
+// both run the same code and give the same bits.
+//
+// A non-nil scratch supplies the returned keys/errs slices and the per-tag
+// means (one flat backing array instead of one slice per tag) — the
+// returned slices then alias the scratch and are only valid until its
+// next use.
+func (l *Localizer) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile.Profile, vzones []VZone) ([]YKey, []error) {
+	c := l.cfg
 	n := len(profiles)
 	var keys []YKey
 	var errs []error
@@ -116,9 +107,6 @@ func (c Config) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile
 	} else {
 		flat = make([]float64, 0, n*c.YSegments)
 	}
-	if pivot < 0 || pivot >= n {
-		pivot = 0
-	}
 	for i, p := range profiles {
 		vz := vzones[i]
 		if vz.End-vz.Start < c.YSegments {
@@ -128,13 +116,19 @@ func (c Config) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile
 		// Segment means over a fixed-depth valley window so windows are
 		// comparable across tags and a nadir that wraps through 0 does not
 		// corrupt the averages.
-		var phases []float64
-		if states != nil && states[i] != nil {
-			_, phases = states[i].ValleyWindow(p, vz, c.YRiseWindow)
-		} else {
-			_, phases = ValleyWindow(p, vz, c.YRiseWindow)
+		var st *DetectState
+		if states != nil {
+			st = states[i]
 		}
+		oneShot := st == nil
+		if oneShot {
+			st = l.det.oneShotState()
+		}
+		_, phases := st.ValleyWindow(p, vz, c.YRiseWindow)
 		grown, err := segmentMeansAppend(flat, phases, c.YSegments)
+		if oneShot {
+			l.det.putOneShot(st)
+		}
 		if err != nil {
 			errs[i] = err
 			continue
@@ -142,16 +136,11 @@ func (c Config) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile
 		means[i] = grown[len(flat):]
 		flat = grown
 	}
-	if means[pivot] == nil {
-		// Pick any usable pivot instead.
-		for i := range means {
-			if means[i] != nil {
-				pivot = i
-				break
-			}
-		}
+	pivot := 0
+	for pivot < n && means[pivot] == nil {
+		pivot++
 	}
-	if means[pivot] == nil {
+	if pivot == n {
 		for i := range errs {
 			if errs[i] == nil {
 				errs[i] = fmt.Errorf("stpp: no usable pivot")

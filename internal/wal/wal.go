@@ -220,12 +220,25 @@ func newLog(dir string, opts Options) *Log {
 // Create opens a fresh log in dir (created if missing) and journals the
 // session header as its first record, fsynced regardless of policy so the
 // session's existence is durable once Create returns. It refuses a
-// directory that already holds segments — recover those with Recover.
-func Create(dir string, h trace.Header, opts Options) (*Log, error) {
+// directory that already holds segments — recover those with Recover. On
+// any error it removes what it made: the directory if it created it, else
+// the segment it opened, so a failed create leaves no half-made log.
+func Create(dir string, h trace.Header, opts Options) (l *Log, err error) {
 	opts.fill()
+	_, statErr := os.Stat(dir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
+	segPath := ""
+	defer func() {
+		switch {
+		case err == nil:
+		case os.IsNotExist(statErr):
+			os.RemoveAll(dir)
+		case segPath != "":
+			os.Remove(segPath)
+		}
+	}()
 	// Any segment — not just segment 1 — marks an existing log: after
 	// checkpoint truncation the live run may start at a higher index.
 	if existing, err := SegmentFiles(dir); err != nil {
@@ -233,10 +246,11 @@ func Create(dir string, h trace.Header, opts Options) (*Log, error) {
 	} else if len(existing) > 0 {
 		return nil, fmt.Errorf("wal: %s already holds a log (use Recover)", dir)
 	}
-	l := newLog(dir, opts)
+	l = newLog(dir, opts)
 	if err := l.openSegment(1); err != nil {
 		return nil, err
 	}
+	segPath = filepath.Join(dir, fmt.Sprintf(segPattern, 1))
 	payload, err := json.Marshal(h)
 	if err != nil {
 		l.Close()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/epcgen2"
@@ -361,6 +362,30 @@ func TestCreateRefusesExistingLog(t *testing.T) {
 	writeLog(t, dir, Options{}, testBatches(1, 2), false)
 	if _, err := Create(dir, testHeader(), Options{}); err == nil {
 		t.Error("Create over an existing log succeeded")
+	}
+}
+
+// TestCreateCleansUpOnError: a header record that cannot be journaled
+// (its JSON exceeds MaxRecord) fails Create and leaves nothing behind —
+// not the directory Create made, not an empty first segment — while a
+// failed Create in a directory that already existed keeps the directory
+// and removes only the segment it opened.
+func TestCreateCleansUpOnError(t *testing.T) {
+	h := testHeader()
+	h.Scenario = strings.Repeat("x", MaxRecord)
+	dir := filepath.Join(t.TempDir(), "session")
+	if _, err := Create(dir, h, Options{}); err == nil {
+		t.Fatal("Create journaled a header larger than MaxRecord")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("failed Create left %s behind (stat: %v)", dir, err)
+	}
+	existing := t.TempDir()
+	if _, err := Create(existing, h, Options{}); err == nil {
+		t.Fatal("Create journaled a header larger than MaxRecord")
+	}
+	if entries, err := os.ReadDir(existing); err != nil || len(entries) != 0 {
+		t.Errorf("failed Create in an existing directory left %d entries (err %v)", len(entries), err)
 	}
 }
 
