@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -244,9 +245,9 @@ func metricsScrapeServer(t *testing.T) (*Server, *httptest.Server, []byte) {
 }
 
 // canonicalMetrics reduces an exposition body to its structure — family
-// names, types, help presence, and per-sample label-name sets, in
-// emission order with duplicates collapsed — so the golden file pins the
-// catalog without pinning values, session IDs or bucket counts.
+// names, types, help text, and per-sample label-name sets, in emission
+// order with duplicates collapsed — so the golden file pins the catalog
+// without pinning values, session IDs or bucket counts.
 func canonicalMetrics(t *testing.T, body []byte) string {
 	t.Helper()
 	var out []string
@@ -255,7 +256,7 @@ func canonicalMetrics(t *testing.T, body []byte) string {
 		var canon string
 		switch {
 		case strings.HasPrefix(line, "# HELP "):
-			canon = "HELP " + strings.Fields(line)[2]
+			canon = strings.TrimPrefix(line, "# ")
 		case strings.HasPrefix(line, "# TYPE "):
 			f := strings.Fields(line)
 			canon = "TYPE " + f[2] + " " + f[3]
@@ -292,15 +293,21 @@ func canonicalMetrics(t *testing.T, body []byte) string {
 	return strings.Join(out, "\n") + "\n"
 }
 
-// TestMetricsGolden pins the /metrics catalog — every family name, type
-// and label set — against testdata/metrics.golden. A rename, a type
+// TestMetricsGolden pins the /metrics catalog — every family name, type,
+// help text and label set — against testdata/metrics.golden. A rename, a type
 // change or a dropped label breaks dashboards and alert rules downstream,
 // so it must show up as a reviewed golden diff, not a silent drift.
 // Regenerate with: go test ./internal/serve -run TestMetricsGolden -update
 func TestMetricsGolden(t *testing.T) {
 	_, _, body := metricsScrapeServer(t)
-	got := canonicalMetrics(t, body)
-	golden := filepath.Join("testdata", "metrics.golden")
+	checkGolden(t, "metrics.golden", canonicalMetrics(t, body))
+}
+
+// checkGolden compares got against testdata/name, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -314,8 +321,59 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatalf("read golden (run with -update to create it): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("metrics catalog drifted from golden; if deliberate, rerun with -update\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("%s drifted from golden; if deliberate, rerun with -update\ngot:\n%s\nwant:\n%s", name, got, want)
 	}
+}
+
+// jsonKeys lists the top-level keys of a JSON object in wire order.
+func jsonKeys(t *testing.T, body []byte) []string {
+	t.Helper()
+	var keys []string
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object (%v): %s", err, body)
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestStatsGolden pins the JSON key lists, in wire order, of GET
+// /v1/stats and GET /v1/sessions/{id} against testdata/stats.golden:
+// loadgen, the benchmark harness and operators' scripts decode both, so
+// a renamed, dropped or added key must show up as a reviewed golden diff.
+// Regenerate with: go test ./internal/serve -run TestStatsGolden -update
+func TestStatsGolden(t *testing.T) {
+	srv, ts, _ := metricsScrapeServer(t)
+	srv.mu.Lock()
+	id := srv.order[0] // the scrape server's one session
+	srv.mu.Unlock()
+	var out strings.Builder
+	for _, path := range []string{"/v1/stats", "/v1/sessions/" + id} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		fmt.Fprintf(&out, "GET %s\n", strings.Replace(path, id, "{id}", 1))
+		for _, k := range jsonKeys(t, body) {
+			fmt.Fprintf(&out, "  %s\n", k)
+		}
+	}
+	checkGolden(t, "stats.golden", out.String())
 }
 
 // TestMetricsLint runs the promtool-style lint over a live scrape: the
