@@ -24,13 +24,14 @@ build:
 
 # benchmark/ is a nested module the root ./... cannot reach; vet and
 # short-test it explicitly so internal API changes cannot break it unseen.
-test: build
+test: fmt build
 	go vet ./...
 	go test ./...
 	cd benchmark && GOWORK=off go vet ./... && GOWORK=off go test -short ./...
 
+# fmt fails when gofmt would change any file, as the CI gofmt step does.
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	go vet ./...

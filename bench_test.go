@@ -449,7 +449,7 @@ func BenchmarkRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := booted.Metrics().ReadsRecovered.Load(); got != int64(len(reads)) {
+		if got := booted.Stats().ReadsRecovered; got != int64(len(reads)) {
 			b.Fatalf("recovered %d reads, want %d", got, len(reads))
 		}
 	}
@@ -526,11 +526,11 @@ func BenchmarkCheckpointedRecovery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m := booted.Metrics()
-				if got := m.ReadsRecovered.Load(); got != int64(total) {
+				m := booted.Stats()
+				if got := m.ReadsRecovered; got != int64(total) {
 					b.Fatalf("recovered %d reads, want %d", got, total)
 				}
-				if suf := m.SuffixReadsReplayed.Load(); suf >= int64(total) {
+				if suf := m.SuffixReadsReplayed; suf >= int64(total) {
 					b.Fatalf("replayed the full %d-read history; no checkpoint basis", suf)
 				}
 			}
@@ -610,7 +610,7 @@ func BenchmarkMultiSessionRecovery(b *testing.B) {
 		if booted, err = serve.New(opts); err != nil {
 			b.Fatal(err)
 		}
-		if got := booted.Metrics().ReadsRecovered.Load(); got != total {
+		if got := booted.Stats().ReadsRecovered; got != total {
 			b.Fatalf("recovered %d reads, want %d", got, total)
 		}
 	}

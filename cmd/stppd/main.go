@@ -127,11 +127,11 @@ func main() {
 		// The replayed/recovered split is the checkpoint payoff: recovered
 		// counts every read a session came back with, replayed only the
 		// suffix actually re-consumed past the last durable checkpoint.
-		m := srv.Metrics()
+		st := srv.Stats()
 		fmt.Printf("stppd recovered %d sessions (%d reads, %d replayed past checkpoints, %d torn tails, %d skipped) from %s in %v (%d log bytes), fsync=%s\n",
-			m.SessionsRecovered.Load(), m.ReadsRecovered.Load(), m.SuffixReadsReplayed.Load(),
-			m.WALTornTails.Load(), m.WALSkipped.Load(), *dataDir,
-			time.Duration(m.RecoveryNanos.Load()).Round(time.Microsecond), m.RecoveryWALBytes.Load(), policy)
+			st.SessionsRecovered, st.ReadsRecovered, st.SuffixReadsReplayed,
+			st.WALTornTails, st.WALSkipped, *dataDir,
+			time.Duration(st.RecoverySeconds*1e9).Round(time.Microsecond), st.RecoveryWALBytes, policy)
 	}
 
 	handler := srv.Handler()

@@ -201,9 +201,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns how many values were observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 func (h *Histogram) snapshot() (buckets []int64, sum float64, count int64) {
 	buckets = make([]int64, len(h.counts))
 	for i := range h.counts {

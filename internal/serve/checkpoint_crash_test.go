@@ -50,10 +50,10 @@ func writeCheckpointedWAL(t *testing.T, cs crashScene, nBatches, every int) (bat
 	if _, err := sess.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Metrics().CheckpointsWritten.Load(); got == 0 {
+	if got := srv.Stats().CheckpointsWritten; got == 0 {
 		t.Fatalf("cadence %d wrote no checkpoints over %d reads", every, len(cs.reads))
 	}
-	if got := srv.Metrics().SegmentsTruncated.Load(); got == 0 {
+	if got := srv.Stats().SegmentsTruncated; got == 0 {
 		t.Fatalf("checkpoints truncated no segments (segment bound %d)", cs.segBytes)
 	}
 	segs, err = wal.SegmentFiles(filepath.Join(dataDir, sess.ID))
@@ -186,7 +186,7 @@ func TestCheckpointedCrashInjection(t *testing.T) {
 				t.Errorf("%s: session recovered from an unrecoverable image (basis=%v deficient=%v)",
 					name, haveBasis, deficient)
 			}
-			if got := srv.Metrics().WALSkipped.Load(); got != 1 {
+			if got := srv.Stats().WALSkipped; got != 1 {
 				t.Errorf("%s: WALSkipped = %d, want 1", name, got)
 			}
 			continue
@@ -199,10 +199,10 @@ func TestCheckpointedCrashInjection(t *testing.T) {
 		}
 		if ckptBasis {
 			sawCheckpointBasis = true
-			if got, want := srv.Metrics().ReadsRecovered.Load(), wantReads(k); got != want {
+			if got, want := srv.Stats().ReadsRecovered, wantReads(k); got != want {
 				t.Errorf("%s: ReadsRecovered = %d, want %d", name, got, want)
 			}
-			if got, want := srv.Metrics().SuffixReadsReplayed.Load(), wantReads(k)-ckptReads; got != want {
+			if got, want := srv.Stats().SuffixReadsReplayed, wantReads(k)-ckptReads; got != want {
 				t.Errorf("%s: SuffixReadsReplayed = %d, want %d (checkpoint covers %d)", name, got, want, ckptReads)
 			}
 		}
@@ -354,12 +354,12 @@ func TestTornCheckpointFallsBackToHistory(t *testing.T) {
 	if sess.finished() {
 		t.Fatal("session recovered as finished from a torn checkpoint")
 	}
-	m := srv.Metrics()
-	if got := m.WALTornTails.Load(); got != 1 {
+	m := srv.Stats()
+	if got := m.WALTornTails; got != 1 {
 		t.Errorf("WALTornTails = %d, want 1", got)
 	}
 	// No checkpoint basis: every recovered read was replayed batch by batch.
-	if rec, suf := m.ReadsRecovered.Load(), m.SuffixReadsReplayed.Load(); rec != wantReads || suf != wantReads {
+	if rec, suf := m.ReadsRecovered, m.SuffixReadsReplayed; rec != wantReads || suf != wantReads {
 		t.Errorf("recovered %d reads with %d suffix-replayed, want %d of both (full-history fallback)",
 			rec, suf, wantReads)
 	}
@@ -458,14 +458,14 @@ func TestCrashMidSegmentTruncation(t *testing.T) {
 			t.Errorf("recovered orders diverged from the offline replay:\n  got  %v / %v\n  want %v / %v",
 				gotX, gotY, wantX, wantY)
 		}
-		m := srv.Metrics()
-		if got := m.WALSkipped.Load(); got != 0 {
+		m := srv.Stats()
+		if got := m.WALSkipped; got != 0 {
 			t.Errorf("WALSkipped = %d, want 0", got)
 		}
-		if got := m.WALTornTails.Load(); got != 0 {
+		if got := m.WALTornTails; got != 0 {
 			t.Errorf("WALTornTails = %d, want 0", got)
 		}
-		rec, suf := m.ReadsRecovered.Load(), m.SuffixReadsReplayed.Load()
+		rec, suf := m.ReadsRecovered, m.SuffixReadsReplayed
 		if wantRecovered >= 0 && (rec != wantRecovered || suf != wantSuffix) {
 			t.Errorf("recovery accounting (recovered %d, suffix %d) diverged from clean boot (%d, %d)",
 				rec, suf, wantRecovered, wantSuffix)
@@ -633,10 +633,10 @@ func TestLifecycleCrashAtSweepBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Metrics().CheckpointsWritten.Load() == 0 {
+	if srv.Stats().CheckpointsWritten == 0 {
 		t.Fatal("reference run wrote no checkpoints")
 	}
-	if srv.Metrics().TagsFinalized.Load() == 0 {
+	if srv.Stats().TagsFinalized == 0 {
 		t.Fatal("reference run finalized nothing: the sweep boundaries are empty")
 	}
 	refX, refY := snapOrders(refSnap)
@@ -751,7 +751,7 @@ func TestLifecycleCrashAtSweepBoundaries(t *testing.T) {
 		if fe := emittedEPCs(fin.Result); !slices.Equal(fe, refEmitted) {
 			t.Errorf("%s: final emitted stream diverged:\n  got  %v\n  want %v", name, fe, refEmitted)
 		}
-		if late := srv2.Metrics().LateReadsDropped.Load(); late != 0 {
+		if late := srv2.Stats().LateReadsDropped; late != 0 {
 			t.Errorf("%s: %d reads dropped as late on a gap-honoring workload", name, late)
 		}
 	}
@@ -797,7 +797,7 @@ func TestCheckpointRestartEquivalenceProperty(t *testing.T) {
 			}
 		}
 		waitDrained(t, sess1)
-		ckpts := srv1.Metrics().CheckpointsWritten.Load()
+		ckpts := srv1.Stats().CheckpointsWritten
 		if ckpts == 0 {
 			t.Fatalf("%s: cadence %d <= %d reads wrote no checkpoints", name, cadence, len(cs.reads))
 		}
@@ -811,11 +811,11 @@ func TestCheckpointRestartEquivalenceProperty(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: session not recovered", name)
 		}
-		m := srv2.Metrics()
-		if got, want := m.ReadsRecovered.Load(), int64(len(cs.reads)); got != want {
+		m := srv2.Stats()
+		if got, want := m.ReadsRecovered, int64(len(cs.reads)); got != want {
 			t.Errorf("%s: ReadsRecovered = %d, want %d", name, got, want)
 		}
-		if suf, rec := m.SuffixReadsReplayed.Load(), m.ReadsRecovered.Load(); suf >= rec {
+		if suf, rec := m.SuffixReadsReplayed, m.ReadsRecovered; suf >= rec {
 			t.Errorf("%s: suffix replay (%d of %d reads) saved nothing despite %d checkpoints", name, suf, rec, ckpts)
 		}
 		snap, err := sess2.Finish()

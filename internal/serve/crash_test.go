@@ -290,7 +290,7 @@ func TestCrashInjectionRecovery(t *testing.T) {
 					if sess != nil {
 						t.Errorf("%s: session recovered from a headerless log", name)
 					}
-					if got := srv.Metrics().WALSkipped.Load(); got != 1 {
+					if got := srv.Stats().WALSkipped; got != 1 {
 						t.Errorf("%s: WALSkipped = %d, want 1", name, got)
 					}
 					continue
@@ -415,7 +415,7 @@ func TestCrashInjectionBitFlips(t *testing.T) {
 			if sess == nil {
 				t.Fatalf("%s: session not recovered", name)
 			}
-			if got := srv.Metrics().WALTornTails.Load(); got != 1 {
+			if got := srv.Stats().WALTornTails; got != 1 {
 				t.Errorf("%s: WALTornTails = %d, want 1", name, got)
 			}
 			var snap *Snapshot
@@ -477,14 +477,14 @@ func TestDurableRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv2.Metrics().SessionsRecovered.Load(); got != 1 {
+	if got := srv2.Stats().SessionsRecovered; got != 1 {
 		t.Fatalf("recovered %d sessions, want 1", got)
 	}
 	half := 0
 	for _, b := range batches[:3] {
 		half += len(b)
 	}
-	if got := srv2.Metrics().ReadsRecovered.Load(); got != int64(half) {
+	if got := srv2.Stats().ReadsRecovered; got != int64(half) {
 		t.Errorf("recovered %d reads, want %d", got, half)
 	}
 	st := srv2.Stats()
@@ -571,7 +571,7 @@ func TestRecoverManySessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv2.Metrics().SessionsRecovered.Load(); got != 5 {
+	if got := srv2.Stats().SessionsRecovered; got != 5 {
 		t.Fatalf("recovered %d sessions, want 5", got)
 	}
 	wantX, wantY := trace.EncodeEPCs(want.XOrder), trace.EncodeEPCs(want.YOrder)
@@ -629,7 +629,7 @@ func TestSkippedWALReservesID(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newTestServer(t, opts)
-	if got := srv.Metrics().WALSkipped.Load(); got != 1 {
+	if got := srv.Stats().WALSkipped; got != 1 {
 		t.Fatalf("WALSkipped = %d, want 1", got)
 	}
 	sess, err := srv.CreateSession(tr.Header)

@@ -165,10 +165,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReads streams NDJSON read lines into the session queue in
-// MaxBatch chunks. A malformed line or unknown reader ID aborts the body
-// with 400 — reads on earlier lines are already enqueued, mirroring
-// ShardedEngine.Consume's partial-batch semantics. Blocking on a full
-// queue is deliberate: it is the backpressure path.
+// MaxBatch chunks. A malformed or oversized line or an unknown reader ID
+// aborts the body with 400 — reads on earlier lines are already
+// enqueued, mirroring ShardedEngine.Consume's partial-batch semantics.
+// Blocking on a full queue is deliberate: it is the backpressure path.
 func (s *Server) handleReads(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.session(w, r)
 	if !ok {
@@ -216,7 +216,7 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		s.abortReads(w, flush, "line %d: read body: %v", line+1, err)
 		return
 	}
 	if err := flush(); err != nil {

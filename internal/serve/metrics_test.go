@@ -376,6 +376,31 @@ func TestStatsGolden(t *testing.T) {
 	checkGolden(t, "stats.golden", out.String())
 }
 
+// TestSessionGaugesLiveOnly: the per-session gauge families cover live
+// sessions only — the set stppd_sessions_active counts — so a finished
+// session's label leaves the scrape instead of lingering as two zero
+// series until eviction.
+func TestSessionGaugesLiveOnly(t *testing.T) {
+	srv, _, body := metricsScrapeServer(t)
+	srv.mu.Lock()
+	sess := srv.sessions[srv.order[0]]
+	srv.mu.Unlock()
+	label := `{session="` + sess.ID + `"}`
+	if n := strings.Count(string(body), label); n != 2 {
+		t.Fatalf("live session %s: %d labeled series, want 2 (queue depth and stall seconds)", sess.ID, n)
+	}
+	if _, err := sess.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	body, err := srv.PromMetrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(body), label) {
+		t.Errorf("finished session %s still has per-session series", sess.ID)
+	}
+}
+
 // TestMetricsLint runs the promtool-style lint over a live scrape: the
 // body a real Prometheus server would pull must parse under the text
 // format's own rules (HELP/TYPE discipline, histogram invariants, label

@@ -79,7 +79,7 @@ func TestRecoveryReleasesLogInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Metrics().SessionsRecovered.Load(); got != 6 {
+	if got := srv.Stats().SessionsRecovered; got != 6 {
 		t.Fatalf("recovered %d sessions, want 6", got)
 	}
 	if len(blobs) < 4 || len(batches) == 0 {
@@ -123,6 +123,10 @@ func TestRecoveryDeterministicAcrossWorkers(t *testing.T) {
 		srv := newTestServer(t, o)
 		st := srv.Stats()
 		st.UptimeSeconds, st.ReadsPerSecond, st.AvgSnapshotMs, st.RecoverySeconds = 0, 0, 0, 0
+		// The /metrics-only fields describe the process and the scheduler
+		// under test, not what the boot recovered.
+		st.WALBytes, st.WALFsyncs, st.SchedSteals = 0, 0, 0
+		st.SchedWorkers, st.SchedIdle, st.SchedQueued = 0, 0, 0
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		bodies := map[string]string{}

@@ -141,93 +141,85 @@ func (o *Options) fill() {
 	}
 }
 
-// Metrics is the server-wide counter set, expvar-style: monotonically
-// increasing atomics sampled by the stats endpoint.
-type Metrics struct {
-	SessionsCreated  atomic.Int64
-	SessionsFinished atomic.Int64
-	ReadsIngested    atomic.Int64 // reads accepted into session queues
-	ReadsConsumed    atomic.Int64 // reads consumed by engines
-	Stalls           atomic.Int64 // enqueues that hit a full queue
-	StallNanos       atomic.Int64 // cumulative producer time spent blocked on full queues
-	Snapshots        atomic.Int64
-	SnapshotNanos    atomic.Int64 // cumulative snapshot latency
-
-	// SnapshotLatency distributes snapshot latency into the /metrics
-	// histogram; nil until the server is built (New allocates it).
-	SnapshotLatency *prom.Histogram
-
-	// Durability counters, all zero when DataDir is unset. Recovered
-	// sessions also count as created (they enter the registry) and their
-	// replayed reads flow through the ingest/consume counters — the two
-	// counters below report how much of that activity came from the logs.
-	SessionsRecovered atomic.Int64 // sessions rebuilt from WALs at boot
-	ReadsRecovered    atomic.Int64 // reads recovered (checkpoint + replayed suffix)
-	WALTornTails      atomic.Int64 // recoveries that truncated a torn tail
-	WALSkipped        atomic.Int64 // WAL dirs too damaged to rebuild (left on disk)
-	WALAppends        atomic.Int64 // journal appends (batches, finish, checkpoints)
-	WALErrors         atomic.Int64 // failed journal appends
-
-	// Checkpoint counters, zero unless CheckpointEvery is set.
-	CheckpointsWritten  atomic.Int64 // checkpoint records journaled
-	SegmentsTruncated   atomic.Int64 // WAL segments deleted behind checkpoints
-	SuffixReadsReplayed atomic.Int64 // boot-replay reads NOT covered by a checkpoint
-	RecoveryNanos       atomic.Int64 // wall time of the boot recovery sweep
-	RecoveryWALBytes    atomic.Int64 // valid log bytes the boot recovery scanned
-
-	// Lifecycle counters, zero unless FinalizeAfter is set.
-	TagsFinalized    atomic.Int64 // tags emitted and evicted across sessions
-	TagsDiscarded    atomic.Int64 // lapsed-but-undetectable tags evicted without emission
-	LateReadsDropped atomic.Int64 // reads dropped because their tag was final
-	LimitRejects     atomic.Int64 // enqueues rejected by MaxActiveTags
-
+// counters is the server-wide counter set: monotonically increasing
+// atomics the writers bump and Stats samples. What each one counts is
+// documented once, on the Stats field it feeds; recovered sessions also
+// count as created, and their replayed reads as ingested and consumed.
+type counters struct {
 	start time.Time
+
+	sessionsCreated, sessionsFinished, sessionsRecovered atomic.Int64
+	readsIngested, readsConsumed, readsRecovered         atomic.Int64
+	stalls, stallNanos                                   atomic.Int64
+	snapshots, snapshotNanos                             atomic.Int64
+	snapshotLatency                                      *prom.Histogram
+
+	walTornTails, walSkipped, walAppends, walErrors atomic.Int64
+	checkpointsWritten, segmentsTruncated           atomic.Int64
+	suffixReadsReplayed                             atomic.Int64
+	recoveryNanos, recoveryWALBytes                 atomic.Int64
+
+	tagsFinalized, tagsDiscarded, lateReadsDropped, limitRejects atomic.Int64
 }
 
-// Stats is one JSON-ready sample of the server counters.
+// Stats is one sample of the server counters and the single declaration
+// of every unlabeled stppd metric: GET /v1/stats encodes it as JSON, and
+// PromMetrics renders each field with a prom tag as one /metrics family —
+// the tag gives the family name and type (counter or gauge), the help tag
+// its HELP text. Families follow field order, except that
+// "after=Field" places a family right after Field's. Fields tagged
+// json:"-" are on /metrics only.
 type Stats struct {
-	UptimeSeconds    float64 `json:"uptime_seconds"`
-	SessionsActive   int     `json:"sessions_active"`
-	SessionsCreated  int64   `json:"sessions_created"`
-	SessionsFinished int64   `json:"sessions_finished"`
-	ReadsIngested    int64   `json:"reads_ingested"`
-	ReadsConsumed    int64   `json:"reads_consumed"`
-	ReadsPerSecond   float64 `json:"reads_per_second"`
+	UptimeSeconds    float64 `json:"uptime_seconds" prom:"stppd_uptime_seconds,gauge" help:"Seconds since the server started."`
+	SessionsActive   int     `json:"sessions_active" prom:"stppd_sessions_active,gauge" help:"Sessions currently accepting or draining reads."`
+	SessionsCreated  int64   `json:"sessions_created" prom:"stppd_sessions_created_total,counter" help:"Sessions created (including recovered)."`
+	SessionsFinished int64   `json:"sessions_finished" prom:"stppd_sessions_finished_total,counter" help:"Sessions finished, aborted or dropped."`
+	ReadsIngested    int64   `json:"reads_ingested" prom:"stppd_reads_ingested_total,counter" help:"Reads accepted into session queues."`
+	ReadsConsumed    int64   `json:"reads_consumed" prom:"stppd_reads_consumed_total,counter" help:"Reads consumed by session engines."`
+	ReadsPerSecond   float64 `json:"reads_per_second" prom:"stppd_reads_per_second,gauge" help:"Consumed-read throughput over the process uptime."`
 	QueueDepthReads  int64   `json:"queue_depth_reads"`
-	Stalls           int64   `json:"stalls"`
-	StallSeconds     float64 `json:"stall_seconds"`
-	Snapshots        int64   `json:"snapshots"`
+	Stalls           int64   `json:"stalls" prom:"stppd_ingest_stalls_total,counter" help:"Enqueues that found a session queue full and blocked."`
+	StallSeconds     float64 `json:"stall_seconds" prom:"stppd_ingest_stall_seconds_total,counter" help:"Producer time spent blocked on full session queues."`
+	Snapshots        int64   `json:"snapshots" prom:"stppd_snapshots_total,counter" help:"Snapshots taken (periodic, refresh and final)."`
 	AvgSnapshotMs    float64 `json:"avg_snapshot_ms"`
 
 	// Durability: WALEnabled mirrors Options.DataDir; the counters are
 	// this process's recovery and journaling activity.
 	WALEnabled        bool  `json:"wal_enabled"`
-	SessionsRecovered int64 `json:"sessions_recovered"`
-	ReadsRecovered    int64 `json:"reads_recovered"`
-	WALTornTails      int64 `json:"wal_torn_tails"`
-	WALSkipped        int64 `json:"wal_skipped"`
-	WALAppends        int64 `json:"wal_appends"`
-	WALErrors         int64 `json:"wal_errors"`
+	SessionsRecovered int64 `json:"sessions_recovered" prom:"stppd_sessions_recovered_total,counter,after=SessionsFinished" help:"Sessions rebuilt from write-ahead logs at boot."`
+	ReadsRecovered    int64 `json:"reads_recovered" prom:"stppd_reads_recovered_total,counter,after=ReadsConsumed" help:"Reads recovered from logs at boot (checkpointed + replayed)."`
+	WALTornTails      int64 `json:"wal_torn_tails" prom:"stppd_wal_torn_tails_total,counter,after=SegmentsTruncated" help:"Boot recoveries that truncated a torn log tail."`
+	WALSkipped        int64 `json:"wal_skipped" prom:"stppd_wal_skipped_total,counter,after=WALTornTails" help:"Log directories too damaged to rebuild (left on disk)."`
+	WALAppends        int64 `json:"wal_appends" prom:"stppd_wal_appends_total,counter" help:"Journal appends (batches, finish markers, checkpoints)."`
+	WALErrors         int64 `json:"wal_errors" prom:"stppd_wal_errors_total,counter" help:"Failed journal appends and syncs."`
+	WALBytes          int64 `json:"-" prom:"stppd_wal_bytes_total,counter" help:"Record bytes appended to write-ahead logs, process-wide."`
+	WALFsyncs         int64 `json:"-" prom:"stppd_wal_fsyncs_total,counter" help:"File fsyncs issued by write-ahead logs, process-wide."`
 
 	// Checkpointed recovery: records written, segments reclaimed, and how
 	// many of ReadsRecovered were replayed batch-by-batch at boot (the
 	// rest were restored from checkpoints in O(state)).
-	CheckpointsWritten  int64 `json:"wal_checkpoints"`
-	SegmentsTruncated   int64 `json:"wal_segments_truncated"`
+	CheckpointsWritten  int64 `json:"wal_checkpoints" prom:"stppd_wal_checkpoints_total,counter" help:"Engine checkpoint records journaled."`
+	SegmentsTruncated   int64 `json:"wal_segments_truncated" prom:"stppd_wal_segments_truncated_total,counter" help:"WAL segments deleted behind checkpoints."`
 	SuffixReadsReplayed int64 `json:"wal_suffix_reads_replayed"`
 
 	// Boot recovery: wall time of the sweep and the log bytes it scanned.
-	RecoverySeconds  float64 `json:"recovery_seconds"`
-	RecoveryWALBytes int64   `json:"recovery_wal_bytes"`
+	RecoverySeconds  float64 `json:"recovery_seconds" prom:"stppd_recovery_seconds,gauge" help:"Wall time of the boot recovery sweep."`
+	RecoveryWALBytes int64   `json:"recovery_wal_bytes" prom:"stppd_recovery_wal_bytes,gauge" help:"Valid write-ahead log bytes the boot recovery scanned."`
 
 	// Lifecycle: cumulative finalizations and late-read drops across all
 	// sessions (including finished ones), the current resident-profile
 	// gauge across live sessions, and MaxActiveTags rejections.
-	TagsFinalized    int64 `json:"tags_finalized"`
-	TagsDiscarded    int64 `json:"tags_discarded"`
-	LateReadsDropped int64 `json:"late_reads_dropped"`
-	ActiveTags       int64 `json:"active_tags"`
-	LimitRejects     int64 `json:"limit_rejects"`
+	TagsFinalized    int64 `json:"tags_finalized" prom:"stppd_tags_finalized_total,counter" help:"Tags emitted at a frozen global position and evicted."`
+	TagsDiscarded    int64 `json:"tags_discarded" prom:"stppd_tags_discarded_total,counter" help:"Lapsed-but-undetectable tags evicted without emission."`
+	LateReadsDropped int64 `json:"late_reads_dropped" prom:"stppd_late_reads_total,counter" help:"Reads dropped because their tag was already finalized."`
+	ActiveTags       int64 `json:"active_tags" prom:"stppd_tags_active,gauge,after=RecoveryWALBytes" help:"Resident (reader, tag) profiles across live sessions."`
+	LimitRejects     int64 `json:"limit_rejects" prom:"stppd_limit_rejects_total,counter" help:"Enqueues rejected by the max-active-tags admission valve."`
+
+	// Occupancy of the scheduler the server runs on.
+	SchedWorkers int   `json:"-" prom:"stppd_sched_workers,gauge" help:"Scheduler pool width."`
+	SchedIdle    int   `json:"-" prom:"stppd_sched_idle_workers,gauge" help:"Scheduler workers currently parked."`
+	SchedQueued  int   `json:"-" prom:"stppd_sched_queued_tasks,gauge" help:"Tasks waiting in scheduler run queues."`
+	SchedSteals  int64 `json:"-" prom:"stppd_sched_steals_total,counter" help:"Tasks taken from another worker's queue."`
 }
 
 // Server multiplexes concurrent ingest sessions. It is safe for
@@ -235,7 +227,7 @@ type Stats struct {
 type Server struct {
 	opts    Options
 	sched   *sched.Scheduler
-	metrics Metrics
+	metrics counters
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -268,9 +260,11 @@ func New(opts Options) (*Server, error) {
 		opts:     opts,
 		sched:    sc,
 		sessions: make(map[string]*Session),
-		metrics:  Metrics{start: time.Now()},
+		metrics: counters{
+			start:           time.Now(),
+			snapshotLatency: prom.NewHistogram(prom.DefaultLatencyBounds()...),
+		},
 	}
-	s.metrics.SnapshotLatency = prom.NewHistogram(prom.DefaultLatencyBounds()...)
 	if opts.DataDir != "" {
 		if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: data dir: %w", err)
@@ -334,7 +328,7 @@ func (s *Server) recoverAll() error {
 			s.order = append(s.order, names[i])
 		}
 	}
-	s.metrics.RecoveryNanos.Store(int64(time.Since(start)))
+	s.metrics.recoveryNanos.Store(int64(time.Since(start)))
 	return nil
 }
 
@@ -344,15 +338,15 @@ func (s *Server) recoverSession(name string) *Session {
 	dir := filepath.Join(s.opts.DataDir, name)
 	rec, log, err := wal.Recover(dir, s.walOpts())
 	if err != nil {
-		s.metrics.WALSkipped.Add(1)
+		s.metrics.walSkipped.Add(1)
 		return nil
 	}
 	if recoveredHook != nil {
 		recoveredHook(rec)
 	}
-	s.metrics.RecoveryWALBytes.Add(rec.Bytes)
+	s.metrics.recoveryWALBytes.Add(rec.Bytes)
 	if rec.Torn {
-		s.metrics.WALTornTails.Add(1)
+		s.metrics.walTornTails.Add(1)
 	}
 	sess, err := newSession(name, s, rec.Header)
 	if err != nil {
@@ -361,7 +355,7 @@ func (s *Server) recoverSession(name string) *Session {
 		if log != nil {
 			log.Close()
 		}
-		s.metrics.WALSkipped.Add(1)
+		s.metrics.walSkipped.Add(1)
 		return nil
 	}
 	sess.walDir = dir
@@ -369,10 +363,10 @@ func (s *Server) recoverSession(name string) *Session {
 	// SessionsFinished always holds); its replayed reads flow through the
 	// ingest counters again — ReadsRecovered reports how much of that
 	// traffic came from the logs.
-	s.metrics.SessionsCreated.Add(1)
-	s.metrics.SessionsRecovered.Add(1)
-	s.metrics.ReadsRecovered.Add(rec.CheckpointReads + int64(rec.Reads))
-	s.metrics.SuffixReadsReplayed.Add(int64(rec.Reads))
+	s.metrics.sessionsCreated.Add(1)
+	s.metrics.sessionsRecovered.Add(1)
+	s.metrics.readsRecovered.Add(rec.CheckpointReads + int64(rec.Reads))
+	s.metrics.suffixReadsReplayed.Add(int64(rec.Reads))
 	sess.replay(rec, log)
 	return sess
 }
@@ -381,9 +375,6 @@ func (s *Server) recoverSession(name string) *Session {
 // session replays it, from concurrent recovery tasks; tests use it to
 // watch the input's lifetime.
 var recoveredHook func(*wal.Recovered)
-
-// Metrics exposes the server counters.
-func (s *Server) Metrics() *Metrics { return &s.metrics }
 
 // CreateSession opens a new ingest session for the deployment a trace
 // header describes and starts its consumer goroutine.
@@ -411,7 +402,7 @@ func (s *Server) CreateSession(h trace.Header) (*Session, error) {
 	// Created counts before the session is reachable: once it is in the
 	// registry another goroutine can finish or drop it, and the finished
 	// counter must never lead the created one.
-	s.metrics.SessionsCreated.Add(1)
+	s.metrics.sessionsCreated.Add(1)
 	s.mu.Lock()
 	s.sessions[id] = sess
 	s.order = append(s.order, id)
@@ -477,7 +468,8 @@ func (s *Server) DropSession(id string) {
 	}
 }
 
-// Stats samples the server counters plus the live queue depths.
+// Stats samples the server counters, the live queue depths, the
+// process-wide WAL totals and the scheduler.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	active := 0
@@ -497,10 +489,11 @@ func (s *Server) Stats() Stats {
 	// the pair consistent in the snapshot too — a concurrent sample never
 	// shows more finished sessions than created ones or more consumed
 	// reads than ingested ones.
-	finished := s.metrics.SessionsFinished.Load()
-	created := s.metrics.SessionsCreated.Load()
-	consumed := s.metrics.ReadsConsumed.Load()
-	ingested := s.metrics.ReadsIngested.Load()
+	finished := s.metrics.sessionsFinished.Load()
+	created := s.metrics.sessionsCreated.Load()
+	consumed := s.metrics.readsConsumed.Load()
+	ingested := s.metrics.readsIngested.Load()
+	sc := s.sched.Stats()
 	st := Stats{
 		UptimeSeconds:    time.Since(s.metrics.start).Seconds(),
 		SessionsActive:   active,
@@ -509,35 +502,42 @@ func (s *Server) Stats() Stats {
 		ReadsIngested:    ingested,
 		ReadsConsumed:    consumed,
 		QueueDepthReads:  depth,
-		Stalls:           s.metrics.Stalls.Load(),
-		StallSeconds:     float64(s.metrics.StallNanos.Load()) / 1e9,
-		Snapshots:        s.metrics.Snapshots.Load(),
+		Stalls:           s.metrics.stalls.Load(),
+		StallSeconds:     float64(s.metrics.stallNanos.Load()) / 1e9,
+		Snapshots:        s.metrics.snapshots.Load(),
 
 		WALEnabled:        s.opts.DataDir != "",
-		SessionsRecovered: s.metrics.SessionsRecovered.Load(),
-		ReadsRecovered:    s.metrics.ReadsRecovered.Load(),
-		WALTornTails:      s.metrics.WALTornTails.Load(),
-		WALSkipped:        s.metrics.WALSkipped.Load(),
-		WALAppends:        s.metrics.WALAppends.Load(),
-		WALErrors:         s.metrics.WALErrors.Load(),
+		SessionsRecovered: s.metrics.sessionsRecovered.Load(),
+		ReadsRecovered:    s.metrics.readsRecovered.Load(),
+		WALTornTails:      s.metrics.walTornTails.Load(),
+		WALSkipped:        s.metrics.walSkipped.Load(),
+		WALAppends:        s.metrics.walAppends.Load(),
+		WALErrors:         s.metrics.walErrors.Load(),
+		WALBytes:          wal.TotalBytes(),
+		WALFsyncs:         wal.TotalFsyncs(),
 
-		CheckpointsWritten:  s.metrics.CheckpointsWritten.Load(),
-		SegmentsTruncated:   s.metrics.SegmentsTruncated.Load(),
-		SuffixReadsReplayed: s.metrics.SuffixReadsReplayed.Load(),
-		RecoverySeconds:     float64(s.metrics.RecoveryNanos.Load()) / 1e9,
-		RecoveryWALBytes:    s.metrics.RecoveryWALBytes.Load(),
+		CheckpointsWritten:  s.metrics.checkpointsWritten.Load(),
+		SegmentsTruncated:   s.metrics.segmentsTruncated.Load(),
+		SuffixReadsReplayed: s.metrics.suffixReadsReplayed.Load(),
+		RecoverySeconds:     float64(s.metrics.recoveryNanos.Load()) / 1e9,
+		RecoveryWALBytes:    s.metrics.recoveryWALBytes.Load(),
 
-		TagsFinalized:    s.metrics.TagsFinalized.Load(),
-		TagsDiscarded:    s.metrics.TagsDiscarded.Load(),
-		LateReadsDropped: s.metrics.LateReadsDropped.Load(),
+		TagsFinalized:    s.metrics.tagsFinalized.Load(),
+		TagsDiscarded:    s.metrics.tagsDiscarded.Load(),
+		LateReadsDropped: s.metrics.lateReadsDropped.Load(),
 		ActiveTags:       resident,
-		LimitRejects:     s.metrics.LimitRejects.Load(),
+		LimitRejects:     s.metrics.limitRejects.Load(),
+
+		SchedWorkers: sc.Workers,
+		SchedIdle:    sc.Idle,
+		SchedQueued:  sc.Queued,
+		SchedSteals:  sc.Steals,
 	}
 	if st.UptimeSeconds > 0 {
 		st.ReadsPerSecond = float64(st.ReadsConsumed) / st.UptimeSeconds
 	}
 	if st.Snapshots > 0 {
-		st.AvgSnapshotMs = float64(s.metrics.SnapshotNanos.Load()) / float64(st.Snapshots) / 1e6
+		st.AvgSnapshotMs = float64(s.metrics.snapshotNanos.Load()) / float64(st.Snapshots) / 1e6
 	}
 	return st
 }

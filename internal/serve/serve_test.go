@@ -97,7 +97,7 @@ func TestSessionMatchesOffline(t *testing.T) {
 		t.Errorf("Y order diverged:\n  live    %v\n  offline %v", snap.Result.YOrder, want.YOrder)
 	}
 	// Periodic publishing must have produced intermediate snapshots.
-	if got := srv.Metrics().Snapshots.Load(); got < 2 {
+	if got := srv.Stats().Snapshots; got < 2 {
 		t.Errorf("only %d snapshots taken; periodic publishing inactive", got)
 	}
 	if err := sess.Enqueue(tr.Reads[:1]); err != ErrSessionClosed {
@@ -216,7 +216,7 @@ func TestPublishEveryZeroDisablesPeriodic(t *testing.T) {
 	if !snap.Final {
 		t.Error("finish snapshot not final")
 	}
-	if got := srv.Metrics().Snapshots.Load(); got != 1 {
+	if got := srv.Stats().Snapshots; got != 1 {
 		t.Errorf("%d snapshots taken with PublishEvery=0, want only the final one", got)
 	}
 }
@@ -405,6 +405,29 @@ func TestHTTPRejectsMalformed(t *testing.T) {
 		t.Errorf("session wedged after rejected bodies: accepted %d", ing.Accepted)
 	}
 
+	// A bad line after valid ones — malformed, or longer than the 1 MiB
+	// line bound — still 400s, and the lines before it are enqueued (the
+	// documented partial-batch semantics).
+	sess, _ := srv.Session(created.ID)
+	for name, bad := range map[string]string{
+		"malformed": "not json at all",
+		"oversized": strings.Repeat("x", 2<<20),
+	} {
+		before := sess.Enqueued()
+		body := append(ndjson(t, tr.Reads[100:110]), bad...)
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+created.ID+"/reads", "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s line after 10 valid ones: status %d, want 400", name, resp.StatusCode)
+		}
+		if got := sess.Enqueued() - before; got != 10 {
+			t.Errorf("%s line after 10 valid ones: %d reads enqueued, want 10", name, got)
+		}
+	}
+
 	// Unknown session IDs 404.
 	resp, err := http.Get(ts.URL + "/v1/sessions/nope/order")
 	if err != nil {
@@ -430,7 +453,7 @@ func TestCreateRejectsOversizedHeader(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized header: status %d, want 413: %.200s", rec.Code, rec.Body)
 	}
-	if n := srv.Metrics().SessionsCreated.Load(); n != 0 {
+	if n := srv.Stats().SessionsCreated; n != 0 {
 		t.Errorf("oversized header created %d sessions", n)
 	}
 	if ents, err := os.ReadDir(opts.DataDir); err != nil || len(ents) != 0 {
@@ -637,7 +660,7 @@ func TestCoalescingEquivalenceProperty(t *testing.T) {
 		if !reflect.DeepEqual(snap.Result.XOrder, want.XOrder) {
 			t.Errorf("durable queue=%d: X order diverged from the offline replay", queue)
 		}
-		return srv.Metrics().Snapshots.Load(), ckptReads
+		return srv.Stats().Snapshots, ckptReads
 	}
 	plainSnaps, plainCkpts := durable(1, false)
 	coalSnaps, coalCkpts := durable(32, true)

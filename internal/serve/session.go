@@ -205,20 +205,20 @@ func (s *Session) Enqueue(batch []reader.TagRead) error {
 	// than enforcing an exact cap; producers should back off and retry.
 	if limit := s.srv.opts.MaxActiveTags; limit > 0 && s.activeTags.Load() >= int64(limit) {
 		s.limitRejects.Add(1)
-		s.srv.metrics.LimitRejects.Add(1)
+		s.srv.metrics.limitRejects.Add(1)
 		return ErrTooManyTags
 	}
 	s.qmu.Lock()
 	if full := len(s.q)-s.qhead >= s.srv.opts.QueueBatches; full && !s.closed {
 		s.stalls.Add(1)
-		s.srv.metrics.Stalls.Add(1)
+		s.srv.metrics.stalls.Add(1)
 		t0 := time.Now()
 		for len(s.q)-s.qhead >= s.srv.opts.QueueBatches && !s.closed {
 			s.qcond.Wait()
 		}
 		ns := time.Since(t0).Nanoseconds()
 		s.stallNanos.Add(ns)
-		s.srv.metrics.StallNanos.Add(ns)
+		s.srv.metrics.stallNanos.Add(ns)
 	}
 	if s.closed {
 		s.qmu.Unlock()
@@ -242,7 +242,7 @@ func (s *Session) Enqueue(batch []reader.TagRead) error {
 	n := int64(len(batch))
 	s.queued.Add(n)
 	s.enqueued.Add(n)
-	s.srv.metrics.ReadsIngested.Add(n)
+	s.srv.metrics.readsIngested.Add(n)
 	s.q = append(s.q, batch)
 	s.qmu.Unlock()
 	// The batch is visible; make sure a drain task is coming for it.
@@ -255,7 +255,7 @@ func (s *Session) Enqueue(batch []reader.TagRead) error {
 	// consumer even though its producer gets an error (counted below).
 	if log != nil && seq > 0 {
 		if err := log.WaitDurable(seq); err != nil {
-			s.srv.metrics.WALErrors.Add(1)
+			s.srv.metrics.walErrors.Add(1)
 			return fmt.Errorf("serve: wal sync: %w", err)
 		}
 	}
@@ -354,10 +354,10 @@ func (s *Session) journalAsync(batch []reader.TagRead) (int64, *wal.Log, error) 
 	}
 	seq, err := s.wal.AppendBatchAsync(batch)
 	if err != nil {
-		s.srv.metrics.WALErrors.Add(1)
+		s.srv.metrics.walErrors.Add(1)
 		return 0, nil, fmt.Errorf("serve: wal append: %w", err)
 	}
-	s.srv.metrics.WALAppends.Add(1)
+	s.srv.metrics.walAppends.Add(1)
 	return seq, s.wal, nil
 }
 
@@ -394,13 +394,13 @@ func (s *Session) checkpoint() {
 	truncated, err := s.wal.AppendCheckpoint(uncovered, reads, blob)
 	s.walMu.Unlock()
 	s.qmu.Unlock()
-	s.srv.metrics.SegmentsTruncated.Add(int64(truncated))
+	s.srv.metrics.segmentsTruncated.Add(int64(truncated))
 	if err != nil {
-		s.srv.metrics.WALErrors.Add(1)
+		s.srv.metrics.walErrors.Add(1)
 		return
 	}
-	s.srv.metrics.WALAppends.Add(1)
-	s.srv.metrics.CheckpointsWritten.Add(1)
+	s.srv.metrics.walAppends.Add(1)
+	s.srv.metrics.checkpointsWritten.Add(1)
 }
 
 // journalFinish appends the finish marker. A failed append degrades to
@@ -413,10 +413,10 @@ func (s *Session) journalFinish() {
 		return
 	}
 	if err := s.wal.AppendFinish(); err != nil {
-		s.srv.metrics.WALErrors.Add(1)
+		s.srv.metrics.walErrors.Add(1)
 		return
 	}
-	s.srv.metrics.WALAppends.Add(1)
+	s.srv.metrics.walAppends.Add(1)
 }
 
 // closeWAL seals the journal file; the directory (and walDir) remain for
@@ -597,7 +597,7 @@ func (s *Session) drain() {
 			return
 		}
 		s.consumed.Add(n)
-		s.srv.metrics.ReadsConsumed.Add(n)
+		s.srv.metrics.readsConsumed.Add(n)
 		s.activeTags.Store(int64(s.eng.Tags()))
 		s.maybePublish(len(batch))
 		if ce := s.srv.opts.CheckpointEvery; ce > 0 {
@@ -742,7 +742,7 @@ func (s *Session) terminate() {
 	s.ckptBuf = nil
 	s.coalesce = nil
 	s.activeTags.Store(0)
-	s.srv.metrics.SessionsFinished.Add(1)
+	s.srv.metrics.sessionsFinished.Add(1)
 	close(s.done)
 }
 
@@ -778,8 +778,8 @@ func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 			n := rec.CheckpointReads
 			s.enqueued.Add(n)
 			s.consumed.Add(n)
-			s.srv.metrics.ReadsIngested.Add(n)
-			s.srv.metrics.ReadsConsumed.Add(n)
+			s.srv.metrics.readsIngested.Add(n)
+			s.srv.metrics.readsConsumed.Add(n)
 		}
 	}
 	for k, batch := range rec.Batches {
@@ -789,14 +789,14 @@ func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 		rec.Batches[k] = nil
 		n := int64(len(batch))
 		s.enqueued.Add(n)
-		s.srv.metrics.ReadsIngested.Add(n)
+		s.srv.metrics.readsIngested.Add(n)
 		if err := s.eng.Consume(batch); err != nil {
 			s.setErr(err)
 			failed = true
 			break
 		}
 		s.consumed.Add(n)
-		s.srv.metrics.ReadsConsumed.Add(n)
+		s.srv.metrics.readsConsumed.Add(n)
 		s.activeTags.Store(int64(s.eng.Tags()))
 		s.maybePublish(len(batch))
 	}
@@ -878,24 +878,22 @@ func (s *Session) takeSnapshot(final bool) (*Snapshot, error) {
 		lateReads: s.eng.LateReads(),
 	}
 	if lv.finalized != s.prevFinalized {
-		s.srv.metrics.TagsFinalized.Add(lv.finalized - s.prevFinalized)
+		s.srv.metrics.tagsFinalized.Add(lv.finalized - s.prevFinalized)
 		s.prevFinalized = lv.finalized
 	}
 	if lv.discarded != s.prevDiscarded {
-		s.srv.metrics.TagsDiscarded.Add(lv.discarded - s.prevDiscarded)
+		s.srv.metrics.tagsDiscarded.Add(lv.discarded - s.prevDiscarded)
 		s.prevDiscarded = lv.discarded
 	}
 	if lv.lateReads != s.prevLate {
-		s.srv.metrics.LateReadsDropped.Add(lv.lateReads - s.prevLate)
+		s.srv.metrics.lateReadsDropped.Add(lv.lateReads - s.prevLate)
 		s.prevLate = lv.lateReads
 	}
 	s.life.Store(lv)
 	s.latest.Store(snap)
-	s.srv.metrics.Snapshots.Add(1)
-	s.srv.metrics.SnapshotNanos.Add(int64(snap.Latency))
-	if h := s.srv.metrics.SnapshotLatency; h != nil {
-		h.Observe(snap.Latency.Seconds())
-	}
+	s.srv.metrics.snapshots.Add(1)
+	s.srv.metrics.snapshotNanos.Add(int64(snap.Latency))
+	s.srv.metrics.snapshotLatency.Observe(snap.Latency.Seconds())
 	return snap, nil
 }
 
