@@ -1,21 +1,32 @@
 # The repository's tier-1 gates (mirrors .github/workflows/ci.yml) plus
-# the recorded benchmark step that tracks the performance trajectory.
+# the bench gate, which compares the working tree with its parent commit.
 
-PR := 16
+# The commit `make bench` compares the working tree against: the parent by
+# default, which in CI's pull-request merge checkout is the base branch's
+# tip and on a push to main the previous main commit. On a branch with
+# several commits, name the fork point instead: make bench BASE=main.
+BASE ?= HEAD^
 
-# The key hot-path benchmarks recorded per PR: the snapshot-cadence
-# evidence, streaming vs batch, the daemon ingest path, the isolated
-# blocked multi-tag detection pass, the segment-DTW kernel (whole
-# alignment and isolated column fill), the WAL append/recovery paths,
-# checkpointed-recovery flatness and group-commit throughput, the
-# endless-stream lifecycle flatness, and the multi-session cold boot with
-# its retained heap and data-directory size (recorded, not gated).
-BENCH_PATTERN := BenchmarkSnapshotCadence|BenchmarkStreamingVsBatch|BenchmarkDaemonIngest|BenchmarkBlockedDetect|BenchmarkShardedAisle|BenchmarkSegmentedAlign|BenchmarkSegmentFill|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkCheckpointedRecovery|BenchmarkWALGroupCommit|BenchmarkEndlessStream|BenchmarkMultiSessionRecovery
+# The gate runs every GATE benchmark in PAIRS interleaved base/change
+# pairs, each run pinned to BENCHTIME, and judges each one's reads/s by
+# median and quartiles (cmd/bench2json). A name gates itself and its
+# sub-benchmarks: the in-process ingest, snapshot-cadence, blocked
+# detection, recovery, WAL append and endless-stream paths, and the full
+# HTTP ingest path.
+PAIRS ?= 10
+BENCHTIME := 1s
+GATE := BenchmarkDaemonIngest BenchmarkHTTPIngest BenchmarkSnapshotCadence/snapshots=32 BenchmarkBlockedDetect BenchmarkRecovery BenchmarkWALAppend BenchmarkEndlessStream
 
-# The regression gate: fail the bench step if any of these benchmarks'
-# reads/s drops more than 15% against the committed pre-PR baseline
-# (bench/baseline_$(PR).txt, recorded on the parent commit).
-GATE := BenchmarkDaemonIngest,BenchmarkSnapshotCadence/snapshots=32,BenchmarkBlockedDetect,BenchmarkRecovery,BenchmarkWALAppend,BenchmarkEndlessStream
+# Recorded once per side next to the gated runs, not gated: the other
+# snapshot cadences, streaming vs batch, the sharded aisle, the segment-DTW
+# kernel (whole alignment and isolated column fill), checkpointed-recovery
+# flatness, group-commit throughput, and the multi-session cold boot with
+# its retained heap and data-directory size.
+RECORD := BenchmarkSnapshotCadence/snapshots=1 BenchmarkSnapshotCadence/snapshots=8 BenchmarkStreamingVsBatch BenchmarkShardedAisle BenchmarkSegmentedAlign BenchmarkSegmentFill BenchmarkCheckpointedRecovery BenchmarkWALGroupCommit BenchmarkMultiSessionRecovery
+
+# The base commit's checkout, a git worktree that lives only while
+# `make bench` runs.
+BASE_TREE := .bench-base
 
 .PHONY: test build bench fmt vet
 
@@ -36,22 +47,44 @@ fmt:
 vet:
 	go vet ./...
 
-# bench runs the key benchmarks once with -benchmem, archives the raw
-# benchstat-compatible text as BENCH_$(PR).txt, and merges it with the
-# committed pre-change baseline (bench/baseline_$(PR).txt) into
-# BENCH_$(PR).json — the machine-readable before/after record for this
-# PR. The same invocation gates the ingest/detection/recovery hot paths:
-# a >15% reads/s regression vs the baseline fails the target. A second
-# short run captures a CPU profile of the daemon ingest hot path as
-# BENCH_$(PR).cpu.pprof (with the repro.test binary needed to symbolize
-# it), so every recorded number ships with the profile that explains it.
-# -benchtime is pinned so iteration counts don't swing fsync-bound
-# benchmarks run to run. CI uploads all of it as artifacts.
+# bench builds one test binary from BASE (in a git worktree) and one from
+# the working tree, runs them as described above, and writes the record
+# to fixed, untracked names: bench.txt (benchstat-compatible, each run
+# under a `side: base` or `side: change` line), bench.json (both sides'
+# runs and the verdicts), and bench.cpu.pprof, a CPU profile of the
+# change's BenchmarkDaemonIngest, with bench.test to symbolize it. Each
+# benchmark runs in its own process: go test splits a -bench pattern at
+# `/`, so one alternation cannot select a sub-benchmark of one benchmark
+# and every sub-benchmark of another. A benchmark that fails on either
+# side fails the target; so does a gated benchmark that regressed or
+# that the base ran and the change did not.
 bench:
-	go test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -benchtime 2s -count 1 . | tee BENCH_$(PR).txt
-	go run ./cmd/bench2json -pr $(PR) -baseline bench/baseline_$(PR).txt -current BENCH_$(PR).txt \
-		-gate '$(GATE)' -max-regression 0.15 \
-		-note "baseline = pre-PR-$(PR) tree (checkpoints journal segment lists, DTW cells and unwrap curves; MultiSessionRecovery also reports wal-MiB); current = checkpoints journal profiles and counters, restore recomputes the rest" \
-		> BENCH_$(PR).json
-	go test -run xxx -bench 'BenchmarkDaemonIngest$$' -benchtime 2s -count 1 \
-		-cpuprofile BENCH_$(PR).cpu.pprof -o repro.test .
+	rm -f bench.txt bench.json
+	rm -rf $(BASE_TREE) && git worktree prune
+	git worktree add --detach $(BASE_TREE) $(BASE)
+	cd $(BASE_TREE) && go test -c -o base.test .
+	go test -c -o bench.test .
+	@set -e; \
+	run() { \
+		side=$$1 dir=$$2 bin=$$3; shift 3; \
+		for name; do \
+			echo "side: $$side" >> bench.txt; \
+			(cd $$dir && ./$$bin -test.run '^$$' -test.bench "^$$(echo $$name | sed 's|/|$$/^|g')$$" \
+				-test.benchmem -test.benchtime $(BENCHTIME) -test.timeout 10m) >> bench.txt \
+				|| { tail -n 20 bench.txt; echo "$$side: $$name failed"; exit 1; }; \
+		done; \
+	}; \
+	for i in $$(seq $(PAIRS)); do \
+		echo "bench: pair $$i of $(PAIRS)"; \
+		if [ $$((i % 2)) = 1 ]; then \
+			run base $(BASE_TREE) base.test $(GATE); run change . bench.test $(GATE); \
+		else \
+			run change . bench.test $(GATE); run base $(BASE_TREE) base.test $(GATE); \
+		fi; \
+	done; \
+	echo "bench: recording the rest"; \
+	run base $(BASE_TREE) base.test $(RECORD); run change . bench.test $(RECORD)
+	git worktree remove --force $(BASE_TREE)
+	./bench.test -test.run '^$$' -test.bench '^BenchmarkDaemonIngest$$' -test.benchtime 2s \
+		-test.cpuprofile bench.cpu.pprof > /dev/null
+	go run ./cmd/bench2json -gate '$(GATE)' -o bench.json bench.txt

@@ -6,9 +6,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -370,6 +374,77 @@ func BenchmarkDaemonIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		srv.DropSession(sess.ID)
+	}
+	b.ReportMetric(float64(len(reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+}
+
+// BenchmarkHTTPIngest is BenchmarkDaemonIngest with the HTTP edge and the
+// WAL put back: the aisle log POSTed as 256-read NDJSON bodies to
+// serve.Handler over loopback, journaled to a durable data dir (fsync
+// never, so the number tracks the daemon's CPU rather than the disk) with
+// checkpoints every 8192 reads. One op is one session: create, every
+// body, finish, drop.
+func BenchmarkHTTPIngest(b *testing.B) {
+	ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reads, err := ms.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	hdr, err := json.Marshal(trace.Header{Readers: ms.ReaderMetas()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var bodies [][]byte
+	for start := 0; start < len(reads); start += 256 {
+		body, err := trace.MarshalReads(reads[start:min(start+256, len(reads))])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	srv, err := serve.New(serve.Options{
+		Config:          ms.Readers[0].Scene.STPPConfig(),
+		PublishEvery:    2000,
+		DataDir:         b.TempDir(),
+		Fsync:           wal.SyncNever,
+		CheckpointEvery: 8192,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	do := func(method, path string, body []byte, want int) []byte {
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != want {
+			b.Fatalf("%s %s: status %d, want %d: %s %v", method, path, resp.StatusCode, want, data, err)
+		}
+		return data
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var created serve.CreateResponse
+		if err := json.Unmarshal(do("POST", "/v1/sessions", hdr, http.StatusCreated), &created); err != nil {
+			b.Fatal(err)
+		}
+		for _, body := range bodies {
+			do("POST", "/v1/sessions/"+created.ID+"/reads", body, http.StatusOK)
+		}
+		do("POST", "/v1/sessions/"+created.ID+"/finish", nil, http.StatusOK)
+		do("DELETE", "/v1/sessions/"+created.ID, nil, http.StatusNoContent)
 	}
 	b.ReportMetric(float64(len(reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
 }
@@ -774,40 +849,36 @@ func TestEndlessStreamFlatMemory(t *testing.T) {
 // BenchmarkWALGroupCommit is the group-commit counterpart of
 // BenchmarkWALAppend/fsync=always: the same 256-read batches, but appended
 // by concurrent producers so one leader fsync covers every batch queued
-// while the disk was busy. The sub-benchmark keeps its historical
-// window=0 name so recorded results stay comparable.
+// while the disk was busy.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	reads, _ := benchReadLog(b)
 	batch := reads[:min(256, len(reads))]
-	b.Run("window=0", func(b *testing.B) {
-		l, err := wal.Create(b.TempDir(), trace.Header{Scenario: "bench"},
-			wal.Options{Fsync: wal.SyncAlways})
-		if err != nil {
+	l, err := wal.Create(b.TempDir(), trace.Header{Scenario: "bench"},
+		wal.Options{Fsync: wal.SyncAlways})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	// Warm the log before timing: the first appends pay for file growth,
+	// page-cache population and buffer sizing, which otherwise skews
+	// short runs — this benchmark is fsync-bound and run-to-run variance
+	// was ±25% without a warmup.
+	for i := 0; i < 64; i++ {
+		if err := l.AppendBatch(batch); err != nil {
 			b.Fatal(err)
 		}
-		defer l.Close()
-		// Warm the log before timing: the first appends pay for file
-		// growth, page-cache population and buffer sizing, which
-		// otherwise skews short runs — this benchmark is fsync-bound
-		// and run-to-run variance was ±25% without a warmup (the
-		// BENCH_9 window=0 "regression" was exactly this noise).
-		for i := 0; i < 64; i++ {
+	}
+	b.ReportAllocs()
+	b.SetParallelism(4) // 4×GOMAXPROCS producer goroutines
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
 			if err := l.AppendBatch(batch); err != nil {
 				b.Fatal(err)
 			}
 		}
-		b.ReportAllocs()
-		b.SetParallelism(4) // 4×GOMAXPROCS producer goroutines
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if err := l.AppendBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
 	})
+	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
 }
 
 // BenchmarkParallelRunner compares serial and pooled repetition execution

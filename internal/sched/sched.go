@@ -21,7 +21,7 @@
 //   - Spawned tasks (Go): plain closures, e.g. one ingest session's queue
 //     drain. They run exactly once on some worker.
 //
-//   - Parallel-for jobs (For/ForBlocked/ForRuns): fn(i) over [0, n) with
+//   - Parallel-for jobs (For/ForRuns): fn(i) over [0, n) with
 //     a result-slot contract — fn(i) may write slot i of
 //     a caller-owned slice and the caller observes every write after For
 //     returns, regardless of which worker ran which index. Indices are
@@ -49,7 +49,6 @@
 package sched
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -65,9 +64,6 @@ type Group struct {
 	// inflight counts workers currently executing this group's work
 	// (spawned tasks and for-job participants alike).
 	inflight atomic.Int32
-	// submitted / completed count spawned tasks, for observability.
-	submitted atomic.Int64
-	completed atomic.Int64
 	// pending is this group's injection FIFO; guarded by s.mu. The group
 	// sits in s.ring exactly while pending is non-empty.
 	pending []item
@@ -76,21 +72,11 @@ type Group struct {
 // Name returns the group's label.
 func (g *Group) Name() string { return g.name }
 
-// Inflight reports how many workers are currently executing this group's
-// work.
-func (g *Group) Inflight() int { return int(g.inflight.Load()) }
-
 // Go submits fn under this group's fairness accounting.
 func (g *Group) Go(fn func()) { g.s.Go(g, fn) }
 
 // For runs fn(i) over [0, n) under this group. See (*Scheduler).For.
 func (g *Group) For(maxPar, n int, fn func(int)) { g.s.For(g, maxPar, n, fn) }
-
-// ForBlocked is For with contiguous index blocks. See
-// (*Scheduler).ForBlocked.
-func (g *Group) ForBlocked(maxPar, n, block int, fn func(int)) {
-	g.s.ForBlocked(g, maxPar, n, block, fn)
-}
 
 // ForRuns hands each claimed block to fn as a [lo, hi) range. See
 // (*Scheduler).ForRuns.
@@ -111,8 +97,8 @@ type item struct {
 // finisher closes fin.
 type forJob struct {
 	g *Group
-	// Exactly one of fn / fnRun is set: fn receives single indices, fnRun
-	// whole claimed [lo, hi) ranges (ForRuns).
+	// Exactly one of fn / fnRun is set: fn receives single indices (For
+	// claims blocks of 1), fnRun whole claimed [lo, hi) ranges (ForRuns).
 	fn     func(int)
 	fnRun  func(lo, hi int)
 	n      int64
@@ -221,7 +207,6 @@ func (s *Scheduler) Go(g *Group, fn func()) {
 	if g == nil {
 		g = &s.defGroup
 	}
-	g.submitted.Add(1)
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -249,19 +234,8 @@ func (s *Scheduler) injectLocked(g *Group, it item) {
 // writes fn makes to slot i are visible to the caller after For returns.
 // maxPar <= 1 or n <= 1 degrades to a plain serial loop.
 func (s *Scheduler) For(g *Group, maxPar, n int, fn func(int)) {
-	s.ForBlocked(g, maxPar, n, 1, fn)
-}
-
-// ForBlocked is For with indices claimed in contiguous blocks of the
-// given size: participants grab [i, i+block) per atomic claim, so per-tag
-// detection can run in cache-blocked batches instead of bouncing single
-// indices between workers. block <= 0 means 1.
-func (s *Scheduler) ForBlocked(g *Group, maxPar, n, block int, fn func(int)) {
 	if maxPar <= 0 {
 		maxPar = s.nworkers + 1
-	}
-	if block <= 0 {
-		block = 1
 	}
 	if n <= 0 {
 		return
@@ -272,26 +246,16 @@ func (s *Scheduler) ForBlocked(g *Group, maxPar, n, block int, fn func(int)) {
 		}
 		return
 	}
-	if g == nil {
-		g = &s.defGroup
-	}
-	j := &forJob{
-		g:      g,
-		fn:     fn,
-		n:      int64(n),
-		block:  int64(block),
-		maxPar: int32(maxPar),
-		fin:    make(chan struct{}),
-	}
-	s.runJob(g, j)
+	s.runJob(g, &forJob{fn: fn, n: int64(n), block: 1, maxPar: int32(maxPar)})
 }
 
-// ForRuns is ForBlocked with the block handed to fn whole: each claimed
-// range [lo, hi) — block wide except possibly the last — is one fn call,
-// so a batched kernel can process the run in one pass instead of being
-// re-entered per index. The serial degrade (maxPar <= 1, or a single
-// block's worth of work) still chunks by block, so fn sees the same run
-// shapes regardless of parallelism.
+// ForRuns is For with indices claimed in contiguous blocks, each handed
+// to fn whole: participants grab [lo, hi) per atomic claim — block wide
+// except possibly the last — so a batched kernel processes the run in one
+// pass instead of being re-entered per index. block <= 0 means 1. The
+// serial degrade (maxPar <= 1, or a single block's worth of work) still
+// chunks by block, so fn sees the same run shapes regardless of
+// parallelism.
 func (s *Scheduler) ForRuns(g *Group, maxPar, n, block int, fn func(lo, hi int)) {
 	if maxPar <= 0 {
 		maxPar = s.nworkers + 1
@@ -312,23 +276,17 @@ func (s *Scheduler) ForRuns(g *Group, maxPar, n, block int, fn func(lo, hi int))
 		}
 		return
 	}
+	s.runJob(g, &forJob{fnRun: fn, n: int64(n), block: int64(block), maxPar: int32(maxPar)})
+}
+
+// runJob completes j under g (nil: the default group): it announces the
+// job so idle workers can join, works it on the calling goroutine, and
+// waits out stragglers.
+func (s *Scheduler) runJob(g *Group, j *forJob) {
 	if g == nil {
 		g = &s.defGroup
 	}
-	j := &forJob{
-		g:      g,
-		fnRun:  fn,
-		n:      int64(n),
-		block:  int64(block),
-		maxPar: int32(maxPar),
-		fin:    make(chan struct{}),
-	}
-	s.runJob(g, j)
-}
-
-// runJob announces a for-job so idle workers can join, works it on the
-// calling goroutine, and waits out stragglers.
-func (s *Scheduler) runJob(g *Group, j *forJob) {
+	j.g, j.fin = g, make(chan struct{})
 	// Announce the job so idle workers can join, then work it ourselves.
 	s.mu.Lock()
 	if !s.stopped {
@@ -381,9 +339,7 @@ func (j *forJob) work(s *Scheduler, w *worker) {
 		if j.fnRun != nil {
 			j.fnRun(int(i), int(hi))
 		} else {
-			for k := i; k < hi; k++ {
-				j.fn(int(k))
-			}
+			j.fn(int(i))
 		}
 		if j.done.Add(hi-i) == j.n {
 			close(j.fin)
@@ -405,7 +361,6 @@ func (s *Scheduler) run(w *worker) {
 			it.g.inflight.Add(1)
 			it.fn()
 			it.g.inflight.Add(-1)
-			it.g.completed.Add(1)
 			continue
 		}
 		it.job.work(s, w)
@@ -543,9 +498,4 @@ func (s *Scheduler) Stats() Stats {
 		q += len(w.deque)
 	}
 	return Stats{Workers: s.nworkers, Idle: s.idle, Queued: q, Steals: s.steals.Load()}
-}
-
-func (s *Scheduler) String() string {
-	st := s.Stats()
-	return fmt.Sprintf("sched(workers=%d idle=%d queued=%d)", st.Workers, st.Idle, st.Queued)
 }

@@ -25,13 +25,23 @@ func TestForResultSlots(t *testing.T) {
 	}
 }
 
-// TestForBlocked checks blocked claiming covers every index exactly once.
+// TestForBlocked checks that ForRuns claims whole blocks off one cursor:
+// every run starts on a block boundary and spans the full block, or the
+// remainder up to n, and the runs cover every index exactly once.
 func TestForBlocked(t *testing.T) {
 	s := New(3)
 	defer s.Stop()
+	const n = 257
 	for _, block := range []int{1, 2, 7, 64, 1000} {
-		var hits [257]atomic.Int32
-		s.ForBlocked(nil, 0, 257, block, func(i int) { hits[i].Add(1) })
+		var hits [n]atomic.Int32
+		s.ForRuns(nil, 0, n, block, func(lo, hi int) {
+			if lo%block != 0 || hi != min(lo+block, n) {
+				t.Errorf("block=%d: run [%d,%d) is not one claimed block", block, lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				hits[i].Add(1)
+			}
+		})
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("block=%d: index %d ran %d times", block, i, got)
@@ -184,7 +194,7 @@ func TestStealing(t *testing.T) {
 	s := New(2)
 	defer s.Stop()
 	var inner atomic.Int64
-	s.ForBlocked(nil, 0, 64, 1, func(i int) {
+	s.For(nil, 0, 64, func(i int) {
 		inner.Add(1)
 		time.Sleep(50 * time.Microsecond)
 	})
@@ -272,7 +282,7 @@ func TestForRunsCoverage(t *testing.T) {
 	}
 }
 
-// TestForBlockedEdges pins ForBlocked on the same degenerate shapes —
+// TestForBlockedEdges pins ForRuns on the same degenerate shapes —
 // remainder tails (len%block != 0), a block wider than the index space,
 // and a single-worker scheduler where the whole job degrades to the
 // serial loop — all through a named group.
@@ -287,7 +297,11 @@ func TestForBlockedEdges(t *testing.T) {
 			{0, 4},   // empty
 		} {
 			hits := make([]atomic.Int32, tc.n)
-			g.ForBlocked(0, tc.n, tc.block, func(i int) { hits[i].Add(1) })
+			g.ForRuns(0, tc.n, tc.block, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					hits[i].Add(1)
+				}
+			})
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
 					t.Fatalf("workers=%d n=%d block=%d: index %d ran %d times",
@@ -316,12 +330,16 @@ func TestForCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestForBlockedCoversAllIndices is the blocked-claim counterpart on the
+// TestForBlockedCoversAllIndices is the ForRuns counterpart on the
 // process-global pool.
 func TestForBlockedCoversAllIndices(t *testing.T) {
 	for _, block := range []int{1, 3, 64} {
 		out := make([]int32, 100)
-		Default().ForBlocked(nil, 4, len(out), block, func(i int) { atomic.AddInt32(&out[i], 1) })
+		Default().ForRuns(nil, 4, len(out), block, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&out[i], 1)
+			}
+		})
 		for i, v := range out {
 			if v != 1 {
 				t.Fatalf("block=%d: index %d ran %d times", block, i, v)
@@ -343,14 +361,13 @@ func TestForNoGoroutinesPerCall(t *testing.T) {
 	}
 }
 
-// forEntries are the three parallel-for entry points, each driving a
+// forEntries are the two parallel-for entry points, each driving a
 // per-index fn so one test body covers all of them.
 var forEntries = []struct {
 	name string
 	run  func(s *Scheduler, g *Group, maxPar, n int, fn func(int))
 }{
 	{"For", func(s *Scheduler, g *Group, maxPar, n int, fn func(int)) { s.For(g, maxPar, n, fn) }},
-	{"ForBlocked", func(s *Scheduler, g *Group, maxPar, n int, fn func(int)) { s.ForBlocked(g, maxPar, n, 1, fn) }},
 	{"ForRuns", func(s *Scheduler, g *Group, maxPar, n int, fn func(int)) {
 		s.ForRuns(g, maxPar, n, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -415,7 +432,7 @@ func waitParked(t *testing.T, s *Scheduler) {
 	}
 }
 
-// TestForReleasesFinishedJob: once For/ForBlocked/ForRuns returns, the
+// TestForReleasesFinishedJob: once For/ForRuns returns, the
 // scheduler must hold nothing of the job — a join ticket popped from a
 // deque or an injection FIFO by reslicing stays in the backing array,
 // keeping the job's closure (and everything it captured, such as a boot's
