@@ -26,6 +26,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/reader"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/stpp"
 	"repro/internal/trace"
@@ -882,14 +883,18 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 }
 
 // BenchmarkParallelRunner compares serial and pooled repetition execution
-// on a macro experiment (identical tables either way).
+// on a macro experiment (identical tables either way). The serial side
+// runs its repetitions on a stopped scheduler, which leaves every rep to
+// the caller.
 func BenchmarkParallelRunner(b *testing.B) {
+	stopped := sched.New(1)
+	stopped.Stop()
 	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
+		name  string
+		group *sched.Group
+	}{{"serial", stopped.NewGroup("serial")}, {"parallel", nil}} {
 		b.Run(bc.name, func(b *testing.B) {
-			r := experiment.Runner{Seed: 1, Reps: 4, Quick: true, Workers: bc.workers}
+			r := experiment.Runner{Seed: 1, Reps: 4, Quick: true, Group: bc.group}
 			for i := 0; i < b.N; i++ {
 				tab, err := experiment.Run("fig18", r)
 				if err != nil {

@@ -19,13 +19,12 @@ import (
 
 func main() {
 	var (
-		run     = flag.String("run", "all", "experiment id or 'all'")
-		reps    = flag.Int("reps", 12, "repetitions for statistical experiments")
-		seed    = flag.Int64("seed", 1, "base seed")
-		quick   = flag.Bool("quick", false, "shrink workloads for a smoke run")
-		csv     = flag.Bool("csv", false, "emit CSV instead of text tables")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		workers = flag.Int("workers", 0, "repetition worker pool (0 = all cores, 1 = serial); tables are bit-identical either way")
+		run   = flag.String("run", "all", "experiment id or 'all'")
+		reps  = flag.Int("reps", 12, "repetitions for statistical experiments")
+		seed  = flag.Int64("seed", 1, "base seed")
+		quick = flag.Bool("quick", false, "shrink workloads for a smoke run")
+		csv   = flag.Bool("csv", false, "emit CSV instead of text tables")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
@@ -36,7 +35,7 @@ func main() {
 		return
 	}
 
-	r := experiment.Runner{Seed: *seed, Reps: *reps, Quick: *quick, Workers: *workers}
+	r := experiment.Runner{Seed: *seed, Reps: *reps, Quick: *quick}
 	ids := []string{*run}
 	if *run == "all" {
 		ids = experiment.IDs()

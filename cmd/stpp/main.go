@@ -45,7 +45,6 @@ func main() {
 		speed   = flag.Float64("speed", 0, "override sweep speed (m/s); 0 = use trace header")
 		stream  = flag.Bool("stream", false, "replay the trace through the streaming engine, printing incremental snapshots")
 		every   = flag.Float64("every", 1, "streaming snapshot interval in trace seconds")
-		workers = flag.Int("workers", 0, "streaming per-tag worker pool (0 = all cores)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile after the replay to this file")
 	)
@@ -110,7 +109,7 @@ func main() {
 	}
 
 	if len(tr.Header.Readers) > 0 {
-		if err := runDeployment(tr, cfg, *workers, *stream, *every, *perp > 0, *speed > 0); err != nil {
+		if err := runDeployment(tr, cfg, *stream, *every, *perp > 0, *speed > 0); err != nil {
 			fatal(err)
 		}
 		return
@@ -128,7 +127,7 @@ func main() {
 	}
 	var res *stpp.Result
 	if *stream {
-		res, err = streamTrace(loc, tr.Reads, *every, *workers)
+		res, err = streamTrace(loc, tr.Reads, *every)
 	} else {
 		res, err = loc.LocalizeReads(tr.Reads)
 	}
@@ -203,8 +202,8 @@ func forEachWindow(reads []reader.TagRead, every float64, fn func(win []reader.T
 // timestamp order, as if it were arriving live from the reader: reads are
 // fed in `every`-second windows, a progress line is printed per snapshot,
 // and the final result — identical to the batch path — is returned.
-func streamTrace(loc *stpp.Localizer, reads []reader.TagRead, every float64, workers int) (*stpp.Result, error) {
-	eng := pipeline.NewFromLocalizer(loc, pipeline.Options{Workers: workers})
+func streamTrace(loc *stpp.Localizer, reads []reader.TagRead, every float64) (*stpp.Result, error) {
+	eng := pipeline.NewFromLocalizer(loc, pipeline.Options{})
 	err := forEachWindow(reads, every, func(win []reader.TagRead, t float64, total int, final bool) error {
 		eng.Consume(win)
 		if !final {
@@ -233,9 +232,9 @@ func streamTrace(loc *stpp.Localizer, reads []reader.TagRead, every float64, wor
 // trace carries ground truth). With stream set, reads are fed in
 // `every`-second windows with a progress line per intermediate snapshot —
 // the final result is identical to the one-shot replay.
-func runDeployment(tr *trace.Trace, base stpp.Config, workers int, stream bool, every float64, perpFixed, speedFixed bool) error {
+func runDeployment(tr *trace.Trace, base stpp.Config, stream bool, every float64, perpFixed, speedFixed bool) error {
 	d := deploy.FromHeader(tr.Header, base, perpFixed, speedFixed)
-	se, err := deploy.NewSharded(d, deploy.Options{Workers: workers})
+	se, err := deploy.NewSharded(d, deploy.Options{})
 	if err != nil {
 		return err
 	}

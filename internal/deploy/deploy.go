@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"repro/internal/epcgen2"
@@ -146,13 +145,6 @@ func Of(m *scenario.MultiScene) Deployment {
 
 // Options tunes a ShardedEngine.
 type Options struct {
-	// Workers bounds how many scheduler workers may serve this
-	// deployment's per-tag fan-out at once; 0 means runtime.GOMAXPROCS.
-	// Every shard gets the full bound: all work runs on the process-global
-	// scheduler, whose fixed pool width caps real concurrency, so shards
-	// no longer split a goroutine budget between them and a lone dirty
-	// shard can use the whole machine.
-	Workers int
 	// Group tags the deployment's scheduler work for fairness accounting.
 	// Nil gives the deployment a group of its own on the default
 	// scheduler, shared by every shard.
@@ -185,10 +177,9 @@ type shard struct {
 // pipeline.Engine it is not safe for concurrent use — Consume and Snapshot
 // must come from one goroutine; the engine parallelizes internally.
 type ShardedEngine struct {
-	shards  []*shard // zone order: ascending Zone.XMin, ties by ID
-	byID    map[int]*shard
-	workers int
-	group   *sched.Group
+	shards []*shard // zone order: ascending Zone.XMin, ties by ID
+	byID   map[int]*shard
+	group  *sched.Group
 
 	// Lifecycle state (nil/zero when the policy is disabled). final and
 	// finalOrder track globally-finalized tags (set + deterministic
@@ -215,10 +206,6 @@ func NewSharded(d Deployment, opts Options) (*ShardedEngine, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	total := opts.Workers
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
 	if err := opts.Finalize.Validate(); err != nil {
 		return nil, err
 	}
@@ -226,13 +213,12 @@ func NewSharded(d Deployment, opts Options) (*ShardedEngine, error) {
 	if group == nil {
 		group = sched.Default().NewGroup("deploy")
 	}
-	se := &ShardedEngine{workers: total, group: group, byID: make(map[int]*shard, len(d.Readers)), policy: opts.Finalize}
+	se := &ShardedEngine{group: group, byID: make(map[int]*shard, len(d.Readers)), policy: opts.Finalize}
 	if se.policy.Enabled() {
 		se.final = make(map[epcgen2.EPC]bool)
 	}
 	for _, spec := range d.Readers {
 		eng, err := pipeline.New(spec.Config, pipeline.Options{
-			Workers:  total,
 			Group:    group,
 			Finalize: opts.Finalize,
 		})
@@ -665,7 +651,7 @@ func (se *ShardedEngine) Snapshot() (*GlobalResult, error) {
 		}
 		results[i] = res
 	}
-	se.group.For(len(refresh), len(refresh), snapOne)
+	se.group.For(len(refresh), snapOne)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("deploy: reader %d: %w", refresh[i].spec.ID, err)
@@ -744,21 +730,13 @@ func (se *ShardedEngine) xConfidence(order []epcgen2.EPC) []float64 {
 	return out
 }
 
-// Release returns every shard engine's pooled holdings (per-tag DTW
-// matrices) to their shared free-lists — call when the deployment's
-// session is over so the next session reuses them instead of
-// re-allocating. The engine remains usable.
-func (se *ShardedEngine) Release() {
-	for _, sh := range se.shards {
-		sh.eng.Release()
-	}
-}
-
-// Close is Release plus dropping every per-shard reference — profiles,
-// cached results, detection states and the deployment's lifecycle state —
-// returning the engine to its freshly-constructed state. A dropped or
-// evicted ingest session calls it so the engine stops pinning its largest
-// allocations the moment the session goes away.
+// Close returns every shard engine's pooled holdings (per-tag DTW
+// matrices) to their shared free-lists and drops every per-shard
+// reference — profiles, cached results, detection states and the
+// deployment's lifecycle state — returning the engine to its
+// freshly-constructed state. A dropped or evicted ingest session calls
+// it so the engine stops pinning its largest allocations the moment the
+// session goes away.
 func (se *ShardedEngine) Close() {
 	for _, sh := range se.shards {
 		sh.eng.Close()

@@ -10,9 +10,19 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/reader"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/stpp"
 	"repro/internal/trace"
 )
+
+// widthGroup returns a group on a private scheduler of the given width,
+// stopped when the test ends, so a test can vary the pool width the
+// deployment's fan-out runs on.
+func widthGroup(tb testing.TB, width int) *sched.Group {
+	s := sched.New(width)
+	tb.Cleanup(s.Stop)
+	return s.NewGroup("test")
+}
 
 // sameResult asserts byte-identical localization outcomes (mirrors the
 // pipeline equivalence helper): both orders, and per-tag EPC, V-zone, X/Y

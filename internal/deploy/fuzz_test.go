@@ -34,7 +34,7 @@ func FuzzTraceDeployment(f *testing.F) {
 		if err != nil {
 			return
 		}
-		se, err := NewSharded(FromHeader(tr.Header, base, false, false), Options{Workers: 1})
+		se, err := NewSharded(FromHeader(tr.Header, base, false, false), Options{Group: widthGroup(t, 1)})
 		if err != nil {
 			return
 		}
@@ -82,7 +82,7 @@ func FuzzShardedRestore(f *testing.F) {
 		d, tr := goldenTrace(f, name)
 		which := uint8(len(targets))
 		for _, n := range []int{len(tr.Reads) / 8, len(tr.Reads)} {
-			se, err := NewSharded(d, Options{Workers: 1, Finalize: portalPolicy()})
+			se, err := NewSharded(d, Options{Group: widthGroup(f, 1), Finalize: portalPolicy()})
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func FuzzShardedRestore(f *testing.F) {
 			blob := se.Checkpoint(nil)
 			f.Add(which, blob)
 			if name == "aisle" {
-				back, err := NewSharded(d, Options{Workers: 1, Finalize: portalPolicy()})
+				back, err := NewSharded(d, Options{Group: widthGroup(f, 1), Finalize: portalPolicy()})
 				if err != nil {
 					f.Fatal(err)
 				}
@@ -109,7 +109,7 @@ func FuzzShardedRestore(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		tg := targets[int(which)%len(targets)]
-		se, err := NewSharded(tg.d, Options{Workers: 1, Finalize: tg.policy})
+		se, err := NewSharded(tg.d, Options{Group: widthGroup(t, 1), Finalize: tg.policy})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func portalBelt(t *testing.T) (Deployment, []reader.TagRead) {
 // count.
 func runShardedLifecycle(t *testing.T, d Deployment, reads []reader.TagRead, rng *rand.Rand, crash bool) ([]EmittedTag, *GlobalResult, int64) {
 	t.Helper()
-	opts := Options{Workers: 1 + rng.Intn(4), Finalize: portalPolicy()}
+	opts := Options{Group: widthGroup(t, 1+rng.Intn(4)), Finalize: portalPolicy()}
 	se, err := NewSharded(d, opts)
 	if err != nil {
 		t.Fatal(err)

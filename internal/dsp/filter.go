@@ -29,19 +29,6 @@ func MovingAverage(xs []float64, width int) []float64 {
 	return out
 }
 
-// MedianFilter applies a centered median filter of the given odd width,
-// truncated at the edges. Useful for knocking out impulsive phase outliers
-// from multipath self-interference before fitting.
-//
-// The V-zone refinement runs this over whole profiles on every detection,
-// so the per-window sort matters: typical widths (5) use a stack-allocated
-// insertion sort instead of sort.Float64s — the order statistics, and
-// therefore the output, are identical for the finite inputs profiles
-// carry.
-func MedianFilter(xs []float64, width int) []float64 {
-	return MedianFilterTo(nil, xs, width)
-}
-
 // median5 is the middle order statistic of five values as the insertion
 // sort below computes it: the comparisons are the same `buf[b] > v`
 // tests, unrolled, in the same order — so the result is bit-identical
@@ -85,9 +72,16 @@ func median5(a, b, c, d, e float64) float64 {
 	return c // order a, b, c, d, e
 }
 
-// MedianFilterTo is MedianFilter writing into dst, which is grown only
-// when its capacity is insufficient — hot callers (V-zone refinement runs
-// once per tag per snapshot) reuse one output buffer across calls. The
+// MedianFilterTo applies a centered median filter of the given odd
+// width, truncated at the edges, knocking impulsive phase outliers from
+// multipath self-interference out before fitting. Typical widths (5) use
+// a stack-allocated insertion sort instead of sort.Float64s — the order
+// statistics, and therefore the output, are identical for the finite
+// inputs profiles carry.
+//
+// The output goes into dst, which is grown only when its capacity is
+// insufficient — hot callers (V-zone refinement runs once per tag per
+// snapshot) reuse one output buffer across calls; nil allocates. The
 // returned slice aliases dst's backing array when capacity allows; dst
 // must not alias xs (windows read xs after earlier outputs are written,
 // so filtering in place would corrupt the result).

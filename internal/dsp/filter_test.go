@@ -29,7 +29,7 @@ func TestMovingAverageWidthOne(t *testing.T) {
 
 func TestMedianFilterImpulse(t *testing.T) {
 	xs := []float64{1, 1, 100, 1, 1}
-	got := MedianFilter(xs, 3)
+	got := MedianFilterTo(nil, xs, 3)
 	if got[2] != 1 {
 		t.Errorf("median filter did not remove impulse: %v", got)
 	}
@@ -37,7 +37,7 @@ func TestMedianFilterImpulse(t *testing.T) {
 
 func TestMedianFilterEvenWindowAtEdge(t *testing.T) {
 	xs := []float64{1, 3}
-	got := MedianFilter(xs, 3)
+	got := MedianFilterTo(nil, xs, 3)
 	// Edge windows have 2 elements; median of {1,3} is 2.
 	if !approx(got[0], 2, 1e-12) || !approx(got[1], 2, 1e-12) {
 		t.Errorf("edge medians = %v", got)
@@ -46,7 +46,7 @@ func TestMedianFilterEvenWindowAtEdge(t *testing.T) {
 
 func TestMedianFilterWidthOne(t *testing.T) {
 	xs := []float64{5, 6}
-	got := MedianFilter(xs, 1)
+	got := MedianFilterTo(nil, xs, 1)
 	if got[0] != 5 || got[1] != 6 {
 		t.Errorf("width-1 median = %v", got)
 	}
@@ -151,7 +151,7 @@ func TestQuickMedianFilterBounds(t *testing.T) {
 			xs[i] = float64(r)
 		}
 		min, max := MinMax(xs)
-		for _, v := range MedianFilter(xs, 5) {
+		for _, v := range MedianFilterTo(nil, xs, 5) {
 			if v < min || v > max {
 				return false
 			}
@@ -184,7 +184,7 @@ func TestQuickMedianFilterRangeResume(t *testing.T) {
 			n0 = n
 		}
 		got = MedianFilterRangeTo(got[:n0], xs, width, n0-width/2)
-		want := MedianFilter(xs, width)
+		want := MedianFilterTo(nil, xs, width)
 		for i := range want {
 			if got[i] != want[i] {
 				return false

@@ -148,15 +148,6 @@ func FitQuadratic(xs, ys []float64) (Quadratic, error) {
 	return Quadratic{A: out[2], B: out[1], C: out[0]}, nil
 }
 
-// FitLine fits y = m x + b by least squares, returning (m, b).
-func FitLine(xs, ys []float64) (m, b float64, err error) {
-	coeffs, err := FitPolynomial(xs, ys, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	return coeffs[1], coeffs[0], nil
-}
-
 // FitPolynomial fits a polynomial of the given degree by least squares and
 // returns the coefficients c[0..degree] such that
 // y = c[0] + c[1] x + ... + c[degree] x^degree.

@@ -94,10 +94,11 @@ func TestFitQuadraticErrors(t *testing.T) {
 func TestFitLine(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	m, b, err := FitLine(xs, ys)
+	c, err := FitPolynomial(xs, ys, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, b := c[1], c[0]
 	if !approx(m, 2, 1e-9) || !approx(b, 1, 1e-9) {
 		t.Errorf("m=%v b=%v, want 2,1", m, b)
 	}

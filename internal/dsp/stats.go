@@ -17,24 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MinMax returns the minimum and maximum of xs. It panics on empty input.
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {
@@ -158,25 +140,4 @@ func CDF(xs []float64) []CDFPoint {
 		out[i] = CDFPoint{Value: v, P: float64(i+1) / n}
 	}
 	return out
-}
-
-// CDFAt evaluates an empirical CDF (as returned by CDF) at x.
-func CDFAt(cdf []CDFPoint, x float64) float64 {
-	if len(cdf) == 0 {
-		return 0
-	}
-	// Find the last point with Value <= x.
-	lo, hi := 0, len(cdf)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid].Value <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return cdf[lo-1].P
 }

@@ -53,17 +53,6 @@ type RoundResult struct {
 	Duration float64
 }
 
-// Successes returns the tag indices singulated this round, in slot order.
-func (r RoundResult) Successes() []SlotEvent {
-	var out []SlotEvent
-	for _, s := range r.Slots {
-		if s.Outcome == SlotSuccess {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Aloha is a frame-slotted ALOHA inventory engine with the standard C1G2
 // Q-adaptation algorithm: the floating-point Qfp is nudged up on collisions
 // and down on empties, and each round is issued with Q = round(Qfp).
@@ -168,27 +157,4 @@ func (a *Aloha) Round(n int) RoundResult {
 	a.qfp += delta
 	a.clampQ()
 	return res
-}
-
-// ExpectedThroughput estimates the steady-state successful-read rate
-// (reads/second) for n tags with the engine's timing at the optimal Q,
-// useful for sanity checks and capacity planning. It evaluates the classic
-// slotted-ALOHA efficiency at frame size L = 2^Q ≈ n.
-func ExpectedThroughput(n int, timing LinkTiming) float64 {
-	if n <= 0 {
-		return 0
-	}
-	// Choose frame size nearest n.
-	q := int(math.Round(math.Log2(float64(n))))
-	if q < 0 {
-		q = 0
-	}
-	l := float64(uint(1) << uint(q))
-	fn := float64(n)
-	pEmpty := math.Pow(1-1/l, fn)
-	pSuccess := fn / l * math.Pow(1-1/l, fn-1)
-	pCollision := 1 - pEmpty - pSuccess
-	slotTime := pEmpty*timing.EmptySlot() + pSuccess*timing.SuccessSlot() + pCollision*timing.CollisionSlot()
-	roundTime := timing.QueryCmd + l*slotTime
-	return l * pSuccess / roundTime
 }

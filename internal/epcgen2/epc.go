@@ -92,10 +92,3 @@ func CRC16(data []byte) uint16 {
 	}
 	return ^crc
 }
-
-// RN16 is the 16-bit random number a tag backscatters when its slot
-// counter reaches zero.
-type RN16 uint16
-
-// NewRN16 draws an RN16 from rng.
-func NewRN16(rng *rand.Rand) RN16 { return RN16(rng.Intn(1 << 16)) }

@@ -1,21 +1,12 @@
 package experiment
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/sched"
 )
 
-// workers returns the effective repetition worker-pool width.
-func (r Runner) workers() int {
-	if r.Workers > 0 {
-		return r.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// repMap runs fn for repetitions 0..n-1 on a bounded worker pool and
+// repMap runs fn for repetitions 0..n-1 on the runner's scheduler and
 // returns the per-rep results in repetition order. Every fn derives all of
 // its randomness from the rep index alone (seeds of the form
 // Seed + rep·prime), so results are independent of scheduling; callers fold
@@ -27,7 +18,11 @@ func repMap[T any](r Runner, n int, fn func(rep int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
 	var failed atomic.Bool
-	sched.Default().For(nil, r.workers(), n, func(rep int) {
+	g := r.Group
+	if g == nil {
+		g = sched.Default().NewGroup("experiment")
+	}
+	g.For(n, func(rep int) {
 		if failed.Load() {
 			return // a rep already failed; the run is doomed
 		}

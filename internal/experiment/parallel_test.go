@@ -3,6 +3,8 @@ package experiment
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // render returns the fully rendered table bytes for an experiment run.
@@ -19,15 +21,21 @@ func render(t *testing.T, id string, r Runner) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelRunnerBitIdentical: the repetition worker pool must render
-// byte-for-byte the same tables as serial execution — per-rep seeds are
-// preserved and results are folded in rep order. Covers a micro sweep, a
-// macro box-stat sweep and a case study (integer folding).
+// TestParallelRunnerBitIdentical: repetitions spread over a scheduler
+// must render byte-for-byte the same tables as serial execution — per-rep
+// seeds are preserved and results are folded in rep order. The serial
+// reference runs on a stopped scheduler, where the caller claims every
+// rep itself. Covers a micro sweep, a macro box-stat sweep and a case
+// study (integer folding).
 func TestParallelRunnerBitIdentical(t *testing.T) {
+	stopped := sched.New(1)
+	stopped.Stop()
+	pool := sched.New(4)
+	defer pool.Stop()
 	for _, id := range []string{"fig13", "fig18", "tab2"} {
 		t.Run(id, func(t *testing.T) {
-			serial := render(t, id, Runner{Seed: 1, Reps: 3, Quick: true, Workers: 1})
-			parallel := render(t, id, Runner{Seed: 1, Reps: 3, Quick: true, Workers: 4})
+			serial := render(t, id, Runner{Seed: 1, Reps: 3, Quick: true, Group: stopped.NewGroup("serial")})
+			parallel := render(t, id, Runner{Seed: 1, Reps: 3, Quick: true, Group: pool.NewGroup("parallel")})
 			if !bytes.Equal(serial, parallel) {
 				t.Errorf("parallel table diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 					serial, parallel)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/profile"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/stpp"
 )
 
@@ -20,15 +21,13 @@ type Runner struct {
 	Reps int
 	// Quick further trims workload sizes (for tests and smoke runs).
 	Quick bool
-	// Workers bounds the repetition worker pool: repetitions run
-	// concurrently but every rep keeps its serial seed (Seed + rep·prime)
-	// and results are folded in rep order, so tables are bit-identical to a
-	// serial run. 0 means GOMAXPROCS; 1 forces serial execution.
-	Workers int
+	// Group runs the repetitions on its scheduler; nil means the default
+	// scheduler. Repetitions run concurrently but every rep keeps its
+	// serial seed (Seed + rep·prime) and results are folded in rep order,
+	// so tables are bit-identical to a serial run — which a group on a
+	// stopped scheduler gives, since its caller then runs every rep.
+	Group *sched.Group
 }
-
-// DefaultRunner is the full-fidelity configuration.
-func DefaultRunner() Runner { return Runner{Seed: 1, Reps: 25} }
 
 // QuickRunner is for smoke tests.
 func QuickRunner() Runner { return Runner{Seed: 1, Reps: 3, Quick: true} }

@@ -99,9 +99,6 @@ type Segment struct {
 	A, B Vec3
 }
 
-// Length returns the segment length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
 // At returns the point at parameter t in [0,1] along the segment.
 func (s Segment) At(t float64) Vec3 { return s.A.Lerp(s.B, t) }
 
@@ -115,11 +112,6 @@ func (s Segment) ClosestParam(p Vec3) float64 {
 	}
 	t := p.Sub(s.A).Dot(d) / den
 	return clamp(t, 0, 1)
-}
-
-// DistTo returns the minimum distance from p to the segment.
-func (s Segment) DistTo(p Vec3) float64 {
-	return s.At(s.ClosestParam(p)).Dist(p)
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -159,15 +159,6 @@ func (m *ManualPush) PositionAt(t float64) geom.Vec3 {
 	return m.path.From.Lerp(m.path.To, frac)
 }
 
-// SpeedAt returns the instantaneous speed at time t (finite difference),
-// useful in tests and diagnostics.
-func (m *ManualPush) SpeedAt(t float64) float64 {
-	const h = 0.02
-	a := interp(m.times, m.progress, t-h/2)
-	b := interp(m.times, m.progress, t+h/2)
-	return (b - a) / h
-}
-
 func interp(xs, ys []float64, x float64) float64 {
 	n := len(xs)
 	if n == 0 {

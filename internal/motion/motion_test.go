@@ -84,9 +84,11 @@ func TestManualPushActuallyJitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Instantaneous speed by a central difference over the straight path.
+	const h = 0.02
 	var speeds []float64
 	for tt := 0.5; tt < m.Duration()-0.5; tt += 0.1 {
-		speeds = append(speeds, m.SpeedAt(tt))
+		speeds = append(speeds, m.PositionAt(tt+h/2).Dist(m.PositionAt(tt-h/2))/h)
 	}
 	var minS, maxS = speeds[0], speeds[0]
 	for _, s := range speeds {

@@ -62,11 +62,6 @@ func (b Band) Validate() error {
 	return nil
 }
 
-// WavelengthAt returns the wavelength for an arbitrary carrier frequency.
-func WavelengthAt(freqHz float64) float64 {
-	return SpeedOfLight / freqHz
-}
-
 // HopSequence produces a deterministic pseudo-random channel hop sequence of
 // length n over the band, as FCC/ETSI readers do. The sequence visits
 // channels in a fixed permutation cycle derived from the seed.

@@ -35,8 +35,8 @@ func TestBandWavelength(t *testing.T) {
 	if wl < 0.32 || wl > 0.33 {
 		t.Errorf("Wavelength(6) = %v, want ~0.325", wl)
 	}
-	if got := WavelengthAt(b.Freq(6)); got != wl {
-		t.Errorf("WavelengthAt mismatch: %v vs %v", got, wl)
+	if got := SpeedOfLight / b.Freq(6); got != wl {
+		t.Errorf("Wavelength(6) = %v, want c/Freq(6) = %v", wl, got)
 	}
 }
 

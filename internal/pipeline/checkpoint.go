@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/epcgen2"
+	"repro/internal/profile"
 	"repro/internal/stpp"
 )
 
@@ -213,13 +214,9 @@ func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 	return nil
 }
 
-// emptyBuilderCkpt is the checkpoint of an empty builder (0 tags, 0 dirty)
-// — used to reset the builder on a failed restore.
-var emptyBuilderCkpt = []byte{0, 0, 0, 0, 0, 0, 0, 0}
-
 // resetEmpty returns the engine to its freshly-constructed state.
 func (e *Engine) resetEmpty() {
-	e.builder.RestoreCheckpoint(ckpt.NewReader(emptyBuilderCkpt))
+	e.builder = profile.NewBuilder()
 	e.cached = make(map[epcgen2.EPC]stpp.TagResult)
 	e.states = make(map[epcgen2.EPC]*tagState)
 	e.reads = 0

@@ -37,7 +37,7 @@ func TestCheckpointRestoreEquivalenceProperty(t *testing.T) {
 		if trial%2 == 1 {
 			reads = perturb(rng, base, 0.08)
 		}
-		eng := NewFromLocalizer(loc, Options{Workers: 1 + rng.Intn(4)})
+		eng := NewFromLocalizer(loc, Options{Group: widthGroup(t, 1+rng.Intn(4))})
 		var restored *Engine // follows eng from the latest checkpoint on
 		pos, ckpts := 0, 0
 		for pos < len(reads) {
@@ -61,7 +61,7 @@ func TestCheckpointRestoreEquivalenceProperty(t *testing.T) {
 							trial, pos, len(rb), len(blob))
 					}
 				}
-				next := NewFromLocalizer(loc, Options{Workers: 1 + rng.Intn(4)})
+				next := NewFromLocalizer(loc, Options{Group: widthGroup(t, 1+rng.Intn(4))})
 				if err := next.Restore(blob); err != nil {
 					t.Fatalf("trial %d pos %d: restore: %v", trial, pos, err)
 				}

@@ -55,7 +55,7 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 		if trial%2 == 1 {
 			reads = perturb(rng, base, 0.08)
 		}
-		eng := NewFromLocalizer(loc, Options{Workers: 1 + rng.Intn(4)})
+		eng := NewFromLocalizer(loc, Options{Group: widthGroup(t, 1+rng.Intn(4))})
 		eng.block = blockForBudget(blockBudgets[trial%len(blockBudgets)], loc.Detector().RefSegments())
 		pos, snaps := 0, 0
 		for pos < len(reads) {

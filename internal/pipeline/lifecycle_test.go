@@ -65,7 +65,7 @@ func oneReader(t *testing.T, s *scenario.Scene, opts deploy.Options) *deploy.Sha
 // late-read count.
 func runLifecycle(t *testing.T, s *scenario.Scene, reads []reader.TagRead, rng *rand.Rand, crash bool) ([]deploy.EmittedTag, *deploy.GlobalResult, int64) {
 	t.Helper()
-	opts := deploy.Options{Workers: 1 + rng.Intn(4), Finalize: lifecyclePolicy()}
+	opts := deploy.Options{Group: pipeline.WidthGroup(t, 1+rng.Intn(4)), Finalize: lifecyclePolicy()}
 	se := oneReader(t, s, opts)
 	var prefix []deploy.EmittedTag
 	checkPrefix := func() {

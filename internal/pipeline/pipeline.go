@@ -5,13 +5,14 @@
 // reader.Simulator.Stream or any other source), maintains incremental
 // per-tag phase profiles through a profile.Builder, and fans the expensive
 // per-tag stage — V-zone detection by segmented DTW plus quadratic
-// X-keying — out to a bounded worker pool. Snapshots may be taken at any
-// point during the stream; only tags that gained reads since the previous
-// snapshot are re-detected — and re-detection is resumable: each tag keeps
-// its segment cache and open-end DTW columns (stpp.DetectState), so a
-// snapshot pays O(new reads) per dirty tag rather than O(profile), with a
-// transparent rebuild when an out-of-order read re-sorts a profile. The
-// global (cheap) X/Y ordering is re-assembled over cached per-tag results.
+// X-keying — out to the process-global scheduler. Snapshots may be taken
+// at any point during the stream; only tags that gained reads since the
+// previous snapshot are re-detected — and re-detection is resumable: each
+// tag keeps its segment cache and open-end DTW columns (stpp.DetectState),
+// so a snapshot pays O(new reads) per dirty tag rather than O(profile),
+// with a transparent rebuild when an out-of-order read re-sorts a profile.
+// The global (cheap) X/Y ordering is re-assembled over cached per-tag
+// results.
 //
 // Both paths share the exact same per-tag and assembly code
 // (stpp.Localizer.LocalizeTag and Assemble), so the final snapshot over a
@@ -30,7 +31,6 @@ package pipeline
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/epcgen2"
 	"repro/internal/profile"
@@ -41,10 +41,6 @@ import (
 
 // Options tunes an Engine.
 type Options struct {
-	// Workers bounds how many scheduler workers may run this engine's
-	// per-tag fan-out at once; 0 means runtime.GOMAXPROCS. Work runs on
-	// the process-global scheduler, so this is a cap, not a pool size.
-	Workers int
 	// Group tags this engine's scheduler work for fairness accounting
 	// (one group per ingest session, say). Nil gives the engine a group
 	// of its own on the default scheduler.
@@ -95,7 +91,6 @@ func blockForBudget(budget, m int) int {
 type Engine struct {
 	loc     *stpp.Localizer
 	builder *profile.Builder
-	workers int
 	block   int
 	group   *sched.Group
 	cached  map[epcgen2.EPC]stpp.TagResult
@@ -148,10 +143,6 @@ func New(cfg stpp.Config, opts Options) (*Engine, error) {
 
 // NewFromLocalizer wraps an existing localizer in a streaming engine.
 func NewFromLocalizer(loc *stpp.Localizer, opts Options) *Engine {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
 	group := opts.Group
 	if group == nil {
 		group = sched.Default().NewGroup("pipeline")
@@ -159,7 +150,6 @@ func NewFromLocalizer(loc *stpp.Localizer, opts Options) *Engine {
 	e := &Engine{
 		loc:     loc,
 		builder: profile.NewBuilder(),
-		workers: w,
 		block:   blockForBudget(detectBudget, loc.Detector().RefSegments()),
 		group:   group,
 		cached:  make(map[epcgen2.EPC]stpp.TagResult),
@@ -171,9 +161,6 @@ func NewFromLocalizer(loc *stpp.Localizer, opts Options) *Engine {
 	}
 	return e
 }
-
-// Localizer returns the underlying batch localizer.
-func (e *Engine) Localizer() *stpp.Localizer { return e.loc }
 
 // Tags returns the number of resident tags — distinct tags seen and not
 // yet evicted by the lifecycle.
@@ -238,12 +225,14 @@ func (e *Engine) Consume(batch []reader.TagRead) {
 	}
 }
 
-// detectOne refreshes one tag's cached result from its current profile,
-// resuming (or gen-rebuilding) its detection state — the single-tag
-// serial twin of recompute. The builder's dirty mark for the tag is left
-// alone: a later recompute re-running the detection is a no-op by the
-// incremental contract (byte-identical result, no extra work).
-func (e *Engine) detectOne(epc epcgen2.EPC) stpp.TagResult {
+// refresh readies one tag's detection state against its current
+// profile: it creates the state on first sight and resets it when the
+// builder re-sorted the profile (generation bump). The returned state is
+// nil when the profile is unchanged since the cached result — same
+// generation, same length — so the cached result is already exact;
+// otherwise it is marked as detected at the profile's current length.
+// Reading the profile here also forces any lazy re-sort, serially.
+func (e *Engine) refresh(epc epcgen2.EPC) (*profile.Profile, *tagState) {
 	p := e.builder.Profile(epc)
 	gen := e.builder.Generation(epc)
 	ts := e.states[epc]
@@ -254,9 +243,22 @@ func (e *Engine) detectOne(epc epcgen2.EPC) stpp.TagResult {
 		ts.det.Reset()
 		ts.gen = gen
 	} else if ts.detLen == p.Len() {
-		return e.cached[epc]
+		return p, nil
 	}
 	ts.detLen = p.Len()
+	return p, ts
+}
+
+// detectOne refreshes one tag's cached result from its current profile
+// — the single-tag serial twin of recompute. The builder's dirty mark for
+// the tag is left alone: a later recompute re-running the detection is a
+// no-op by the incremental contract (byte-identical result, no extra
+// work).
+func (e *Engine) detectOne(epc epcgen2.EPC) stpp.TagResult {
+	p, ts := e.refresh(epc)
+	if ts == nil {
+		return e.cached[epc]
+	}
 	tr := e.loc.LocalizeTagIncremental(ts.det, p)
 	e.cached[epc] = tr
 	return tr
@@ -317,19 +319,10 @@ func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	// history (generation bump).
 	e.ps, e.sts, e.depcs = e.ps[:0], e.sts[:0], e.depcs[:0]
 	for _, epc := range dirty {
-		p := e.builder.Profile(epc)
-		gen := e.builder.Generation(epc)
-		ts := e.states[epc]
+		p, ts := e.refresh(epc)
 		if ts == nil {
-			ts = &tagState{det: e.loc.NewDetectState(), gen: gen}
-			e.states[epc] = ts
-		} else if ts.gen != gen {
-			ts.det.Reset()
-			ts.gen = gen
-		} else if ts.detLen == p.Len() {
 			continue
 		}
-		ts.detLen = p.Len()
 		e.ps = append(e.ps, p)
 		e.sts = append(e.sts, ts.det)
 		e.depcs = append(e.depcs, epc)
@@ -340,7 +333,7 @@ func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	}
 	e.results = e.results[:n]
 	results := e.results
-	e.group.ForRuns(e.workers, n, e.block, func(lo, hi int) {
+	e.group.ForRuns(n, e.block, func(lo, hi int) {
 		e.loc.LocalizeTagsIncremental(e.sts[lo:hi], e.ps[lo:hi], results[lo:hi])
 	})
 	for i, epc := range e.depcs {
@@ -376,29 +369,18 @@ func (e *Engine) LateReads() int64 { return e.late }
 // lifecycle is enabled — the disabled engine does not track it.
 func (e *Engine) Frontier() float64 { return e.frontier }
 
-// FinalizePolicy returns the lifecycle policy the engine was built with.
-func (e *Engine) FinalizePolicy() stpp.FinalizePolicy { return e.policy }
-
-// Release returns the engine's pooled holdings — every tag's DTW matrix —
-// to their shared free-lists. Call it when the engine is being discarded
-// (a finished or dropped ingest session): the matrices are the largest
-// per-session allocation, and recycling them lets the next session ramp
-// up without re-paying the allocation-and-zeroing ladder. The engine
-// remains usable afterwards; further snapshots just recompute.
-func (e *Engine) Release() {
+// Close returns the engine's pooled holdings — every tag's DTW matrix —
+// to their shared free-lists and drops every per-tag reference —
+// profiles, cached results, detection states, the finalized set —
+// returning the engine to its freshly-constructed state. A dropped or
+// evicted ingest session calls it so the engine stops pinning its largest
+// allocations the moment the session goes away, and the next session
+// ramps up on the recycled matrices instead of re-paying the
+// allocation-and-zeroing ladder.
+func (e *Engine) Close() {
 	for _, ts := range e.states {
 		ts.det.Release()
 	}
-}
-
-// Close is Release plus dropping every per-tag reference — profiles,
-// cached results, detection states, the finalized set — returning the
-// engine to its freshly-constructed state. A dropped or evicted ingest
-// session calls it so the engine stops pinning its largest allocations
-// the moment the session goes away, not whenever the engine itself is
-// collected.
-func (e *Engine) Close() {
-	e.Release()
 	e.resetEmpty()
 }
 

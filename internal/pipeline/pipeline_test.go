@@ -6,8 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/stpp"
 )
+
+// widthGroup returns a group on a private scheduler of the given width,
+// stopped when the test ends, so a test can vary the pool width the
+// engine's fan-out runs on.
+func widthGroup(tb testing.TB, width int) *sched.Group {
+	s := sched.New(width)
+	tb.Cleanup(s.Stop)
+	return s.NewGroup("test")
+}
 
 // scenes returns the equivalence fixtures: a library shelf sweep (antenna
 // moving) and a conveyor batch (tags moving).
@@ -80,7 +90,7 @@ func xKeyEqual(a, b stpp.XKey) bool {
 
 // TestEngineMatchesBatch: feeding the read log through the engine in small
 // chunks — with intermediate snapshots forcing incremental recomputation —
-// must land on exactly the batch Localizer result, for every worker count.
+// must land on exactly the batch Localizer result, for every pool width.
 func TestEngineMatchesBatch(t *testing.T) {
 	for name, s := range scenes(t) {
 		t.Run(name, func(t *testing.T) {
@@ -96,8 +106,8 @@ func TestEngineMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				eng := NewFromLocalizer(loc, Options{Workers: workers})
+			for _, width := range []int{1, 4} {
+				eng := NewFromLocalizer(loc, Options{Group: widthGroup(t, width)})
 				for start := 0; start < len(reads); start += 17 {
 					end := start + 17
 					if end > len(reads) {

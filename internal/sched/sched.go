@@ -4,10 +4,10 @@
 // snapshots, the experiment runner's repetition pool, the ingest daemon's
 // per-session consumers and its boot-time recovery replay.
 //
-// Before this package each of those owned a private worker pool sized by
-// its own -workers knob, so a busy stppd multiplied pools by sessions and
-// oversubscribed the machine while idle sessions' workers did nothing.
-// Here there is ONE pool, sized to GOMAXPROCS: a fixed set of persistent
+// There is ONE pool, sized to GOMAXPROCS (or to New's argument in
+// tests), and its width is the only parallelism setting: no caller caps
+// its own share. A job is worked by the caller plus whichever pool
+// workers are free to join it. The pool is a fixed set of persistent
 // worker goroutines, each with its own deque of runnable items. Work
 // enters through a global injection queue (submitters are usually not
 // workers); a worker that runs dry pops its own deque LIFO, then takes
@@ -76,12 +76,12 @@ func (g *Group) Name() string { return g.name }
 func (g *Group) Go(fn func()) { g.s.Go(g, fn) }
 
 // For runs fn(i) over [0, n) under this group. See (*Scheduler).For.
-func (g *Group) For(maxPar, n int, fn func(int)) { g.s.For(g, maxPar, n, fn) }
+func (g *Group) For(n int, fn func(int)) { g.s.For(g, n, fn) }
 
 // ForRuns hands each claimed block to fn as a [lo, hi) range. See
 // (*Scheduler).ForRuns.
-func (g *Group) ForRuns(maxPar, n, block int, fn func(lo, hi int)) {
-	g.s.ForRuns(g, maxPar, n, block, fn)
+func (g *Group) ForRuns(n, block int, fn func(lo, hi int)) {
+	g.s.ForRuns(g, n, block, fn)
 }
 
 // item is one deque/queue entry: either a spawned task (fn != nil) or a
@@ -99,15 +99,13 @@ type forJob struct {
 	g *Group
 	// Exactly one of fn / fnRun is set: fn receives single indices (For
 	// claims blocks of 1), fnRun whole claimed [lo, hi) ranges (ForRuns).
-	fn     func(int)
-	fnRun  func(lo, hi int)
-	n      int64
-	block  int64
-	maxPar int32
-	next   atomic.Int64
-	done   atomic.Int64
-	par    atomic.Int32
-	fin    chan struct{}
+	fn    func(int)
+	fnRun func(lo, hi int)
+	n     int64
+	block int64
+	next  atomic.Int64
+	done  atomic.Int64
+	fin   chan struct{}
 }
 
 // worker is one persistent scheduler goroutine and its deque. The deque
@@ -227,56 +225,40 @@ func (s *Scheduler) injectLocked(g *Group, it item) {
 	g.pending = append(g.pending, it)
 }
 
-// For runs fn(i) for every i in [0, n) with at most maxPar concurrent
-// executors (0 = pool width + caller) and returns when all are done. The
-// caller participates, so For completes even if every worker is busy —
-// nested For from inside a task cannot deadlock. Result-slot contract:
-// writes fn makes to slot i are visible to the caller after For returns.
-// maxPar <= 1 or n <= 1 degrades to a plain serial loop.
-func (s *Scheduler) For(g *Group, maxPar, n int, fn func(int)) {
-	if maxPar <= 0 {
-		maxPar = s.nworkers + 1
-	}
+// For runs fn(i) for every i in [0, n) and returns when all are done.
+// The caller participates alongside any free pool workers, so For
+// completes even if every worker is busy — nested For from inside a task
+// cannot deadlock — and on a stopped scheduler the caller runs every
+// index alone. Result-slot contract: writes fn makes to slot i are
+// visible to the caller after For returns. n == 1 runs fn(0) inline.
+func (s *Scheduler) For(g *Group, n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	if maxPar == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+	if n == 1 {
+		fn(0)
 		return
 	}
-	s.runJob(g, &forJob{fn: fn, n: int64(n), block: 1, maxPar: int32(maxPar)})
+	s.runJob(g, &forJob{fn: fn, n: int64(n), block: 1})
 }
 
 // ForRuns is For with indices claimed in contiguous blocks, each handed
 // to fn whole: participants grab [lo, hi) per atomic claim — block wide
 // except possibly the last — so a batched kernel processes the run in one
-// pass instead of being re-entered per index. block <= 0 means 1. The
-// serial degrade (maxPar <= 1, or a single block's worth of work) still
-// chunks by block, so fn sees the same run shapes regardless of
-// parallelism.
-func (s *Scheduler) ForRuns(g *Group, maxPar, n, block int, fn func(lo, hi int)) {
-	if maxPar <= 0 {
-		maxPar = s.nworkers + 1
-	}
+// pass instead of being re-entered per index. block <= 0 means 1. A
+// single block's worth of work runs inline as fn(0, n).
+func (s *Scheduler) ForRuns(g *Group, n, block int, fn func(lo, hi int)) {
 	if block <= 0 {
 		block = 1
 	}
 	if n <= 0 {
 		return
 	}
-	if maxPar == 1 || n <= block {
-		for lo := 0; lo < n; lo += block {
-			hi := lo + block
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
+	if n <= block {
+		fn(0, n)
 		return
 	}
-	s.runJob(g, &forJob{fnRun: fn, n: int64(n), block: int64(block), maxPar: int32(maxPar)})
+	s.runJob(g, &forJob{fnRun: fn, n: int64(n), block: int64(block)})
 }
 
 // runJob completes j under g (nil: the default group): it announces the
@@ -304,18 +286,9 @@ func (s *Scheduler) runJob(g *Group, j *forJob) {
 
 // work participates in a for-job: claim blocks until the cursor runs dry.
 // w is the executing worker, nil for the submitting caller. While
-// substantial work remains and the participant cap allows, a worker
-// re-posts a join ticket onto its own deque so neighbors can steal in.
+// substantial work remains, a worker re-posts a join ticket onto its own
+// deque so neighbors can steal in.
 func (j *forJob) work(s *Scheduler, w *worker) {
-	for {
-		p := j.par.Load()
-		if p >= j.maxPar {
-			return
-		}
-		if j.par.CompareAndSwap(p, p+1) {
-			break
-		}
-	}
 	j.g.inflight.Add(1)
 	propagated := false
 	for {
@@ -323,7 +296,7 @@ func (j *forJob) work(s *Scheduler, w *worker) {
 		if i >= j.n {
 			break
 		}
-		if !propagated && w != nil && j.n-i > j.block && j.par.Load() < j.maxPar {
+		if !propagated && w != nil && j.n-i > j.block {
 			propagated = true
 			s.mu.Lock()
 			if !s.stopped {
@@ -345,7 +318,6 @@ func (j *forJob) work(s *Scheduler, w *worker) {
 			close(j.fin)
 		}
 	}
-	j.par.Add(-1)
 	j.g.inflight.Add(-1)
 }
 
@@ -468,13 +440,9 @@ func (s *Scheduler) pickLocked() (item, bool) {
 }
 
 // live reports whether an item still has work: spawned tasks always do,
-// join tickets only while their job has unclaimed indices and room for
-// another participant.
+// join tickets only while their job has unclaimed indices.
 func (it item) live() bool {
-	if it.fn != nil {
-		return true
-	}
-	return it.job.next.Load() < it.job.n && it.job.par.Load() < it.job.maxPar
+	return it.fn != nil || it.job.next.Load() < it.job.n
 }
 
 // Stats is a point-in-time sample of the scheduler, for /v1/stats and

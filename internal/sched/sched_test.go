@@ -16,7 +16,7 @@ func TestForResultSlots(t *testing.T) {
 	defer s.Stop()
 	for _, n := range []int{0, 1, 2, 3, 17, 256, 1000} {
 		out := make([]int, n)
-		s.For(nil, 0, n, func(i int) { out[i] = i*i + 1 })
+		s.For(nil, n, func(i int) { out[i] = i*i + 1 })
 		for i, v := range out {
 			if v != i*i+1 {
 				t.Fatalf("n=%d: slot %d = %d, want %d", n, i, v, i*i+1)
@@ -34,7 +34,7 @@ func TestForBlocked(t *testing.T) {
 	const n = 257
 	for _, block := range []int{1, 2, 7, 64, 1000} {
 		var hits [n]atomic.Int32
-		s.ForRuns(nil, 0, n, block, func(lo, hi int) {
+		s.ForRuns(nil, n, block, func(lo, hi int) {
 			if lo%block != 0 || hi != min(lo+block, n) {
 				t.Errorf("block=%d: run [%d,%d) is not one claimed block", block, lo, hi)
 			}
@@ -50,42 +50,6 @@ func TestForBlocked(t *testing.T) {
 	}
 }
 
-// TestForMaxPar bounds concurrency: with maxPar=2 no more than two
-// executors may be inside fn at once.
-func TestForMaxPar(t *testing.T) {
-	s := New(8)
-	defer s.Stop()
-	var cur, peak atomic.Int32
-	s.For(nil, 2, 64, func(i int) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(100 * time.Microsecond)
-		cur.Add(-1)
-	})
-	if got := peak.Load(); got > 2 {
-		t.Fatalf("peak concurrency %d with maxPar=2", got)
-	}
-}
-
-// TestForSerialFallback: maxPar 1 must not touch the pool at all (the
-// serial path callers rely on for single-threaded determinism).
-func TestForSerialFallback(t *testing.T) {
-	s := New(2)
-	defer s.Stop()
-	order := make([]int, 0, 10)
-	s.For(nil, 1, 10, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial fallback ran out of order: %v", order)
-		}
-	}
-}
-
 // TestNestedFor runs For from inside For tasks — the shard-snapshot →
 // per-tag-fill shape — and must complete without deadlock even when the
 // pool is narrower than the nesting fan-out.
@@ -93,8 +57,8 @@ func TestNestedFor(t *testing.T) {
 	s := New(2)
 	defer s.Stop()
 	var total atomic.Int64
-	s.For(nil, 0, 8, func(i int) {
-		s.For(nil, 0, 50, func(j int) { total.Add(1) })
+	s.For(nil, 8, func(i int) {
+		s.For(nil, 50, func(j int) { total.Add(1) })
 	})
 	if got := total.Load(); got != 400 {
 		t.Fatalf("nested For ran %d inner indices, want 400", got)
@@ -124,10 +88,10 @@ func TestGoRunsOnce(t *testing.T) {
 func TestGoroutineReuse(t *testing.T) {
 	s := New(4)
 	defer s.Stop()
-	s.For(nil, 0, 16, func(int) {}) // warm the pool up
+	s.For(nil, 16, func(int) {}) // warm the pool up
 	before := runtime.NumGoroutine()
 	for k := 0; k < 2000; k++ {
-		s.For(nil, 0, 16, func(int) {})
+		s.For(nil, 16, func(int) {})
 	}
 	after := runtime.NumGoroutine()
 	if after > before+2 {
@@ -194,7 +158,7 @@ func TestStealing(t *testing.T) {
 	s := New(2)
 	defer s.Stop()
 	var inner atomic.Int64
-	s.For(nil, 0, 64, func(i int) {
+	s.For(nil, 64, func(i int) {
 		inner.Add(1)
 		time.Sleep(50 * time.Microsecond)
 	})
@@ -233,7 +197,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			grp := s.NewGroup("g")
 			for k := 0; k < 50; k++ {
 				out := make([]int64, 20)
-				grp.For(0, len(out), func(i int) { out[i] = int64(i) })
+				grp.For(len(out), func(i int) { out[i] = int64(i) })
 				for i, v := range out {
 					if v != int64(i) {
 						t.Errorf("slot %d = %d", i, v)
@@ -261,7 +225,7 @@ func TestForRunsCoverage(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64, 257} {
 		for _, block := range []int{1, 2, 7, 64, 1000} {
 			hits := make([]atomic.Int32, n)
-			g.ForRuns(0, n, block, func(lo, hi int) {
+			g.ForRuns(n, block, func(lo, hi int) {
 				if lo >= hi {
 					t.Errorf("n=%d block=%d: empty run [%d,%d)", n, block, lo, hi)
 					return
@@ -283,9 +247,9 @@ func TestForRunsCoverage(t *testing.T) {
 }
 
 // TestForBlockedEdges pins ForRuns on the same degenerate shapes —
-// remainder tails (len%block != 0), a block wider than the index space,
-// and a single-worker scheduler where the whole job degrades to the
-// serial loop — all through a named group.
+// remainder tails (len%block != 0) and a block wider than the index
+// space — on a single-worker scheduler and a wider one, all through a
+// named group.
 func TestForBlockedEdges(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		s := New(workers)
@@ -297,7 +261,7 @@ func TestForBlockedEdges(t *testing.T) {
 			{0, 4},   // empty
 		} {
 			hits := make([]atomic.Int32, tc.n)
-			g.ForRuns(0, tc.n, tc.block, func(lo, hi int) {
+			g.ForRuns(tc.n, tc.block, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					hits[i].Add(1)
 				}
@@ -314,19 +278,54 @@ func TestForBlockedEdges(t *testing.T) {
 }
 
 // TestForCoversAllIndices runs For on the process-global pool — the call
-// the engine fan-out and the experiment runner make — across worker
-// bounds below, at and far above n: every index runs exactly once.
+// the engine fan-out and the experiment runner make — and on private
+// pools narrower and wider than n: every index runs exactly once.
 func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 100} {
+		s := Default()
+		if workers > 0 {
+			s = New(workers)
+		}
 		for _, n := range []int{0, 1, 5, 257} {
 			out := make([]int32, n)
-			Default().For(nil, workers, n, func(i int) { atomic.AddInt32(&out[i], 1) })
+			s.For(nil, n, func(i int) { atomic.AddInt32(&out[i], 1) })
 			for i, v := range out {
 				if v != 1 {
 					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, v)
 				}
 			}
 		}
+		if s != Default() {
+			s.Stop()
+		}
+	}
+}
+
+// TestForSerialFallback pins the serial path a serial reference run
+// (the experiment runner's, say) relies on: For and ForRuns on a stopped
+// scheduler post nothing, so the caller claims every index itself, one
+// at a time and in ascending order.
+func TestForSerialFallback(t *testing.T) {
+	s := New(4)
+	s.Stop()
+	g := s.NewGroup("serial")
+	var order []int // unsynchronized: -race flags any second executor
+	g.For(100, func(i int) { order = append(order, i) })
+	g.ForRuns(100, 7, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			order = append(order, 100+i)
+		}
+	})
+	if len(order) != 200 {
+		t.Fatalf("ran %d of 200 indices", len(order))
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("index %d ran at position %d: not the caller's serial order", v, i)
+		}
+	}
+	if st := s.Stats(); st.Queued != 0 {
+		t.Fatalf("stopped scheduler queued %d items", st.Queued)
 	}
 }
 
@@ -335,7 +334,7 @@ func TestForCoversAllIndices(t *testing.T) {
 func TestForBlockedCoversAllIndices(t *testing.T) {
 	for _, block := range []int{1, 3, 64} {
 		out := make([]int32, 100)
-		Default().ForRuns(nil, 4, len(out), block, func(lo, hi int) {
+		Default().ForRuns(nil, len(out), block, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&out[i], 1)
 			}
@@ -351,10 +350,10 @@ func TestForBlockedCoversAllIndices(t *testing.T) {
 // TestForNoGoroutinesPerCall: repeated For calls on the process-global
 // pool ride its fixed workers, so the goroutine count stays flat.
 func TestForNoGoroutinesPerCall(t *testing.T) {
-	Default().For(nil, 4, 16, func(int) {}) // warm the shared pool
+	Default().For(nil, 16, func(int) {}) // warm the shared pool
 	before := runtime.NumGoroutine()
 	for k := 0; k < 1000; k++ {
-		Default().For(nil, 4, 16, func(int) {})
+		Default().For(nil, 16, func(int) {})
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Fatalf("goroutines grew %d -> %d across 1000 For calls", before, after)
@@ -365,11 +364,11 @@ func TestForNoGoroutinesPerCall(t *testing.T) {
 // per-index fn so one test body covers all of them.
 var forEntries = []struct {
 	name string
-	run  func(s *Scheduler, g *Group, maxPar, n int, fn func(int))
+	run  func(s *Scheduler, g *Group, n int, fn func(int))
 }{
-	{"For", func(s *Scheduler, g *Group, maxPar, n int, fn func(int)) { s.For(g, maxPar, n, fn) }},
-	{"ForRuns", func(s *Scheduler, g *Group, maxPar, n int, fn func(int)) {
-		s.ForRuns(g, maxPar, n, 1, func(lo, hi int) {
+	{"For", func(s *Scheduler, g *Group, n int, fn func(int)) { s.For(g, n, fn) }},
+	{"ForRuns", func(s *Scheduler, g *Group, n int, fn func(int)) {
+		s.ForRuns(g, n, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				fn(i)
 			}
@@ -383,10 +382,10 @@ var forEntries = []struct {
 // reference once it returns.
 //
 //go:noinline
-func runCapturing(run func(*Scheduler, *Group, int, int, func(int)), s *Scheduler, g *Group, maxPar int, wait func()) weak.Pointer[[1 << 20]byte] {
+func runCapturing(run func(*Scheduler, *Group, int, func(int)), s *Scheduler, g *Group, wait func()) weak.Pointer[[1 << 20]byte] {
 	big := new([1 << 20]byte)
 	wp := weak.Make(big)
-	run(s, g, maxPar, 64, func(i int) {
+	run(s, g, 64, func(i int) {
 		wait()
 		big[i]++
 	})
@@ -439,30 +438,31 @@ func waitParked(t *testing.T, s *Scheduler) {
 // recovered logs) reachable. Each path a ticket leaves by is forced in
 // turn: a worker popping its own propagated ticket, a worker stealing a
 // neighbour's, and a dead ticket dropped from the injection FIFO ahead of
-// a task that is still queued.
+// a task that is still queued — the last both for an outside caller and
+// for a caller that is itself the pool's only worker.
 func TestForReleasesFinishedJob(t *testing.T) {
 	for _, e := range forEntries {
 		t.Run(e.name+"/own-deque", func(t *testing.T) {
-			// One worker, room for a third participant: the worker joins
-			// from the injection FIFO, re-posts a ticket on its own deque
-			// and later pops it, dead, itself.
+			// One worker beside the caller: the worker joins from the
+			// injection FIFO, re-posts a ticket on its own deque and later
+			// pops it, dead, itself.
 			s := New(1)
 			defer s.Stop()
 			g := s.NewGroup("job")
-			wp := runCapturing(e.run, s, g, 3, waitInflight(g, 2))
+			wp := runCapturing(e.run, s, g, waitInflight(g, 2))
 			waitParked(t, s)
 			if !collected(wp) {
 				t.Fatal("a worker's deque still pins the finished job")
 			}
 		})
 		t.Run(e.name+"/steal", func(t *testing.T) {
-			// Two workers, three participants: the first joins from the
+			// Two workers plus the caller: the first worker joins from the
 			// FIFO and re-posts a ticket; the only way the second can join
 			// is by stealing that ticket from the first's deque.
 			s := New(2)
 			defer s.Stop()
 			g := s.NewGroup("job")
-			wp := runCapturing(e.run, s, g, 3, waitInflight(g, 3))
+			wp := runCapturing(e.run, s, g, waitInflight(g, 3))
 			waitParked(t, s)
 			if !collected(wp) {
 				t.Fatal("a victim's deque still pins the stolen job")
@@ -479,7 +479,7 @@ func TestForReleasesFinishedJob(t *testing.T) {
 			busy, release := make(chan struct{}), make(chan struct{})
 			s.Go(nil, func() { close(busy); <-release })
 			<-busy
-			wp := runCapturing(e.run, s, g, 0, func() {})
+			wp := runCapturing(e.run, s, g, func() {})
 			running, hold := make(chan struct{}), make(chan struct{})
 			g.Go(func() { close(running); <-hold })
 			g.Go(func() {})
@@ -489,6 +489,29 @@ func TestForReleasesFinishedJob(t *testing.T) {
 			close(hold)
 			if !ok {
 				t.Fatal("the injection FIFO still pins the finished job")
+			}
+		})
+		t.Run(e.name+"/in-task", func(t *testing.T) {
+			// The caller is a task on the only worker, so nobody can join:
+			// it runs the whole job while the ticket waits in the FIFO,
+			// then queues two tasks behind it. Once the caller returns,
+			// the worker drops the dead ticket and runs the first task,
+			// which holds while the second keeps the FIFO non-empty.
+			s := New(1)
+			defer s.Stop()
+			g := s.NewGroup("job")
+			var wp weak.Pointer[[1 << 20]byte]
+			running, hold := make(chan struct{}), make(chan struct{})
+			g.Go(func() {
+				wp = runCapturing(e.run, s, g, func() {})
+				g.Go(func() { close(running); <-hold })
+				g.Go(func() {})
+			})
+			<-running
+			ok := collected(wp)
+			close(hold)
+			if !ok {
+				t.Fatal("the injection FIFO still pins a job run from inside a task")
 			}
 		})
 	}

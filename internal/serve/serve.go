@@ -319,7 +319,7 @@ func (s *Server) recoverAll() error {
 		}
 	}
 	recovered := make([]*Session, len(names))
-	s.sched.For(nil, 0, len(names), func(i int) {
+	s.sched.For(nil, len(names), func(i int) {
 		recovered[i] = s.recoverSession(names[i])
 	})
 	for i, sess := range recovered {

@@ -155,10 +155,8 @@ func (l *Localizer) NewDetectState() *DetectState { return l.det.NewDetectState(
 // the X order over bottom times (failed tags sort last via NaN handling)
 // and the pivot-based Y keys and order. It takes ownership of tags, filling
 // in each tag's Y key and recording Y-stage errors on tags that passed the
-// per-tag stage. It is a composition of the two independently usable
-// stages AssembleX and AssembleY — a sharded deployment assembles each
-// shard the same way and then stitches the per-shard orders
-// (internal/deploy).
+// per-tag stage. A sharded deployment assembles each shard the same way
+// and then stitches the per-shard orders (internal/deploy).
 func (l *Localizer) Assemble(tags []TagResult) *Result {
 	return l.AssembleStates(tags, nil)
 }
@@ -214,14 +212,6 @@ type asmScratch struct {
 
 var asmPool = sync.Pool{New: func() any { return new(asmScratch) }}
 
-// AssembleX computes the X order over per-tag results: ascending V-zone
-// bottom time, with failed tags sorting last via NaN keys. Bottom times of
-// shards recorded on different local clocks can be made mergeable first via
-// XKey.Shifted.
-func (l *Localizer) AssembleX(tags []TagResult) []int {
-	return l.assembleX(nil, tags)
-}
-
 func (l *Localizer) assembleX(sc *asmScratch, tags []TagResult) []int {
 	var xkeys []XKey
 	if sc != nil && cap(sc.xkeys) >= len(tags) {
@@ -240,18 +230,6 @@ func (l *Localizer) assembleX(sc *asmScratch, tags []TagResult) []int {
 		}
 	}
 	return OrderByX(xkeys)
-}
-
-// AssembleY computes the pivot-based Y keys and order over per-tag results,
-// writing each tag's Y key (and any Y-stage error) in place. Y keys are
-// signed gaps from a per-call pivot, so they are only comparable within one
-// assembly — per-shard Y orders are stitched as orders, not as keys.
-func (l *Localizer) AssembleY(tags []TagResult) []int {
-	return l.assembleY(tags, nil)
-}
-
-func (l *Localizer) assembleY(tags []TagResult, states []*DetectState) []int {
-	return l.assembleYScratch(nil, tags, states)
 }
 
 func (l *Localizer) assembleYScratch(sc *asmScratch, tags []TagResult, states []*DetectState) []int {

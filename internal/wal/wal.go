@@ -46,7 +46,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Process-wide journal totals. Per-Log counters (Appends/Bytes) die with
+// Process-wide journal totals. Per-Log counters (Bytes) die with
 // their log, which is useless for a long-running daemon whose sessions
 // churn; these accumulate across every log the process ever opens, so a
 // metrics scrape sees the daemon's full journaling activity.
@@ -178,7 +178,6 @@ type Log struct {
 	seg  int   // current segment index
 	size int64 // bytes in the current segment
 
-	appends int64 // records appended by this process
 	bytes   int64 // bytes appended by this process
 	batches int64 // batch records appended by this log instance
 	closed  bool
@@ -493,7 +492,6 @@ func (l *Log) AppendCheckpoint(uncovered, reads int64, state []byte) (truncated 
 	n := int64(frameLen + len(buf))
 	l.bytes += n
 	totalBytes.Add(n)
-	l.appends++
 	// Alone in its segment, the blob is reclaimable the moment the next
 	// checkpoint lands. Batches journal ahead of consumption, so a segment
 	// mixing a checkpoint with later batch records would stay pinned — its
@@ -607,7 +605,6 @@ func (l *Log) appendLocked(typ byte, payload []byte) error {
 	l.size += n
 	l.bytes += n
 	totalBytes.Add(n)
-	l.appends++
 	return nil
 }
 
@@ -711,14 +708,8 @@ func (l *Log) Close() error {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Appends and Bytes report what this process appended (recovered records
-// are not counted); Segments is the current segment index.
-func (l *Log) Appends() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}
-
+// Bytes reports what this process appended (recovered records are not
+// counted).
 func (l *Log) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
