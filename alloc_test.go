@@ -16,16 +16,17 @@ import (
 )
 
 // TestSegmentedAlignAllocs pins a full segment alignment on a reused
-// aligner at zero allocations: Release hands the DP matrix to the cell
-// free-list and the next Align draws it back out, while the operand
-// panels, cost column and traceback scratch stay with the aligner — any
-// new per-call allocation in the fill or traceback shows up here.
+// aligner at zero allocations: Release hands the decision array to the
+// shared free-list and the next Align draws it back out, while the
+// operand panels, value ring, cost column and traceback scratch stay with
+// the aligner — any new per-call allocation in the fill or traceback
+// shows up here.
 func TestSegmentedAlignAllocs(t *testing.T) {
 	det, p := benchProfilePair(t)
 	ref, _, _ := det.Reference()
 	al := dtw.NewSegmentAligner(ref.Segmentize(5), dtw.SegmentAlignOpts{Stiffness: 0.5})
 	qs := p.Segmentize(5)
-	// Warm the aligner's scratch and the cell free-list to steady state.
+	// Warm the aligner's scratch and the decision free-list to steady state.
 	for i := 0; i < 4; i++ {
 		al.Release()
 		al.Align(qs)
@@ -61,7 +62,7 @@ func TestDetectAllocs(t *testing.T) {
 }
 
 // TestBlockedDetectAllocs pins the blocked multi-tag detection pass —
-// LocalizeTagsIncremental feeding dtw.AlignBatch over a 16-tag run — at
+// LocalizeTagsIncremental over a 16-tag run — at
 // one allocation per tag, amortized. In steady state the pass recycles
 // everything through pools (the bench measures 0 allocs/op); the per-tag
 // budget only absorbs pool misses under GC pressure, not a regression

@@ -133,8 +133,8 @@ func BenchmarkDetectFullDTW(b *testing.B) {
 
 // BenchmarkSegmentedAlign measures one whole segment alignment — column
 // fill plus free-end scan and traceback — on a reused aligner: each
-// iteration releases the DP matrix to the cell free-list and re-aligns
-// the full query from scratch.
+// iteration releases the decision array to the shared free-list and
+// re-aligns the full query from scratch.
 func BenchmarkSegmentedAlign(b *testing.B) {
 	det, p := benchProfilePair(b)
 	ref, _, _ := det.Reference()
@@ -174,13 +174,12 @@ func BenchmarkSegmentFill(b *testing.B) {
 }
 
 // BenchmarkBlockedDetect isolates the blocked multi-tag detection pass —
-// stpp.LocalizeTagsIncremental over one run of 16 tags, which feeds every
-// tag's DP column fill through dtw.AlignBatch against the detector's
-// shared reference panels — from ingest, queueing and profile building.
-// Each iteration releases the per-tag DP matrices first, so every pass
-// refills all columns of all 16 tags: the cells/s metric is the blocked
-// kernel's throughput on a cold snapshot, directly comparable to
-// BenchmarkSegmentFill's single-tag ceiling.
+// stpp.LocalizeTagsIncremental over one run of 16 tags, whose DP column
+// fills all read the detector's shared reference panels — from ingest,
+// queueing and profile building. Each iteration releases the per-tag
+// decision arrays first, so every pass refills all columns of all 16
+// tags: the cells/s metric is the pass's throughput on a cold snapshot,
+// directly comparable to BenchmarkSegmentFill's single-tag ceiling.
 func BenchmarkBlockedDetect(b *testing.B) {
 	s, err := scenario.Population(16, true, 0.3, 1)
 	if err != nil {

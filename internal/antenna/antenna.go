@@ -5,7 +5,6 @@
 package antenna
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -35,17 +34,6 @@ type Panel struct {
 	// FrontToBackDB is the floor of the rolloff (positive number of dB,
 	// e.g. 25 means the back lobe is 25 dB down).
 	FrontToBackDB float64
-}
-
-// NewPanel validates and constructs a panel pattern.
-func NewPanel(beamwidthRad, frontToBackDB float64) (Panel, error) {
-	if beamwidthRad <= 0 || beamwidthRad > 2*math.Pi {
-		return Panel{}, fmt.Errorf("antenna: beamwidth %v rad out of range", beamwidthRad)
-	}
-	if frontToBackDB <= 0 {
-		return Panel{}, fmt.Errorf("antenna: front-to-back %v dB must be > 0", frontToBackDB)
-	}
-	return Panel{Beamwidth3dB: beamwidthRad, FrontToBackDB: frontToBackDB}, nil
 }
 
 // DefaultPanel resembles the ImpinJ Threshold antenna: 70° beamwidth,

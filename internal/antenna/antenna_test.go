@@ -52,21 +52,6 @@ func TestPanelSymmetric(t *testing.T) {
 	}
 }
 
-func TestNewPanelErrors(t *testing.T) {
-	if _, err := NewPanel(0, 25); err == nil {
-		t.Error("want error for zero beamwidth")
-	}
-	if _, err := NewPanel(7, 25); err == nil {
-		t.Error("want error for beamwidth > 2π")
-	}
-	if _, err := NewPanel(1, 0); err == nil {
-		t.Error("want error for zero front-to-back")
-	}
-	if _, err := NewPanel(1.2, 25); err != nil {
-		t.Errorf("valid panel rejected: %v", err)
-	}
-}
-
 // Property: rolloff is non-positive and monotone within the main lobe.
 func TestQuickPanelMonotone(t *testing.T) {
 	p := DefaultPanel()

@@ -31,8 +31,8 @@ func AppendF64(dst []byte, v float64) []byte {
 
 // AppendF64s appends a u32 element count followed by the raw bits of each
 // element. The buffer is grown once up front — float arrays are the bulk
-// of an engine checkpoint (phase curves, DTW matrices), so this is the
-// encoding hot path.
+// of an engine checkpoint (each tag's profile), so this is the encoding
+// hot path.
 func AppendF64s(dst []byte, vs []float64) []byte {
 	dst = AppendU32(dst, uint32(len(vs)))
 	off := len(dst)

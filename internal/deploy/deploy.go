@@ -731,7 +731,7 @@ func (se *ShardedEngine) xConfidence(order []epcgen2.EPC) []float64 {
 }
 
 // Close returns every shard engine's pooled holdings (per-tag DTW
-// matrices) to their shared free-lists and drops every per-shard
+// decision arrays) to their shared free-lists and drops every per-shard
 // reference — profiles, cached results, detection states and the
 // deployment's lifecycle state — returning the engine to its
 // freshly-constructed state. A dropped or evicted ingest session calls

@@ -117,19 +117,19 @@ func TestSegmentAlignerBothEmpty(t *testing.T) {
 	}
 }
 
-// TestAlignSegmentsPooled proves the aligner's DP matrices are actually
-// recycled: after Release hands the matrix back to the shared free-list, a
-// full re-alignment draws it out again instead of allocating (and zeroing)
-// a fresh O(m·n) array.
+// TestAlignSegmentsPooled proves the aligner's decision arrays are
+// actually recycled: after Release hands the array back to the shared
+// free-list, a full re-alignment draws it out again instead of allocating
+// (and zeroing) a fresh O(m·n) array.
 func TestAlignSegmentsPooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, q := randSegs(rng, 30), randSegs(rng, 200)
 	al := NewSegmentAligner(p, SegmentAlignOpts{Stiffness: 0.5})
 	al.Align(q) // warm the free-list and the aligner's scratch
 
-	// 30×200 matrix = 48000 bytes. Every scratch buffer is already sized,
-	// so anything above zero means the matrix is not coming back from the
-	// free-list.
+	// 30×200 decisions = 6000 bytes. Every scratch buffer is already
+	// sized, so anything above zero means the array is not coming back
+	// from the free-list.
 	allocs := testing.AllocsPerRun(50, func() {
 		al.Release()
 		al.Align(q)
@@ -139,12 +139,36 @@ func TestAlignSegmentsPooled(t *testing.T) {
 	}
 }
 
+// TestSegmentAlignerMemory pins what an aligner holds after aligning n
+// query columns against m reference segments: at most 2·m·n decision
+// bytes (one per cell, plus doubling headroom) and at most 4·(m+n)
+// float64s across the value ring, the last-row mirror and the cost
+// scratch — no m×n float matrix. The free-list is emptied first: a
+// recycled array may come from a larger class by design.
+func TestSegmentAlignerMemory(t *testing.T) {
+	dirMu.Lock()
+	dirFree, dirFreeBytes = [48][][]uint8{}, 0
+	dirMu.Unlock()
+	rng := rand.New(rand.NewSource(4))
+	p, q := randSegs(rng, 465), randSegs(rng, 700)
+	m := len(p)
+	al := NewSegmentAligner(p, SegmentAlignOpts{Stiffness: 0.5})
+	for n := 1; n <= len(q); n += 1 + rng.Intn(40) {
+		al.Align(q[:n])
+		if got := cap(al.dir); got > 2*m*n {
+			t.Fatalf("n=%d: %d decision bytes held, want <= %d", n, got, 2*m*n)
+		}
+		if got := cap(al.ring) + cap(al.lastRow) + cap(al.cost); got > 4*(m+n) {
+			t.Fatalf("n=%d: %d float64s held, want <= %d", n, got, 4*(m+n))
+		}
+	}
+}
+
 // TestSegmentAlignerRestoreState: an aligner resumed from a query and a
-// tail base computes, on its first Align, exactly the cells a live
-// aligner holds for columns [base, n) and its full last-row mirror — the
-// shape a decode of the cells themselves used to leave — and from there
-// answers every extended, rewritten or shrunken query like a one-shot
-// alignment, reporting the same checkpoint counters as the live aligner.
+// tail base computes, on its first Align, exactly the decisions and
+// last-row values a live aligner holds, and from there answers every
+// extended, rewritten or shrunken query like a one-shot alignment,
+// reporting the same checkpoint counters as the live aligner.
 func TestSegmentAlignerRestoreState(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -163,12 +187,12 @@ func TestSegmentAlignerRestoreState(t *testing.T) {
 		if shape.Cols() != n || shape.TailBase() != base {
 			t.Fatalf("trial %d: restored counters %d/%d, want %d/%d", trial, shape.Cols(), shape.TailBase(), n, base)
 		}
-		shape.cost = make([]float64, len(p))
-		shape.materialize()
-		m := len(p)
-		if shape.cm.off != base || !reflect.DeepEqual(shape.cm.cells, live.cm.cells[base*m:n*m]) ||
-			!reflect.DeepEqual(shape.lastRow, live.lastRow[:n]) {
-			t.Fatalf("trial %d: rebuilt columns differ from the live aligner's", trial)
+		shape.Align(q[:n])
+		if !reflect.DeepEqual(shape.dir, live.dir) || !reflect.DeepEqual(shape.lastRow, live.lastRow) {
+			t.Fatalf("trial %d: recomputed columns differ from the live aligner's", trial)
+		}
+		if shape.Cols() != n || shape.TailBase() != base {
+			t.Fatalf("trial %d: counters %d/%d after Align, want %d/%d", trial, shape.Cols(), shape.TailBase(), n, base)
 		}
 
 		restored := NewSegmentAligner(p, opts)

@@ -75,8 +75,8 @@ func Align(a, b []float64, d Dist) Result {
 // slice. Matrices are pooled and reused across alignments, so repeated
 // baseline runs allocate nothing per call beyond the returned Path.
 type costMatrix struct {
-	n     int
-	cells []float64
+	n   int
+	acc []float64
 }
 
 var matrixPool sync.Pool
@@ -94,10 +94,10 @@ func newMatrix(m, n int) *costMatrix {
 	if cm == nil {
 		cm = &costMatrix{}
 	}
-	if cap(cm.cells) < m*n {
-		cm.cells = make([]float64, m*n)
+	if cap(cm.acc) < m*n {
+		cm.acc = make([]float64, m*n)
 	}
-	cm.n, cm.cells = n, cm.cells[:m*n]
+	cm.n, cm.acc = n, cm.acc[:m*n]
 	return cm
 }
 
@@ -106,8 +106,8 @@ func (cm *costMatrix) release() {
 	matrixPool.Put(cm)
 }
 
-func (cm *costMatrix) at(i, j int) float64     { return cm.cells[i*cm.n+j] }
-func (cm *costMatrix) set(i, j int, v float64) { cm.cells[i*cm.n+j] = v }
+func (cm *costMatrix) at(i, j int) float64     { return cm.acc[i*cm.n+j] }
+func (cm *costMatrix) set(i, j int, v float64) { cm.acc[i*cm.n+j] = v }
 
 // traceback reconstructs the optimal path for a standard DTW cost matrix.
 func traceback(cm *costMatrix, i, j int) Path {

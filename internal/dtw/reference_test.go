@@ -1,0 +1,289 @@
+package dtw
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refAligner is the float-matrix open-end segment aligner the decision
+// bytes replaced, kept as the reference the exactness tests compare
+// against. It holds the full m×n cost matrix, recomputing it from the
+// first changed column on (from column 0 after a restore), decides each
+// traceback step from the cell values, and keeps TailBase's bookkeeping
+// the way the matrix aligner did: the restore base drops to 0 when an
+// alignment rewrites a column at or before it, or when the traceback
+// would read a column before it (where the matrix aligner, which dropped
+// those columns on restore, rebuilt its matrix).
+type refAligner struct {
+	p              []Segment
+	opts           SegmentAlignOpts
+	q              []Segment
+	cells          []float64 // column-major: cell (i, j) at j*m+i
+	stale          bool      // restored: cells hold nothing yet
+	off, lastStart int
+}
+
+func (r *refAligner) at(i, j int) float64 { return r.cells[j*len(r.p)+i] }
+
+func (r *refAligner) align(q []Segment) (Result, int, int) {
+	m, n := len(r.p), len(q)
+	if m == 0 || n == 0 {
+		return Result{}, 0, 0
+	}
+	cp := 0
+	for cp < len(r.q) && cp < n && r.q[cp] == q[cp] {
+		cp++
+	}
+	if r.off > 0 && cp <= r.off {
+		r.off = 0
+	}
+	// Columns of the unchanged prefix are kept, as the matrix aligner kept
+	// them: the prefix compare is ==, so a segment that differs only in
+	// the sign of a zero keeps its column.
+	keep := cp
+	if r.stale {
+		keep = 0
+	}
+	r.q = append(r.q[:cp:cp], q[cp:]...)
+	q = r.q
+	r.cells = append(make([]float64, 0, m*n), r.cells[:keep*m]...)[:m*n]
+	r.stale = false
+	st := r.opts.Stiffness
+	for j := keep; j < n; j++ {
+		col := r.cells[j*m : j*m+m]
+		for i := range col {
+			d := 0.0
+			if v := r.p[i].Lo - q[j].Hi; v > d {
+				d = v
+			}
+			if v := q[j].Lo - r.p[i].Hi; v > d {
+				d = v
+			}
+			t := r.p[i].Interval
+			if q[j].Interval < t {
+				t = q[j].Interval
+			}
+			col[i] = t * d
+		}
+		acc := col[0]
+		for i := 1; i < m; i++ {
+			if j == 0 {
+				acc = col[i] + acc + st*r.p[i].Interval
+			} else {
+				best := acc + st*r.p[i].Interval
+				if left := r.at(i, j-1) + st*q[j].Interval; left < best {
+					best = left
+				}
+				if diag := r.at(i-1, j-1); diag < best {
+					best = diag
+				}
+				acc = col[i] + best
+			}
+			col[i] = acc
+		}
+	}
+	endJ := 0
+	best := r.at(m-1, 0)
+	for j := 1; j < n; j++ {
+		if c := r.at(m-1, j); c <= best {
+			best, endJ = c, j
+		}
+	}
+	path := r.traceback(m-1, endJ)
+	if path == nil {
+		r.off = 0
+		path = r.traceback(m-1, endJ)
+	}
+	r.lastStart = path[0].J
+	return Result{Distance: best, Path: path}, path[0].J, endJ
+}
+
+// traceback returns nil when deciding a step would read a column before
+// off.
+func (r *refAligner) traceback(i, j int) Path {
+	var rev Path
+	for {
+		rev = append(rev, Step{I: i, J: j})
+		if i == 0 {
+			break
+		}
+		if j == 0 {
+			i--
+			continue
+		}
+		if j <= r.off {
+			return nil
+		}
+		vert := r.at(i-1, j) + r.opts.Stiffness*r.p[i].Interval
+		horiz := r.at(i, j-1) + r.opts.Stiffness*r.q[j].Interval
+		diag := r.at(i-1, j-1)
+		if diag <= vert && diag <= horiz {
+			i--
+			j--
+		} else if vert <= horiz {
+			i--
+		} else {
+			j--
+		}
+	}
+	reverse(rev)
+	return rev
+}
+
+func (r *refAligner) tailBase() int { return max(r.off, r.lastStart-1) }
+
+// script reads an alignment scenario from bytes, so the property test
+// and the fuzz target drive the same interpreter: a reference length and
+// stiffness, the reference segments, then operations until the bytes run
+// out. Segment values come from small grids so ties are common, and
+// intervals include ±0, infinities, NaN and negatives.
+type script struct {
+	data []byte
+	pos  int
+}
+
+func (s *script) next() int {
+	if s.pos >= len(s.data) {
+		return 0
+	}
+	s.pos++
+	return int(s.data[s.pos-1])
+}
+
+func (s *script) done() bool { return s.pos >= len(s.data) }
+
+var scriptIntervals = [...]float64{
+	0, math.Copysign(0, -1), 0.25, 0.5, 1, 1, 0.5, 0.25,
+	math.Inf(1), math.NaN(), math.Inf(-1), -0.5,
+}
+
+func (s *script) segment(start int) Segment {
+	x, y := s.next(), s.next()
+	lo := float64(x%5) * 0.5
+	return Segment{
+		Lo: lo, Hi: lo + float64(x/5%3)*0.5,
+		Start: start, End: start + 1 + x/15%2,
+		Interval: scriptIntervals[y%len(scriptIntervals)],
+	}
+}
+
+func (s *script) segments(n int) []Segment {
+	out := make([]Segment, n)
+	for i := range out {
+		out[i] = s.segment(i)
+	}
+	return out
+}
+
+// sameBits reports bit-identical floats, counting any two NaNs as equal:
+// Go leaves NaN payloads unspecified, and the compiler may commute an
+// addition's operands, which picks the payload of a NaN + NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// runScript replays a scenario through a SegmentAligner and refAligner
+// side by side, failing on the first difference in distance bits, match
+// bounds, path steps, Cols or TailBase.
+func runScript(t *testing.T, data []byte) {
+	t.Helper()
+	s := &script{data: data}
+	m := 1 + s.next()%12
+	opts := SegmentAlignOpts{Stiffness: [...]float64{0, 0.5, 1, 0.25}[s.next()%4]}
+	p := s.segments(m)
+	ref := NewReference(p, opts)
+	al := NewSharedAligner(ref)
+	want := &refAligner{p: p, opts: opts}
+	var q []Segment
+	check := func(op string) {
+		t.Helper()
+		if al.Cols() != len(want.q) || al.TailBase() != want.tailBase() {
+			t.Fatalf("%s (m=%d n=%d): cols/base %d/%d, reference %d/%d",
+				op, m, len(q), al.Cols(), al.TailBase(), len(want.q), want.tailBase())
+		}
+	}
+	align := func(op string) {
+		t.Helper()
+		wr, ws, we := want.align(q)
+		gr, gs, ge := al.Align(q)
+		if !sameBits(wr.Distance, gr.Distance) || ws != gs || we != ge {
+			t.Fatalf("%s (m=%d n=%d): got (%v,%d,%d), reference (%v,%d,%d)",
+				op, m, len(q), gr.Distance, gs, ge, wr.Distance, ws, we)
+		}
+		if len(wr.Path) != len(gr.Path) {
+			t.Fatalf("%s (m=%d n=%d): path length %d, reference %d", op, m, len(q), len(gr.Path), len(wr.Path))
+		}
+		for k := range wr.Path {
+			if wr.Path[k] != gr.Path[k] {
+				t.Fatalf("%s (m=%d n=%d): path step %d = %v, reference %v", op, m, len(q), k, gr.Path[k], wr.Path[k])
+			}
+		}
+		check(op)
+	}
+	for !s.done() {
+		switch op := s.next() % 8; op {
+		case 0, 1, 2: // append
+			q = append(q[:len(q):len(q)], s.segments(1+s.next()%6)...)
+			align("append")
+		case 3: // rewrite from a column on
+			k := 0
+			if len(q) > 0 {
+				k = s.next() % len(q)
+			}
+			q = append(q[:k:k], s.segments(1+s.next()%4)...)
+			align("rewrite")
+		case 4: // shrink
+			if len(q) > 0 {
+				q = q[:1+s.next()%len(q)]
+			}
+			align("shrink")
+		case 5: // realign the same query
+			align("same")
+		case 6: // restore from the held query and base, in place or fresh
+			base := al.TailBase()
+			held := append([]Segment(nil), want.q...)
+			if s.next()%2 == 0 {
+				al = NewSharedAligner(ref)
+			}
+			if err := al.RestoreState(held, base); err != nil {
+				t.Fatal(err)
+			}
+			want.q, want.off, want.lastStart, want.stale = held, base, 0, true
+			check("restore")
+		case 7:
+			al.Release()
+			want.q, want.off, want.lastStart = nil, 0, 0
+			check("release")
+		}
+	}
+}
+
+// TestSegmentAlignerMatchesReference is the decision-byte aligner's
+// exactness property: over random scenarios of appends, tail rewrites,
+// shrinks, restores and releases on tie-heavy, zero, infinite and NaN
+// operands, every alignment equals the float-matrix reference's in
+// distance bits, match bounds and path, and the checkpoint counters
+// (Cols, TailBase) agree after every step.
+func TestSegmentAlignerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 400; trial++ {
+		data := make([]byte, 40+rng.Intn(200))
+		rng.Read(data)
+		runScript(t, data)
+	}
+}
+
+// FuzzSegmentAligner is TestSegmentAlignerMatchesReference under
+// coverage guidance.
+func FuzzSegmentAligner(f *testing.F) {
+	f.Add([]byte{7, 1, 3, 4, 9, 2, 14, 0, 1, 1, 22, 3, 5, 8, 0, 5, 1, 2, 3, 4, 5, 6, 7, 3, 2, 1, 0, 6, 0, 0, 3})
+	f.Add([]byte{11, 0, 1, 9, 2, 9, 3, 9, 4, 8, 5, 9, 0, 7, 0, 2, 9, 9, 9, 8, 6, 1, 4, 2, 0, 0, 1, 5})
+	f.Add([]byte{3, 2, 0, 8, 1, 9, 2, 10, 0, 5, 0, 8, 1, 9, 2, 10, 3, 11, 6, 1, 1, 0, 4, 1, 7, 0, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		runScript(t, data)
+	})
+}

@@ -56,27 +56,22 @@ type SegmentAlignOpts struct {
 	Stiffness float64
 }
 
-// segMatrix is a segment-DTW cost matrix backed by one flat slice, stored
-// column-major (cell (i, j) lives at j*m+i) so the resumable aligner can
-// extend it one query column at a time with a plain append.
-type segMatrix struct {
-	m int // rows: reference segments
-	// off is the first query column the cells actually hold; columns
-	// before it were left out by a state restore (see
-	// SegmentAligner.RestoreState). Live aligners always run with off 0.
-	off   int
-	cells []float64
-}
+// Traceback decisions, one byte per DP cell: the predecessor the optimal
+// path takes out of the cell. The recurrence needs only the previous
+// column's values, so the aligner rolls those through a two-column ring
+// and keeps, for every held column, just these bytes (the traceback) and
+// the column's last-row value (the free-end scan).
+const (
+	stepDiag  uint8 = iota // to (i−1, j−1)
+	stepVert               // to (i−1, j): the reference advances alone
+	stepHoriz              // to (i, j−1): the query advances alone
+)
 
-func (cm *segMatrix) at(i, j int) float64     { return cm.cells[(j-cm.off)*cm.m+i] }
-func (cm *segMatrix) set(i, j int, v float64) { cm.cells[(j-cm.off)*cm.m+i] = v }
-
-// cellFree recycles matrix backing arrays by power-of-two capacity
-// class. Every resumable aligner (one per tracked tag) grows its matrix
-// through doublings as its query extends, and a fresh make() pays the
-// runtime's zeroing of the entire new capacity — which profiled as a
-// quarter of daemon ingest. Cells are always written before read, so
-// recycled arrays skip that cost entirely.
+// dirFree recycles decision arrays by power-of-two capacity class. Every
+// resumable aligner (one per tracked tag) grows its array through
+// doublings as its query extends, and a fresh make() pays the runtime's
+// zeroing of the entire new capacity. Every byte is written before it is
+// read, so recycled arrays skip that cost entirely.
 //
 // This is an explicit byte-capped free-list rather than a sync.Pool:
 // session churn allocates enough to trigger collections between one
@@ -85,59 +80,59 @@ func (cm *segMatrix) set(i, j int, v float64) { cm.cells[(j-cm.off)*cm.m+i] = v 
 // whole doubling ladder re-allocated (and re-zeroed) for every fresh
 // session. A wide population runs one aligner per tag, all climbing the
 // same size ladder together, so the list is capped by total retained
-// bytes (cellFreeMaxBytes) rather than per-class counts — a per-class cap
-// of a few arrays served a few tags and dropped the rest. float64 arrays
-// are pointer-free, so retaining them adds no GC scan work, and the lock
-// is uncontended in practice — arrays move only on capacity growth, which
+// bytes (dirFreeMaxBytes) rather than per-class counts — a per-class cap
+// of a few arrays served a few tags and dropped the rest. Byte arrays are
+// pointer-free, so retaining them adds no GC scan work, and the lock is
+// uncontended in practice — arrays move only on capacity growth, which
 // doubling makes logarithmic.
 var (
-	cellMu        sync.Mutex
-	cellFree      [48][][]float64
-	cellFreeBytes int
+	dirMu        sync.Mutex
+	dirFree      [48][][]uint8
+	dirFreeBytes int
 )
 
-// cellFreeMaxBytes bounds the retained cell-array bytes (~a couple of
-// sessions' worth of DP matrices for a wide population).
-const cellFreeMaxBytes = 32 << 20
+// dirFreeMaxBytes bounds the retained decision-array bytes (~a couple of
+// sessions' worth of DP state for a wide population).
+const dirFreeMaxBytes = 4 << 20
 
-// getCells returns a zero-length slice with capacity ≥ need, recycled
-// when possible. Capacities are exact powers of two so arrays re-enter
-// their class on release. A request may be served from a few classes
-// above its own: after one session warms the list, a fresh tag starts on
-// a session-final-sized array and skips its whole regrowth ladder.
-func getCells(need int) []float64 {
+// getDir returns a zero-length slice with capacity ≥ need, recycled when
+// possible. Capacities are exact powers of two so arrays re-enter their
+// class on release. A request may be served from a few classes above its
+// own: after one session warms the list, a fresh tag starts on a
+// session-final-sized array and skips its whole regrowth ladder.
+func getDir(need int) []uint8 {
 	if need < 1 {
 		need = 1
 	}
 	k := bits.Len(uint(need - 1))
-	cellMu.Lock()
-	for j := k; j < k+6 && j < len(cellFree); j++ {
-		if cl := cellFree[j]; len(cl) > 0 {
+	dirMu.Lock()
+	for j := k; j < k+6 && j < len(dirFree); j++ {
+		if cl := dirFree[j]; len(cl) > 0 {
 			c := cl[len(cl)-1]
 			cl[len(cl)-1] = nil
-			cellFree[j] = cl[:len(cl)-1]
-			cellFreeBytes -= 8 << j
-			cellMu.Unlock()
+			dirFree[j] = cl[:len(cl)-1]
+			dirFreeBytes -= 1 << j
+			dirMu.Unlock()
 			return c
 		}
 	}
-	cellMu.Unlock()
-	return make([]float64, 0, 1<<k)
+	dirMu.Unlock()
+	return make([]uint8, 0, 1<<k)
 }
 
-// putCells recycles a backing array obtained from getCells.
-func putCells(c []float64) {
+// putDir recycles a backing array obtained from getDir.
+func putDir(c []uint8) {
 	n := cap(c)
 	if n == 0 || n&(n-1) != 0 {
 		return // not one of ours; let the GC have it
 	}
 	k := bits.Len(uint(n - 1))
-	cellMu.Lock()
-	if cellFreeBytes+8*n <= cellFreeMaxBytes {
-		cellFree[k] = append(cellFree[k], c[:0])
-		cellFreeBytes += 8 * n
+	dirMu.Lock()
+	if dirFreeBytes+n <= dirFreeMaxBytes {
+		dirFree[k] = append(dirFree[k], c[:0])
+		dirFreeBytes += n
 	}
-	cellMu.Unlock()
+	dirMu.Unlock()
 }
 
 // Reference is the operand set of one segment-DTW reference, shared by
@@ -196,9 +191,11 @@ func (r *Reference) Len() int { return len(r.p) }
 // Align compares the new query against the columns already held and keeps
 // the longest unchanged prefix, so a query whose tail was rewritten (a
 // re-segmentation after an out-of-order read) transparently degrades to
-// recomputing from the first changed segment. The held state grows with the
-// query: O(m·n) cells. A one-shot alignment is a fresh aligner's first
-// Align. A SegmentAligner is not safe for concurrent use.
+// recomputing: from the first changed segment when it is one of the last
+// two columns, from column 0 otherwise. The held state grows with the
+// query: one traceback decision byte per cell, O(m·n) bytes. A one-shot
+// alignment is a fresh aligner's first Align. A SegmentAligner is not safe
+// for concurrent use.
 type SegmentAligner struct {
 	// ref holds the reference segments, options and the flat per-row fill
 	// operands. Aligners built by NewSharedAligner point at one Reference
@@ -207,39 +204,40 @@ type SegmentAligner struct {
 	// NewSegmentAligner owns a private one.
 	ref *Reference
 	q   []Segment // query segments the DP currently covers
-	cm  segMatrix
+	// dir holds the traceback decision of every cell of every held
+	// column, column-major: cell (i, j) at j*m+i.
+	dir []uint8
+	// ring holds the DP values of the last two filled columns: column j in
+	// slot j&1. ringEnd is one past the last filled column, so the ring
+	// holds columns ringEnd−1 and ringEnd−2; 0 means it holds nothing (a
+	// fresh, released or restored aligner).
+	ring    []float64
+	ringEnd int
 
 	// cost is the per-column scratch of the fill's first pass: the
 	// pointwise matching costs, computed branch-light over the flat
 	// operand arrays before the sequential DP pass consumes them.
 	cost []float64
-	// lastRow mirrors row m−1 of the matrix contiguously (lastRow[j] =
-	// cells[(j+1)m−1]): the free-end scan reads every column's final cell
-	// on every Align, and walking the column-major matrix at stride m
-	// missed cache on each step.
+	// lastRow holds every held column's last-row value contiguously: the
+	// free-end scan reads all of them on every Align.
 	lastRow []float64
 	// path is the traceback scratch reused across Aligns; the Result
 	// returned by Align aliases it (see the Align doc).
 	path Path
-	// lastStart is the previous Align's path-start column. A restore
-	// rebuilds cells only from column lastStart−1 on (see TailBase): the
-	// open end only ever moves forward, so a future traceback revisits
-	// earlier columns only if the optimal path itself moves back — and
-	// that case rebuilds the full matrix (see Align), keeping results and
-	// future checkpoints byte-identical.
+	// off and lastStart make up TailBase, a checkpoint field. lastStart is
+	// the previous Align's path-start column. off is the base a state
+	// restore set (see RestoreState); it drops to 0 when an Align rewrites
+	// a column at or before it, or when a path step at a row past 0 lands
+	// in a column in (0, off]. Nothing reads the DP through either.
+	off       int
 	lastStart int
-	// pending marks a restored aligner whose held columns (cells and
-	// last-row mirror) are not computed yet; the next Align computes them
-	// before it reuses any (see RestoreState).
-	pending bool
 	// Traceback memo: when the free-end scan picks the same end column as
-	// the previous alignment and no recomputed column reaches it (fillLo >
-	// endJ), every cell the traceback would visit is unchanged, so the
-	// held path IS the answer. A tag whose pass is over keeps its best end
-	// fixed while the stream appends columns behind it — exactly the
-	// steady state of a high-cadence snapshot loop, where the per-align
-	// retrace otherwise costs O(m+n) each time.
-	fillLo   int
+	// the previous alignment and no changed column reaches it, every
+	// decision the traceback would visit is unchanged, so the held path IS
+	// the answer. A tag whose pass is over keeps its best end fixed while
+	// the stream appends columns behind it — exactly the steady state of a
+	// high-cadence snapshot loop, where the per-align retrace otherwise
+	// costs O(m+n) each time.
 	lastEndJ int
 	endValid bool
 }
@@ -262,20 +260,20 @@ func NewSharedAligner(ref *Reference) *SegmentAligner {
 // records it next to TailBase.
 func (a *SegmentAligner) Cols() int { return len(a.q) }
 
-// Release returns the aligner's DP matrix to the shared free-list and
-// clears its held columns. An aligner's matrix is its largest holding —
-// the final-size array a tag grew into over a whole session — and without
-// an explicit release it dies with the session while the free-list only
-// ever sees the outgrown smaller rungs. The aligner remains usable; the
-// next Align simply recomputes from scratch.
+// Release returns the aligner's decision array to the shared free-list
+// and clears its held columns. The array is an aligner's largest holding
+// — the final-size array a tag grew into over a whole session — and
+// without an explicit release it dies with the session while the
+// free-list only ever sees the outgrown smaller rungs. The aligner
+// remains usable; the next Align simply recomputes from scratch.
 func (a *SegmentAligner) Release() {
-	putCells(a.cm.cells)
-	a.cm.cells = nil
-	a.cm.off = 0
+	putDir(a.dir)
+	a.dir = nil
+	a.ringEnd = 0
+	a.off = 0
 	a.q = a.q[:0]
 	a.lastStart = 0
 	a.endValid = false
-	a.pending = false
 }
 
 // Align answers the open-end subsequence query over q: the whole reference
@@ -289,87 +287,68 @@ func (a *SegmentAligner) Release() {
 // next Align on this aligner: callers that retain it across calls must
 // copy it first.
 func (a *SegmentAligner) Align(q []Segment) (Result, int, int) {
-	lo, hi, ok := a.alignStart(q)
-	if !ok {
+	m := len(a.ref.p)
+	n := len(q)
+	if m == 0 || n == 0 {
 		return Result{}, 0, 0
 	}
-	for j := lo; j < hi; j++ {
-		a.extendColumn(j)
-	}
-	return a.alignFinish()
-}
-
-// alignStart is Align's serial front half: prefix-compare the held
-// columns, absorb the new query, and reserve every column this alignment
-// needs. It returns the column range [lo, hi) the caller must fill (via
-// extendColumn, or interleaved with other aligners by AlignBatch) before
-// alignFinish answers the query. ok is false when the alignment is empty.
-func (a *SegmentAligner) alignStart(q []Segment) (lo, hi int, ok bool) {
-	m := len(a.ref.p)
-	if m == 0 || len(q) == 0 {
-		return 0, 0, false
-	}
-	a.cm.m = m
 	if cap(a.cost) < m {
 		a.cost = make([]float64, m)
 	}
+	if cap(a.ring) < 2*m {
+		a.ring = make([]float64, 2*m)
+	}
 	// Keep the longest prefix of held columns whose segments are unchanged.
 	cp := 0
-	for cp < len(a.q) && cp < len(q) && a.q[cp] == q[cp] {
+	for cp < len(a.q) && cp < n && a.q[cp] == q[cp] {
 		cp++
 	}
-	if a.pending && cp > a.cm.off {
-		// A restored aligner reuses held columns: compute them now. (When
-		// the reuse ends at or before off, everything is recomputed below
-		// and the pending columns are simply dropped.)
-		a.materialize()
+	if cp <= a.off {
+		a.off = 0
 	}
-	a.pending = false
-	a.q = append(a.q[:cp], q[cp:]...)
-	if a.cm.off > 0 && cp <= a.cm.off {
-		// The first changed segment lands in (or before) the region a
-		// tail restore dropped, so the held columns cannot seed the
-		// recurrence at cp. Recompute the whole matrix — the values are a
-		// deterministic function of (reference, q), so nothing observable
-		// changes.
-		a.cm.off = 0
-		cp = 0
+	// The held decisions and last-row values cover every held column,
+	// unless a restore left them empty (ringEnd 0, so cp > ringEnd). Column
+	// cp extends from column cp−1's values, which the ring holds only when
+	// cp is one of the last two columns filled — append-only growth, or a
+	// rewrite of the last column. Any other extension, and the first Align
+	// after a restore, recomputes from column 0: the values are a
+	// deterministic function of (reference, q), so the rewritten prefix is
+	// byte-identical.
+	lo := cp
+	if cp > a.ringEnd || (cp < n && cp < a.ringEnd-1) {
+		lo = 0
 	}
 	// Reserve all columns this call needs up front (with doubling headroom
 	// so a stream of small extensions regrows O(log n) times, not once per
-	// snapshot): the extend loop then only reslices. Growth moves to a
-	// recycled pooled array — a fresh make() would zero the whole new
-	// capacity, and that memclr dominated ingest profiles.
-	if need := m * (len(q) - a.cm.off); cap(a.cm.cells) < need {
-		if c := 2 * cap(a.cm.cells); need < c {
+	// snapshot). Growth moves to a recycled pooled array — a fresh make()
+	// would zero the whole new capacity.
+	if need := m * n; cap(a.dir) < need {
+		if c := 2 * cap(a.dir); need < c {
 			need = c
 		}
-		grown := append(getCells(need), a.cm.cells[:(cp-a.cm.off)*m]...)
-		putCells(a.cm.cells)
-		a.cm.cells = grown
-	} else {
-		a.cm.cells = a.cm.cells[:(cp-a.cm.off)*m]
+		grown := append(getDir(need), a.dir[:lo*m]...)
+		putDir(a.dir)
+		a.dir = grown
 	}
-	if cap(a.lastRow) < len(q) {
-		nl := make([]float64, len(q), 2*len(q))
-		copy(nl, a.lastRow[:cp])
+	a.dir = a.dir[:m*n]
+	if cap(a.lastRow) < n {
+		nl := make([]float64, n, 2*n)
+		copy(nl, a.lastRow[:lo])
 		a.lastRow = nl
 	} else {
-		a.lastRow = a.lastRow[:len(q)]
+		a.lastRow = a.lastRow[:n]
 	}
-	a.fillLo = cp
-	return cp, len(q), true
-}
+	a.q = append(a.q[:cp], q[cp:]...)
+	for j := lo; j < n; j++ {
+		a.fillColumn(j)
+	}
+	if lo < n {
+		a.ringEnd = n
+	}
 
-// alignFinish is Align's serial back half, run after every column from
-// alignStart's range has been filled: the free-end scan and traceback.
-func (a *SegmentAligner) alignFinish() (Result, int, int) {
-	m := len(a.ref.p)
-	// Free end: pick the cheapest cell in the last reference row — read
-	// from the contiguous mirror, not the strided matrix. Ties prefer the
-	// latest end so zero-cost plateaus match the whole pattern region
-	// rather than a truncated prefix.
-	n := len(a.q)
+	// Free end: pick the cheapest cell in the last reference row. Ties
+	// prefer the latest end so zero-cost plateaus match the whole pattern
+	// region rather than a truncated prefix.
 	endJ := 0
 	last := a.lastRow[:n]
 	best := last[0]
@@ -378,20 +357,16 @@ func (a *SegmentAligner) alignFinish() (Result, int, int) {
 			best, endJ = c, j
 		}
 	}
-	if a.endValid && endJ == a.lastEndJ && a.fillLo > endJ && len(a.path) > 0 {
+	if a.endValid && endJ == a.lastEndJ && cp > endJ && len(a.path) > 0 {
 		// Same best end as last time and every column the traceback visits
-		// (≤ endJ) predates this call's recompute range: the held path and
+		// (≤ endJ) predates this call's first changed column — a column
+		// recomputed from 0 gets the same decisions back: the held path and
 		// its start are the answer, cell for cell.
 		return Result{Distance: best, Path: a.path}, a.path[0].J, endJ
 	}
-	path := tracebackStiff(&a.cm, a.ref.p, a.q, a.ref.opts, m-1, endJ, a.path)
-	if path == nil {
-		// The optimal path walked into the truncated region (possible
-		// only after a tail-state restore, when the best open end moved
-		// behind the dropped columns). Rebuild the full matrix — identical
-		// values, deterministically — and retrace.
-		a.rebuildAll()
-		path = tracebackStiff(&a.cm, a.ref.p, a.q, a.ref.opts, m-1, endJ, a.path)
+	path, behind := tracebackStiff(a.dir, m, m-1, endJ, a.off, a.path)
+	if behind {
+		a.off = 0
 	}
 	a.path = path
 	a.lastStart = path[0].J
@@ -400,60 +375,50 @@ func (a *SegmentAligner) alignFinish() (Result, int, int) {
 	return Result{Distance: best, Path: path}, path[0].J, endJ
 }
 
-// rebuildAll recomputes every DP column from scratch, restoring the
-// full-matrix invariant (off == 0) after a tail restore proved too short
-// for a traceback. Cell values are a pure function of (reference, query),
-// so the rebuilt matrix is identical to one grown live.
-func (a *SegmentAligner) rebuildAll() {
-	m := len(a.ref.p)
-	a.cm.off = 0
-	if need := m * len(a.q); cap(a.cm.cells) < need {
-		putCells(a.cm.cells)
-		a.cm.cells = getCells(need)
-	}
-	a.cm.cells = a.cm.cells[:0]
-	for j := range a.q {
-		a.extendColumn(j)
-	}
-}
-
-// extendColumn computes DP column j from column j-1 in the held matrix.
-func (a *SegmentAligner) extendColumn(j int) {
-	col, prev := a.columnSlices(j, len(a.ref.p))
-	a.fillColumn(j, col, prev)
-}
-
-// fillColumn computes DP column j into col from its predecessor prev (nil
-// only for column 0) in two passes, and records the column's last-row
-// cell in the mirror.
+// fillColumn computes DP column j into its ring slot from column j−1's
+// (held in the other slot; none for column 0), records each cell's
+// traceback decision, and records the column's last-row value.
 //
-// Pass 1 is the pointwise matching cost — segCost/SegDist with the
-// reference operands read from the flat arrays. It is written as
-// independent straight-line iterations over four contiguous float
-// streams with no cross-iteration dependency: the shape the compiler can
-// keep in registers and unroll, and the shape a vectorizing backend
-// could lift wholesale. The max(0, lo−hi, lo−hi) form equals the
-// original comparison chain exactly — segment ranges are proper
-// intervals, so at most one of the two gaps is positive — and the
-// interval branch equals math.Min bit-for-bit on these finite
-// non-negative operands.
+// Pass 1 (fillCost) is the pointwise matching cost. Pass 2 is the
+// sequential min-of-three DP, which carries the col[i−1] dependency and
+// stays scalar; splitting the cost out of it roughly halves the work on
+// that critical path.
 //
-// Pass 2 is the sequential min-of-three DP, which carries the col[i-1]
-// dependency and stays scalar; splitting the cost out of it roughly
-// halves the work on that critical path.
-func (a *SegmentAligner) fillColumn(j int, col, prev []float64) {
+// The decision is recorded in the branch arms the minimum already takes:
+// vertical, horizontal when left < best, diagonal when diag <= best —
+// while best = diag runs only when diag < best, so every value keeps the
+// bits of the plain min chain. For operands that are not NaN this is
+// exactly the traceback predicate over the finished values (diagonal when
+// diag <= vert && diag <= horiz, else vertical when vert <= horiz, else
+// horizontal). It can differ only when vert or left is NaN:
+//   - vert = col[i−1] + pVert[i]. A NaN vert leaves best NaN (no compare
+//     against NaN succeeds), so col[i] is NaN and so is every cell above
+//     it: the column's last cell is NaN.
+//   - left = prev[i] + horiz. With horiz finite it is NaN only when
+//     prev[i] is, and then the predecessor's last cell is NaN by the same
+//     argument; otherwise horiz is infinite or NaN.
+//
+// Columns showing any of those three signs — possible from the wire,
+// since long unvalidated read times can make intervals infinite and 0·Inf
+// is NaN — re-derive their decisions with the traceback predicate.
+func (a *SegmentAligner) fillColumn(j int) {
 	m := len(a.ref.p)
 	// Reslicing to m lets the compiler drop the loops' bounds checks.
 	cost := a.fillCost(j, m)[:m]
-	col = col[:m]
+	col := a.ring[(j&1)*m:][:m]
+	dir := a.dir[j*m:][:m]
+	pVert := a.ref.pVert[:m]
 
 	// Row 0 is a free start: the first reference segment may match any
 	// query column at just its pointwise cost. acc carries col[i−1] in a
 	// register through the sequential pass — it is the loop dependency, so
 	// reloading it from memory each iteration lengthens the critical path.
+	// Row 0's decision is never read (the walk ends there), nor are column
+	// 0's (the walk can only go up there); both are written so the array
+	// holds no stale bytes.
 	acc := cost[0]
 	col[0] = acc
-	pVert := a.ref.pVert[:m]
+	dir[0] = stepVert
 	if j == 0 {
 		for i := 1; i < m; i++ {
 			// Same association as the general column below
@@ -461,39 +426,54 @@ func (a *SegmentAligner) fillColumn(j int, col, prev []float64) {
 			// operation, so regrouping would break bit-identity.
 			acc = cost[i] + acc + pVert[i]
 			col[i] = acc
+			dir[i] = stepVert
 		}
 		a.lastRow[0] = acc
 		return
 	}
 	horiz := a.ref.opts.Stiffness * a.q[j].Interval
-	prev = prev[:m]
+	prev := a.ring[((j-1)&1)*m:][:m]
 	diag := prev[0]
 	for i := 1; i < m; i++ {
-		best := acc + pVert[i]
+		best, step := acc+pVert[i], stepVert
 		if left := prev[i] + horiz; left < best {
-			best = left
+			best, step = left, stepHoriz
 		}
-		if diag < best {
-			best = diag
+		if diag <= best {
+			step = stepDiag
+			if diag < best {
+				best = diag
+			}
 		}
 		diag = prev[i]
 		acc = cost[i] + best
 		col[i] = acc
+		dir[i] = step
 	}
 	a.lastRow[j] = acc
+	if acc != acc || prev[m-1] != prev[m-1] || horiz-horiz != 0 {
+		rederive(dir, col, prev, pVert, horiz)
+	}
 }
 
-// columnSlices grows the matrix by column j and returns it plus column
-// j−1 (nil when j is the first held column). Capacity was reserved by
-// alignStart, so the growth is a reslice.
-func (a *SegmentAligner) columnSlices(j, m int) (col, prev []float64) {
-	base := (j - a.cm.off) * m
-	a.cm.cells = a.cm.cells[:base+m]
-	col = a.cm.cells[base : base+m : base+m]
-	if j > a.cm.off {
-		prev = a.cm.cells[base-m : base : base]
+// rederive rewrites a filled column's decisions with the traceback
+// predicate over its finished values: col is the column, prev its
+// predecessor. fillColumn calls it on the rare columns whose NaN operands
+// could make its in-loop decisions differ from the predicate.
+func rederive(dir []uint8, col, prev, pVert []float64, horiz float64) {
+	for i := 1; i < len(col); i++ {
+		vert := col[i-1] + pVert[i]
+		left := prev[i] + horiz
+		diag := prev[i-1]
+		switch {
+		case diag <= vert && diag <= left:
+			dir[i] = stepDiag
+		case vert <= left:
+			dir[i] = stepVert
+		default:
+			dir[i] = stepHoriz
+		}
 	}
-	return col, prev
 }
 
 // fillCost is the fill's first pass for column j: the pointwise matching
@@ -535,252 +515,12 @@ func (a *SegmentAligner) fillCost(j, m int) []float64 {
 	return cost
 }
 
-// BatchAlign is one aligner's answer from AlignBatch — exactly the three
-// values Align returns: the open-end result plus the matched start and
-// end columns. Res.Path aliases the owning aligner's scratch, like Align.
-type BatchAlign struct {
-	Res        Result
-	Start, End int
-}
-
-// blockLane is one aligner's pending column range during AlignBatch.
-type blockLane struct {
-	a     *SegmentAligner
-	j, hi int
-}
-
-// laneScratch pools AlignBatch's bookkeeping so a blocked detection run
-// allocates nothing beyond what the per-aligner Aligns themselves would.
-type laneScratch struct {
-	lanes []blockLane
-	ok    []bool
-}
-
-var lanePool = sync.Pool{New: func() any { return new(laneScratch) }}
-
-// AlignBatch answers the open-end query for a run of aligners at once:
-// out[k] is byte-identical to as[k].Align(qs[k]), including every DP cell
-// value, path and tie-break. The difference is purely mechanical — the
-// column fills of aligners sharing a Reference are interleaved four at a
-// time, so one pass over the shared panels feeds four independent DP
-// recurrences. That matters because the fill's sequential pass carries a
-// loop dependency (col[i] needs col[i−1]) whose floating-point latency a
-// single tag cannot hide; four independent accumulator chains keep the FP
-// units busy, and the shared panel streams are read once per group
-// instead of once per tag. Aligners must be distinct; lanes over
-// different References simply fill in smaller groups.
-//
-// as, qs and out must have equal length. Like Align, each out entry's
-// Path aliases its aligner's scratch, overwritten by that aligner's next
-// alignment.
-func AlignBatch(as []*SegmentAligner, qs [][]Segment, out []BatchAlign) {
-	sc, _ := lanePool.Get().(*laneScratch)
-	if sc == nil {
-		sc = new(laneScratch)
-	}
-	lanes := sc.lanes[:0]
-	oks := sc.ok[:0]
-	for k, a := range as {
-		lo, hi, ok := a.alignStart(qs[k])
-		oks = append(oks, ok)
-		if !ok {
-			out[k] = BatchAlign{}
-			continue
-		}
-		// Seed pass: a lane's first-ever column has no predecessor — the
-		// fused kernel assumes one — so fill it serially; only brand-new
-		// tags (or full rebuilds) hit this, once.
-		if lo == 0 {
-			a.extendColumn(0)
-			lo = 1
-		}
-		if lo < hi {
-			lanes = append(lanes, blockLane{a: a, j: lo, hi: hi})
-		}
-	}
-	for len(lanes) > 0 {
-		// Group up to four lanes over the first lane's Reference and fill
-		// in lockstep until the shortest of them drains; singletons and
-		// odd tails fall back to the serial column loop.
-		ref := lanes[0].a.ref
-		var pick [4]*blockLane
-		np := 0
-		for i := 0; i < len(lanes) && np < 4; i++ {
-			if lanes[i].a.ref == ref {
-				pick[np] = &lanes[i]
-				np++
-			}
-		}
-		switch np {
-		case 4:
-			l0, l1, l2, l3 := pick[0], pick[1], pick[2], pick[3]
-			n := min(min(l0.hi-l0.j, l1.hi-l1.j), min(l2.hi-l2.j, l3.hi-l3.j))
-			for s := 0; s < n; s++ {
-				extendCols4(ref, l0.a, l0.j, l1.a, l1.j, l2.a, l2.j, l3.a, l3.j)
-				l0.j++
-				l1.j++
-				l2.j++
-				l3.j++
-			}
-		case 2, 3:
-			l0, l1 := pick[0], pick[1]
-			n := min(l0.hi-l0.j, l1.hi-l1.j)
-			for s := 0; s < n; s++ {
-				extendCols2(ref, l0.a, l0.j, l1.a, l1.j)
-				l0.j++
-				l1.j++
-			}
-		default:
-			l0 := pick[0]
-			for ; l0.j < l0.hi; l0.j++ {
-				l0.a.extendColumn(l0.j)
-			}
-		}
-		w := 0
-		for _, ln := range lanes {
-			if ln.j < ln.hi {
-				lanes[w] = ln
-				w++
-			}
-		}
-		lanes = lanes[:w]
-	}
-	for k, a := range as {
-		if oks[k] {
-			out[k].Res, out[k].Start, out[k].End = a.alignFinish()
-		}
-	}
-	sc.lanes = lanes[:0]
-	sc.ok = oks[:0]
-	lanePool.Put(sc)
-}
-
-// extendCols4 fills one DP column for each of four aligners over the same
-// Reference: pass 1 (the pointwise costs) runs per lane — it is already
-// dependency-free — and pass 2 runs the four sequential min-of-three
-// recurrences interleaved, four independent loop-carried accumulator
-// chains overlapping where a single chain's FP latency stalls. Each lane
-// executes exactly the operations extendColumn would run for it, in the
-// same order, so the cells are bit-identical. Every lane's column index
-// must be past its first held column (callers seed column 0 serially).
-func extendCols4(ref *Reference, a0 *SegmentAligner, j0 int, a1 *SegmentAligner, j1 int, a2 *SegmentAligner, j2 int, a3 *SegmentAligner, j3 int) {
-	m := len(ref.p)
-	col0, prev0 := a0.columnSlices(j0, m)
-	col1, prev1 := a1.columnSlices(j1, m)
-	col2, prev2 := a2.columnSlices(j2, m)
-	col3, prev3 := a3.columnSlices(j3, m)
-	c0 := a0.fillCost(j0, m)
-	c1 := a1.fillCost(j1, m)
-	c2 := a2.fillCost(j2, m)
-	c3 := a3.fillCost(j3, m)
-	st := ref.opts.Stiffness
-	h0 := st * a0.q[j0].Interval
-	h1 := st * a1.q[j1].Interval
-	h2 := st * a2.q[j2].Interval
-	h3 := st * a3.q[j3].Interval
-	acc0, acc1, acc2, acc3 := c0[0], c1[0], c2[0], c3[0]
-	col0[0], col1[0], col2[0], col3[0] = acc0, acc1, acc2, acc3
-	pVert := ref.pVert[:m]
-	// The diagonal operand is re-loaded as prev[i−1] instead of carried in
-	// a register like extendColumn does: four lanes' acc/diag/horiz
-	// registers plus temporaries exceed the sixteen XMM registers, and the
-	// resulting spills land on the very accumulator chains the interleave
-	// exists to overlap. prev[i−1] was loaded last iteration, so the
-	// re-load hits L1 and sits off the critical path. Same value, same
-	// bits.
-	for i := 1; i < m; i++ {
-		v := pVert[i]
-		b0 := acc0 + v
-		if l := prev0[i] + h0; l < b0 {
-			b0 = l
-		}
-		if d := prev0[i-1]; d < b0 {
-			b0 = d
-		}
-		acc0 = c0[i] + b0
-		col0[i] = acc0
-		b1 := acc1 + v
-		if l := prev1[i] + h1; l < b1 {
-			b1 = l
-		}
-		if d := prev1[i-1]; d < b1 {
-			b1 = d
-		}
-		acc1 = c1[i] + b1
-		col1[i] = acc1
-		b2 := acc2 + v
-		if l := prev2[i] + h2; l < b2 {
-			b2 = l
-		}
-		if d := prev2[i-1]; d < b2 {
-			b2 = d
-		}
-		acc2 = c2[i] + b2
-		col2[i] = acc2
-		b3 := acc3 + v
-		if l := prev3[i] + h3; l < b3 {
-			b3 = l
-		}
-		if d := prev3[i-1]; d < b3 {
-			b3 = d
-		}
-		acc3 = c3[i] + b3
-		col3[i] = acc3
-	}
-	a0.lastRow[j0] = acc0
-	a1.lastRow[j1] = acc1
-	a2.lastRow[j2] = acc2
-	a3.lastRow[j3] = acc3
-}
-
-// extendCols2 is extendCols4 for a pair — the odd-tail form.
-func extendCols2(ref *Reference, a0 *SegmentAligner, j0 int, a1 *SegmentAligner, j1 int) {
-	m := len(ref.p)
-	col0, prev0 := a0.columnSlices(j0, m)
-	col1, prev1 := a1.columnSlices(j1, m)
-	c0 := a0.fillCost(j0, m)
-	c1 := a1.fillCost(j1, m)
-	st := ref.opts.Stiffness
-	h0 := st * a0.q[j0].Interval
-	h1 := st * a1.q[j1].Interval
-	acc0, acc1 := c0[0], c1[0]
-	col0[0], col1[0] = acc0, acc1
-	d0, d1 := prev0[0], prev1[0]
-	pVert := ref.pVert[:m]
-	for i := 1; i < m; i++ {
-		v := pVert[i]
-		b0 := acc0 + v
-		if l := prev0[i] + h0; l < b0 {
-			b0 = l
-		}
-		if d0 < b0 {
-			b0 = d0
-		}
-		d0 = prev0[i]
-		acc0 = c0[i] + b0
-		col0[i] = acc0
-		b1 := acc1 + v
-		if l := prev1[i] + h1; l < b1 {
-			b1 = l
-		}
-		if d1 < b1 {
-			b1 = d1
-		}
-		d1 = prev1[i]
-		acc1 = c1[i] + b1
-		col1[i] = acc1
-	}
-	a0.lastRow[j0] = acc0
-	a1.lastRow[j1] = acc1
-}
-
 // tracebackStiff reconstructs the optimal path of a stiffness-weighted
-// open-end segment alignment: the path may start at any column of the
-// first row (subsequence matching). It returns nil when the walk
-// would read a column before cm.off — a tail-restored matrix that turned
-// out too short — in which case the caller must rebuild the full matrix
-// and retrace; a full matrix (off 0) always yields a path.
-func tracebackStiff(cm *segMatrix, p, q []Segment, opts SegmentAlignOpts, i, j int, dst Path) Path {
+// open-end segment alignment from cell (i, j) by walking the decision
+// bytes of an m-row column-major dir: the path may start at any column of
+// the first row (subsequence matching). behind reports a step at a row
+// past 0 in a column in (0, off] — see SegmentAligner.off.
+func tracebackStiff(dir []uint8, m, i, j, off int, dst Path) (path Path, behind bool) {
 	// A warping path from (i, j) back to row 0 takes at most i+j+1 steps:
 	// one exact-capacity allocation instead of append doublings — skipped
 	// entirely when the caller hands back a big-enough scratch. A scratch
@@ -802,25 +542,19 @@ func tracebackStiff(cm *segMatrix, p, q []Segment, opts SegmentAlignOpts, i, j i
 			i--
 			continue
 		}
-		if j <= cm.off {
-			// Deciding the step at (i, j) reads column j−1, which a
-			// tail-restored matrix no longer holds. Never reached with a
-			// full matrix (off 0 makes the j == 0 branch fire first); the
-			// caller rebuilds the full matrix and retraces.
-			return nil
+		if j <= off {
+			behind = true
 		}
-		vert := cm.at(i-1, j) + opts.Stiffness*p[i].Interval
-		horiz := cm.at(i, j-1) + opts.Stiffness*q[j].Interval
-		diag := cm.at(i-1, j-1)
-		if diag <= vert && diag <= horiz {
+		switch dir[j*m+i] {
+		case stepDiag:
 			i--
 			j--
-		} else if vert <= horiz {
+		case stepVert:
 			i--
-		} else {
+		default:
 			j--
 		}
 	}
 	reverse(rev)
-	return rev
+	return rev, behind
 }

@@ -53,10 +53,10 @@ type Options struct {
 }
 
 // Detection block sizing: one scheduler claim takes a contiguous run of
-// dirty tags, and the blocked kernel (stpp.LocalizeTagsIncremental)
-// interleaves their DP fills over the shared reference panels. The run
-// should be big enough to amortize claim traffic and panel loads, small
-// enough that the run's columns-in-flight stay cache-resident: the budget
+// dirty tags, and stpp.LocalizeTagsIncremental fills their DP columns one
+// tag after another over the shared reference panels. The run should be
+// big enough to amortize claim traffic and panel loads, small enough that
+// the panels and each tag's fill scratch stay cache-resident: the budget
 // is an L2 slice, roughly.
 const (
 	detectBudget   = 256 << 10
@@ -65,11 +65,12 @@ const (
 )
 
 // blockForBudget sizes a detection run: m is the reference segment count
-// (the DP row count every column pays), and each tag in flight holds a
-// cost buffer plus its current and previous DP column — roughly 4 m-sized
-// float64 arrays with the shared panels amortized across the run. Always
-// at least minDetectBlock, so a degenerate budget or a huge reference
-// still makes progress in non-empty runs.
+// (the DP row count every column pays), and each tag in the run touches a
+// cost buffer, its two-column value ring and one decision byte per row
+// and column — budgeted as 4 m-sized float64 arrays, with the shared
+// panels amortized across the run. Always at least minDetectBlock, so a
+// degenerate budget or a huge reference still makes progress in non-empty
+// runs.
 func blockForBudget(budget, m int) int {
 	if m <= 0 {
 		m = 1
@@ -369,13 +370,13 @@ func (e *Engine) LateReads() int64 { return e.late }
 // lifecycle is enabled — the disabled engine does not track it.
 func (e *Engine) Frontier() float64 { return e.frontier }
 
-// Close returns the engine's pooled holdings — every tag's DTW matrix —
-// to their shared free-lists and drops every per-tag reference —
+// Close returns the engine's pooled holdings — every tag's DTW decision
+// array — to their shared free-lists and drops every per-tag reference —
 // profiles, cached results, detection states, the finalized set —
 // returning the engine to its freshly-constructed state. A dropped or
 // evicted ingest session calls it so the engine stops pinning its largest
 // allocations the moment the session goes away, and the next session
-// ramps up on the recycled matrices instead of re-paying the
+// ramps up on the recycled arrays instead of re-paying the
 // allocation-and-zeroing ladder.
 func (e *Engine) Close() {
 	for _, ts := range e.states {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"repro/internal/deploy"
 	"repro/internal/reader"
@@ -164,6 +165,16 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, CreateResponse{ID: sess.ID})
 }
 
+// maxLine bounds one NDJSON read line; a longer line aborts its body.
+const maxLine = 1 << 20
+
+// lineBufs recycles handleReads' line buffers. A scanner given a buffer of
+// its maximum token size never replaces it, and nothing retains the bytes
+// past the handler (UnmarshalRead copies what it keeps), so a buffer goes
+// back whole when the body ends. Without it every POST allocated and
+// cleared 1 MiB.
+var lineBufs = sync.Pool{New: func() any { return new([maxLine]byte) }}
+
 // handleReads streams NDJSON read lines into the session queue in
 // MaxBatch chunks. A malformed or oversized line or an unknown reader ID
 // aborts the body with 400 — reads on earlier lines are already
@@ -174,8 +185,10 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	buf := lineBufs.Get().(*[maxLine]byte)
+	defer lineBufs.Put(buf)
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	sc.Buffer(buf[:0], maxLine)
 	accepted := 0
 	batch := make([]reader.TagRead, 0, s.opts.MaxBatch)
 	flush := func() error {
@@ -263,10 +276,10 @@ func (s *Server) handleOrder(w http.ResponseWriter, r *http.Request) {
 		snap = sess.Latest()
 	}
 	if err != nil {
-		// "No tag profiles yet" on a session that has consumed nothing is
-		// the same benign warming-up state the non-refresh path reports;
-		// only errors with reads behind them are real failures.
-		if sess.Consumed() == 0 {
+		// A snapshot of a session that had consumed nothing is the same
+		// benign warming-up state the non-refresh path reports; only
+		// errors with reads behind them are real failures.
+		if errors.As(err, new(noReadsError)) {
 			writeJSON(w, http.StatusAccepted, errorResponse{Error: "no reads consumed yet"})
 			return
 		}

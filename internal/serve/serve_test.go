@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/reader"
@@ -436,6 +437,50 @@ func TestHTTPRejectsMalformed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRefreshRacingFirstBatch: a refresh that reaches the drain together
+// with a session's first batch answers 202, the warming-up state. The
+// drain serves the refresh before the batch, so the snapshot sees an
+// empty engine; the handler must not then judge that error by a consumed
+// count the batch has moved in the meantime (which answered 409).
+func TestRefreshRacingFirstBatch(t *testing.T) {
+	tr, _, opts := aisleTrace(t, 3)
+	sc := sched.New(1)
+	defer sc.Stop()
+	opts.Scheduler = sc
+	srv := newTestServer(t, opts)
+	h := srv.Handler()
+	sess, err := srv.CreateSession(tr.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Occupy the only worker so the batch and the refresh queue up behind
+	// it.
+	held, release := make(chan struct{}), make(chan struct{})
+	sc.Go(nil, func() { close(held); <-release })
+	<-held
+	if err := sess.Enqueue(tr.Reads[:200]); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/"+sess.ID+"/order?refresh=1", nil))
+	}()
+	for len(sess.ctrl) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-served
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("refresh racing the first batch: status %d, want 202: %s", rec.Code, rec.Body)
+	}
+	waitDrained(t, sess)
+	if sess.Consumed() != 200 {
+		t.Fatalf("consumed %d reads, want 200", sess.Consumed())
 	}
 }
 

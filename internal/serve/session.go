@@ -31,6 +31,13 @@ const (
 // closed the session's ingest side.
 var ErrSessionClosed = errors.New("serve: session closed to new reads")
 
+// noReadsError marks a snapshot that failed on a session that had consumed
+// no reads when it was taken: the warming-up state, not a failure. It is
+// decided by the engine owner at snapshot time; a caller that sampled the
+// consumed count afterwards could see reads that arrived after the
+// snapshot, since the drain serves control requests before its queue.
+type noReadsError struct{ error }
+
 // ErrTooManyTags is returned by Enqueue when the session's resident-tag
 // gauge is at Options.MaxActiveTags: the stream is feeding tags faster
 // than the lifecycle retires them, and admitting more would let memory
@@ -729,11 +736,10 @@ func (s *Session) terminate() {
 	}
 	// The engine owner drops the reference on exit: a finished session
 	// keeps just its published snapshot, not the engine's profiles and
-	// caches. Close (not just Release) returns pooled holdings — the
-	// per-tag DTW matrices, the largest per-session allocation — to their
-	// free-lists AND drops the engine's own references to profiles,
-	// caches and detection states, so an evicted session stops pinning
-	// free-list cells the moment it goes away, not whenever the last
+	// caches. Close returns pooled holdings — the per-tag DTW decision
+	// arrays — to their free-lists AND drops the engine's own references
+	// to profiles, caches and detection states, so an evicted session
+	// stops pinning them the moment it goes away, not whenever the last
 	// stale snapshot pointer dies.
 	if s.eng != nil {
 		s.eng.Close()
@@ -852,6 +858,9 @@ func (s *Session) takeSnapshot(final bool) (*Snapshot, error) {
 	t0 := time.Now()
 	res, err := s.eng.Snapshot()
 	if err != nil {
+		if s.consumed.Load() == 0 {
+			return nil, noReadsError{err}
+		}
 		return nil, err
 	}
 	snap := &Snapshot{

@@ -11,7 +11,7 @@ import (
 // at least After seconds. A conclusive tag will never change its X key
 // again (no further reads can arrive for it without violating the policy's
 // precondition), so the engine may emit it to the ordered output stream
-// and evict its profile, detection state and aligner matrices.
+// and evict its profile, detection state and aligner decisions.
 //
 // Correctness precondition: After must exceed the longest mid-pass read
 // gap the workload can produce — on a sharded deployment that includes the

@@ -29,9 +29,9 @@ type Detector struct {
 	refVS, refVE int
 	refSegs      []dtw.Segment
 	// refAl is the shared flat-panel form of refSegs: every DetectState's
-	// aligner references it instead of owning a private copy, which is what
-	// lets a blocked detection pass interleave several tags' DP fills over
-	// one panel load (dtw.AlignBatch).
+	// aligner references it instead of owning a private copy, so a blocked
+	// detection pass streams one copy of the panels for its whole run of
+	// tags.
 	refAl *dtw.Reference
 	// segment indices of the reference V-zone within refSegs
 	refSegVS, refSegVE int
@@ -99,8 +99,8 @@ func (d *Detector) oneShotState() *DetectState {
 }
 
 // putOneShot clears a one-shot state back to a fresh state's behaviour —
-// Reset drops the segment cache, Release returns the DTW matrix to the
-// shared free-list — and pools it for the next one-shot detection.
+// Reset drops the segment cache, Release returns the DTW decision array
+// to the shared free-list — and pools it for the next one-shot detection.
 func (d *Detector) putOneShot(st *DetectState) {
 	st.Reset()
 	st.Release()
@@ -108,9 +108,9 @@ func (d *Detector) putOneShot(st *DetectState) {
 }
 
 // DetectState is the resumable per-tag state behind DetectIncremental: the
-// tag's segment cache, the open-end DTW aligner holding the DP columns
-// computed so far, and the V-zone refinement's unwrap/median curves with
-// the prefix length they are valid for. A state belongs to one
+// tag's segment cache, the open-end DTW aligner holding the traceback
+// decisions of the DP columns computed so far, and the V-zone refinement's
+// unwrap/median curves with the prefix length they are valid for. A state belongs to one
 // (detector, tag) pair and is not safe for concurrent use.
 type DetectState struct {
 	segs *profile.SegmentCache
@@ -156,7 +156,7 @@ func (d *Detector) RefSegments() int { return len(d.refSegs) }
 // Reset invalidates the state after the tag's profile changed other than
 // by appending (an out-of-order read forced a re-sort): the segment cache
 // rebuilds from sample 0, the aligner recomputes from the first changed
-// segment, and the refinement curves recompute in full on the next
+// segment (or column 0), and the refinement curves recompute in full on the next
 // DetectIncremental.
 func (s *DetectState) Reset() {
 	s.segs.Invalidate()
@@ -164,8 +164,8 @@ func (s *DetectState) Reset() {
 	s.xkValid = false
 }
 
-// Release returns the state's pooled holdings (the DTW matrix) to their
-// free-lists when the tag's session is over. The state remains usable;
+// Release returns the state's pooled holdings (the DTW decision array) to
+// their free-lists when the tag's session is over. The state remains usable;
 // subsequent detections recompute from scratch.
 func (s *DetectState) Release() {
 	s.al.Release()
@@ -240,14 +240,6 @@ func (d *Detector) DetectIncremental(st *DetectState, p *profile.Profile) (VZone
 		return VZone{}, fmt.Errorf("stpp: empty segmentation")
 	}
 	res, _, _ := st.al.Align(segs)
-	return d.vzoneFromAlignment(st, p, segs, res)
-}
-
-// vzoneFromAlignment maps an open-end alignment of the reference against
-// the measured segmentation onto the measured profile and refines the
-// candidate over the state's incremental unwrap/median curves — the back
-// half of DetectIncremental and of the blocked LocalizeTagsIncremental.
-func (d *Detector) vzoneFromAlignment(st *DetectState, p *profile.Profile, segs []dtw.Segment, res dtw.Result) (VZone, error) {
 	if len(res.Path) == 0 {
 		return VZone{}, fmt.Errorf("stpp: alignment produced no path")
 	}
