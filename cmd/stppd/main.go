@@ -74,6 +74,16 @@ import (
 	"repro/internal/wal"
 )
 
+// Listener timeouts. A client that opens a connection and never finishes
+// its request header would otherwise hold the connection and its
+// goroutine for as long as it likes. There is deliberately no read
+// timeout: it would bound the whole request, and a reads body is an
+// NDJSON stream that runs as long as its producer keeps sending.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute // between keep-alive requests
+)
+
 func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7080", "listen address (port 0 = ephemeral)")
@@ -148,7 +158,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

@@ -19,18 +19,6 @@ func WrapPhase(theta float64) float64 {
 	return t
 }
 
-// PhaseDiff returns the smallest signed angular difference a-b, in (-π, π].
-func PhaseDiff(a, b float64) float64 {
-	d := math.Mod(a-b, TwoPi)
-	if d > math.Pi {
-		d -= TwoPi
-	}
-	if d <= -math.Pi {
-		d += TwoPi
-	}
-	return d
-}
-
 // Unwrap removes 2π jumps from a wrapped phase sequence, returning a new
 // slice. Consecutive samples that differ by more than π are assumed to have
 // wrapped. This is the classic 1D phase unwrapping used on dense profiles;
@@ -51,61 +39,6 @@ func Unwrap(phases []float64) []float64 {
 			offset += TwoPi
 		}
 		out[i] = phases[i] + offset
-	}
-	return out
-}
-
-// UnwrapGapAware behaves like Unwrap but resets the continuity assumption
-// whenever the time gap between consecutive samples exceeds maxGap: across a
-// long dropout the wrap count is unknowable, so the unwrapped value restarts
-// from the wrapped reading plus the accumulated offset rounded to keep the
-// sequence as smooth as possible.
-func UnwrapGapAware(times, phases []float64, maxGap float64) []float64 {
-	out := make([]float64, len(phases))
-	if len(phases) == 0 {
-		return out
-	}
-	out[0] = phases[0]
-	offset := 0.0
-	for i := 1; i < len(phases); i++ {
-		if times[i]-times[i-1] > maxGap {
-			// Choose the wrap multiple that brings this sample closest to the
-			// previous unwrapped value.
-			k := math.Round((out[i-1] - phases[i]) / TwoPi)
-			offset = k * TwoPi
-			out[i] = phases[i] + offset
-			continue
-		}
-		d := phases[i] - phases[i-1]
-		if d > math.Pi {
-			offset -= TwoPi
-		} else if d < -math.Pi {
-			offset += TwoPi
-		}
-		out[i] = phases[i] + offset
-	}
-	return out
-}
-
-// PhaseVelocity estimates the instantaneous phase changing rate (rad/s) at
-// each sample by central differences on the unwrapped sequence. Endpoints
-// use one-sided differences. times must be strictly increasing.
-func PhaseVelocity(times, phases []float64) []float64 {
-	n := len(phases)
-	out := make([]float64, n)
-	if n < 2 {
-		return out
-	}
-	un := Unwrap(phases)
-	for i := 0; i < n; i++ {
-		switch i {
-		case 0:
-			out[i] = (un[1] - un[0]) / (times[1] - times[0])
-		case n - 1:
-			out[i] = (un[n-1] - un[n-2]) / (times[n-1] - times[n-2])
-		default:
-			out[i] = (un[i+1] - un[i-1]) / (times[i+1] - times[i-1])
-		}
 	}
 	return out
 }

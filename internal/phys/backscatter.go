@@ -3,8 +3,6 @@ package phys
 import (
 	"math"
 	"math/cmplx"
-
-	"repro/internal/geom"
 )
 
 // PhaseOffsets collects the hardware-dependent phase rotations of Eq. 1:
@@ -22,13 +20,6 @@ type PhaseOffsets struct {
 
 // Mu returns the total systematic offset μ.
 func (p PhaseOffsets) Mu() float64 { return p.ReaderTx + p.ReaderRx + p.Tag }
-
-// IdealPhase computes the noiseless backscatter phase for a reader antenna
-// at a, a tag at t, wavelength λ and systematic offset μ, per Eq. 1.
-func IdealPhase(a, t geom.Vec3, wavelength, mu float64) float64 {
-	d := a.Dist(t)
-	return WrapPhase(PhaseConstant(wavelength)*d + mu)
-}
 
 // WrapPhase reduces an angle to [0, 2π).
 func WrapPhase(theta float64) float64 {

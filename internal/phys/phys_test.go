@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/geom"
 )
@@ -86,53 +85,6 @@ func TestHopSequence(t *testing.T) {
 	}
 	if len(seen) < b.Channels/2 {
 		t.Errorf("hop sequence visited only %d channels", len(seen))
-	}
-}
-
-func TestIdealPhaseSlope(t *testing.T) {
-	// Phase advances by 4π per wavelength of distance.
-	wl := 0.33
-	a := geom.V3(0, 0, 0)
-	t1 := geom.V3(1.00, 0, 0)
-	t2 := geom.V3(1.00+wl/2, 0, 0) // half wavelength farther → full 2π wrap
-	p1 := IdealPhase(a, t1, wl, 0)
-	p2 := IdealPhase(a, t2, wl, 0)
-	if !approx(p1, p2, 1e-9) {
-		t.Errorf("half-wavelength phase: %v vs %v (should wrap to equal)", p1, p2)
-	}
-	t3 := geom.V3(1.00+wl/8, 0, 0) // λ/8 farther → +π/2
-	p3 := IdealPhase(a, t3, wl, 0)
-	want := WrapPhase(p1 + math.Pi/2)
-	if !approx(p3, want, 1e-9) {
-		t.Errorf("λ/8 phase = %v, want %v", p3, want)
-	}
-}
-
-func TestIdealPhaseSymmetryAroundPerpendicular(t *testing.T) {
-	// Core STPP observation: phase is symmetric around the perpendicular
-	// point as the antenna moves along X above a tag.
-	wl := 0.325
-	tag := geom.V3(2, 0, 0)
-	h := 1.0
-	for _, dx := range []float64{0.1, 0.25, 0.5, 1.0} {
-		left := IdealPhase(geom.V3(2-dx, 0, h), tag, wl, 0.3)
-		right := IdealPhase(geom.V3(2+dx, 0, h), tag, wl, 0.3)
-		if !approx(left, right, 1e-9) {
-			t.Errorf("asymmetric phase at dx=%v: %v vs %v", dx, left, right)
-		}
-	}
-}
-
-func TestQuickIdealPhaseRange(t *testing.T) {
-	f := func(x, y, z int8, muRaw uint8) bool {
-		a := geom.V3(0, 0, 1)
-		tag := geom.V3(float64(x)/10, float64(y)/10, float64(z)/10)
-		mu := float64(muRaw) / 255 * 10
-		p := IdealPhase(a, tag, 0.325, mu)
-		return p >= 0 && p < 2*math.Pi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -155,28 +155,3 @@ func (p *Profile) segment(i, j int) dtw.Segment {
 	}
 	return dtw.Segment{Lo: lo, Hi: hi, Start: i, End: j, Interval: interval}
 }
-
-// MeanSegments splits the profile into k equal-count chunks and returns the
-// mean phase of each — the coarse representation used for Y-axis ordering
-// (Section 3.2.1). Returns an error when the profile has fewer than k
-// samples.
-func (p *Profile) MeanSegments(k int) ([]float64, error) {
-	n := p.Len()
-	if k < 1 {
-		return nil, fmt.Errorf("profile: k = %d < 1", k)
-	}
-	if n < k {
-		return nil, fmt.Errorf("profile: %d samples < %d segments", n, k)
-	}
-	out := make([]float64, k)
-	for s := 0; s < k; s++ {
-		lo := s * n / k
-		hi := (s + 1) * n / k
-		var sum float64
-		for i := lo; i < hi; i++ {
-			sum += p.Phases[i]
-		}
-		out[s] = sum / float64(hi-lo)
-	}
-	return out, nil
-}

@@ -175,70 +175,3 @@ func TestSegmentizeCoversAllSamples(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMeanSegments(t *testing.T) {
-	p := mkProfile([]float64{1, 1, 3, 3})
-	ms, err := p.MeanSegments(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 || !almost(ms[0], 1) || !almost(ms[1], 3) {
-		t.Errorf("means = %v", ms)
-	}
-}
-
-func TestMeanSegmentsUneven(t *testing.T) {
-	p := mkProfile([]float64{1, 2, 3, 4, 5})
-	ms, err := p.MeanSegments(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 {
-		t.Fatalf("means = %v", ms)
-	}
-	// First chunk [0,2): mean 1.5; second [2,5): mean 4.
-	if !almost(ms[0], 1.5) || !almost(ms[1], 4) {
-		t.Errorf("means = %v", ms)
-	}
-}
-
-func TestMeanSegmentsErrors(t *testing.T) {
-	p := mkProfile([]float64{1, 2})
-	if _, err := p.MeanSegments(3); err == nil {
-		t.Error("want error for k > len")
-	}
-	if _, err := p.MeanSegments(0); err == nil {
-		t.Error("want error for k = 0")
-	}
-}
-
-// Property: mean segments are bounded by profile min/max.
-func TestQuickMeanSegmentsBounded(t *testing.T) {
-	f := func(raw []uint8, kRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		phases := make([]float64, len(raw))
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, r := range raw {
-			phases[i] = float64(r) / 256 * 2 * math.Pi
-			lo = math.Min(lo, phases[i])
-			hi = math.Max(hi, phases[i])
-		}
-		p := mkProfile(phases)
-		k := int(kRaw)%len(raw) + 1
-		ms, err := p.MeanSegments(k)
-		if err != nil {
-			return false
-		}
-		for _, m := range ms {
-			if m < lo-1e-9 || m > hi+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

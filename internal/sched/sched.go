@@ -1,20 +1,16 @@
-// Package sched is the process-global work-stealing task scheduler every
-// parallel component of the repository runs on: the streaming engine's
-// per-tag detection fan-out, the sharded deployment's concurrent shard
-// snapshots, the experiment runner's repetition pool, the ingest daemon's
+// Package sched is the process-global task scheduler every parallel
+// component of the repository runs on: the streaming engine's per-tag
+// detection fan-out, the sharded deployment's concurrent shard snapshots,
+// the experiment runner's repetition pool, the ingest daemon's
 // per-session consumers and its boot-time recovery replay.
 //
 // There is ONE pool, sized to GOMAXPROCS (or to New's argument in
 // tests), and its width is the only parallelism setting: no caller caps
 // its own share. A job is worked by the caller plus whichever pool
 // workers are free to join it. The pool is a fixed set of persistent
-// worker goroutines, each with its own deque of runnable items. Work
-// enters through a global injection queue (submitters are usually not
-// workers); a worker that runs dry pops its own deque LIFO, then takes
-// from the injection queue, then steals the oldest item from another
-// worker's deque — the classic help-first stealing discipline, so nested
-// fan-out (a shard snapshot spawning per-tag fills) stays local to the
-// worker that created it until somebody actually needs the work.
+// worker goroutines sharing one queue: a FIFO per group, served in
+// rotation (see Fairness below). Every runnable item — a spawned task or
+// a join ticket for a parallel-for job — enters and leaves through it.
 //
 // Two kinds of work exist:
 //
@@ -26,26 +22,28 @@
 //     a caller-owned slice and the caller observes every write after For
 //     returns, regardless of which worker ran which index. Indices are
 //     claimed from a shared atomic cursor in contiguous blocks (the
-//     cache-blocked runs batched detection wants), so "stealing" part of a
-//     job is a single atomic add, and the claim order is ascending. The
-//     CALLER participates too: For always makes progress even with every
-//     worker busy elsewhere, which is what makes nested For deadlock-free.
-//     A participating worker re-posts a join ticket for the job onto its
-//     own deque while work remains, so discovery propagates worker to
-//     worker without a central scan.
+//     cache-blocked runs batched detection wants), so joining a job
+//     takes a single atomic add per block, and the claim order is
+//     ascending. The CALLER participates too: For always makes progress
+//     even with every worker busy elsewhere, which is what makes nested
+//     For deadlock-free. A worker that joins re-posts one join ticket to
+//     the job's group FIFO while work remains, so discovery spreads
+//     worker to worker: each helper that joins invites the next.
 //
 // Fairness: every piece of work is tagged with a Group (one per ingest
-// session, one per engine, one anonymous default). The injection queue is
-// one FIFO per group, and groups are served in rotation, preferring the
-// group with the fewest workers already on its work — so one enormous
-// session cannot monopolize the pool while a small session's snapshot
-// waits behind its backlog, even when a single worker serves everything.
-// Within a group, items run FIFO.
+// session, one per engine, one anonymous default). Groups are served in
+// rotation, preferring the group with the fewest workers already on its
+// work — so one enormous session cannot monopolize the pool while a small
+// session's snapshot waits behind its backlog, even when a single worker
+// serves everything. The rule covers helpers joining a running job as
+// well as fresh work. Within a group, items run FIFO. A join ticket whose
+// job has no unclaimed indices left is dropped when its group is next
+// picked.
 //
-// The queue, deques and parking are guarded by one mutex — work items
-// here are coarse (a per-tag detection is tens of microseconds, a session
-// drain much more), so the lock is taken at most once per item, far off
-// the hot path; index claiming inside a job is lock-free.
+// The queue and parking are guarded by one mutex — work items here are
+// coarse (a per-tag detection is tens of microseconds, a session drain
+// much more), so the lock is taken at most once per item, far off the
+// hot path; index claiming inside a job is lock-free.
 package sched
 
 import (
@@ -64,8 +62,8 @@ type Group struct {
 	// inflight counts workers currently executing this group's work
 	// (spawned tasks and for-job participants alike).
 	inflight atomic.Int32
-	// pending is this group's injection FIFO; guarded by s.mu. The group
-	// sits in s.ring exactly while pending is non-empty.
+	// pending is this group's FIFO; guarded by s.mu. The group sits in
+	// s.ring exactly while pending is non-empty.
 	pending []item
 }
 
@@ -84,7 +82,7 @@ func (g *Group) ForRuns(n, block int, fn func(lo, hi int)) {
 	g.s.ForRuns(g, n, block, fn)
 }
 
-// item is one deque/queue entry: either a spawned task (fn != nil) or a
+// item is one queue entry: either a spawned task (fn != nil) or a
 // join ticket for a parallel-for job (job != nil).
 type item struct {
 	g   *Group
@@ -108,14 +106,7 @@ type forJob struct {
 	fin   chan struct{}
 }
 
-// worker is one persistent scheduler goroutine and its deque. The deque
-// is owned LIFO at the tail (locality for freshly spawned work) and
-// stolen FIFO from the head (the oldest, likely largest item).
-type worker struct {
-	deque []item
-}
-
-// Scheduler is a fixed-width work-stealing pool. The zero value is not
+// Scheduler is a fixed-width worker pool. The zero value is not
 // usable; call New or Default.
 type Scheduler struct {
 	nworkers int
@@ -124,16 +115,12 @@ type Scheduler struct {
 	cond    *sync.Cond
 	started bool
 	stopped bool
-	// ring holds the groups with pending injected work, in rotation order;
-	// rr is where the next pick starts scanning.
-	ring    []*Group
-	rr      int
-	workers []*worker
-	idle    int
-	wg      sync.WaitGroup
-	// steals counts items taken from another worker's deque — how often
-	// the pool rebalanced nested fan-out instead of serving it locally.
-	steals atomic.Int64
+	// ring holds the groups with pending work, in rotation order; rr is
+	// where the next pick starts scanning.
+	ring []*Group
+	rr   int
+	idle int
+	wg   sync.WaitGroup
 
 	defGroup Group
 }
@@ -160,10 +147,6 @@ func New(workers int) *Scheduler {
 	s.cond = sync.NewCond(&s.mu)
 	s.defGroup.s = s
 	s.defGroup.name = "default"
-	s.workers = make([]*worker, workers)
-	for i := range s.workers {
-		s.workers[i] = &worker{}
-	}
 	return s
 }
 
@@ -194,8 +177,8 @@ func (s *Scheduler) startLocked() {
 	}
 	s.started = true
 	s.wg.Add(s.nworkers)
-	for i := range s.workers {
-		go s.run(s.workers[i])
+	for range s.nworkers {
+		go s.run()
 	}
 }
 
@@ -277,7 +260,7 @@ func (s *Scheduler) runJob(g *Group, j *forJob) {
 		s.cond.Signal()
 	}
 	s.mu.Unlock()
-	j.work(s, nil)
+	j.work(s, false)
 	// Our claims are exhausted; stragglers may still be finishing theirs.
 	if j.done.Load() < j.n {
 		<-j.fin
@@ -285,10 +268,10 @@ func (s *Scheduler) runJob(g *Group, j *forJob) {
 }
 
 // work participates in a for-job: claim blocks until the cursor runs dry.
-// w is the executing worker, nil for the submitting caller. While
-// substantial work remains, a worker re-posts a join ticket onto its own
-// deque so neighbors can steal in.
-func (j *forJob) work(s *Scheduler, w *worker) {
+// helper is true on a pool worker, false on the submitting caller. While
+// substantial work remains, a helper re-posts a join ticket to the job's
+// group FIFO so the next free worker can join too.
+func (j *forJob) work(s *Scheduler, helper bool) {
 	j.g.inflight.Add(1)
 	propagated := false
 	for {
@@ -296,11 +279,11 @@ func (j *forJob) work(s *Scheduler, w *worker) {
 		if i >= j.n {
 			break
 		}
-		if !propagated && w != nil && j.n-i > j.block {
+		if !propagated && helper && j.n-i > j.block {
 			propagated = true
 			s.mu.Lock()
 			if !s.stopped {
-				w.deque = append(w.deque, item{g: j.g, job: j})
+				s.injectLocked(j.g, item{g: j.g, job: j})
 				s.cond.Signal()
 			}
 			s.mu.Unlock()
@@ -322,10 +305,10 @@ func (j *forJob) work(s *Scheduler, w *worker) {
 }
 
 // run is one worker's main loop.
-func (s *Scheduler) run(w *worker) {
+func (s *Scheduler) run() {
 	defer s.wg.Done()
 	for {
-		it, ok := s.take(w)
+		it, ok := s.take()
 		if !ok {
 			return
 		}
@@ -335,52 +318,19 @@ func (s *Scheduler) run(w *worker) {
 			it.g.inflight.Add(-1)
 			continue
 		}
-		it.job.work(s, w)
+		it.job.work(s, true)
 	}
 }
 
-// take finds the next item for worker w: own deque tail (LIFO), then the
-// injection queue (fairest group first, FIFO within a group), then the
-// head of another worker's deque (steal). Parks when nothing is runnable;
-// returns ok=false when the scheduler stops.
-func (s *Scheduler) take(w *worker) (item, bool) {
+// take finds the next item: the fairest group first, FIFO within a
+// group. Parks when nothing is runnable; returns ok=false when the
+// scheduler stops.
+func (s *Scheduler) take() (item, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		// Own deque, newest first. Every pop below zeroes the slot it
-		// vacates: a stale item left in a backing array keeps its finished
-		// job — and everything the job's closure captured — reachable
-		// until some later push happens to overwrite the slot.
-		for n := len(w.deque); n > 0; n = len(w.deque) {
-			it := w.deque[n-1]
-			w.deque[n-1] = item{}
-			w.deque = w.deque[:n-1]
-			if it.live() {
-				return it, true
-			}
-		}
-		// Injection queues: serve the group with the fewest in-flight
-		// workers; the rotation cursor breaks ties so groups interleave
-		// even when a single worker drains everything.
 		if it, ok := s.pickLocked(); ok {
 			return it, true
-		}
-		// Steal the oldest item from the deepest victim deque.
-		var victim *worker
-		for _, v := range s.workers {
-			if v != w && len(v.deque) > 0 && (victim == nil || len(v.deque) > len(victim.deque)) {
-				victim = v
-			}
-		}
-		if victim != nil {
-			it := victim.deque[0]
-			victim.deque[0] = item{}
-			victim.deque = victim.deque[1:]
-			if it.live() {
-				s.steals.Add(1)
-				return it, true
-			}
-			continue
 		}
 		if s.stopped {
 			return item{}, false
@@ -391,10 +341,14 @@ func (s *Scheduler) take(w *worker) (item, bool) {
 	}
 }
 
-// pickLocked takes the next injected item: the group with minimal
+// pickLocked takes the next queued item: the group with minimal
 // in-flight count wins, ties going to the group closest after the
-// rotation cursor. Exhausted join tickets are dropped as they surface.
-// Callers hold s.mu.
+// rotation cursor, so groups interleave even when a single worker drains
+// everything. Exhausted join tickets are dropped as they surface, and
+// every pop zeroes the slot it vacates: a stale item left in a backing
+// array keeps its finished job — and everything the job's closure
+// captured — reachable until some later push happens to overwrite the
+// slot. Callers hold s.mu.
 func (s *Scheduler) pickLocked() (item, bool) {
 	for len(s.ring) > 0 {
 		n := len(s.ring)
@@ -448,10 +402,9 @@ func (it item) live() bool {
 // Stats is a point-in-time sample of the scheduler, for /v1/stats and
 // debugging.
 type Stats struct {
-	Workers int   `json:"workers"`
-	Idle    int   `json:"idle"`
-	Queued  int   `json:"queued"`
-	Steals  int64 `json:"steals"` // cumulative cross-worker deque steals
+	Workers int `json:"workers"`
+	Idle    int `json:"idle"`
+	Queued  int `json:"queued"`
 }
 
 // Stats samples the scheduler.
@@ -462,8 +415,5 @@ func (s *Scheduler) Stats() Stats {
 	for _, g := range s.ring {
 		q += len(g.pending)
 	}
-	for _, w := range s.workers {
-		q += len(w.deque)
-	}
-	return Stats{Workers: s.nworkers, Idle: s.idle, Queued: q, Steals: s.steals.Load()}
+	return Stats{Workers: s.nworkers, Idle: s.idle, Queued: q}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -52,16 +53,22 @@ func TestForBlocked(t *testing.T) {
 
 // TestNestedFor runs For from inside For tasks — the shard-snapshot →
 // per-tag-fill shape — and must complete without deadlock even when the
-// pool is narrower than the nesting fan-out.
+// pool is narrower than the nesting fan-out. Only the participating
+// caller guarantees progress here: every worker may be inside an outer
+// index, waiting on an inner job nobody else will join.
 func TestNestedFor(t *testing.T) {
-	s := New(2)
-	defer s.Stop()
-	var total atomic.Int64
-	s.For(nil, 8, func(i int) {
-		s.For(nil, 50, func(j int) { total.Add(1) })
-	})
-	if got := total.Load(); got != 400 {
-		t.Fatalf("nested For ran %d inner indices, want 400", got)
+	for _, width := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			s := New(width)
+			defer s.Stop()
+			var total atomic.Int64
+			s.For(nil, 8, func(i int) {
+				s.For(nil, 50, func(j int) { total.Add(1) })
+			})
+			if got := total.Load(); got != 400 {
+				t.Fatalf("nested For ran %d inner indices, want 400", got)
+			}
+		})
 	}
 }
 
@@ -151,10 +158,10 @@ func TestFairness(t *testing.T) {
 	}
 }
 
-// TestStealing: join tickets posted to one worker's deque must not strand
-// the job — other workers (or the caller) steal in and finish it even
-// when every index is slow.
-func TestStealing(t *testing.T) {
+// TestForRepostedTicketJoins: the ticket a joining worker re-posts to the
+// group FIFO must not strand the job — the second worker picks it up (or
+// the caller finishes alone) even when every index is slow.
+func TestForRepostedTicketJoins(t *testing.T) {
 	s := New(2)
 	defer s.Stop()
 	var inner atomic.Int64
@@ -376,16 +383,16 @@ var forEntries = []struct {
 	}},
 }
 
-// runCapturing runs one parallel-for whose closure captures a 1 MiB
-// object, calling wait before each index, and returns a weak pointer to
-// the object. It is a separate frame so the caller holds no strong
-// reference once it returns.
+// runCapturing runs one parallel-for over n indices whose closure
+// captures a 1 MiB object, calling wait before each index, and returns a
+// weak pointer to the object. It is a separate frame so the caller holds
+// no strong reference once it returns.
 //
 //go:noinline
-func runCapturing(run func(*Scheduler, *Group, int, func(int)), s *Scheduler, g *Group, wait func()) weak.Pointer[[1 << 20]byte] {
+func runCapturing(run func(*Scheduler, *Group, int, func(int)), s *Scheduler, g *Group, n int, wait func()) weak.Pointer[[1 << 20]byte] {
 	big := new([1 << 20]byte)
 	wp := weak.Make(big)
-	run(s, g, 64, func(i int) {
+	run(s, g, n, func(i int) {
 		wait()
 		big[i]++
 	})
@@ -433,39 +440,42 @@ func waitParked(t *testing.T, s *Scheduler) {
 
 // TestForReleasesFinishedJob: once For/ForRuns returns, the
 // scheduler must hold nothing of the job — a join ticket popped from a
-// deque or an injection FIFO by reslicing stays in the backing array,
-// keeping the job's closure (and everything it captured, such as a boot's
-// recovered logs) reachable. Each path a ticket leaves by is forced in
-// turn: a worker popping its own propagated ticket, a worker stealing a
-// neighbour's, and a dead ticket dropped from the injection FIFO ahead of
-// a task that is still queued — the last both for an outside caller and
-// for a caller that is itself the pool's only worker.
+// group FIFO by reslicing stays in the backing array, keeping the job's
+// closure (and everything it captured, such as a boot's recovered logs)
+// reachable. A dead ticket leaves when its group is next picked; each
+// path it leaves by is forced in turn: a worker dropping the ticket it
+// re-posted itself, a ticket re-posted by one worker and picked up by a
+// second, a caller's ticket dropped ahead of a task that is still
+// queued — both for an outside caller and for a caller that is itself
+// the pool's only worker — and a caller's ticket a worker joins on while
+// tasks stay queued behind it.
 func TestForReleasesFinishedJob(t *testing.T) {
 	for _, e := range forEntries {
-		t.Run(e.name+"/own-deque", func(t *testing.T) {
-			// One worker beside the caller: the worker joins from the
-			// injection FIFO, re-posts a ticket on its own deque and later
-			// pops it, dead, itself.
+		t.Run(e.name+"/reposted-dropped", func(t *testing.T) {
+			// One worker beside the caller: the worker joins on the
+			// caller's ticket, re-posts one to the group FIFO and, once
+			// the job is done, drops it dead itself before parking.
 			s := New(1)
 			defer s.Stop()
 			g := s.NewGroup("job")
-			wp := runCapturing(e.run, s, g, waitInflight(g, 2))
+			wp := runCapturing(e.run, s, g, 64, waitInflight(g, 2))
 			waitParked(t, s)
 			if !collected(wp) {
-				t.Fatal("a worker's deque still pins the finished job")
+				t.Fatal("the group FIFO still pins the finished job")
 			}
 		})
-		t.Run(e.name+"/steal", func(t *testing.T) {
-			// Two workers plus the caller: the first worker joins from the
-			// FIFO and re-posts a ticket; the only way the second can join
-			// is by stealing that ticket from the first's deque.
+		t.Run(e.name+"/reposted-joined", func(t *testing.T) {
+			// Two workers plus the caller: the first worker joins on the
+			// caller's ticket and re-posts one; the only way the second
+			// can join is by picking that ticket up from the FIFO. It
+			// re-posts one in turn, which is dropped dead later.
 			s := New(2)
 			defer s.Stop()
 			g := s.NewGroup("job")
-			wp := runCapturing(e.run, s, g, waitInflight(g, 3))
+			wp := runCapturing(e.run, s, g, 64, waitInflight(g, 3))
 			waitParked(t, s)
 			if !collected(wp) {
-				t.Fatal("a victim's deque still pins the stolen job")
+				t.Fatal("the group FIFO still pins the job a second worker joined")
 			}
 		})
 		t.Run(e.name+"/injection-fifo", func(t *testing.T) {
@@ -479,7 +489,7 @@ func TestForReleasesFinishedJob(t *testing.T) {
 			busy, release := make(chan struct{}), make(chan struct{})
 			s.Go(nil, func() { close(busy); <-release })
 			<-busy
-			wp := runCapturing(e.run, s, g, func() {})
+			wp := runCapturing(e.run, s, g, 64, func() {})
 			running, hold := make(chan struct{}), make(chan struct{})
 			g.Go(func() { close(running); <-hold })
 			g.Go(func() {})
@@ -488,7 +498,38 @@ func TestForReleasesFinishedJob(t *testing.T) {
 			ok := collected(wp)
 			close(hold)
 			if !ok {
-				t.Fatal("the injection FIFO still pins the finished job")
+				t.Fatal("the group FIFO still pins the finished job")
+			}
+		})
+		t.Run(e.name+"/live-ticket", func(t *testing.T) {
+			// The only worker is busy while the caller starts a two-index
+			// job and waits for a helper on its index; two tasks queue
+			// behind the caller's ticket. Freed, the worker pops the live
+			// ticket and joins on the last index, too late to re-post one.
+			// Then it runs the first task, which holds while the second
+			// keeps the FIFO — and the backing array the popped ticket sat
+			// in — alive.
+			s := New(1)
+			defer s.Stop()
+			g := s.NewGroup("job")
+			busy, release := make(chan struct{}), make(chan struct{})
+			s.Go(nil, func() { close(busy); <-release })
+			<-busy
+			done := make(chan weak.Pointer[[1 << 20]byte])
+			go func() { done <- runCapturing(e.run, s, g, 2, waitInflight(g, 2)) }()
+			for s.Stats().Queued == 0 {
+				runtime.Gosched()
+			}
+			running, hold := make(chan struct{}), make(chan struct{})
+			g.Go(func() { close(running); <-hold })
+			g.Go(func() {})
+			close(release)
+			wp := <-done
+			<-running
+			ok := collected(wp)
+			close(hold)
+			if !ok {
+				t.Fatal("the FIFO's backing array still pins a job joined on its live ticket")
 			}
 		})
 		t.Run(e.name+"/in-task", func(t *testing.T) {
@@ -503,7 +544,7 @@ func TestForReleasesFinishedJob(t *testing.T) {
 			var wp weak.Pointer[[1 << 20]byte]
 			running, hold := make(chan struct{}), make(chan struct{})
 			g.Go(func() {
-				wp = runCapturing(e.run, s, g, func() {})
+				wp = runCapturing(e.run, s, g, 64, func() {})
 				g.Go(func() { close(running); <-hold })
 				g.Go(func() {})
 			})
@@ -511,8 +552,40 @@ func TestForReleasesFinishedJob(t *testing.T) {
 			ok := collected(wp)
 			close(hold)
 			if !ok {
-				t.Fatal("the injection FIFO still pins a job run from inside a task")
+				t.Fatal("the group FIFO still pins a job run from inside a task")
 			}
 		})
+	}
+}
+
+// TestForAllWorkersJoin: discovery through the group FIFO alone spreads
+// to the whole pool — every worker plus the caller ends up on one job at
+// once, each helper joining on the ticket the previous one re-posted.
+// Widths above the machine's CPU count check correctness only (the
+// workers interleave rather than run side by side), not speed.
+func TestForAllWorkersJoin(t *testing.T) {
+	for _, k := range []int{2, 4, 8} {
+		for _, e := range forEntries {
+			t.Run(fmt.Sprintf("%s/workers=%d", e.name, k), func(t *testing.T) {
+				s := New(k)
+				defer s.Stop()
+				g := s.NewGroup("wide")
+				wait := waitInflight(g, int32(k+1))
+				hits := make([]atomic.Int32, 64)
+				e.run(s, g, len(hits), func(i int) {
+					wait()
+					hits[i].Add(1)
+				})
+				for i := range hits {
+					if got := hits[i].Load(); got != 1 {
+						t.Fatalf("index %d ran %d times", i, got)
+					}
+				}
+				waitParked(t, s)
+				if st := s.Stats(); st.Queued != 0 {
+					t.Fatalf("%d dead tickets still queued after every worker parked", st.Queued)
+				}
+			})
+		}
 	}
 }

@@ -125,7 +125,7 @@ func TestRecoveryDeterministicAcrossWorkers(t *testing.T) {
 		st.UptimeSeconds, st.ReadsPerSecond, st.AvgSnapshotMs, st.RecoverySeconds = 0, 0, 0, 0
 		// The /metrics-only fields describe the process and the scheduler
 		// under test, not what the boot recovered.
-		st.WALBytes, st.WALFsyncs, st.SchedSteals = 0, 0, 0
+		st.WALBytes, st.WALFsyncs = 0, 0
 		st.SchedWorkers, st.SchedIdle, st.SchedQueued = 0, 0, 0
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()

@@ -7,7 +7,7 @@
 // POST NDJSON read lines — the exact JSONL wire format internal/trace
 // archives — which are decoded, validated against the session's reader
 // set, and pushed into a bounded per-session queue. Each session's
-// consumer is a drain task on the process-global work-stealing scheduler
+// consumer is a drain task on the process-global scheduler
 // (internal/sched), scheduled only while the session has queued work: at
 // most one drain owns the sharded engine at a time (Consume and Snapshot
 // are single-goroutine APIs; the engine parallelizes internally on the
@@ -216,10 +216,9 @@ type Stats struct {
 	LimitRejects     int64 `json:"limit_rejects" prom:"stppd_limit_rejects_total,counter" help:"Enqueues rejected by the max-active-tags admission valve."`
 
 	// Occupancy of the scheduler the server runs on.
-	SchedWorkers int   `json:"-" prom:"stppd_sched_workers,gauge" help:"Scheduler pool width."`
-	SchedIdle    int   `json:"-" prom:"stppd_sched_idle_workers,gauge" help:"Scheduler workers currently parked."`
-	SchedQueued  int   `json:"-" prom:"stppd_sched_queued_tasks,gauge" help:"Tasks waiting in scheduler run queues."`
-	SchedSteals  int64 `json:"-" prom:"stppd_sched_steals_total,counter" help:"Tasks taken from another worker's queue."`
+	SchedWorkers int `json:"-" prom:"stppd_sched_workers,gauge" help:"Scheduler pool width."`
+	SchedIdle    int `json:"-" prom:"stppd_sched_idle_workers,gauge" help:"Scheduler workers currently parked."`
+	SchedQueued  int `json:"-" prom:"stppd_sched_queued_tasks,gauge" help:"Tasks waiting in scheduler run queues."`
 }
 
 // Server multiplexes concurrent ingest sessions. It is safe for
@@ -531,7 +530,6 @@ func (s *Server) Stats() Stats {
 		SchedWorkers: sc.Workers,
 		SchedIdle:    sc.Idle,
 		SchedQueued:  sc.Queued,
-		SchedSteals:  sc.Steals,
 	}
 	if st.UptimeSeconds > 0 {
 		st.ReadsPerSecond = float64(st.ReadsConsumed) / st.UptimeSeconds

@@ -18,7 +18,7 @@ import (
 )
 
 // Session consumer states. A session no longer owns a goroutine: its
-// consumer is a drain task scheduled on the shared work-stealing pool
+// consumer is a drain task scheduled on the shared scheduler pool
 // whenever there is something to do, so ten thousand idle sessions cost
 // ten thousand idle structs, not ten thousand parked goroutines.
 const (

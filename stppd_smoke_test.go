@@ -2,7 +2,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -193,4 +196,35 @@ func bannerReadCounts(t *testing.T, banner string) (recovered, suffix int) {
 		t.Fatalf("unparseable banner %q: %v", banner, err)
 	}
 	return recovered, suffix
+}
+
+// TestDaemonClosesStalledHeader: a client that sends half a request
+// header and then stalls must not hold its connection forever — the
+// daemon's header timeout closes it.
+func TestDaemonClosesStalledHeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("daemon listener test in -short mode")
+	}
+	bins := buildCommands(t, "stppd")
+	_, addr, _ := startStppd(t, bins["stppd"], "-addr", "127.0.0.1:0")
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/sessions HTTP/1.1\r\nHost: stppd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Far past the header timeout: only a daemon that never times the
+	// header out keeps the connection open this long.
+	const patience = 30 * time.Second
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(patience))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("daemon kept a half-sent header open for %v", patience)
+	}
+	t.Logf("daemon closed the stalled connection after %v (read error: %v)", time.Since(start).Round(time.Millisecond), err)
 }
