@@ -674,7 +674,8 @@ func multiSessionDataDir(b *testing.B, live, finished int) (serve.Options, int64
 // retains — the live heap after a collection once New returns — which is
 // the recovered engines alone when the boot releases its log input, and
 // the data directory's size on disk (wal-MiB): the journal and checkpoint
-// bytes the boot reads.
+// bytes the boot reads, of which superseded-MiB are batch records it left
+// undecoded because a checkpoint covers them.
 func BenchmarkMultiSessionRecovery(b *testing.B) {
 	opts, total := multiSessionDataDir(b, 16, 4)
 	runtime.GC()
@@ -696,6 +697,7 @@ func BenchmarkMultiSessionRecovery(b *testing.B) {
 	runtime.ReadMemStats(&m)
 	b.ReportMetric(float64(m.HeapAlloc)/(1<<20), "retained-MiB")
 	b.ReportMetric(float64(dirBytes(b, opts.DataDir))/(1<<20), "wal-MiB")
+	b.ReportMetric(float64(booted.Stats().RecoverySupersededBytes)/(1<<20), "superseded-MiB")
 	runtime.KeepAlive(booted)
 }
 

@@ -137,11 +137,14 @@ func main() {
 		// The replayed/recovered split is the checkpoint payoff: recovered
 		// counts every read a session came back with, replayed only the
 		// suffix actually re-consumed past the last durable checkpoint.
+		// Superseded bytes are batch records scanned but never decoded,
+		// because a checkpoint covers them.
 		st := srv.Stats()
-		fmt.Printf("stppd recovered %d sessions (%d reads, %d replayed past checkpoints, %d torn tails, %d skipped) from %s in %v (%d log bytes), fsync=%s\n",
+		fmt.Printf("stppd recovered %d sessions (%d reads, %d replayed past checkpoints, %d torn tails, %d skipped) from %s in %v (%d log bytes, %d superseded), fsync=%s\n",
 			st.SessionsRecovered, st.ReadsRecovered, st.SuffixReadsReplayed,
 			st.WALTornTails, st.WALSkipped, *dataDir,
-			time.Duration(st.RecoverySeconds*1e9).Round(time.Microsecond), st.RecoveryWALBytes, policy)
+			time.Duration(st.RecoverySeconds*1e9).Round(time.Microsecond), st.RecoveryWALBytes,
+			st.RecoverySupersededBytes, policy)
 	}
 
 	handler := srv.Handler()

@@ -1,6 +1,7 @@
 package dtw
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -92,6 +93,29 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 	if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE ||
 		!reflect.DeepEqual(wantRes.Path, gotRes.Path) {
 		t.Fatal("shrunken query diverged from batch")
+	}
+}
+
+// TestSegmentAlignerSignedZero: a query segment that changes only in the
+// sign of a zero is a changed segment. Its column is recomputed, so the
+// held aligner answers with the distance bits of a fresh one, and a NaN
+// segment realigned as-is answers like a fresh aligner too.
+func TestSegmentAlignerSignedZero(t *testing.T) {
+	p := []Segment{{Lo: 0, Hi: 1, End: 1, Interval: 1}}
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct{ before, after Segment }{
+		{Segment{Lo: 0, Hi: 1, End: 1, Interval: 0}, Segment{Lo: 0, Hi: 1, End: 1, Interval: negZero}},
+		{Segment{Lo: 0, Hi: 1, End: 1, Interval: negZero}, Segment{Lo: 0, Hi: 1, End: 1, Interval: 0}},
+		{Segment{Lo: math.NaN(), Hi: 1, End: 1, Interval: 1}, Segment{Lo: math.NaN(), Hi: 1, End: 1, Interval: 1}},
+	} {
+		al := NewSegmentAligner(p, SegmentAlignOpts{})
+		al.Align([]Segment{tc.before})
+		got, gs, ge := al.Align([]Segment{tc.after})
+		want, ws, we := alignOnce(p, []Segment{tc.after}, SegmentAlignOpts{})
+		if math.Float64bits(got.Distance) != math.Float64bits(want.Distance) || gs != ws || ge != we {
+			t.Errorf("%+v → %+v: got (%v,%d,%d), fresh aligner (%v,%d,%d)",
+				tc.before, tc.after, got.Distance, gs, ge, want.Distance, ws, we)
+		}
 	}
 }
 

@@ -32,15 +32,14 @@ func (r *refAligner) align(q []Segment) (Result, int, int) {
 		return Result{}, 0, 0
 	}
 	cp := 0
-	for cp < len(r.q) && cp < n && r.q[cp] == q[cp] {
+	for cp < len(r.q) && cp < n && sameSegment(r.q[cp], q[cp]) {
 		cp++
 	}
 	if r.off > 0 && cp <= r.off {
 		r.off = 0
 	}
-	// Columns of the unchanged prefix are kept, as the matrix aligner kept
-	// them: the prefix compare is ==, so a segment that differs only in
-	// the sign of a zero keeps its column.
+	// Columns of the unchanged prefix are kept; a segment that differs in
+	// any bit, the sign of a zero included, is recomputed.
 	keep := cp
 	if r.stale {
 		keep = 0

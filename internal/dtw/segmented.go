@@ -21,6 +21,17 @@ type Segment struct {
 	Interval float64
 }
 
+// sameSegment reports whether a and b are equal bit for bit, the test a
+// held column must pass to be reused: == would keep a column across a
+// change in the sign of a zero (which can change the distance's sign) and
+// would never keep one whose segment holds a NaN.
+func sameSegment(a, b Segment) bool {
+	return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) &&
+		math.Float64bits(a.Hi) == math.Float64bits(b.Hi) &&
+		math.Float64bits(a.Interval) == math.Float64bits(b.Interval) &&
+		a.Start == b.Start && a.End == b.End
+}
+
 // SegDist is the paper's distance between two segment ranges: the gap
 // between the closest points of the two [Lo,Hi] intervals, zero when they
 // overlap.
@@ -300,7 +311,7 @@ func (a *SegmentAligner) Align(q []Segment) (Result, int, int) {
 	}
 	// Keep the longest prefix of held columns whose segments are unchanged.
 	cp := 0
-	for cp < len(a.q) && cp < n && a.q[cp] == q[cp] {
+	for cp < len(a.q) && cp < n && sameSegment(a.q[cp], q[cp]) {
 		cp++
 	}
 	if cp <= a.off {

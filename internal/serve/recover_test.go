@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"runtime"
@@ -57,12 +59,22 @@ func crashedDataDir(t *testing.T, live, finished int) Options {
 
 // TestRecoveryReleasesLogInput: once New returns, the booted server holds
 // the recovered engines and nothing of the input they were rebuilt from —
-// no checkpoint blob and no suffix batch of any session stays reachable.
+// no checkpoint blob, no suffix batch and no segment buffer the scan read
+// of any session stays reachable, so batch payloads held undecoded until
+// the scan ends do not pin their segments.
 func TestRecoveryReleasesLogInput(t *testing.T) {
 	opts := crashedDataDir(t, 4, 2)
 	var mu sync.Mutex
-	var blobs []weak.Pointer[byte]
+	var blobs, segBufs []weak.Pointer[byte]
 	var batches []weak.Pointer[reader.TagRead]
+	wal.SegmentRead = func(data []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(data) > 0 {
+			segBufs = append(segBufs, weak.Make(&data[0]))
+		}
+	}
+	t.Cleanup(func() { wal.SegmentRead = nil })
 	watchRecovered(t, func(rec *wal.Recovered) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -82,8 +94,9 @@ func TestRecoveryReleasesLogInput(t *testing.T) {
 	if got := srv.Stats().SessionsRecovered; got != 6 {
 		t.Fatalf("recovered %d sessions, want 6", got)
 	}
-	if len(blobs) < 4 || len(batches) == 0 {
-		t.Fatalf("recovery yielded %d checkpoints and %d suffix batches; the scene exercises nothing", len(blobs), len(batches))
+	if len(blobs) < 4 || len(batches) == 0 || len(segBufs) <= len(blobs) {
+		t.Fatalf("recovery yielded %d checkpoints, %d suffix batches and %d segment buffers; the scene exercises nothing",
+			len(blobs), len(batches), len(segBufs))
 	}
 	for k := 0; k < 5; k++ {
 		runtime.GC()
@@ -98,7 +111,72 @@ func TestRecoveryReleasesLogInput(t *testing.T) {
 			t.Errorf("suffix batch %d of %d still reachable after boot", i, len(batches))
 		}
 	}
+	for i, p := range segBufs {
+		if p.Value() != nil {
+			t.Errorf("segment buffer %d of %d still reachable after boot", i, len(segBufs))
+		}
+	}
 	runtime.KeepAlive(srv)
+}
+
+// TestRecoverySupersededBytes: a boot reports the batch-record bytes it
+// scanned but left undecoded because a checkpoint covers them. A stale
+// pre-checkpoint segment that a crash mid-truncation left in front of the
+// log adds exactly its batch records to the count, and a log with no
+// checkpoint supersedes nothing.
+func TestRecoverySupersededBytes(t *testing.T) {
+	cs := crashScenes(t)[1] // warehouse-aisle
+	cs.segBytes = 32 << 10
+	batches, segs, _ := writeCheckpointedWAL(t, cs, 8, len(cs.reads)/3)
+	firstIdx := segFileIndex(t, segs[0])
+	if firstIdx < 2 {
+		t.Fatal("no room for a stale segment in front of the surviving log")
+	}
+	stale := miniLogSegments(t, cs, batches[:3], 0)
+	if len(stale) != 1 {
+		t.Fatalf("stale material spans %d segments, want 1", len(stale))
+	}
+	infos, err := wal.InspectSegment(stale[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleBytes := int64(0)
+	for _, ri := range infos[1:] { // the header record, then the batches
+		staleBytes += ri.End - ri.Offset
+	}
+	boot := func(segs []string, stale string) Stats {
+		t.Helper()
+		dataDir := t.TempDir()
+		dst := filepath.Join(dataDir, "s000001")
+		copyTruncated(t, segs, dst, len(segs)-1, mustSize(t, segs[len(segs)-1]))
+		if stale != "" {
+			data, err := os.ReadFile(stale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dst, fmt.Sprintf("wal-%08d.seg", firstIdx-1)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, sess := bootRecovered(t, cs, dataDir)
+		if sess == nil {
+			t.Fatal("session not recovered")
+		}
+		return srv.Stats()
+	}
+	clean, withStale := boot(segs, ""), boot(segs, stale[0])
+	if withStale.ReadsRecovered != clean.ReadsRecovered || withStale.SuffixReadsReplayed != clean.SuffixReadsReplayed {
+		t.Fatal("the stale segment changed what the boot recovered")
+	}
+	if got := withStale.RecoverySupersededBytes - clean.RecoverySupersededBytes; got != staleBytes || withStale.RecoverySupersededBytes <= 0 {
+		t.Errorf("superseded %d bytes with the stale segment and %d without; want a difference of its %d batch-record bytes",
+			withStale.RecoverySupersededBytes, clean.RecoverySupersededBytes, staleBytes)
+	}
+
+	_, plain, _ := writeFullWAL(t, cs, 8)
+	if got := boot(plain, "").RecoverySupersededBytes; got != 0 {
+		t.Errorf("a log with no checkpoint superseded %d bytes, want 0", got)
+	}
 }
 
 // snapshotMs masks the one wall-clock field of an /order body.

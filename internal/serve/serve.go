@@ -158,6 +158,7 @@ type counters struct {
 	checkpointsWritten, segmentsTruncated           atomic.Int64
 	suffixReadsReplayed                             atomic.Int64
 	recoveryNanos, recoveryWALBytes                 atomic.Int64
+	recoverySupersededBytes                         atomic.Int64
 
 	tagsFinalized, tagsDiscarded, lateReadsDropped, limitRejects atomic.Int64
 }
@@ -202,9 +203,12 @@ type Stats struct {
 	SegmentsTruncated   int64 `json:"wal_segments_truncated" prom:"stppd_wal_segments_truncated_total,counter" help:"WAL segments deleted behind checkpoints."`
 	SuffixReadsReplayed int64 `json:"wal_suffix_reads_replayed"`
 
-	// Boot recovery: wall time of the sweep and the log bytes it scanned.
-	RecoverySeconds  float64 `json:"recovery_seconds" prom:"stppd_recovery_seconds,gauge" help:"Wall time of the boot recovery sweep."`
-	RecoveryWALBytes int64   `json:"recovery_wal_bytes" prom:"stppd_recovery_wal_bytes,gauge" help:"Valid write-ahead log bytes the boot recovery scanned."`
+	// Boot recovery: wall time of the sweep, the log bytes it scanned and
+	// the batch-record bytes among them it left undecoded because a
+	// checkpoint covers them.
+	RecoverySeconds         float64 `json:"recovery_seconds" prom:"stppd_recovery_seconds,gauge" help:"Wall time of the boot recovery sweep."`
+	RecoveryWALBytes        int64   `json:"recovery_wal_bytes" prom:"stppd_recovery_wal_bytes,gauge" help:"Valid write-ahead log bytes the boot recovery scanned."`
+	RecoverySupersededBytes int64   `json:"recovery_superseded_bytes" prom:"stppd_recovery_superseded_bytes,gauge" help:"Batch-record bytes the boot recovery CRC-checked but did not decode because a checkpoint covers them."`
 
 	// Lifecycle: cumulative finalizations and late-read drops across all
 	// sessions (including finished ones), the current resident-profile
@@ -212,7 +216,7 @@ type Stats struct {
 	TagsFinalized    int64 `json:"tags_finalized" prom:"stppd_tags_finalized_total,counter" help:"Tags emitted at a frozen global position and evicted."`
 	TagsDiscarded    int64 `json:"tags_discarded" prom:"stppd_tags_discarded_total,counter" help:"Lapsed-but-undetectable tags evicted without emission."`
 	LateReadsDropped int64 `json:"late_reads_dropped" prom:"stppd_late_reads_total,counter" help:"Reads dropped because their tag was already finalized."`
-	ActiveTags       int64 `json:"active_tags" prom:"stppd_tags_active,gauge,after=RecoveryWALBytes" help:"Resident (reader, tag) profiles across live sessions."`
+	ActiveTags       int64 `json:"active_tags" prom:"stppd_tags_active,gauge,after=RecoverySupersededBytes" help:"Resident (reader, tag) profiles across live sessions."`
 	LimitRejects     int64 `json:"limit_rejects" prom:"stppd_limit_rejects_total,counter" help:"Enqueues rejected by the max-active-tags admission valve."`
 
 	// Occupancy of the scheduler the server runs on.
@@ -344,6 +348,7 @@ func (s *Server) recoverSession(name string) *Session {
 		recoveredHook(rec)
 	}
 	s.metrics.recoveryWALBytes.Add(rec.Bytes)
+	s.metrics.recoverySupersededBytes.Add(rec.SupersededBytes)
 	if rec.Torn {
 		s.metrics.walTornTails.Add(1)
 	}
@@ -515,11 +520,12 @@ func (s *Server) Stats() Stats {
 		WALBytes:          wal.TotalBytes(),
 		WALFsyncs:         wal.TotalFsyncs(),
 
-		CheckpointsWritten:  s.metrics.checkpointsWritten.Load(),
-		SegmentsTruncated:   s.metrics.segmentsTruncated.Load(),
-		SuffixReadsReplayed: s.metrics.suffixReadsReplayed.Load(),
-		RecoverySeconds:     float64(s.metrics.recoveryNanos.Load()) / 1e9,
-		RecoveryWALBytes:    s.metrics.recoveryWALBytes.Load(),
+		CheckpointsWritten:      s.metrics.checkpointsWritten.Load(),
+		SegmentsTruncated:       s.metrics.segmentsTruncated.Load(),
+		SuffixReadsReplayed:     s.metrics.suffixReadsReplayed.Load(),
+		RecoverySeconds:         float64(s.metrics.recoveryNanos.Load()) / 1e9,
+		RecoveryWALBytes:        s.metrics.recoveryWALBytes.Load(),
+		RecoverySupersededBytes: s.metrics.recoverySupersededBytes.Load(),
 
 		TagsFinalized:    s.metrics.tagsFinalized.Load(),
 		TagsDiscarded:    s.metrics.tagsDiscarded.Load(),

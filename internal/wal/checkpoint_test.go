@@ -592,3 +592,103 @@ func TestSyncNeverAsyncIsZero(t *testing.T) {
 		t.Errorf("WaitDurable(0): %v", err)
 	}
 }
+
+// TestCoveredUndecodableBatchSuperseded pins which batch records recovery
+// decodes: only the ones it replays. A CRC-valid batch record that will
+// not decode is superseded undecoded when a later valid checkpoint covers
+// it, like a record in a reclaimed segment, and the checkpoint stays the
+// basis. The same record left uncovered tears the log there, so the
+// checkpoint after it is cut away and the header is the basis again.
+func TestCoveredUndecodableBatchSuperseded(t *testing.T) {
+	state := []byte("durable engine state")
+	build := func(t *testing.T) (string, []string) {
+		dir := t.TempDir()
+		l := ckptLog(t, dir, Options{}, 6, 4)
+		// Batches 0-3 are covered, 4-5 uncovered, so the first segment
+		// survives the checkpoint.
+		if _, err := l.AppendCheckpoint(2, 16, state); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range testBatches(8, 4)[6:] {
+			if err := l.AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		segs, err := SegmentFiles(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, segs
+	}
+	// spoil reframes batch record k of the first segment around a payload
+	// that is not a batch, and returns the segment's new bytes and the
+	// frame lengths of its batch records.
+	spoil := func(t *testing.T, path string, k int) ([]byte, []int64) {
+		infos, err := InspectSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = reframe(data, infos[1+k], []byte("{not a read}\n"))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		infos, err = InspectSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sizes []int64
+		for _, ri := range infos[1:] {
+			sizes = append(sizes, ri.End-ri.Offset)
+		}
+		return data, sizes
+	}
+	all := testBatches(8, 4)
+
+	t.Run("covered", func(t *testing.T) {
+		dir, segs := build(t)
+		_, sizes := spoil(t, segs[0], 1)
+		before := readDir(t, dir)
+		rec := recoverDir(t, dir)
+		if rec.Torn {
+			t.Fatalf("covered record tore the log: %v", rec.TornCause)
+		}
+		if !bytes.Equal(rec.Checkpoint, state) || rec.CheckpointReads != 16 {
+			t.Fatalf("basis %q/%d, want the checkpoint's", rec.Checkpoint, rec.CheckpointReads)
+		}
+		if !reflect.DeepEqual(rec.Batches, all[4:]) {
+			t.Fatalf("replayed %d batches, want the 2 uncovered plus the 2 appended", len(rec.Batches))
+		}
+		if want := sizes[0] + sizes[1] + sizes[2] + sizes[3]; rec.SupersededBytes != want {
+			t.Errorf("SupersededBytes = %d, want the 4 covered records' %d", rec.SupersededBytes, want)
+		}
+		if !maps.EqualFunc(readDir(t, dir), before, bytes.Equal) {
+			t.Error("recovery rewrote a log it did not find torn")
+		}
+	})
+
+	t.Run("uncovered", func(t *testing.T) {
+		dir, segs := build(t)
+		data, _ := spoil(t, segs[0], 4)
+		infos, err := InspectSegment(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := recoverDir(t, dir)
+		if !rec.Torn || rec.Checkpoint != nil || rec.SupersededBytes != 0 {
+			t.Fatalf("torn=%v checkpoint=%q superseded=%d, want a tear back to the header basis",
+				rec.Torn, rec.Checkpoint, rec.SupersededBytes)
+		}
+		if !reflect.DeepEqual(rec.Batches, all[:4]) {
+			t.Fatalf("replayed %d batches, want the 4 before the bad record", len(rec.Batches))
+		}
+		want := map[string][]byte{filepath.Base(segs[0]): data[:infos[5].Offset]}
+		if got := readDir(t, dir); !maps.EqualFunc(got, want, bytes.Equal) {
+			t.Errorf("repaired log holds %d files, want the first segment cut at the bad record", len(got))
+		}
+	})
+}

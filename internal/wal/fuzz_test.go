@@ -2,10 +2,16 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"repro/internal/reader"
+	"repro/internal/trace"
 )
 
 // fuzzSeedSegment builds one small valid segment's raw bytes for seeding.
@@ -157,4 +163,253 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rec.Header, testHeader()) {
 		t.Error("seed header mangled")
 	}
+}
+
+// reframe returns data with the record at ri replaced by a record of the
+// same type around payload, its length and CRC recomputed, so the new
+// payload passes the frame checks and reaches the decoder.
+func reframe(data []byte, ri RecordInfo, payload []byte) []byte {
+	hdr := frameHeader(data[ri.Offset], payload)
+	out := append([]byte(nil), data[:ri.Offset]...)
+	out = append(out, hdr[:]...)
+	out = append(out, payload...)
+	return append(out, data[ri.End:]...)
+}
+
+// batchLoc locates one batch record of a log image.
+type batchLoc struct {
+	name string
+	ri   RecordInfo
+}
+
+// fuzzSeedLog builds the live log FuzzRecoverReframedBatch starts from and
+// returns its image (segment name → bytes), the segment names in order
+// and its batch records in append order. The first segment holds the
+// header and six batches, of which the checkpoint in the second covers
+// four and leaves two uncovered, so the segment survives holding both
+// kinds; three more batches follow in the third.
+func fuzzSeedLog(tb testing.TB) (map[string][]byte, []string, []batchLoc) {
+	tb.Helper()
+	dir := tb.TempDir()
+	l, err := Create(dir, testHeader(), Options{Fsync: SyncNever})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batches := testBatches(9, 3)
+	for i, b := range batches {
+		if i == 6 {
+			if _, err := l.AppendCheckpoint(2, 12, []byte("engine state")); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := l.AppendBatch(b); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	l.Close()
+	segs, err := SegmentFiles(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	image := map[string][]byte{}
+	var names []string
+	var locs []batchLoc
+	for _, path := range segs {
+		name := filepath.Base(path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		infos, err := InspectSegment(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, ri := range infos {
+			if ri.Type == recBatch {
+				locs = append(locs, batchLoc{name, ri})
+			}
+		}
+		image[name] = data
+		names = append(names, name)
+	}
+	if len(names) != 3 || len(locs) != len(batches) {
+		tb.Fatalf("seed log has %d segments and %d batch records, want 3 and %d", len(names), len(locs), len(batches))
+	}
+	return image, names, locs
+}
+
+// eagerRecovery is what recoverEager finds in a log image.
+type eagerRecovery struct {
+	failed          bool // no basis, or the basis misses uncovered records
+	batches         [][]reader.TagRead
+	checkpoint      []byte
+	checkpointReads int64
+	torn            bool
+	tornSeg         int
+	tornOff         int64
+}
+
+// recoverEager is the reference Recover's lazy decode is held to: the
+// scan Recover ran before it deferred batch decoding, which decodes every
+// batch record as it reaches it. A record that fails to decode stays
+// pending as a marker, superseded like any other record when a later
+// checkpoint covers it; once the scan is over, the first marker still
+// pending tears the log, and the scan reruns up to that record.
+func recoverEager(segs [][]byte) eagerRecovery {
+	type entry struct {
+		batch []reader.TagRead
+		bad   bool
+		seg   int
+		off   int64
+	}
+	stopSeg, stopOff := len(segs), int64(0)
+	for {
+		r := eagerRecovery{tornSeg: -1}
+		var pending []entry
+		sawBasis, finished, first := false, false, true
+		deficit := int64(0)
+	scan:
+		for si, data := range segs {
+			for off := int64(0); off < int64(len(data)); {
+				tear := func() { r.torn, r.tornSeg, r.tornOff = true, si, off }
+				if si == stopSeg && off == stopOff {
+					tear()
+					break scan
+				}
+				typ, payload, n, err := decodeFrame(data[off:])
+				if err != nil || finished {
+					tear()
+					break scan
+				}
+				switch typ {
+				case recHeader:
+					var h trace.Header
+					if !first || json.Unmarshal(payload, &h) != nil {
+						tear()
+						break scan
+					}
+					sawBasis = true
+				case recBatch:
+					b, err := trace.UnmarshalReads(payload)
+					pending = append(pending, entry{b, err != nil, si, off})
+				case recCheckpoint:
+					uncovered, reads, hj, state, err := parseCheckpoint(payload)
+					var h trace.Header
+					if err != nil || json.Unmarshal(hj, &h) != nil {
+						tear()
+						break scan
+					}
+					r.checkpoint, r.checkpointReads = state, reads
+					keep := min(uncovered, int64(len(pending)))
+					deficit = uncovered - keep
+					pending = pending[int64(len(pending))-keep:]
+					sawBasis = true
+				case recFinish:
+					if !sawBasis {
+						tear()
+						break scan
+					}
+					finished = true
+				}
+				first = false
+				off += n
+			}
+		}
+		if !sawBasis {
+			return eagerRecovery{failed: true}
+		}
+		if i := slices.IndexFunc(pending, func(e entry) bool { return e.bad }); i >= 0 {
+			stopSeg, stopOff = pending[i].seg, pending[i].off
+			continue
+		}
+		if deficit > 0 {
+			return eagerRecovery{failed: true}
+		}
+		r.batches = make([][]reader.TagRead, 0, len(pending))
+		for _, e := range pending {
+			r.batches = append(r.batches, e.batch)
+		}
+		return r
+	}
+}
+
+// FuzzRecoverReframedBatch replaces one batch record's payload of a
+// checkpointed multi-segment log with the fuzzer's bytes, recomputing the
+// record's CRC so the bytes reach the batch decoder rather than the frame
+// checks. Recover must never panic, must return only whole batches as
+// journaled, and must agree with the eager reference scan on the batches,
+// the checkpoint basis, the tear and the repaired segment bytes.
+func FuzzRecoverReframedBatch(f *testing.F) {
+	image, names, locs := fuzzSeedLog(f)
+	other, err := trace.MarshalReads(testBatches(12, 2)[11])
+	if err != nil {
+		f.Fatal(err)
+	}
+	for k := range locs {
+		f.Add(uint8(k), []byte("{not a read}\n"))
+	}
+	f.Add(uint8(1), other)
+	f.Add(uint8(5), []byte{})
+	f.Add(uint8(7), []byte("\n \n"))
+
+	original := testBatches(9, 3)
+	f.Fuzz(func(t *testing.T, k uint8, payload []byte) {
+		if len(payload) > 1<<16 {
+			return
+		}
+		loc := locs[int(k)%len(locs)]
+		img := maps.Clone(image)
+		img[loc.name] = reframe(img[loc.name], loc.ri, payload)
+		segs := make([][]byte, len(names))
+		for i, name := range names {
+			segs[i] = img[name]
+		}
+		want := recoverEager(segs)
+
+		dir := t.TempDir()
+		for name, data := range img {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec, l, err := Recover(dir, Options{})
+		if (err != nil) != want.failed {
+			t.Fatalf("Recover error %v, reference failed=%v", err, want.failed)
+		}
+		if err != nil {
+			return
+		}
+		if l != nil {
+			l.Close()
+		}
+		fuzzed, ferr := trace.UnmarshalReads(payload)
+		for i, b := range rec.Batches {
+			if !slices.ContainsFunc(original, func(o []reader.TagRead) bool { return reflect.DeepEqual(b, o) }) &&
+				(ferr != nil || !reflect.DeepEqual(b, fuzzed)) {
+				t.Fatalf("batch %d is neither a journaled batch nor the fuzzed record's whole decode", i)
+			}
+		}
+		if !reflect.DeepEqual(rec.Batches, want.batches) {
+			t.Fatalf("recovered %d batches, reference %d", len(rec.Batches), len(want.batches))
+		}
+		if !bytes.Equal(rec.Checkpoint, want.checkpoint) || rec.CheckpointReads != want.checkpointReads {
+			t.Fatalf("basis %q/%d, reference %q/%d", rec.Checkpoint, rec.CheckpointReads, want.checkpoint, want.checkpointReads)
+		}
+		if rec.Torn != want.torn {
+			t.Fatalf("torn=%v (%v), reference torn=%v", rec.Torn, rec.TornCause, want.torn)
+		}
+		if want.torn {
+			keep := want.tornSeg + 1
+			img[names[want.tornSeg]] = img[names[want.tornSeg]][:want.tornOff]
+			if want.tornOff == 0 && want.tornSeg > 0 {
+				keep = want.tornSeg
+			}
+			for _, name := range names[keep:] {
+				delete(img, name)
+			}
+		}
+		if got := readDir(t, dir); !maps.EqualFunc(got, img, bytes.Equal) {
+			t.Fatalf("repaired log differs from the reference's repair")
+		}
+	})
 }

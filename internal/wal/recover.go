@@ -39,10 +39,16 @@ type Recovered struct {
 	// the session's total is CheckpointReads + Reads.
 	CheckpointReads int64
 	// Batches are the journaled read batches the checkpoint does NOT
-	// cover, in append order — the whole log when Checkpoint is nil.
+	// cover, in append order — the whole log when Checkpoint is nil. They
+	// are the only batch records Recover decodes, and they share no memory
+	// with the segment buffers the scan read.
 	Batches [][]reader.TagRead
 	// Reads is the total read count across Batches.
 	Reads int
+	// SupersededBytes counts the batch-record bytes, frames included, that
+	// the scan CRC-checked but never decoded because a later checkpoint
+	// covers them.
+	SupersededBytes int64
 	// Finished reports a finish marker: the session completed cleanly and
 	// recovery should rebuild its final snapshot.
 	Finished bool
@@ -55,6 +61,10 @@ type Recovered struct {
 	Segments int
 	Bytes    int64
 }
+
+// SegmentRead, when set, sees every segment buffer Recover reads, from
+// concurrent recoveries; tests use it to watch the buffers' lifetime.
+var SegmentRead func(data []byte)
 
 // Recover scans a session log, truncates any torn tail (a partially
 // written or corrupted record, plus anything after it) back to the last
@@ -69,13 +79,22 @@ type Recovered struct {
 // away (or may survive a crash mid-truncation: the stale prefix is
 // scanned and then superseded when the checkpoint is reached).
 //
+// Every record's frame, CRC and, for header and checkpoint records,
+// payload is checked as the scan reaches it, but a batch payload is
+// decoded only once the scan is over, and only if no checkpoint covers
+// it: a covered batch record is superseded like a reclaimed segment, even
+// when its payload would not decode. A replayed batch record that fails
+// to decode tears the log there, as if the scan had stopped at it — the
+// log is rescanned up to that record, so a checkpoint behind it no longer
+// counts — and the tear repeats until every replayed record decodes.
+//
 // A checkpoint segment a crash left under its temporary name was never
 // part of the log: Recover deletes it, and the previous basis stands.
 //
 // Recover never panics on corrupt input and never returns a partial
-// batch: a batch record either decodes completely or marks the torn
-// tail. It is idempotent — recovering an already-repaired log returns
-// the identical Recovered with Torn unset.
+// batch: a replayed batch record either decodes completely or marks the
+// torn tail. It is idempotent — recovering an already-repaired log
+// returns the identical Recovered with Torn unset.
 func Recover(dir string, opts Options) (*Recovered, *Log, error) {
 	opts.fill()
 	if err := removeTemps(dir); err != nil {
@@ -89,45 +108,153 @@ func Recover(dir string, opts Options) (*Recovered, *Log, error) {
 		return nil, nil, fmt.Errorf("%w in %s", ErrNoLog, dir)
 	}
 
-	rec := &Recovered{}
+	// The first scan runs to the end of the log. Each later one stops at
+	// the first replayed batch record the previous one failed to decode.
+	var sc *logScan
+	stopSeg, stopOff, stopCause := len(segs), int64(0), error(nil)
+	for {
+		if sc, err = scanLog(segs, stopSeg, stopOff, stopCause); err != nil {
+			return nil, nil, err
+		}
+		if !sc.sawBasis {
+			// Stopping the scan earlier cannot find a basis either.
+			return nil, nil, fmt.Errorf("%w in %s", ErrNoHeader, dir)
+		}
+		bad, err := sc.decode()
+		if err == nil {
+			break
+		}
+		// CRC-valid but undecodable: tampering or a writer bug. All-or-
+		// nothing — drop the whole record, never a prefix of its reads.
+		stopSeg, stopOff, stopCause = sc.pending[bad].seg, sc.pending[bad].off, err
+	}
+	rec := sc.rec
+	if sc.basisDeficit > 0 {
+		// The final basis checkpoint is missing some of its uncovered batch
+		// records: replaying the survivors would leave a silent gap in the
+		// stream. No reachable crash state produces this (truncation only
+		// deletes records a DURABLE later checkpoint covers), so refuse to
+		// rebuild rather than invent a lossy session.
+		return nil, nil, fmt.Errorf("wal: checkpoint basis misses %d of its uncovered batch records in %s", sc.basisDeficit, dir)
+	}
+
+	// Repair: truncate the torn segment to its last good offset and drop
+	// every later segment, so appends resume from a clean boundary and a
+	// re-run recovers the identical prefix.
+	keep := len(segs)
+	if rec.Torn {
+		if err := os.Truncate(segs[sc.tornSeg], sc.tornOff); err != nil {
+			return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+		keep = sc.tornSeg + 1
+		if sc.tornOff == 0 && sc.tornSeg > 0 {
+			keep = sc.tornSeg // the torn segment is now empty and not the first
+		}
+		for _, path := range segs[keep:] {
+			if err := os.Remove(path); err != nil {
+				return nil, nil, fmt.Errorf("wal: drop torn segment: %w", err)
+			}
+		}
+		syncDir(dir)
+	}
+	rec.Segments = keep
+
+	if rec.Finished {
+		return rec, nil, nil
+	}
+	// Reopen the last surviving segment for append. The new instance
+	// numbers batches from len(Batches) — the replayed suffix — so segment
+	// metadata is rebased to that origin (pre-checkpoint segments go
+	// negative and become immediately deletable at the next checkpoint).
+	last := segs[keep-1]
+	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: reopen: %w", err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: reopen: %w", err)
+	}
+	l := newLog(dir, opts)
+	l.f, l.w, l.seg, l.size = f, bufio.NewWriter(f), segIndex(last), st.Size()
+	l.batches = int64(len(rec.Batches))
+	l.headerJSON = sc.headerJSON
+	base := sc.g - l.batches
+	for si := 0; si < keep; si++ {
+		l.segs = append(l.segs, segMeta{idx: segIndex(segs[si]), firstBatch: sc.firstG[si] - base})
+	}
+	return rec, l, nil
+}
+
+// pendingBatch is a scanned batch record no checkpoint covers yet. Its
+// payload aliases the buffer its segment was read into; seg and off
+// locate its frame, where the log tears if the payload fails to decode.
+type pendingBatch struct {
+	payload []byte
+	seg     int
+	off     int64
+}
+
+// logScan is what one pass over a log's records leaves: the Recovered it
+// fills (all but Batches, Reads and Segments), the batch records still to
+// decode, and the bookkeeping the repair and the reopened log need.
+type logScan struct {
+	rec *Recovered
 	// pending is the contiguous suffix of scanned batch records not yet
 	// covered by a checkpoint (empty batch records included — uncovered
-	// counts records, not reads). g is the global batch-record ordinal;
-	// firstG[si] is g when segment si began.
-	var pending [][]reader.TagRead
-	var headerJSON []byte
-	var firstG []int64
-	var g int64
-	sawBasis := false
+	// counts records, not reads).
+	pending    []pendingBatch
+	headerJSON []byte
+	// g is the global batch-record ordinal; firstG[si] is g when segment
+	// si began.
+	firstG   []int64
+	g        int64
+	sawBasis bool
 	// basisDeficit counts uncovered batch records the CURRENT basis
 	// checkpoint claims but the scan never saw. A later checkpoint's
 	// truncation may delete batch segments that sit in front of an older
 	// checkpoint record, so an intermediate deficit is normal — but the
 	// checkpoint that supersedes it must itself be whole, so a deficit on
 	// the FINAL basis means the log lost reads and cannot be trusted.
-	basisDeficit := int64(0)
+	basisDeficit int64
+	// tornSeg and tornOff mark where the scan stopped: segment index into
+	// segs and the byte offset of the first bad record in it.
+	tornSeg int
+	tornOff int64
+}
+
+// scanLog scans segs record by record, up to the first defective record
+// or, when stopCause is non-nil, up to the record at offset stopOff of
+// segment stopSeg, which then tears the log with stopCause.
+func scanLog(segs []string, stopSeg int, stopOff int64, stopCause error) (*logScan, error) {
+	sc := &logScan{rec: &Recovered{}, tornSeg: -1}
+	rec := sc.rec
 	first := true
-	// torn marks where scanning stopped: segment index into segs and the
-	// byte offset of the first bad record in it.
-	tornSeg, tornOff := -1, int64(0)
 scan:
 	for si, path := range segs {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, nil, fmt.Errorf("wal: %w", err)
+			return nil, fmt.Errorf("wal: %w", err)
 		}
-		firstG = append(firstG, g)
+		if SegmentRead != nil {
+			SegmentRead(data)
+		}
+		sc.firstG = append(sc.firstG, sc.g)
 		off := int64(0)
 		for off < int64(len(data)) {
-			typ, payload, n, err := decodeFrame(data[off:])
-			if err != nil {
-				rec.Torn, rec.TornCause = true, fmt.Errorf("%s@%d: %w", filepath.Base(path), off, err)
-				tornSeg, tornOff = si, off
-				break scan
-			}
 			bad := func(cause error) {
 				rec.Torn, rec.TornCause = true, fmt.Errorf("%s@%d: %w", filepath.Base(path), off, cause)
-				tornSeg, tornOff = si, off
+				sc.tornSeg, sc.tornOff = si, off
+			}
+			if si == stopSeg && off == stopOff {
+				bad(stopCause)
+				break scan
+			}
+			typ, payload, n, err := decodeFrame(data[off:])
+			if err != nil {
+				bad(err)
+				break scan
 			}
 			switch {
 			case rec.Finished:
@@ -146,19 +273,11 @@ scan:
 					bad(fmt.Errorf("decode header: %w", err))
 					break scan
 				}
-				headerJSON = append([]byte(nil), payload...)
-				sawBasis = true
+				sc.headerJSON = append([]byte(nil), payload...)
+				sc.sawBasis = true
 			case typ == recBatch:
-				batch, err := trace.UnmarshalReads(payload)
-				if err != nil {
-					// CRC-valid but undecodable: tampering or a writer bug.
-					// All-or-nothing — drop the whole record, never a prefix
-					// of its reads.
-					bad(err)
-					break scan
-				}
-				pending = append(pending, batch)
-				g++
+				sc.pending = append(sc.pending, pendingBatch{payload: payload, seg: si, off: off})
+				sc.g++
 			case typ == recCheckpoint:
 				uncovered, reads, hj, state, err := parseCheckpoint(payload)
 				if err != nil {
@@ -175,20 +294,28 @@ scan:
 				rec.Header = h
 				rec.Checkpoint = state
 				rec.CheckpointReads = reads
-				headerJSON = append(headerJSON[:0], hj...)
+				sc.headerJSON = append(sc.headerJSON[:0], hj...)
 				// The survivors are always a suffix of this checkpoint's
 				// uncovered list (truncation deletes oldest-first), so trim
-				// to whichever is shorter.
+				// to whichever is shorter. The records trimmed away are
+				// superseded undecoded.
 				keep := uncovered
-				if n := int64(len(pending)); keep > n {
-					keep, basisDeficit = n, uncovered-n
+				if n := int64(len(sc.pending)); keep > n {
+					keep, sc.basisDeficit = n, uncovered-n
 				} else {
-					basisDeficit = 0
+					sc.basisDeficit = 0
 				}
-				pending = pending[int64(len(pending))-keep:]
-				sawBasis = true
+				cut := int64(len(sc.pending)) - keep
+				for _, p := range sc.pending[:cut] {
+					rec.SupersededBytes += frameLen + int64(len(p.payload))
+				}
+				// Zeroed, so the backing array does not keep the superseded
+				// segments' buffers reachable.
+				clear(sc.pending[:cut])
+				sc.pending = sc.pending[cut:]
+				sc.sawBasis = true
 			default: // recFinish
-				if !sawBasis {
+				if !sc.sawBasis {
 					bad(errors.New("finish marker before any header or checkpoint"))
 					break scan
 				}
@@ -199,69 +326,27 @@ scan:
 			rec.Bytes += n
 		}
 	}
-	if !sawBasis {
-		return nil, nil, fmt.Errorf("%w in %s", ErrNoHeader, dir)
-	}
-	if basisDeficit > 0 {
-		// The final basis checkpoint is missing some of its uncovered batch
-		// records: replaying the survivors would leave a silent gap in the
-		// stream. No reachable crash state produces this (truncation only
-		// deletes records a DURABLE later checkpoint covers), so refuse to
-		// rebuild rather than invent a lossy session.
-		return nil, nil, fmt.Errorf("wal: checkpoint basis misses %d of its uncovered batch records in %s", basisDeficit, dir)
-	}
-	rec.Batches = pending
-	for _, b := range pending {
-		rec.Reads += len(b)
-	}
+	return sc, nil
+}
 
-	// Repair: truncate the torn segment to its last good offset and drop
-	// every later segment, so appends resume from a clean boundary and a
-	// re-run recovers the identical prefix.
-	keep := len(segs)
-	if rec.Torn {
-		if err := os.Truncate(segs[tornSeg], tornOff); err != nil {
-			return nil, nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+// decode decodes the pending batch records into rec.Batches and rec.Reads,
+// dropping each payload once decoded so a segment buffer is freed as soon
+// as its last replayed record is. On failure it returns the index of the
+// first pending record that does not decode.
+func (sc *logScan) decode() (int, error) {
+	batches := make([][]reader.TagRead, len(sc.pending))
+	reads := 0
+	for i := range sc.pending {
+		b, err := trace.UnmarshalReads(sc.pending[i].payload)
+		if err != nil {
+			return i, err
 		}
-		keep = tornSeg + 1
-		if tornOff == 0 && tornSeg > 0 {
-			keep = tornSeg // the torn segment is now empty and not the first
-		}
-		for _, path := range segs[keep:] {
-			if err := os.Remove(path); err != nil {
-				return nil, nil, fmt.Errorf("wal: drop torn segment: %w", err)
-			}
-		}
-		syncDir(dir)
+		batches[i] = b
+		reads += len(b)
+		sc.pending[i].payload = nil
 	}
-	rec.Segments = keep
-
-	if rec.Finished {
-		return rec, nil, nil
-	}
-	// Reopen the last surviving segment for append. The new instance
-	// numbers batches from len(pending) — the replayed suffix — so segment
-	// metadata is rebased to that origin (pre-checkpoint segments go
-	// negative and become immediately deletable at the next checkpoint).
-	last := segs[keep-1]
-	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: reopen: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("wal: reopen: %w", err)
-	}
-	l := newLog(dir, opts)
-	l.f, l.w, l.seg, l.size = f, bufio.NewWriter(f), segIndex(last), st.Size()
-	l.batches = int64(len(pending))
-	l.headerJSON = headerJSON
-	base := g - int64(len(pending))
-	for si := 0; si < keep; si++ {
-		l.segs = append(l.segs, segMeta{idx: segIndex(segs[si]), firstBatch: firstG[si] - base})
-	}
-	return rec, l, nil
+	sc.rec.Batches, sc.rec.Reads = batches, reads
+	return 0, nil
 }
 
 // removeTemps deletes the half-written checkpoint segments a crash left

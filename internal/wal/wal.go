@@ -11,12 +11,15 @@
 //
 // Appends are atomic at record granularity: a crash can only produce a
 // torn record at the tail of the last segment, and Recover detects it
-// (short frame, oversized length, unknown type, CRC mismatch or an
-// undecodable CRC-valid payload), truncates the log back to the last good
-// record and replays everything before it. Checkpoint records — large,
-// and written while producers keep appending — never tear at all: each is
-// written whole under a temporary name and renamed into place as its own
-// segment, so a crash leaves either the complete record or none of it.
+// (short frame, oversized length, unknown type, CRC mismatch, or an
+// undecodable CRC-valid payload among the records it replays), truncates
+// the log back to the last good record and replays everything before it.
+// Recover decodes only the batch records it replays: a batch record a
+// later checkpoint covers is CRC-checked and then superseded undecoded.
+// Checkpoint records — large, and written while producers keep appending
+// — never tear at all: each is written whole under a temporary name and
+// renamed into place as its own segment, so a crash leaves either the
+// complete record or none of it.
 // Replaying a recovered log through a fresh engine therefore yields a
 // final order byte-identical to an offline replay of the journaled prefix
 // — the property the crash-injection tests in internal/serve enforce at
