@@ -47,6 +47,9 @@ func TestSegmentedAlignAllocs(t *testing.T) {
 // absorbs a pool miss after a GC, not a state built per call, which costs
 // a dozen allocations and trips this immediately.
 func TestDetectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the budget assumes sync.Pool keeps its items; the race detector drops them on purpose")
+	}
 	det, p := benchProfilePair(t)
 	for i := 0; i < 4; i++ { // warm the pools to steady state
 		if _, err := det.Detect(p); err != nil {
@@ -143,6 +146,9 @@ func TestSnapshotCadenceAllocs(t *testing.T) {
 // occasional buffer regrowth (it was 771/op — one-plus allocations per
 // read — through PR 6); this guard keeps the marshal path garbage-free.
 func TestWALAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the budget assumes sync.Pool keeps its items; the race detector drops them on purpose")
+	}
 	reads, _ := benchReadLog(t)
 	batch := reads[:min(256, len(reads))]
 	l, err := wal.Create(t.TempDir(), trace.Header{Scenario: "alloc-guard"}, wal.Options{Fsync: wal.SyncNever})

@@ -81,7 +81,7 @@ type replayState struct {
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7080", "stppd address")
-		in        = flag.String("in", "", "comma-separated trace files (JSONL; .gob suffix = gob)")
+		in        = flag.String("in", "", "comma-separated JSONL trace files")
 		sessions  = flag.Int("sessions", 32, "concurrent sessions")
 		rate      = flag.Float64("rate", 0, "per-session replay rate in reads/s (0 = as fast as possible)")
 		batch     = flag.Int("batch", 256, "reads per POST")
@@ -316,12 +316,7 @@ func loadWorkload(path string, cfg stpp.Config, batch int) (*workload, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var tr *trace.Trace
-	if strings.HasSuffix(path, ".gob") {
-		tr, err = trace.ReadGob(f)
-	} else {
-		tr, err = trace.ReadJSONL(f)
-	}
+	tr, err := trace.ReadJSONL(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

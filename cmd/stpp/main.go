@@ -1,5 +1,5 @@
 // Command stpp runs STPP relative localization over a recorded trace
-// (JSONL or gob, as produced by tracegen) and prints the recovered X and Y
+// (JSONL, as produced by tracegen) and prints the recovered X and Y
 // orders, per-tag diagnostics, and — when the trace carries ground truth —
 // the ordering accuracy. A trace whose header describes a multi-reader
 // deployment is replayed through the sharded engine: reads route to
@@ -10,7 +10,7 @@
 //
 //	tracegen -scenario library -o shelf.jsonl
 //	stpp -in shelf.jsonl
-//	stpp -in pop.gob -gob -w 5
+//	stpp -in pop.jsonl -w 5
 //	stpp -in shelf.jsonl -stream -every 2   # incremental snapshots
 //	tracegen -scenario aisle -o aisle.jsonl
 //	stpp -in aisle.jsonl                    # sharded replay + stitch
@@ -38,7 +38,6 @@ import (
 func main() {
 	var (
 		in      = flag.String("in", "-", "input trace ('-' = stdin)")
-		gob     = flag.Bool("gob", false, "input is gob instead of JSONL")
 		window  = flag.Int("w", 5, "segmentation window w")
 		ch      = flag.Int("channel", 6, "carrier channel for the reference wavelength")
 		perp    = flag.Float64("perp", 0, "override perpendicular distance (m); 0 = use trace header")
@@ -84,13 +83,7 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	var tr *trace.Trace
-	var err error
-	if *gob {
-		tr, err = trace.ReadGob(r)
-	} else {
-		tr, err = trace.ReadJSONL(r)
-	}
+	tr, err := trace.ReadJSONL(r)
 	if err != nil {
 		fatal(err)
 	}

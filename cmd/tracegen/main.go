@@ -1,5 +1,5 @@
 // Command tracegen generates synthetic RFID read traces from the built-in
-// scenarios and writes them as JSONL (default) or gob. Multi-reader
+// scenarios and writes them as JSONL. Multi-reader
 // scenarios (aisle, airport-portals) record one merged trace with each
 // read stamped by its reader and the deployment geometry in the header, so
 // stpp can shard and stitch the replay.
@@ -8,7 +8,7 @@
 //
 //	tracegen -scenario library -seed 7 -o shelf.jsonl
 //	tracegen -scenario airport-peak -bags 40 -o peak.jsonl
-//	tracegen -scenario population -n 20 -gob -o pop.gob
+//	tracegen -scenario population -n 20 -o pop.jsonl
 //	tracegen -scenario conveyor-churn -n 24 -gap 0.55 -o belt.jsonl
 //	tracegen -scenario aisle -n 16 -o aisle.jsonl
 //	tracegen -scenario airport-portals -n 12 -portals 3 -o portals.jsonl
@@ -32,7 +32,6 @@ func main() {
 		portals = flag.Int("portals", 2, "portal count (airport-portals)")
 		seed    = flag.Int64("seed", 1, "seed")
 		out     = flag.String("o", "-", "output file ('-' = stdout)")
-		gob     = flag.Bool("gob", false, "write gob instead of JSONL")
 	)
 	flag.Parse()
 
@@ -87,14 +86,8 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	var werr error
-	if *gob {
-		werr = trace.WriteGob(w, tr)
-	} else {
-		werr = trace.WriteJSONL(w, tr)
-	}
-	if werr != nil {
-		fatal(werr)
+	if err := trace.WriteJSONL(w, tr); err != nil {
+		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d reads (%d tags) for scenario %s\n",
 		len(tr.Reads), tagCount, *name)

@@ -24,8 +24,14 @@ func AppendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendU
 // AppendU64 appends a little-endian uint64.
 func AppendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
 
-// AppendF64 appends the IEEE-754 bits of v, little-endian.
+// AppendF64 appends the IEEE-754 bits of v, little-endian. Every NaN is
+// written as math.NaN()'s bits: a NaN's payload depends on the operand
+// order the compiler picked for the arithmetic that made it, and the same
+// state must encode to the same bytes from every build.
 func AppendF64(dst []byte, v float64) []byte {
+	if v != v {
+		v = math.NaN()
+	}
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
@@ -161,28 +167,6 @@ func (r *Reader) F64s(dst []float64) []float64 {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 	return dst
-}
-
-// Skip advances past n fixed-size elements of size bytes each without
-// decoding them — how a reader steps over the fields an older layout
-// carried and the current one recomputes.
-func (r *Reader) Skip(n, size int, what string) {
-	if r.err == nil && n > len(r.data)/size {
-		r.fail(what)
-		return
-	}
-	r.take(n*size, what)
-}
-
-// SkipF64s advances past a u32-counted float64 slice and returns its
-// element count.
-func (r *Reader) SkipF64s() int {
-	n := int(r.U32())
-	r.Skip(n, 8, "f64 slice")
-	if r.err != nil {
-		return 0
-	}
-	return n
 }
 
 // Bytes reads a u32-length-prefixed byte slice. The returned slice aliases

@@ -68,6 +68,25 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendF64CanonicalNaN: NaNs whose payloads differ encode to the
+// same bytes, math.NaN()'s, so a NaN's provenance never reaches a
+// checkpoint.
+func TestAppendF64CanonicalNaN(t *testing.T) {
+	want := AppendF64(nil, math.NaN())
+	for _, bits := range []uint64{0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF} {
+		v := math.Float64frombits(bits)
+		if !math.IsNaN(v) {
+			t.Fatalf("%#x is not a NaN", bits)
+		}
+		if got := AppendF64(nil, v); string(got) != string(want) {
+			t.Errorf("NaN %#x encodes as %x, want %x", bits, got, want)
+		}
+	}
+	if got := NewReader(want).F64(); !math.IsNaN(got) {
+		t.Errorf("canonical NaN decodes as %v", got)
+	}
+}
+
 // TestF64sReusesDst: a destination with enough capacity is filled in
 // place rather than reallocated.
 func TestF64sReusesDst(t *testing.T) {

@@ -4,15 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
-	"repro/internal/reader"
 	"repro/internal/scenario"
 )
 
@@ -172,31 +168,14 @@ func TestShardedRestoreRejectsHostileCounts(t *testing.T) {
 	}
 }
 
-// legacyCkptPath is the committed version-3 checkpoint of a golden trace:
-// the layout that journaled every tag's segment lists, DTW cells and
-// unwrap curves. Each was written by that layout's engine after
-// legacyPrefix of the trace under portalPolicy, followed by one Snapshot.
-func legacyCkptPath(name string) string {
-	return filepath.Join("testdata", "ckpt-v3", name+".v3.ckpt")
-}
-
-func legacyPrefix(n int) int { return n * 3 / 4 }
-
-// TestLegacyCheckpointRestore: a version-3 checkpoint restores into
-// exactly the state a current checkpoint of the same stream prefix
-// restores into. The next Snapshot is identical, the next checkpoint is
-// byte-identical and in the current layout, and so is everything after
-// the rest of the trace. Logs written in the old layout have had their
-// covered segments deleted, so this restore is their only way back.
-func TestLegacyCheckpointRestore(t *testing.T) {
+// TestVersion3CheckpointRejected: an engine checkpoint stamped with the
+// retired version 3 fails Restore with ckpt.ErrCorrupt naming the version
+// and leaves the engine empty — it checkpoints as a fresh engine does,
+// and after replaying the whole trace it still does.
+func TestVersion3CheckpointRejected(t *testing.T) {
 	for _, name := range []string{"aisle", "conveyor-churn"} {
 		t.Run(name, func(t *testing.T) {
-			legacy, err := os.ReadFile(legacyCkptPath(name))
-			if err != nil {
-				t.Fatal(err)
-			}
 			d, tr := goldenTrace(t, name)
-			k := legacyPrefix(len(tr.Reads))
 			engine := func() *ShardedEngine {
 				se, err := NewSharded(d, Options{Finalize: portalPolicy()})
 				if err != nil {
@@ -205,67 +184,32 @@ func TestLegacyCheckpointRestore(t *testing.T) {
 				return se
 			}
 			live := engine()
-			if err := live.Consume(tr.Reads[:k]); err != nil {
+			if err := live.Consume(tr.Reads[:len(tr.Reads)*3/4]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := live.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			current := live.Checkpoint(nil)
+			blob := live.Checkpoint(nil)
 			// The first shard's engine version byte follows the sharded
 			// version (u8), the shard count (u32) and the shard ID (u64).
 			const engineVersionAt = 1 + 4 + 8
-			if legacy[engineVersionAt] != 3 || current[engineVersionAt] != 4 {
-				t.Fatalf("engine checkpoint versions %d (legacy) and %d (current), want 3 and 4",
-					legacy[engineVersionAt], current[engineVersionAt])
+			if blob[engineVersionAt] != 4 {
+				t.Fatalf("engine checkpoint version %d, want 4", blob[engineVersionAt])
 			}
-			t.Logf("legacy checkpoint %d bytes, current %d", len(legacy), len(current))
-			if len(current)*5 > len(legacy) {
-				t.Errorf("current checkpoint %d bytes, legacy %d: want at least 5x smaller", len(current), len(legacy))
+			blob[engineVersionAt] = 3
+			se, fresh := engine(), engine()
+			err := se.Restore(blob)
+			if !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "engine checkpoint version 3") {
+				t.Fatalf("restore of a version-3 checkpoint: %v, want ckpt.ErrCorrupt naming version 3", err)
 			}
-			old, cur := engine(), engine()
-			if err := old.Restore(legacy); err != nil {
-				t.Fatalf("legacy restore: %v", err)
+			if !bytes.Equal(se.Checkpoint(nil), fresh.Checkpoint(nil)) {
+				t.Fatal("failed restore left state behind")
 			}
-			if err := cur.Restore(current); err != nil {
-				t.Fatalf("current restore: %v", err)
-			}
-			// Both restores snapshot and checkpoint alike, and after the
-			// rest of the trace they still do.
-			for step, reads := range [][]reader.TagRead{nil, tr.Reads[k:]} {
-				if err := old.Consume(reads); err != nil {
+			for _, e := range []*ShardedEngine{se, fresh} {
+				if err := e.Consume(tr.Reads); err != nil {
 					t.Fatal(err)
 				}
-				if err := cur.Consume(reads); err != nil {
-					t.Fatal(err)
-				}
-				want, err := cur.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := old.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameGlobal(t, want, got)
-				if !reflect.DeepEqual(want.Emitted, got.Emitted) {
-					t.Errorf("step %d: emission streams diverged", step)
-				}
-				if len(want.XConfidence) != len(got.XConfidence) {
-					t.Fatalf("step %d: %d vs %d X confidences", step, len(got.XConfidence), len(want.XConfidence))
-				}
-				for i := range want.XConfidence {
-					if math.Float64bits(want.XConfidence[i]) != math.Float64bits(got.XConfidence[i]) {
-						t.Errorf("step %d: X confidence %d: %v vs %v", step, i, got.XConfidence[i], want.XConfidence[i])
-					}
-				}
-				ob, cb := old.Checkpoint(nil), cur.Checkpoint(nil)
-				if !bytes.Equal(ob, cb) {
-					t.Fatalf("step %d: next checkpoints diverged (%d vs %d bytes)", step, len(ob), len(cb))
-				}
-				if step == 0 && !bytes.Equal(cb, current) {
-					t.Fatalf("restored engine's next checkpoint differs from the one it was restored from")
-				}
+			}
+			if !bytes.Equal(se.Checkpoint(nil), fresh.Checkpoint(nil)) {
+				t.Fatal("replay after a failed restore diverged from a fresh engine's")
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package deploy
 
 import (
 	"bytes"
-	"os"
 	"runtime"
 	"testing"
 
@@ -71,7 +70,7 @@ func (sh *shard) valid() bool { return sh != nil }
 //
 // Seeds are current-layout checkpoints of three golden traces, one of
 // them taken from an engine that was itself restored (its aligners'
-// columns still pending), plus the committed legacy-layout blobs.
+// columns still pending).
 func FuzzShardedRestore(f *testing.F) {
 	type target struct {
 		d      Deployment
@@ -101,9 +100,6 @@ func FuzzShardedRestore(f *testing.F) {
 				}
 				f.Add(which, back.Checkpoint(nil))
 			}
-		}
-		if legacy, err := os.ReadFile(legacyCkptPath(name)); err == nil {
-			f.Add(which, legacy)
 		}
 		targets = append(targets, target{d, portalPolicy()})
 	}

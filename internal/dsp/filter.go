@@ -72,96 +72,35 @@ func median5(a, b, c, d, e float64) float64 {
 	return c // order a, b, c, d, e
 }
 
-// MedianFilterTo applies a centered median filter of the given odd
+// MedianFilterRangeTo applies a centered median filter of the given odd
 // width, truncated at the edges, knocking impulsive phase outliers from
 // multipath self-interference out before fitting. Typical widths (5) use
 // a stack-allocated insertion sort instead of sort.Float64s — the order
 // statistics, and therefore the output, are identical for the finite
 // inputs profiles carry.
 //
-// The output goes into dst, which is grown only when its capacity is
-// insufficient — hot callers (V-zone refinement runs once per tag per
-// snapshot) reuse one output buffer across calls; nil allocates. The
-// returned slice aliases dst's backing array when capacity allows; dst
-// must not alias xs (windows read xs after earlier outputs are written,
-// so filtering in place would corrupt the result).
-func MedianFilterTo(dst, xs []float64, width int) []float64 {
-	if cap(dst) < len(xs) {
-		// Geometric growth: scratch-threaded callers filter a growing
-		// series every snapshot; exact-size regrowth would allocate on
-		// each call instead of O(log growth).
-		c := 2 * cap(dst)
-		if c < len(xs) {
-			c = len(xs)
-		}
-		dst = make([]float64, len(xs), c)
-	}
-	out := dst[:len(xs)]
-	if width <= 1 {
-		copy(out, xs)
-		return out
-	}
-	half := width / 2
-	var small [16]float64
-	var big []float64 // only for windows wider than the stack buffer
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		m := hi + 1 - lo
-		if m == 5 {
-			// Full windows at the default width (and width-9 edge
-			// windows that truncate to five) stay in registers.
-			out[i] = median5(xs[lo], xs[lo+1], xs[lo+2], xs[lo+3], xs[lo+4])
-			continue
-		}
-		var buf []float64
-		if m <= len(small) {
-			buf = small[:m]
-		} else {
-			if cap(big) < m {
-				big = make([]float64, m)
-			}
-			buf = big[:m]
-		}
-		copy(buf, xs[lo:hi+1])
-		for a := 1; a < m; a++ {
-			v := buf[a]
-			b := a - 1
-			for b >= 0 && buf[b] > v {
-				buf[b+1] = buf[b]
-				b--
-			}
-			buf[b+1] = v
-		}
-		if m%2 == 1 {
-			out[i] = buf[m/2]
-		} else {
-			out[i] = (buf[m/2-1] + buf[m/2]) / 2
-		}
-	}
-	return out
-}
-
-// MedianFilterRangeTo extends a previous MedianFilterTo result after xs
-// grew by appends: dst[:from] is taken as already filtered and only
-// out[from:] is computed. A window of width w centered at i reads
-// xs[i−w/2 .. i+w/2], so when xs grows from n0 to n samples the first
-// index whose (edge-truncated) window changed is n0 − w/2; passing that
-// as from reproduces MedianFilterTo(dst, xs, width) bit-for-bit while
-// paying only for the new tail. dst is grown geometrically when its
-// capacity is insufficient, preserving the filtered prefix; like
-// MedianFilterTo, dst must not alias xs.
+// dst[:from] is taken as already filtered and only out[from:] is
+// computed; from = 0 filters all of xs. A window of width w centered at i
+// reads xs[i−w/2 .. i+w/2], so when xs grew by appends from n0 to n
+// samples the first index whose (edge-truncated) window changed is
+// n0 − w/2; passing that as from reproduces the from-scratch filter
+// bit-for-bit while paying only for the new tail.
+//
+// The output goes into dst, which is grown geometrically only when its
+// capacity is insufficient, preserving the filtered prefix — hot callers
+// (V-zone refinement runs once per tag per snapshot) reuse one output
+// buffer across calls; nil allocates. The returned slice aliases dst's
+// backing array when capacity allows; dst must not alias xs (windows read
+// xs after earlier outputs are written, so filtering in place would
+// corrupt the result).
 func MedianFilterRangeTo(dst, xs []float64, width, from int) []float64 {
 	if from < 0 {
 		from = 0
 	}
 	if cap(dst) < len(xs) {
+		// Geometric growth: scratch-threaded callers filter a growing
+		// series every snapshot; exact-size regrowth would allocate on
+		// each call instead of O(log growth).
 		c := 2 * cap(dst)
 		if c < len(xs) {
 			c = len(xs)
@@ -177,7 +116,7 @@ func MedianFilterRangeTo(dst, xs []float64, width, from int) []float64 {
 	}
 	half := width / 2
 	var small [16]float64
-	var big []float64
+	var big []float64 // only for windows wider than the stack buffer
 	for i := from; i < len(xs); i++ {
 		lo := i - half
 		if lo < 0 {

@@ -2,6 +2,8 @@ package dsp
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -29,7 +31,7 @@ func TestMovingAverageWidthOne(t *testing.T) {
 
 func TestMedianFilterImpulse(t *testing.T) {
 	xs := []float64{1, 1, 100, 1, 1}
-	got := MedianFilterTo(nil, xs, 3)
+	got := MedianFilterRangeTo(nil, xs, 3, 0)
 	if got[2] != 1 {
 		t.Errorf("median filter did not remove impulse: %v", got)
 	}
@@ -37,7 +39,7 @@ func TestMedianFilterImpulse(t *testing.T) {
 
 func TestMedianFilterEvenWindowAtEdge(t *testing.T) {
 	xs := []float64{1, 3}
-	got := MedianFilterTo(nil, xs, 3)
+	got := MedianFilterRangeTo(nil, xs, 3, 0)
 	// Edge windows have 2 elements; median of {1,3} is 2.
 	if !approx(got[0], 2, 1e-12) || !approx(got[1], 2, 1e-12) {
 		t.Errorf("edge medians = %v", got)
@@ -46,7 +48,7 @@ func TestMedianFilterEvenWindowAtEdge(t *testing.T) {
 
 func TestMedianFilterWidthOne(t *testing.T) {
 	xs := []float64{5, 6}
-	got := MedianFilterTo(nil, xs, 1)
+	got := MedianFilterRangeTo(nil, xs, 1, 0)
 	if got[0] != 5 || got[1] != 6 {
 		t.Errorf("width-1 median = %v", got)
 	}
@@ -151,7 +153,7 @@ func TestQuickMedianFilterBounds(t *testing.T) {
 			xs[i] = float64(r)
 		}
 		min, max := MinMax(xs)
-		for _, v := range MedianFilterTo(nil, xs, 5) {
+		for _, v := range MedianFilterRangeTo(nil, xs, 5, 0) {
 			if v < min || v > max {
 				return false
 			}
@@ -184,7 +186,7 @@ func TestQuickMedianFilterRangeResume(t *testing.T) {
 			n0 = n
 		}
 		got = MedianFilterRangeTo(got[:n0], xs, width, n0-width/2)
-		want := MedianFilterTo(nil, xs, width)
+		want := MedianFilterRangeTo(nil, xs, width, 0)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -193,6 +195,43 @@ func TestQuickMedianFilterRangeResume(t *testing.T) {
 		return len(got) == len(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// sortedMedianFilter is the reference median filter: each edge-truncated
+// window copied and sorted with sort.Float64s, its middle value (or the
+// mean of its two middle values) taken. It shares no code with the
+// filter's insertion sort or median5, and agrees with them bit for bit on
+// finite inputs without signed zeros.
+func sortedMedianFilter(xs []float64, width int) []float64 {
+	out := make([]float64, len(xs))
+	half := max(width, 1) / 2
+	for i := range xs {
+		w := slices.Clone(xs[max(i-half, 0):min(i+half+1, len(xs))])
+		sort.Float64s(w)
+		if m := len(w); m%2 == 1 {
+			out[i] = w[m/2]
+		} else {
+			out[i] = (w[m/2-1] + w[m/2]) / 2
+		}
+	}
+	return out
+}
+
+// Property: the median filter matches the sort-based reference for every
+// width from 1 to 9 — the default width's median5 path, the insertion
+// sort of other full windows and every truncated edge window.
+func TestQuickMedianFilterMatchesSortReference(t *testing.T) {
+	f := func(raw []int8, w uint8) bool {
+		width := int(w)%9 + 1
+		xs := make([]float64, len(raw))
+		for i, r := range raw {
+			xs[i] = float64(r)
+		}
+		return slices.Equal(MedianFilterRangeTo(nil, xs, width, 0), sortedMedianFilter(xs, width))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -22,13 +22,9 @@ import (
 // engines that wrote them. Version 4 cut each tag's detection state to
 // four counters (stpp.DetectState.AppendCheckpoint): the segments, DTW
 // columns and unwrap curves version 3 journaled are recomputed from the
-// restored profile. Version 3 blobs still restore — their WAL segments
-// are gone, so they cannot fall back to replay — through the same
-// recompute, stepping over the dropped fields.
+// restored profile. RestoreCheckpoint reads this version only; any other
+// fails with ckpt.ErrCorrupt.
 const engineCkptVersion = 4
-
-// legacyCkptVersion is the one older layout RestoreCheckpoint reads.
-const legacyCkptVersion = 3
 
 // Checkpoint serializes the engine's state — the profile builder, every
 // tag's cached per-tag result, and the counters of every tag's resumable
@@ -142,15 +138,15 @@ func ReadFinalSet(r *ckpt.Reader, keep bool) (map[epcgen2.EPC]bool, []epcgen2.EP
 }
 
 // RestoreCheckpoint rebuilds the engine from Checkpoint output read
-// sequentially from r, replacing any current contents; it reads the
-// current and the legacy layout. Cached V-zones and detection-state
-// counters are checked against their restored profiles, so a CRC-valid
-// but hostile blob fails here instead of panicking a later Snapshot. On
-// error the engine is left empty (as if freshly constructed).
+// sequentially from r, replacing any current contents. A version other
+// than engineCkptVersion fails with ckpt.ErrCorrupt. Cached V-zones and
+// detection-state counters are checked against their restored profiles,
+// so a CRC-valid but hostile blob fails here instead of panicking a later
+// Snapshot. On error the engine is left empty (as if freshly
+// constructed).
 func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 	reset := e.resetEmpty
-	v := r.U8()
-	if r.Err() == nil && v != engineCkptVersion && v != legacyCkptVersion {
+	if v := r.U8(); r.Err() == nil && v != engineCkptVersion {
 		r.Failf("engine checkpoint version %d", v)
 	}
 	reads := int64(r.U64())
@@ -191,7 +187,7 @@ func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 		}
 		if r.U8() != 0 {
 			ts := &tagState{det: e.loc.NewDetectState(), gen: r.U64()}
-			if err := ts.det.RestoreCheckpoint(r, p, v == legacyCkptVersion); err != nil {
+			if err := ts.det.RestoreCheckpoint(r, p); err != nil {
 				reset()
 				return fmt.Errorf("pipeline: restore tag state: %w", err)
 			}

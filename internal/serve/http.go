@@ -71,6 +71,11 @@ type SessionStats struct {
 	Discarded    int64 `json:"discarded"`
 	LateReads    int64 `json:"late_reads"`
 	LimitRejects int64 `json:"limit_rejects"`
+
+	// Error is why the session failed (Session.Err): a batch its engine
+	// rejected, or a checkpoint that did not restore at boot. Absent while
+	// the session is healthy.
+	Error string `json:"error,omitempty"`
 }
 
 // EmittedEntry is one finalized tag on the wire: its sequence number in
@@ -398,6 +403,10 @@ func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 	// finalized/discarded/late trio is always from the same sweep.
 	consumed := sess.Consumed()
 	life := sess.lifecycle()
+	var failure string
+	if err := sess.Err(); err != nil {
+		failure = err.Error()
+	}
 	writeJSON(w, http.StatusOK, SessionStats{
 		SessionID:    sess.ID,
 		Enqueued:     sess.Enqueued(),
@@ -413,6 +422,7 @@ func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 		Discarded:    life.discarded,
 		LateReads:    life.lateReads,
 		LimitRejects: sess.limitRejects.Load(),
+		Error:        failure,
 	})
 }
 

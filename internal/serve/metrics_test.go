@@ -18,6 +18,8 @@ import (
 	"testing"
 
 	prom "repro/internal/metrics"
+	"repro/internal/reader"
+	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -352,23 +354,41 @@ func jsonKeys(t *testing.T, body []byte) []string {
 // loadgen, the benchmark harness and operators' scripts decode both, so
 // a renamed, dropped or added key must show up as a reviewed golden diff.
 // Regenerate with: go test ./internal/serve -run TestStatsGolden -update
+//
+// A failed session's stats add the key that is absent while a session is
+// healthy; the failure here is a batch naming a reader the deployment
+// does not have.
 func TestStatsGolden(t *testing.T) {
 	srv, ts, _ := metricsScrapeServer(t)
 	srv.mu.Lock()
 	id := srv.order[0] // the scrape server's one session
 	srv.mu.Unlock()
+	failed, err := srv.CreateSession(trace.Header{Scenario: "failed"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := failed.Enqueue([]reader.TagRead{{Reader: 99}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := failed.Finish(); err == nil {
+		t.Fatal("Finish succeeded after an unconsumable batch")
+	}
 	var out strings.Builder
-	for _, path := range []string{"/v1/stats", "/v1/sessions/" + id} {
-		resp, err := http.Get(ts.URL + path)
+	for _, get := range []struct{ path, shown string }{
+		{"/v1/stats", "/v1/stats"},
+		{"/v1/sessions/" + id, "/v1/sessions/{id}"},
+		{"/v1/sessions/" + failed.ID, "/v1/sessions/{id} (failed)"},
+	} {
+		resp, err := http.Get(ts.URL + get.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+			t.Fatalf("GET %s: status %d, %v", get.path, resp.StatusCode, err)
 		}
-		fmt.Fprintf(&out, "GET %s\n", strings.Replace(path, id, "{id}", 1))
+		fmt.Fprintf(&out, "GET %s\n", get.shown)
 		for _, k := range jsonKeys(t, body) {
 			fmt.Fprintf(&out, "  %s\n", k)
 		}

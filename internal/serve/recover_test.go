@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,12 +11,17 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"weak"
 
+	"repro/internal/ckpt"
+	"repro/internal/deploy"
 	"repro/internal/reader"
 	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -243,5 +249,125 @@ func TestRecoveryDeterministicAcrossWorkers(t *testing.T) {
 		if got := pooledBodies[id]; got != want {
 			t.Errorf("session %s /order differs:\n  1 worker %s\n  pool     %s", id, want, got)
 		}
+	}
+}
+
+// TestVersion3CheckpointFailsOneSession: a data directory holding a log
+// whose checkpoint record is CRC-valid but stamped with the retired
+// engine checkpoint version 3 still boots. That one session comes up
+// finished, holding an error that names the version — GET
+// /v1/sessions/{id} reports it — and its segment files stay on disk
+// untouched. The live session beside it recovers and resumes to the
+// offline replay.
+func TestVersion3CheckpointFailsOneSession(t *testing.T) {
+	tr, want, opts := aisleTrace(t, 3)
+	opts.DataDir = t.TempDir()
+	opts.Fsync = wal.SyncNever
+	half := len(tr.Reads) / 2
+	healthy, err := newTestServer(t, opts).CreateSession(tr.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.Enqueue(tr.Reads[:half]); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, healthy)
+	// Crash: that server is abandoned with its log open.
+
+	// The v3 log: a batch, a checkpoint covering it whose first shard's
+	// engine version byte reads 3, and a batch past the checkpoint.
+	dir := filepath.Join(opts.DataDir, "s000002")
+	log, err := wal.Create(dir, tr.Header, wal.Options{Fsync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := deploy.NewSharded(deploy.FromHeader(tr.Header, opts.Config, false, false), deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := tr.Reads[:half]
+	if err := log.AppendBatch(prefix); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.Consume(prefix); err != nil {
+		t.Fatal(err)
+	}
+	blob := se.Checkpoint(nil)
+	// The version byte follows the sharded version (u8), the shard count
+	// (u32) and the first shard's ID (u64).
+	const engineVersionAt = 1 + 4 + 8
+	if blob[engineVersionAt] != 4 {
+		t.Fatalf("engine checkpoint version %d, want 4", blob[engineVersionAt])
+	}
+	blob[engineVersionAt] = 3
+	if _, err := log.AppendCheckpoint(0, int64(len(prefix)), blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.AppendBatch(tr.Reads[half : half+100]); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segments := func() map[string]string {
+		t.Helper()
+		segs, err := wal.SegmentFiles(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string, len(segs))
+		for _, path := range segs {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(path)] = string(data)
+		}
+		return out
+	}
+	before := segments()
+
+	srv, err := New(opts)
+	if err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	if got := srv.Stats().SessionsRecovered; got != 2 {
+		t.Fatalf("recovered %d sessions, want 2", got)
+	}
+	bad, ok := srv.Session("s000002")
+	if !ok {
+		t.Fatal("the version-3 session was not brought up")
+	}
+	if !bad.finished() {
+		t.Error("the version-3 session is not finished")
+	}
+	if err := bad.Err(); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "engine checkpoint version 3") {
+		t.Errorf("version-3 session error %v, want ckpt.ErrCorrupt naming version 3", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var st SessionStats
+	getJSON(t, ts, "/v1/sessions/s000002", http.StatusOK, &st)
+	if !st.Finished || !strings.Contains(st.Error, "engine checkpoint version 3") {
+		t.Errorf("GET /v1/sessions/s000002: finished %v, error %q; want finished, naming version 3", st.Finished, st.Error)
+	}
+	if !reflect.DeepEqual(segments(), before) {
+		t.Error("the boot changed the version-3 session's segment files")
+	}
+
+	sess, ok := srv.Session(healthy.ID)
+	if !ok || sess.finished() || sess.Err() != nil {
+		t.Fatalf("sibling session %s did not recover live", healthy.ID)
+	}
+	if err := sess.Enqueue(tr.Reads[half:]); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotX, gotY := snapOrders(snap)
+	if !slices.Equal(gotX, trace.EncodeEPCs(want.XOrder)) || !slices.Equal(gotY, trace.EncodeEPCs(want.YOrder)) {
+		t.Error("sibling session diverged from the offline replay")
 	}
 }

@@ -25,18 +25,11 @@ func (s *DetectState) AppendCheckpoint(dst []byte) []byte {
 // profile of the tag that wrote it — with the live code: the segment
 // cache re-segments the first n samples, the aligner resumes over those
 // segments (its columns are computed by the next Align), and unwrapMedian
-// recomputes the curves over the first uLen samples. legacy reads the
-// version-3 layout, which carried all of that as well; it is stepped over
-// and recomputed the same way. Counters the profile or its segmentation
-// cannot back fail the reader. On error the state is left Reset (valid
-// but cold).
-func (s *DetectState) RestoreCheckpoint(r *ckpt.Reader, p *profile.Profile, legacy bool) error {
-	var n, cols, base, uLen uint64
-	if legacy {
-		n, cols, base, uLen = readV3Counters(r)
-	} else {
-		n, cols, base, uLen = r.U64(), r.U64(), r.U64(), r.U64()
-	}
+// recomputes the curves over the first uLen samples. Counters the profile
+// or its segmentation cannot back fail the reader. On error the state is
+// left Reset (valid but cold).
+func (s *DetectState) RestoreCheckpoint(r *ckpt.Reader, p *profile.Profile) error {
+	n, cols, base, uLen := r.U64(), r.U64(), r.U64(), r.U64()
 	if samples := uint64(p.Len()); r.Err() == nil && (n > samples || uLen > samples) {
 		r.Failf("detection state covers %d/%d samples of a %d-sample profile", n, uLen, samples)
 	}
@@ -59,36 +52,4 @@ func (s *DetectState) RestoreCheckpoint(r *ckpt.Reader, p *profile.Profile, lega
 		s.unwrapMedian(p.Slice(0, int(uLen)))
 	}
 	return nil
-}
-
-// segmentBytes is the encoded size of one dtw.Segment in the version-3
-// layout: Lo, Hi, Start, End and Interval at eight bytes each.
-const segmentBytes = 40
-
-// readV3Counters steps over a version-3 state record — the segment cache
-// (width, segments, coverage), the aligner (query segments, base, cell
-// tail, last-row mirror) and the unwrap/median curves — and returns the
-// four counters version 4 keeps in its place.
-func readV3Counters(r *ckpt.Reader) (n, cols, base, uLen uint64) {
-	skipSegments := func() uint64 {
-		k := r.U32()
-		r.Skip(int(k), segmentBytes, "segment list")
-		return uint64(k)
-	}
-	r.U32() // segment width: the live configuration re-segments
-	skipSegments()
-	n = r.U64()
-	cols = skipSegments()
-	base = r.U64()
-	r.SkipF64s() // DTW cells
-	if k := r.SkipF64s(); r.Err() == nil && uint64(k) != cols {
-		r.Failf("last-row mirror of %d for %d columns", k, cols)
-	}
-	uLen = r.U64()
-	for range 2 { // unwrap and median curves
-		if k := r.SkipF64s(); r.Err() == nil && uint64(k) != uLen {
-			r.Failf("unwrap curve of %d for uLen %d", k, uLen)
-		}
-	}
-	return n, cols, base, uLen
 }

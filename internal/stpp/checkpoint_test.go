@@ -44,7 +44,7 @@ func TestDetectStateCheckpointRecomputes(t *testing.T) {
 			blob := live.AppendCheckpoint(nil)
 			restored = det.NewDetectState()
 			r := ckpt.NewReader(blob)
-			if err := restored.RestoreCheckpoint(r, p, false); err != nil || r.Len() != 0 {
+			if err := restored.RestoreCheckpoint(r, p); err != nil || r.Len() != 0 {
 				t.Fatalf("profile %d n=%d: restore: %v (%d bytes left)", pi, n, err, r.Len())
 			}
 			if again := restored.AppendCheckpoint(nil); !bytes.Equal(again, blob) {
@@ -82,7 +82,7 @@ func TestDetectStateRestoreRejectsCounters(t *testing.T) {
 		for _, v := range c {
 			blob = ckpt.AppendU64(blob, v)
 		}
-		if err := det.NewDetectState().RestoreCheckpoint(ckpt.NewReader(blob), p, false); !errors.Is(err, ckpt.ErrCorrupt) {
+		if err := det.NewDetectState().RestoreCheckpoint(ckpt.NewReader(blob), p); !errors.Is(err, ckpt.ErrCorrupt) {
 			t.Errorf("%s: restore error %v, want ckpt.ErrCorrupt", name, err)
 		}
 	}

@@ -74,7 +74,7 @@ func (c Config) xKeyFit(st *DetectState, p *profile.Profile, vz VZone) (XKey, er
 		unDst, cleanDst, predDst = st.xkUn, st.xkClean, st.xkPred
 	}
 	times, un := anchoredPhasesTo(unDst, p, vz)
-	clean := dsp.MedianFilterTo(cleanDst, un, c.MedianWidth)
+	clean := dsp.MedianFilterRangeTo(cleanDst, un, c.MedianWidth, 0)
 	if cap(predDst) < len(times) {
 		c := 2 * cap(predDst)
 		if c < len(times) {

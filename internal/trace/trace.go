@@ -1,14 +1,13 @@
-// Package trace records and replays reader logs. Two formats are
-// supported: JSON Lines (one read per line, human-greppable, the format a
-// field deployment would archive) and gob (compact binary for large
-// benchmark corpora). A header carries scenario metadata and the ground
-// truth so a trace is self-contained for accuracy evaluation.
+// Package trace records and replays reader logs as JSON Lines: a header
+// line, then one read per line — human-greppable, the format a field
+// deployment would archive and the one stppd speaks on the wire. The
+// header carries scenario metadata and the ground truth so a trace is
+// self-contained for accuracy evaluation.
 package trace
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -280,27 +279,4 @@ func UnmarshalReads(data []byte) ([]reader.TagRead, error) {
 		out = append(out, rd)
 	}
 	return out, nil
-}
-
-// gobTrace is the on-wire form for the binary codec.
-type gobTrace struct {
-	Header Header
-	Reads  []reader.TagRead
-}
-
-// WriteGob writes the trace in the compact binary format.
-func WriteGob(w io.Writer, t *Trace) error {
-	if err := gob.NewEncoder(w).Encode(gobTrace{Header: t.Header, Reads: t.Reads}); err != nil {
-		return fmt.Errorf("trace: gob encode: %w", err)
-	}
-	return nil
-}
-
-// ReadGob parses a binary trace.
-func ReadGob(r io.Reader) (*Trace, error) {
-	var g gobTrace
-	if err := gob.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("trace: gob decode: %w", err)
-	}
-	return &Trace{Header: g.Header, Reads: g.Reads}, nil
 }

@@ -109,35 +109,6 @@ func TestReadJSONLErrors(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	orig := sampleTrace()
-	var buf bytes.Buffer
-	if err := WriteGob(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Reads) != len(orig.Reads) {
-		t.Fatalf("reads = %d", len(back.Reads))
-	}
-	for i := range orig.Reads {
-		if back.Reads[i] != orig.Reads[i] {
-			t.Errorf("read %d mismatch", i)
-		}
-	}
-	if back.Header.Scenario != orig.Header.Scenario {
-		t.Errorf("header lost")
-	}
-}
-
-func TestReadGobError(t *testing.T) {
-	if _, err := ReadGob(strings.NewReader("junk")); err == nil {
-		t.Error("garbage gob accepted")
-	}
-}
-
 func TestTruthDecodeErrors(t *testing.T) {
 	tr := &Trace{Header: Header{TruthX: []string{"zz"}}}
 	if _, err := tr.TruthXEPCs(); err == nil {
