@@ -141,10 +141,11 @@ func TestSnapshotCadenceAllocs(t *testing.T) {
 }
 
 // TestWALAppendAllocs bounds the journal append for a 256-read batch —
-// the extra work every durable ingest batch pays. The hand-rolled NDJSON
-// encoder into a pooled buffer left only the pool round-trip and the
-// occasional buffer regrowth (it was 771/op — one-plus allocations per
-// read — through PR 6); this guard keeps the marshal path garbage-free.
+// the extra work every durable ingest batch pays. The fixed-width binary
+// batch encoding into a pooled buffer leaves only the pool round-trip and
+// the occasional buffer regrowth (an encoding/json append was 771/op —
+// one-plus allocations per read); this guard keeps the encode path
+// garbage-free.
 func TestWALAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the budget assumes sync.Pool keeps its items; the race detector drops them on purpose")

@@ -121,7 +121,7 @@ func TestCheckpointedCrashInjection(t *testing.T) {
 			switch r.info.Type {
 			case 1: // header
 				haveBasis = true
-			case 2: // batch
+			case 5: // batch
 				pend++
 			case 3: // finish
 				finished = true
@@ -319,7 +319,7 @@ func TestTornCheckpointFallsBackToHistory(t *testing.T) {
 		if r.seg > ck.seg || (r.seg == ck.seg && r.info.End > ck.info.Offset) {
 			break
 		}
-		if r.info.Type == 2 {
+		if r.info.Type == 5 { // batch
 			survivors++
 		}
 	}
@@ -675,7 +675,7 @@ func TestLifecycleCrashAtSweepBoundaries(t *testing.T) {
 		switch r.info.Type {
 		case 1: // header
 			seenBasis = true
-		case 2: // batch
+		case 5: // batch
 			pend++
 		case 3: // finish marker: cutting after it is just the clean image
 			continue

@@ -249,7 +249,7 @@ func TestCrashInjectionRecovery(t *testing.T) {
 						break
 					}
 					switch r.info.Type {
-					case 2: // batch
+					case 5: // batch
 						k++
 					case 3: // finish
 						finished = true
@@ -399,7 +399,7 @@ func TestCrashInjectionBitFlips(t *testing.T) {
 			finished := false
 			for _, rr := range recs[:victim] {
 				switch rr.info.Type {
-				case 2:
+				case 5: // batch
 					k++
 				case 3:
 					finished = true

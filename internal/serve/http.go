@@ -292,6 +292,13 @@ func (s *Server) handleOrder(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if snap == nil {
+		// A failed session never publishes: answer its error, as the
+		// refresh path does, not the warming-up 202 a client would poll
+		// forever.
+		if err := sess.Err(); err != nil {
+			writeError(w, http.StatusConflict, "%v", err)
+			return
+		}
 		writeJSON(w, http.StatusAccepted, errorResponse{Error: "no snapshot published yet"})
 		return
 	}

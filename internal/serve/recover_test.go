@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +17,7 @@ import (
 	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -252,6 +258,294 @@ func TestRecoveryDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// segmentBytes maps each segment file of a session log to its bytes.
+func segmentBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	segs, err := wal.SegmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(segs))
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[filepath.Base(path)] = string(data)
+	}
+	return out
+}
+
+// retireFirstBatch rewrites the first batch record of a session log as
+// the record an earlier build journaled for the same reads: record type 2
+// around their NDJSON lines, with its length and CRC-32C recomputed.
+func retireFirstBatch(t *testing.T, dir string, reads []reader.TagRead) {
+	t.Helper()
+	segs, err := wal.SegmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range segs {
+		infos, err := wal.InspectSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ri := range infos {
+			if ri.Type != 5 { // batch
+				continue
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := ndjson(t, reads)
+			frame := binary.LittleEndian.AppendUint32([]byte{2}, uint32(len(payload)))
+			crc := crc32.Checksum(append([]byte{2}, payload...), crc32.MakeTable(crc32.Castagnoli))
+			frame = binary.LittleEndian.AppendUint32(frame, crc)
+			out := append(append(append(bytes.Clone(data[:ri.Offset]), frame...), payload...), data[ri.End:]...)
+			if err := os.WriteFile(path, out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("no batch record in %s", dir)
+}
+
+// TestRetiredBatchRecordFailsOneSession: a data directory written partly
+// by an earlier build holds batch records of the retired NDJSON type 2.
+// Where a checkpoint covers such a record, the session recovers as if it
+// were any other covered record. Where recovery would replay it, that one
+// session comes up finished holding wal.ErrRetiredBatch — shown by GET
+// /v1/sessions/{id} and answered by /order with a 409 — and its segment
+// files stay byte-identical. The live session beside them recovers and
+// resumes to the offline replay.
+func TestRetiredBatchRecordFailsOneSession(t *testing.T) {
+	tr, want, opts := aisleTrace(t, 3)
+	opts.DataDir = t.TempDir()
+	opts.Fsync = wal.SyncNever
+	half := len(tr.Reads) / 2
+	healthy, err := newTestServer(t, opts).CreateSession(tr.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.Enqueue(tr.Reads[:half]); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, healthy)
+	// Crash: that server is abandoned with its log open.
+
+	// s000002: the first half and 100 more reads journaled, then a
+	// checkpoint of the first half alone, so the uncovered batch keeps the
+	// covered one's segment on disk. The first half becomes a type-2 record.
+	covered := filepath.Join(opts.DataDir, "s000002")
+	log, err := wal.Create(covered, tr.Header, wal.Options{Fsync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := deploy.NewSharded(deploy.FromHeader(tr.Header, opts.Config, false, false), deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.AppendBatch(tr.Reads[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.AppendBatch(tr.Reads[half : half+100]); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.Consume(tr.Reads[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.AppendCheckpoint(1, int64(half), se.Checkpoint(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	retireFirstBatch(t, covered, tr.Reads[:half])
+
+	// s000003: the earlier build journaled the first half, uncovered.
+	uncovered := filepath.Join(opts.DataDir, "s000003")
+	if log, err = wal.Create(uncovered, tr.Header, wal.Options{Fsync: wal.SyncNever}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.AppendBatch(tr.Reads[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	retireFirstBatch(t, uncovered, tr.Reads[:half])
+	before := segmentBytes(t, uncovered)
+
+	srv, err := New(opts)
+	if err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	if got := srv.Stats().SessionsRecovered; got != 3 {
+		t.Fatalf("recovered %d sessions, want 3", got)
+	}
+	bad, ok := srv.Session("s000003")
+	if !ok {
+		t.Fatal("the session with a replayed type-2 record was not brought up")
+	}
+	if !bad.finished() || !errors.Is(bad.Err(), wal.ErrRetiredBatch) {
+		t.Errorf("type-2 session: finished %v, error %v; want finished holding wal.ErrRetiredBatch", bad.finished(), bad.Err())
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var st SessionStats
+	getJSON(t, ts, "/v1/sessions/s000003", http.StatusOK, &st)
+	if !st.Finished || !strings.Contains(st.Error, "type 2") {
+		t.Errorf("GET /v1/sessions/s000003: finished %v, error %q; want finished, naming type 2", st.Finished, st.Error)
+	}
+	var e errorResponse
+	getJSON(t, ts, "/v1/sessions/s000003/order", http.StatusConflict, &e)
+	if !strings.Contains(e.Error, "type 2") {
+		t.Errorf("GET /v1/sessions/s000003/order: error %q, want one naming type 2", e.Error)
+	}
+	if !reflect.DeepEqual(segmentBytes(t, uncovered), before) {
+		t.Error("the boot changed the segment files of the session it could not replay")
+	}
+
+	for _, id := range []string{healthy.ID, "s000002"} {
+		sess, ok := srv.Session(id)
+		if !ok || sess.finished() || sess.Err() != nil {
+			t.Fatalf("session %s did not recover live", id)
+		}
+		from := half
+		if id == "s000002" {
+			from += 100
+		}
+		if got := sess.Consumed(); got != int64(from) {
+			t.Fatalf("session %s recovered %d reads, want %d", id, got, from)
+		}
+		if err := sess.Enqueue(tr.Reads[from:]); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := sess.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotX, gotY := snapOrders(snap)
+		if !slices.Equal(gotX, trace.EncodeEPCs(want.XOrder)) || !slices.Equal(gotY, trace.EncodeEPCs(want.YOrder)) {
+			t.Errorf("session %s diverged from the offline replay", id)
+		}
+	}
+}
+
+// TestNonCanonicalNumbersRecoverBitExact: the journal keeps the values a
+// client's NDJSON decoded to, not its spelling. Reads POSTed as `1.50`,
+// `1e0`-style exponents, `-0`, 17-digit mantissas and subnormals recover
+// after a crash bit for bit as the server decoded them — -0 stays -0 —
+// and the resumed session's final orders match the offline replay of the
+// decoded reads.
+func TestNonCanonicalNumbersRecoverBitExact(t *testing.T) {
+	tr, _, opts := aisleTrace(t, 3)
+	opts.DataDir = t.TempDir()
+	opts.Fsync = wal.SyncNever
+	srv := newTestServer(t, opts)
+	ts := httptest.NewServer(srv.Handler())
+	hdr, err := json.Marshal(tr.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created CreateResponse
+	postJSON(t, ts, "/v1/sessions", hdr, http.StatusCreated, &created)
+
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	zeros := func(v float64) string {
+		s := num(v)
+		if !strings.Contains(s, ".") {
+			s += "."
+		}
+		return s + "0"
+	}
+	spell := []func(rd reader.TagRead) (tm, ph, rssi string){
+		func(rd reader.TagRead) (string, string, string) { // trailing zeros
+			return zeros(rd.Time), strconv.FormatFloat(rd.Phase, 'f', 20, 64), zeros(rd.RSSI)
+		},
+		func(rd reader.TagRead) (string, string, string) { // exponents
+			return strconv.FormatFloat(rd.Time, 'e', -1, 64), "1e0", strconv.FormatFloat(rd.RSSI, 'E', -1, 64)
+		},
+		func(rd reader.TagRead) (string, string, string) { // negative zero
+			return num(rd.Time), "-0", num(rd.RSSI)
+		},
+		func(rd reader.TagRead) (string, string, string) { // 17 significant digits
+			return strconv.FormatFloat(rd.Time, 'g', 17, 64), strconv.FormatFloat(rd.Phase, 'g', 17, 64), num(rd.RSSI)
+		},
+		func(rd reader.TagRead) (string, string, string) { // subnormals
+			return num(rd.Time), "4.9406564584124654e-324", num(rd.RSSI)
+		},
+	}
+	cut := len(tr.Reads) * 3 / 5
+	var decoded []reader.TagRead
+	for start := 0; start < cut; start += 300 {
+		var body []byte
+		for i, rd := range tr.Reads[start:min(start+300, cut)] {
+			tm, ph, rssi := spell[(start+i)%len(spell)](rd)
+			line := fmt.Sprintf(`{"epc":"%s","t":%s,"phase":%s,"rssi":%s,"ch":%d,"rdr":%d}`,
+				rd.EPC, tm, ph, rssi, rd.Channel, rd.Reader)
+			got, err := trace.UnmarshalRead([]byte(line))
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded = append(decoded, got)
+			body = append(append(body, line...), '\n')
+		}
+		postJSON(t, ts, "/v1/sessions/"+created.ID+"/reads", body, http.StatusOK, nil)
+	}
+	if !math.Signbit(decoded[2].Phase) || decoded[4].Phase != math.SmallestNonzeroFloat64 {
+		t.Fatalf("the spellings decoded to phases %v and %v, want -0 and the smallest subnormal", decoded[2].Phase, decoded[4].Phase)
+	}
+	ts.Close()
+	// Crash: the server is abandoned with its log open.
+
+	var recovered []reader.TagRead
+	watchRecovered(t, func(rec *wal.Recovered) {
+		for _, b := range rec.Batches {
+			recovered = append(recovered, b...)
+		}
+	})
+	srv = newTestServer(t, opts)
+	if len(recovered) != len(decoded) {
+		t.Fatalf("recovered %d reads, posted %d", len(recovered), len(decoded))
+	}
+	for i, got := range recovered {
+		rd := decoded[i]
+		if got.EPC != rd.EPC || got.Channel != rd.Channel || got.Reader != rd.Reader ||
+			math.Float64bits(got.Time) != math.Float64bits(rd.Time) ||
+			math.Float64bits(got.Phase) != math.Float64bits(rd.Phase) ||
+			math.Float64bits(got.RSSI) != math.Float64bits(rd.RSSI) {
+			t.Fatalf("read %d recovered as %+v, decoded as %+v", i, got, rd)
+		}
+	}
+
+	sess, ok := srv.Session(created.ID)
+	if !ok {
+		t.Fatal("session not recovered")
+	}
+	if err := sess.Enqueue(tr.Reads[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := deploy.NewSharded(deploy.FromHeader(tr.Header, opts.Config, false, false), deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := se.Localize(append(decoded, tr.Reads[cut:]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotX, gotY := snapOrders(snap)
+	if !slices.Equal(gotX, trace.EncodeEPCs(want.XOrder)) || !slices.Equal(gotY, trace.EncodeEPCs(want.YOrder)) {
+		t.Error("the recovered session diverged from the offline replay of the decoded reads")
+	}
+}
+
 // TestVersion3CheckpointFailsOneSession: a data directory holding a log
 // whose checkpoint record is CRC-valid but stamped with the retired
 // engine checkpoint version 3 still boots. That one session comes up
@@ -309,23 +603,7 @@ func TestVersion3CheckpointFailsOneSession(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segments := func() map[string]string {
-		t.Helper()
-		segs, err := wal.SegmentFiles(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[string]string, len(segs))
-		for _, path := range segs {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[filepath.Base(path)] = string(data)
-		}
-		return out
-	}
-	before := segments()
+	before := segmentBytes(t, dir)
 
 	srv, err := New(opts)
 	if err != nil {
@@ -351,7 +629,16 @@ func TestVersion3CheckpointFailsOneSession(t *testing.T) {
 	if !st.Finished || !strings.Contains(st.Error, "engine checkpoint version 3") {
 		t.Errorf("GET /v1/sessions/s000002: finished %v, error %q; want finished, naming version 3", st.Finished, st.Error)
 	}
-	if !reflect.DeepEqual(segments(), before) {
+	// A client polling the order must see the failure, not the 202 of a
+	// session still warming up.
+	for _, path := range []string{"/v1/sessions/s000002/order", "/v1/sessions/s000002/order?refresh=1"} {
+		var e errorResponse
+		getJSON(t, ts, path, http.StatusConflict, &e)
+		if !strings.Contains(e.Error, "engine checkpoint version 3") {
+			t.Errorf("GET %s: error %q, want one naming version 3", path, e.Error)
+		}
+	}
+	if !reflect.DeepEqual(segmentBytes(t, dir), before) {
 		t.Error("the boot changed the version-3 session's segment files")
 	}
 

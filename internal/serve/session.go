@@ -769,6 +769,13 @@ func (s *Session) terminate() {
 // reclaim that input while the rest of the suffix replays.
 func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 	failed := false
+	if rec.Unreplayable != nil {
+		// A log this build cannot replay (a batch in a retired record
+		// format): the session dies holding the error, and Recover left
+		// the log on disk as it was.
+		s.setErr(fmt.Errorf("serve: recover log: %w", rec.Unreplayable))
+		failed = true
+	}
 	if rec.Checkpoint != nil {
 		err := s.eng.Restore(rec.Checkpoint)
 		rec.Checkpoint = nil

@@ -102,15 +102,7 @@ func WriteJSONL(w io.Writer, t *Trace) error {
 		return fmt.Errorf("trace: encode header: %w", err)
 	}
 	for i := range t.Reads {
-		r := &t.Reads[i]
-		j := jsonRead{
-			EPC:     r.EPC.String(),
-			Time:    r.Time,
-			Phase:   r.Phase,
-			RSSI:    r.RSSI,
-			Channel: r.Channel,
-			Reader:  r.Reader,
-		}
+		j := toJSONRead(t.Reads[i])
 		if err := enc.Encode(&j); err != nil {
 			return fmt.Errorf("trace: encode read %d: %w", i, err)
 		}
@@ -174,18 +166,13 @@ func (j jsonRead) toTagRead() (reader.TagRead, error) {
 // producers (the stppd ingest daemon, loadgen) speak the trace format on
 // the wire.
 func MarshalRead(r reader.TagRead) ([]byte, error) {
-	if b, ok := appendRead(nil, &r); ok {
-		return b, nil
-	}
-	// Non-finite float: re-encode with encoding/json so the stock
-	// UnsupportedValueError comes back verbatim.
 	j := toJSONRead(r)
 	return json.Marshal(&j)
 }
 
 // toJSONRead is the single TagRead→wire-object mapping shared by
-// MarshalRead and AppendReads, so the journaled and line formats cannot
-// drift apart field by field.
+// MarshalRead and WriteJSONL, so the line formats cannot drift apart field
+// by field.
 func toJSONRead(r reader.TagRead) jsonRead {
 	return jsonRead{
 		EPC:     r.EPC.String(),
@@ -215,68 +202,16 @@ func UnmarshalRead(data []byte) (reader.TagRead, error) {
 }
 
 // MarshalReads renders a batch as NDJSON wire lines — one MarshalRead
-// line per read, each newline-terminated. It is the payload format the
-// stppd write-ahead log journals and loadgen replays.
+// line per read, each newline-terminated: the request body stppd's
+// /reads endpoint takes and loadgen replays.
 func MarshalReads(reads []reader.TagRead) ([]byte, error) {
-	return AppendReads(nil, reads)
-}
-
-// AppendReads is MarshalReads into a caller-supplied buffer: the NDJSON
-// batch encoding is appended to dst (which may be nil or a recycled buffer
-// with its length reset) and the extended slice returned, so hot append
-// paths — the stppd write-ahead log journals one batch per accepted
-// Enqueue — can reuse one marshal buffer instead of allocating the
-// encoding per batch. The bytes produced are identical to MarshalReads.
-func AppendReads(dst []byte, reads []reader.TagRead) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for i := range reads {
-		b, ok := appendRead(dst, &reads[i])
-		if !ok {
-			// A non-finite float is the one thing the fast encoder
-			// refuses; encoding/json rejects it with the error this
-			// function has always returned.
-			j := toJSONRead(reads[i])
-			_, err := json.Marshal(&j)
+		j := toJSONRead(reads[i])
+		if err := enc.Encode(&j); err != nil {
 			return nil, fmt.Errorf("trace: read %d: %w", i, err)
 		}
-		dst = append(b, '\n')
 	}
-	return dst, nil
-}
-
-// UnmarshalReads parses an NDJSON batch strictly: every non-empty line
-// must decode or the whole batch is rejected, so callers never see a
-// partial batch. Empty input decodes to an empty batch.
-func UnmarshalReads(data []byte) ([]reader.TagRead, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	// One line per read: size the result once from the newline count
-	// instead of growing it through the append doubling ladder — batch
-	// decode is the ingest hot path and the ladder's intermediate arrays
-	// dominated its allocations.
-	n := bytes.Count(data, []byte{'\n'})
-	if data[len(data)-1] != '\n' {
-		n++
-	}
-	out := make([]reader.TagRead, 0, n)
-	line := 0
-	for len(data) > 0 {
-		line++
-		raw := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			raw, data = data[:i], data[i+1:]
-		} else {
-			data = nil
-		}
-		raw = bytes.TrimSpace(raw)
-		if len(raw) == 0 {
-			continue
-		}
-		rd, err := UnmarshalRead(raw)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		out = append(out, rd)
-	}
-	return out, nil
+	return buf.Bytes(), nil
 }

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,54 +127,30 @@ func TestTruthDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestAppendReadsMatchesMarshalReads: the buffer-reusing encoder must emit
-// exactly the bytes MarshalReads does — the WAL journals with AppendReads
-// and recovery/loadgen decode the MarshalReads wire format.
-func TestAppendReadsMatchesMarshalReads(t *testing.T) {
-	reads := sampleTrace().Reads
-	want, err := MarshalReads(reads)
+// TestMarshalReadsMatchesGoldenTrace: MarshalReads re-emits a committed
+// golden trace's read lines byte for byte — the request bodies loadgen and
+// the benchmark send are the lines tracegen archives. A non-finite float
+// is refused with the read's index.
+func TestMarshalReadsMatchesGoldenTrace(t *testing.T) {
+	data, err := os.ReadFile("../deploy/testdata/golden/aisle.jsonl")
 	if err != nil {
 		t.Fatal(err)
+	}
+	tr, err := ReadJSONL(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MarshalReads(tr.Reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := data[bytes.IndexByte(data, '\n')+1:]; !bytes.Equal(got, want) {
+		t.Fatalf("MarshalReads differs from the golden trace's %d read lines", len(tr.Reads))
 	}
 
-	// Fresh buffer, recycled buffer, and a recycled buffer with stale
-	// capacity from a larger previous batch.
-	got, err := AppendReads(nil, reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Errorf("AppendReads(nil) = %q, want %q", got, want)
-	}
-	recycled, err := AppendReads(got[:0], reads[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOne, _ := MarshalReads(reads[:1])
-	if !bytes.Equal(wantOne, recycled) {
-		t.Errorf("recycled AppendReads = %q, want %q", recycled, wantOne)
-	}
-
-	// Prefix preservation: appending extends, never clobbers.
-	prefixed, err := AppendReads([]byte("x\n"), reads[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(prefixed) != "x\n"+string(wantOne) {
-		t.Errorf("prefixed AppendReads = %q", prefixed)
-	}
-
-	// Round trip through the strict batch decoder.
-	back, err := UnmarshalReads(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(reads) {
-		t.Fatalf("round trip lost reads: %d vs %d", len(back), len(reads))
-	}
-	for i := range back {
-		if back[i] != reads[i] {
-			t.Errorf("read %d: %+v vs %+v", i, back[i], reads[i])
-		}
+	bad := slices.Clone(tr.Reads[:3])
+	bad[2].Phase = math.Inf(-1)
+	if _, err := MarshalReads(bad); err == nil || !strings.Contains(err.Error(), "read 2") {
+		t.Fatalf("MarshalReads of a read with an infinite phase: err %v, want one naming read 2", err)
 	}
 }

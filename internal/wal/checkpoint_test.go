@@ -2,13 +2,17 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // ckptLog builds a live log with n batches appended and returns it open.
@@ -593,6 +597,33 @@ func TestSyncNeverAsyncIsZero(t *testing.T) {
 	}
 }
 
+// splitState is the engine state splitLog checkpoints.
+var splitState = []byte("durable engine state")
+
+// splitLog builds a closed log of testBatches(8, 4): the first segment
+// holds the header and batches 0-5, a checkpoint of splitState covering
+// batches 0-3 sits in the second, and batches 6-7 follow in the third.
+// Batches 4-5 stay uncovered, so the first segment survives the
+// checkpoint holding both kinds.
+func splitLog(t *testing.T) (string, []string) {
+	dir := t.TempDir()
+	l := ckptLog(t, dir, Options{}, 6, 4)
+	if _, err := l.AppendCheckpoint(2, 16, splitState); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range testBatches(8, 4)[6:] {
+		if err := l.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	segs, err := SegmentFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, segs
+}
+
 // TestCoveredUndecodableBatchSuperseded pins which batch records recovery
 // decodes: only the ones it replays. A CRC-valid batch record that will
 // not decode is superseded undecoded when a later valid checkpoint covers
@@ -600,27 +631,6 @@ func TestSyncNeverAsyncIsZero(t *testing.T) {
 // basis. The same record left uncovered tears the log there, so the
 // checkpoint after it is cut away and the header is the basis again.
 func TestCoveredUndecodableBatchSuperseded(t *testing.T) {
-	state := []byte("durable engine state")
-	build := func(t *testing.T) (string, []string) {
-		dir := t.TempDir()
-		l := ckptLog(t, dir, Options{}, 6, 4)
-		// Batches 0-3 are covered, 4-5 uncovered, so the first segment
-		// survives the checkpoint.
-		if _, err := l.AppendCheckpoint(2, 16, state); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range testBatches(8, 4)[6:] {
-			if err := l.AppendBatch(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		l.Close()
-		segs, err := SegmentFiles(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dir, segs
-	}
 	// spoil reframes batch record k of the first segment around a payload
 	// that is not a batch, and returns the segment's new bytes and the
 	// frame lengths of its batch records.
@@ -650,14 +660,14 @@ func TestCoveredUndecodableBatchSuperseded(t *testing.T) {
 	all := testBatches(8, 4)
 
 	t.Run("covered", func(t *testing.T) {
-		dir, segs := build(t)
+		dir, segs := splitLog(t)
 		_, sizes := spoil(t, segs[0], 1)
 		before := readDir(t, dir)
 		rec := recoverDir(t, dir)
 		if rec.Torn {
 			t.Fatalf("covered record tore the log: %v", rec.TornCause)
 		}
-		if !bytes.Equal(rec.Checkpoint, state) || rec.CheckpointReads != 16 {
+		if !bytes.Equal(rec.Checkpoint, splitState) || rec.CheckpointReads != 16 {
 			t.Fatalf("basis %q/%d, want the checkpoint's", rec.Checkpoint, rec.CheckpointReads)
 		}
 		if !reflect.DeepEqual(rec.Batches, all[4:]) {
@@ -672,7 +682,7 @@ func TestCoveredUndecodableBatchSuperseded(t *testing.T) {
 	})
 
 	t.Run("uncovered", func(t *testing.T) {
-		dir, segs := build(t)
+		dir, segs := splitLog(t)
 		data, _ := spoil(t, segs[0], 4)
 		infos, err := InspectSegment(segs[0])
 		if err != nil {
@@ -689,6 +699,88 @@ func TestCoveredUndecodableBatchSuperseded(t *testing.T) {
 		want := map[string][]byte{filepath.Base(segs[0]): data[:infos[5].Offset]}
 		if got := readDir(t, dir); !maps.EqualFunc(got, want, bytes.Equal) {
 			t.Errorf("repaired log holds %d files, want the first segment cut at the bad record", len(got))
+		}
+	})
+}
+
+// TestRetiredBatchRecord: a log written by an earlier build holds batch
+// records of the retired type 2, NDJSON read lines. One a checkpoint
+// covers is superseded undecoded like any other covered record. One the
+// log would replay makes it unreplayable: Recover reports
+// ErrRetiredBatch with the session header, returns no Log, and leaves
+// every byte on disk as it was — a torn tail behind it included — so a
+// second Recover reports the same.
+func TestRetiredBatchRecord(t *testing.T) {
+	all := testBatches(8, 4)
+	// retire rewrites batch record k of the first segment as the type-2
+	// record an earlier build journaled for the same batch.
+	retire := func(t *testing.T, path string, k int) {
+		infos, err := InspectSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := trace.MarshalReads(all[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ri := infos[1+k]
+		data[ri.Offset] = recTextBatch
+		if err := os.WriteFile(path, reframe(data, ri, text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("covered", func(t *testing.T) {
+		dir, segs := splitLog(t)
+		retire(t, segs[0], 1)
+		before := readDir(t, dir)
+		rec := recoverDir(t, dir)
+		if rec.Unreplayable != nil || rec.Torn {
+			t.Fatalf("covered type-2 record: unreplayable %v, torn %v", rec.Unreplayable, rec.TornCause)
+		}
+		if !bytes.Equal(rec.Checkpoint, splitState) || !reflect.DeepEqual(rec.Batches, all[4:]) {
+			t.Fatalf("basis %q with %d batches, want the checkpoint and the 4 uncovered", rec.Checkpoint, len(rec.Batches))
+		}
+		if !maps.EqualFunc(readDir(t, dir), before, bytes.Equal) {
+			t.Error("recovery rewrote a log it did not find torn")
+		}
+	})
+
+	t.Run("uncovered", func(t *testing.T) {
+		dir, segs := splitLog(t)
+		retire(t, segs[0], 4)
+		f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{recBatch, 0xff}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		before := readDir(t, dir)
+		for range 2 {
+			rec, l, err := Recover(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l != nil {
+				l.Close()
+				t.Fatal("an unreplayable log was reopened for append")
+			}
+			if !errors.Is(rec.Unreplayable, ErrRetiredBatch) || !strings.Contains(rec.Unreplayable.Error(), filepath.Base(segs[0])) {
+				t.Fatalf("Unreplayable = %v, want ErrRetiredBatch naming %s", rec.Unreplayable, filepath.Base(segs[0]))
+			}
+			if !reflect.DeepEqual(rec.Header, testHeader()) || rec.Checkpoint != nil || rec.Batches != nil || rec.Torn {
+				t.Fatalf("unreplayable log recovered header %v, checkpoint %q, %d batches, torn %v; want the header alone",
+					rec.Header, rec.Checkpoint, len(rec.Batches), rec.Torn)
+			}
+			if !maps.EqualFunc(readDir(t, dir), before, bytes.Equal) {
+				t.Fatal("recovery changed an unreplayable log")
+			}
 		}
 	})
 }

@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,6 +56,7 @@ func FuzzRecoverSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a wal segment at all"))
 	f.Add(bytes.Repeat([]byte{recBatch}, 64))
+	f.Add(bytes.Repeat([]byte{recTextBatch}, 64))
 	// Oversized declared length.
 	f.Add([]byte{recHeader, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 
@@ -69,6 +72,13 @@ func FuzzRecoverSegment(f *testing.F) {
 		}
 		if l != nil {
 			l.Close()
+		}
+		if rec.Unreplayable != nil {
+			// A replayed record of the retired type: the segment must be
+			// left exactly as it was.
+			if got, _ := os.ReadFile(filepath.Join(dir, "wal-00000001.seg")); l != nil || !bytes.Equal(got, data) {
+				t.Fatalf("unreplayable log (%v) was reopened or changed", rec.Unreplayable)
+			}
 		}
 		reads := 0
 		for _, b := range rec.Batches {
@@ -241,6 +251,7 @@ func fuzzSeedLog(tb testing.TB) (map[string][]byte, []string, []batchLoc) {
 // eagerRecovery is what recoverEager finds in a log image.
 type eagerRecovery struct {
 	failed          bool // no basis, or the basis misses uncovered records
+	unreplayable    bool // a replayed record is of the retired type
 	batches         [][]reader.TagRead
 	checkpoint      []byte
 	checkpointReads int64
@@ -254,13 +265,16 @@ type eagerRecovery struct {
 // batch record as it reaches it. A record that fails to decode stays
 // pending as a marker, superseded like any other record when a later
 // checkpoint covers it; once the scan is over, the first marker still
-// pending tears the log, and the scan reruns up to that record.
+// pending tears the log, and the scan reruns up to that record — unless a
+// pending record of the retired type comes first, which leaves the log
+// unreplayable.
 func recoverEager(segs [][]byte) eagerRecovery {
 	type entry struct {
-		batch []reader.TagRead
-		bad   bool
-		seg   int
-		off   int64
+		batch   []reader.TagRead
+		bad     bool
+		retired bool
+		seg     int
+		off     int64
 	}
 	stopSeg, stopOff := len(segs), int64(0)
 	for {
@@ -290,8 +304,10 @@ func recoverEager(segs [][]byte) eagerRecovery {
 					}
 					sawBasis = true
 				case recBatch:
-					b, err := trace.UnmarshalReads(payload)
-					pending = append(pending, entry{b, err != nil, si, off})
+					b, err := decodeBatch(payload)
+					pending = append(pending, entry{batch: b, bad: err != nil, seg: si, off: off})
+				case recTextBatch:
+					pending = append(pending, entry{retired: true, seg: si, off: off})
 				case recCheckpoint:
 					uncovered, reads, hj, state, err := parseCheckpoint(payload)
 					var h trace.Header
@@ -318,7 +334,10 @@ func recoverEager(segs [][]byte) eagerRecovery {
 		if !sawBasis {
 			return eagerRecovery{failed: true}
 		}
-		if i := slices.IndexFunc(pending, func(e entry) bool { return e.bad }); i >= 0 {
+		if i := slices.IndexFunc(pending, func(e entry) bool { return e.bad || e.retired }); i >= 0 {
+			if pending[i].retired {
+				return eagerRecovery{unreplayable: true}
+			}
 			stopSeg, stopOff = pending[i].seg, pending[i].off
 			continue
 		}
@@ -336,29 +355,41 @@ func recoverEager(segs [][]byte) eagerRecovery {
 // FuzzRecoverReframedBatch replaces one batch record's payload of a
 // checkpointed multi-segment log with the fuzzer's bytes, recomputing the
 // record's CRC so the bytes reach the batch decoder rather than the frame
-// checks. Recover must never panic, must return only whole batches as
-// journaled, and must agree with the eager reference scan on the batches,
-// the checkpoint basis, the tear and the repaired segment bytes.
+// checks; with retired set, the record also becomes one of the retired
+// NDJSON type. Recover must never panic, must return only whole batches
+// as journaled, and must agree with the eager reference scan on the
+// batches, the checkpoint basis, the tear, whether the log is
+// unreplayable, and the repaired segment bytes.
 func FuzzRecoverReframedBatch(f *testing.F) {
 	image, names, locs := fuzzSeedLog(f)
-	other, err := trace.MarshalReads(testBatches(12, 2)[11])
+	other, err := appendBatch(nil, testBatches(12, 2)[11])
+	if err != nil {
+		f.Fatal(err)
+	}
+	text, err := trace.MarshalReads(testBatches(9, 3)[1])
 	if err != nil {
 		f.Fatal(err)
 	}
 	for k := range locs {
-		f.Add(uint8(k), []byte("{not a read}\n"))
+		f.Add(uint8(k), false, []byte("{not a read}\n"))
 	}
-	f.Add(uint8(1), other)
-	f.Add(uint8(5), []byte{})
-	f.Add(uint8(7), []byte("\n \n"))
+	f.Add(uint8(1), false, other)
+	f.Add(uint8(5), false, []byte{})
+	f.Add(uint8(7), false, []byte("\n \n"))
+	f.Add(uint8(1), true, text) // covered
+	f.Add(uint8(5), true, text) // uncovered
 
 	original := testBatches(9, 3)
-	f.Fuzz(func(t *testing.T, k uint8, payload []byte) {
+	f.Fuzz(func(t *testing.T, k uint8, retired bool, payload []byte) {
 		if len(payload) > 1<<16 {
 			return
 		}
 		loc := locs[int(k)%len(locs)]
 		img := maps.Clone(image)
+		if retired {
+			img[loc.name] = bytes.Clone(img[loc.name])
+			img[loc.name][loc.ri.Offset] = recTextBatch
+		}
 		img[loc.name] = reframe(img[loc.name], loc.ri, payload)
 		segs := make([][]byte, len(names))
 		for i, name := range names {
@@ -382,7 +413,10 @@ func FuzzRecoverReframedBatch(f *testing.F) {
 		if l != nil {
 			l.Close()
 		}
-		fuzzed, ferr := trace.UnmarshalReads(payload)
+		if (rec.Unreplayable != nil) != want.unreplayable || (want.unreplayable && l != nil) {
+			t.Fatalf("Unreplayable %v, log reopened %v; reference unreplayable=%v", rec.Unreplayable, l != nil, want.unreplayable)
+		}
+		fuzzed, ferr := decodeBatch(payload)
 		for i, b := range rec.Batches {
 			if !slices.ContainsFunc(original, func(o []reader.TagRead) bool { return reflect.DeepEqual(b, o) }) &&
 				(ferr != nil || !reflect.DeepEqual(b, fuzzed)) {
@@ -410,6 +444,75 @@ func FuzzRecoverReframedBatch(f *testing.F) {
 		}
 		if got := readDir(t, dir); !maps.EqualFunc(got, img, bytes.Equal) {
 			t.Fatalf("repaired log differs from the reference's repair")
+		}
+	})
+}
+
+// FuzzBatchCodec holds the batch record codec to two properties. Decoding
+// arbitrary bytes never panics and either errors or yields reads that
+// re-encode to exactly those bytes. And the same bytes, cut into 52-byte
+// reads — EPC, three float bit patterns, two int64s — encode and decode
+// back bit for bit (-0 and every NaN-free bit pattern included), while a
+// read with a non-finite float is refused.
+func FuzzBatchCodec(f *testing.F) {
+	valid, err := appendBatch(nil, testBatches(1, 3)[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 2*52))
+	f.Add(append(bytes.Clone(valid[:minReadLen-2]), 0x80, 0x00, 0x00)) // non-minimal varint
+	f.Add(append(bytes.Clone(valid[:minReadLen-1]), 0x80))             // overrun varint
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if reads, err := decodeBatch(data); err == nil {
+			back, err := appendBatch(nil, reads)
+			if err != nil || !bytes.Equal(back, data) {
+				t.Fatalf("decoded %d reads that re-encode to %d bytes (err %v), not the %d decoded", len(reads), len(back), err, len(data))
+			}
+		}
+
+		const stride = 12 + 5*8
+		var reads []reader.TagRead
+		finiteOnly := true
+		for p := data; len(p) >= stride; p = p[stride:] {
+			var r reader.TagRead
+			copy(r.EPC[:], p)
+			r.Time = math.Float64frombits(binary.LittleEndian.Uint64(p[12:]))
+			r.Phase = math.Float64frombits(binary.LittleEndian.Uint64(p[20:]))
+			r.RSSI = math.Float64frombits(binary.LittleEndian.Uint64(p[28:]))
+			r.Channel = int(binary.LittleEndian.Uint64(p[36:]))
+			r.Reader = int(binary.LittleEndian.Uint64(p[44:]))
+			finiteOnly = finiteOnly && finite(r.Time) && finite(r.Phase) && finite(r.RSSI)
+			reads = append(reads, r)
+		}
+		enc, err := appendBatch(nil, reads)
+		if !finiteOnly {
+			if err == nil {
+				t.Fatal("a read with a non-finite float was encoded")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeBatch(enc)
+		if err != nil {
+			t.Fatalf("decoding an encoded batch: %v", err)
+		}
+		if len(got) != len(reads) {
+			t.Fatalf("decoded %d reads, encoded %d", len(got), len(reads))
+		}
+		for i, r := range reads {
+			g := got[i]
+			if g.EPC != r.EPC || g.Channel != r.Channel || g.Reader != r.Reader ||
+				math.Float64bits(g.Time) != math.Float64bits(r.Time) ||
+				math.Float64bits(g.Phase) != math.Float64bits(r.Phase) ||
+				math.Float64bits(g.RSSI) != math.Float64bits(r.RSSI) {
+				t.Fatalf("read %d: decoded %+v, encoded %+v", i, g, r)
+			}
 		}
 	})
 }

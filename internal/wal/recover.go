@@ -17,9 +17,12 @@ import (
 // ErrNoLog marks a directory with no segment files; ErrNoHeader a log
 // with no recovery basis — neither a header record at the start nor a
 // valid checkpoint record anywhere — so the session cannot be rebuilt.
+// ErrRetiredBatch marks a log that would replay a batch record in the
+// retired NDJSON format (record type 2) of earlier builds.
 var (
-	ErrNoLog    = errors.New("wal: no log segments")
-	ErrNoHeader = errors.New("wal: no valid session header record")
+	ErrNoLog        = errors.New("wal: no log segments")
+	ErrNoHeader     = errors.New("wal: no valid session header record")
+	ErrRetiredBatch = errors.New("wal: batch record type 2 (NDJSON, retired) cannot be replayed")
 )
 
 // Recovered is what a log replays to: the session header, the journaled
@@ -52,6 +55,12 @@ type Recovered struct {
 	// Finished reports a finish marker: the session completed cleanly and
 	// recovery should rebuild its final snapshot.
 	Finished bool
+	// Unreplayable, when set, wraps ErrRetiredBatch: a batch record the
+	// log would replay is in the retired NDJSON format, so this session
+	// cannot be rebuilt. Recover then leaves the log exactly as it found
+	// it, returns no Log, and sets only Header, Finished, Segments and
+	// Bytes beside it.
+	Unreplayable error
 	// Torn reports that the log ended in a corrupt or incomplete tail
 	// that Recover truncated away; TornCause says why.
 	Torn      bool
@@ -87,6 +96,11 @@ var SegmentRead func(data []byte)
 // to decode tears the log there, as if the scan had stopped at it — the
 // log is rescanned up to that record, so a checkpoint behind it no longer
 // counts — and the tear repeats until every replayed record decodes.
+//
+// A batch record in the retired NDJSON format (type 2) is superseded
+// like any other when a checkpoint covers it. One that would be replayed
+// makes the log unreplayable (Recovered.Unreplayable): nothing is decoded,
+// truncated or deleted, and no Log is returned.
 //
 // A checkpoint segment a crash left under its temporary name was never
 // part of the log: Recover deletes it, and the previous basis stands.
@@ -124,9 +138,19 @@ func Recover(dir string, opts Options) (*Recovered, *Log, error) {
 		if err == nil {
 			break
 		}
+		p := sc.pending[bad]
+		if errors.Is(err, ErrRetiredBatch) {
+			return &Recovered{
+				Header:       sc.rec.Header,
+				Finished:     sc.rec.Finished,
+				Unreplayable: fmt.Errorf("%s@%d: %w", filepath.Base(segs[p.seg]), p.off, err),
+				Segments:     len(segs),
+				Bytes:        sc.rec.Bytes,
+			}, nil, nil
+		}
 		// CRC-valid but undecodable: tampering or a writer bug. All-or-
 		// nothing — drop the whole record, never a prefix of its reads.
-		stopSeg, stopOff, stopCause = sc.pending[bad].seg, sc.pending[bad].off, err
+		stopSeg, stopOff, stopCause = p.seg, p.off, err
 	}
 	rec := sc.rec
 	if sc.basisDeficit > 0 {
@@ -190,10 +214,12 @@ func Recover(dir string, opts Options) (*Recovered, *Log, error) {
 // pendingBatch is a scanned batch record no checkpoint covers yet. Its
 // payload aliases the buffer its segment was read into; seg and off
 // locate its frame, where the log tears if the payload fails to decode.
+// retired marks a record in the retired NDJSON format.
 type pendingBatch struct {
 	payload []byte
 	seg     int
 	off     int64
+	retired bool
 }
 
 // logScan is what one pass over a log's records leaves: the Recovered it
@@ -275,8 +301,8 @@ scan:
 				}
 				sc.headerJSON = append([]byte(nil), payload...)
 				sc.sawBasis = true
-			case typ == recBatch:
-				sc.pending = append(sc.pending, pendingBatch{payload: payload, seg: si, off: off})
+			case typ == recBatch || typ == recTextBatch:
+				sc.pending = append(sc.pending, pendingBatch{payload: payload, seg: si, off: off, retired: typ == recTextBatch})
 				sc.g++
 			case typ == recCheckpoint:
 				uncovered, reads, hj, state, err := parseCheckpoint(payload)
@@ -332,18 +358,23 @@ scan:
 // decode decodes the pending batch records into rec.Batches and rec.Reads,
 // dropping each payload once decoded so a segment buffer is freed as soon
 // as its last replayed record is. On failure it returns the index of the
-// first pending record that does not decode.
+// first pending record that does not decode, with ErrRetiredBatch if that
+// record is in the retired format.
 func (sc *logScan) decode() (int, error) {
 	batches := make([][]reader.TagRead, len(sc.pending))
 	reads := 0
 	for i := range sc.pending {
-		b, err := trace.UnmarshalReads(sc.pending[i].payload)
+		p := &sc.pending[i]
+		if p.retired {
+			return i, ErrRetiredBatch
+		}
+		b, err := decodeBatch(p.payload)
 		if err != nil {
 			return i, err
 		}
 		batches[i] = b
 		reads += len(b)
-		sc.pending[i].payload = nil
+		p.payload = nil
 	}
 	sc.rec.Batches, sc.rec.Reads = batches, reads
 	return 0, nil
@@ -422,7 +453,7 @@ func decodeFrame(data []byte) (typ byte, payload []byte, n int64, err error) {
 		return 0, nil, 0, fmt.Errorf("wal: truncated frame header (%d bytes)", len(data))
 	}
 	typ = data[0]
-	if typ != recHeader && typ != recBatch && typ != recFinish && typ != recCheckpoint {
+	if typ < recHeader || typ > recBatch {
 		return 0, nil, 0, fmt.Errorf("wal: unknown record type %d", typ)
 	}
 	max := uint32(MaxRecord)

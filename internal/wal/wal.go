@@ -1,9 +1,9 @@
 // Package wal is the per-session write-ahead log behind stppd's durable
 // sessions. A log lives in one directory per session and holds a sequence
 // of length/CRC-framed records across numbered segment files: first the
-// session's trace.Header, then one record per accepted read batch (the
-// batch payload is the exact NDJSON trace wire format — the same lines a
-// recorded trace archives), and finally an optional finish marker.
+// session's trace.Header, then one record per accepted read batch (its
+// reads as fixed-width binary records, see batch.go), and finally an
+// optional finish marker.
 //
 // Frame layout, little-endian:
 //
@@ -16,6 +16,8 @@
 // the log back to the last good record and replays everything before it.
 // Recover decodes only the batch records it replays: a batch record a
 // later checkpoint covers is CRC-checked and then superseded undecoded.
+// A replayed batch record of the retired NDJSON type leaves the log
+// unreplayable rather than torn: Recover changes nothing on disk.
 // Checkpoint records — large, and written while producers keep appending
 // — never tear at all: each is written whole under a temporary name and
 // renamed into place as its own segment, so a crash leaves either the
@@ -76,10 +78,14 @@ func syncFile(f *os.File) error {
 
 // Record types.
 const (
-	recHeader     byte = 1 // payload: trace.Header JSON
-	recBatch      byte = 2 // payload: NDJSON read lines (trace.MarshalReads)
+	recHeader byte = 1 // payload: trace.Header JSON
+	// recTextBatch is retired: earlier builds journaled each batch as
+	// NDJSON read lines. Recover supersedes such a record when a checkpoint
+	// covers it and refuses to replay one otherwise (see ErrRetiredBatch).
+	recTextBatch  byte = 2
 	recFinish     byte = 3 // payload: empty; the session finished cleanly
 	recCheckpoint byte = 4 // payload: checkpoint envelope (see AppendCheckpoint)
+	recBatch      byte = 5 // payload: binary reads (appendBatch)
 )
 
 const (
@@ -207,7 +213,7 @@ type Log struct {
 	gErrSeq   int64
 }
 
-// marshalPool recycles NDJSON encoding buffers across AppendBatchAsync
+// marshalPool recycles batch encoding buffers across AppendBatchAsync
 // calls (shared by all logs; a buffer lives only from marshal to frame
 // write, so the pool stays near the producer concurrency in size).
 var marshalPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -313,17 +319,17 @@ func (l *Log) AppendBatch(batch []reader.TagRead) error {
 // the producer ack alone gated on the sync — the group-commit shape that
 // amortizes fsync=always to near fsync=never throughput.
 //
-// The NDJSON encoding lands in a log-owned buffer reused across batches
-// (it lives only until the frame is written out), so the journal hot path
-// allocates nothing per batch.
+// The batch is encoded as fixed-width binary reads (appendBatch) into a
+// pooled buffer that lives only until the frame is written out, so the
+// journal hot path allocates nothing per batch. A read with a NaN or an
+// infinite float fails the append and journals nothing.
 func (l *Log) AppendBatchAsync(batch []reader.TagRead) (seq int64, err error) {
-	// Marshal BEFORE taking the log lock: the NDJSON encode of a 256-read
-	// batch costs more than the framed write that follows, and holding mu
-	// across it would serialize concurrent producers — the very contention
+	// Encode BEFORE taking the log lock, so concurrent producers overlap
+	// their encodes instead of serializing them behind mu — the contention
 	// window group commit exists to exploit. Pooled buffers keep the
 	// steady state allocation-free with any number of producers.
 	bp := marshalPool.Get().(*[]byte)
-	payload, err := trace.AppendReads((*bp)[:0], batch)
+	payload, err := appendBatch((*bp)[:0], batch)
 	if err != nil {
 		marshalPool.Put(bp)
 		return 0, fmt.Errorf("wal: %w", err)

@@ -3,9 +3,12 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -400,7 +403,7 @@ func TestRecordAfterFinishIsTorn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A structurally valid batch record after finish: still torn.
-	payload, _ := trace.MarshalReads(testBatches(1, 1)[0])
+	payload, _ := appendBatch(nil, testBatches(1, 1)[0])
 	var hdr [frameLen]byte
 	hdr[0] = recBatch
 	hdr[1] = byte(len(payload))
@@ -460,12 +463,16 @@ func TestEmptyBatchPayloadKept(t *testing.T) {
 	}
 }
 
-// TestBatchPayloadIsTraceWireFormat: the journaled payload must be the
-// exact NDJSON lines trace.MarshalReads emits — the WAL speaks the trace
-// wire format, not a private one.
-func TestBatchPayloadIsTraceWireFormat(t *testing.T) {
+// TestBatchPayloadLayout: a batch record's payload is its reads back to
+// back, each the 12 EPC bytes, Time, Phase and RSSI as little-endian
+// IEEE-754 bits, then Channel and Reader as zigzag varints — 38 bytes per
+// read for small channel and reader numbers. Built by hand here, so the
+// on-disk layout cannot drift with the codec.
+func TestBatchPayloadLayout(t *testing.T) {
 	dir := t.TempDir()
 	batch := testBatches(1, 3)[0]
+	batch[1].Phase = math.Copysign(0, -1)
+	batch[2].Channel, batch[2].Reader = -3, 200
 	l, err := Create(dir, testHeader(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -478,9 +485,65 @@ func TestBatchPayloadIsTraceWireFormat(t *testing.T) {
 	segs, _ := SegmentFiles(dir)
 	infos, _ := InspectSegment(segs[0])
 	data, _ := os.ReadFile(segs[0])
+	if infos[1].Type != 5 {
+		t.Fatalf("batch record type %d, want 5", infos[1].Type)
+	}
 	got := data[infos[1].Offset+frameLen : infos[1].End]
-	want, _ := trace.MarshalReads(batch)
+	var want []byte
+	for _, r := range batch {
+		want = append(want, r.EPC[:]...)
+		for _, f := range []float64{r.Time, r.Phase, r.RSSI} {
+			bits := math.Float64bits(f)
+			for i := range 8 {
+				want = append(want, byte(bits>>(8*i)))
+			}
+		}
+		for _, v := range []int{r.Channel, r.Reader} {
+			zz := uint64(v<<1) ^ uint64(v>>63)
+			for ; zz >= 0x80; zz >>= 7 {
+				want = append(want, byte(zz)|0x80)
+			}
+			want = append(want, byte(zz))
+		}
+	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("payload is not the trace wire format:\n got %q\nwant %q", got, want)
+		t.Errorf("payload differs from the documented layout:\n got %x\nwant %x", got, want)
+	}
+	if len(got) != 2*38+39 {
+		t.Errorf("payload is %d bytes, want 38 for each small read and 39 for the one with reader 200", len(got))
+	}
+	rec := recoverDir(t, dir)
+	if len(rec.Batches) != 1 || !math.Signbit(rec.Batches[0][1].Phase) || !reflect.DeepEqual(rec.Batches[0], batch) {
+		t.Errorf("recovered %+v, want %+v with phase -0 kept", rec.Batches, batch)
+	}
+}
+
+// TestAppendBatchRefusesNonFinite: a read with a NaN or an infinite float
+// fails the append and journals nothing, and the log stays usable.
+func TestAppendBatchRefusesNonFinite(t *testing.T) {
+	dir := t.TempDir()
+	batches := testBatches(2, 3)
+	writeLog(t, dir, Options{}, batches[:1], false)
+	rec, l, err := Recover(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, dir)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := slices.Clone(batches[1])
+		b[2].RSSI = bad
+		if err := l.AppendBatch(b); err == nil || !strings.Contains(err.Error(), "read 2") {
+			t.Errorf("AppendBatch with RSSI %v: err %v, want one naming read 2", bad, err)
+		}
+	}
+	if !maps.EqualFunc(readDir(t, dir), before, bytes.Equal) {
+		t.Error("a refused batch reached the log")
+	}
+	if err := l.AppendBatch(batches[1]); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if rec = recoverDir(t, dir); !reflect.DeepEqual(rec.Batches, batches) {
+		t.Errorf("recovered %d batches, want the 2 finite ones", len(rec.Batches))
 	}
 }
