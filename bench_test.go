@@ -617,16 +617,19 @@ func BenchmarkCheckpointedRecovery(b *testing.B) {
 // multiSessionDataDir leaves a crashed daemon's data directory behind:
 // live aisle sessions stopped at 60% of their traces with checkpoints and
 // a suffix past the last one, plus finished sessions. It returns the
-// options a restart boots with and the reads the logs hold. The server
-// that wrote the logs is unreachable once it returns.
-func multiSessionDataDir(b *testing.B, live, finished int) (serve.Options, int64) {
+// options a restart boots with (stppd's default publish cadence), the
+// reads the logs hold and the live sessions' IDs. The server that wrote
+// the logs is unreachable once it returns.
+func multiSessionDataDir(b *testing.B, live, finished int) (serve.Options, int64, []string) {
 	b.Helper()
 	opts := serve.Options{
 		DataDir:         b.TempDir(),
 		Fsync:           wal.SyncNever,
+		PublishEvery:    2000,
 		CheckpointEvery: 8192,
 	}
 	var srv *serve.Server
+	var liveIDs []string
 	total := int64(0)
 	for i := 0; i < live+finished; i++ {
 		ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(int64(i%4 + 1)))
@@ -649,6 +652,7 @@ func multiSessionDataDir(b *testing.B, live, finished int) (serve.Options, int64
 		}
 		if i < live {
 			reads = reads[:len(reads)*6/10]
+			liveIDs = append(liveIDs, sess.ID)
 		}
 		for start := 0; start < len(reads); start += 256 {
 			if err := sess.Enqueue(reads[start:min(start+256, len(reads))]); err != nil {
@@ -665,7 +669,7 @@ func multiSessionDataDir(b *testing.B, live, finished int) (serve.Options, int64
 			}
 		}
 	}
-	return opts, total
+	return opts, total, liveIDs
 }
 
 // BenchmarkMultiSessionRecovery is a cold boot over the data directory a
@@ -675,30 +679,52 @@ func multiSessionDataDir(b *testing.B, live, finished int) (serve.Options, int64
 // the recovered engines alone when the boot releases its log input, and
 // the data directory's size on disk (wal-MiB): the journal and checkpoint
 // bytes the boot reads, of which superseded-MiB are batch records it left
-// undecoded because a checkpoint covers them.
+// undecoded because a checkpoint covers them. A boot publishes no
+// snapshot of a live session, so their detection work moves to the first
+// refresh after it: first-refresh-ms is the time to refresh every live
+// session once, untimed in reads/s.
 func BenchmarkMultiSessionRecovery(b *testing.B) {
-	opts, total := multiSessionDataDir(b, 16, 4)
+	opts, total, liveIDs := multiSessionDataDir(b, 16, 4)
 	runtime.GC()
 	b.ResetTimer()
-	var booted *serve.Server
+	var refresh time.Duration
+	var m runtime.MemStats
+	var superseded int64
 	for i := 0; i < b.N; i++ {
-		var err error
-		if booted, err = serve.New(opts); err != nil {
+		booted, err := serve.New(opts)
+		if err != nil {
 			b.Fatal(err)
 		}
 		if got := booted.Stats().ReadsRecovered; got != total {
 			b.Fatalf("recovered %d reads, want %d", got, total)
 		}
+		b.StopTimer()
+		// What the boot retains, before a refresh adds detection state.
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		superseded = booted.Stats().RecoverySupersededBytes
+		t0 := time.Now()
+		for _, id := range liveIDs {
+			sess, ok := booted.Session(id)
+			if !ok {
+				b.Fatalf("live session %s not recovered", id)
+			}
+			if _, err := sess.Refresh(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		refresh += time.Since(t0)
+		// Collect the refreshed server before the next boot, so reads/s
+		// times boots alone.
+		runtime.GC()
+		b.StartTimer()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
+	b.ReportMetric(float64(refresh.Nanoseconds())/1e6/float64(b.N), "first-refresh-ms")
 	b.ReportMetric(float64(m.HeapAlloc)/(1<<20), "retained-MiB")
 	b.ReportMetric(float64(dirBytes(b, opts.DataDir))/(1<<20), "wal-MiB")
-	b.ReportMetric(float64(booted.Stats().RecoverySupersededBytes)/(1<<20), "superseded-MiB")
-	runtime.KeepAlive(booted)
+	b.ReportMetric(float64(superseded)/(1<<20), "superseded-MiB")
 }
 
 // dirBytes sums the sizes of the regular files under dir.

@@ -91,7 +91,7 @@ func main() {
 		window  = flag.Int("w", 5, "segmentation window w")
 		queue   = flag.Int("queue", 64, "per-session queue capacity, in batches (backpressure bound)")
 		batch   = flag.Int("batch", 256, "max reads per queued batch")
-		publish = flag.Int("publish", 2000, "publish a snapshot every N consumed reads (0 = only on refresh/finish)")
+		publish = flag.Int("publish", 2000, "publish a snapshot every N consumed reads (0 = only on refresh/finish); reads replayed at boot count but publish nothing unless -finalize-after is set")
 		dataDir = flag.String("data-dir", "", "write-ahead log directory; empty = in-memory sessions (no durability)")
 		fsync   = flag.String("fsync", "always", "WAL fsync policy: always | never")
 		segMB   = flag.Int("segment-mb", 64, "WAL segment rotation size, MiB")

@@ -34,10 +34,13 @@
 // (internal/wal) BEFORE the batch becomes visible to the consumer, and
 // New replays all logs found under DataDir on boot — finished sessions
 // are rebuilt through a full replay to their final snapshot, live ones
-// resume accepting reads exactly where the journal ends. A crash at any
-// byte of the log recovers to a final order byte-identical to the offline
-// replay of the journaled prefix; the crash-injection tests enforce this
-// at every record boundary and mid-record.
+// resume accepting reads exactly where the journal ends. Unless the tag
+// lifecycle is on, a boot publishes no periodic snapshot: a recovered
+// live session has none until its first cadence publish or refresh, so
+// its detection work runs when a client or the cadence asks. A crash at
+// any byte of the log recovers to a final order byte-identical to the
+// offline replay of the journaled prefix; the crash-injection tests
+// enforce this at every record boundary and mid-record.
 package serve
 
 import (
@@ -71,7 +74,8 @@ type Options struct {
 	// PublishEvery takes and publishes a snapshot every N consumed reads.
 	// 0 (the zero value) disables periodic publishing: snapshots then
 	// happen only on explicit refresh and at finish. stppd's -publish
-	// flag defaults to 2000.
+	// flag defaults to 2000. Reads replayed at boot count toward the
+	// cadence, but only a boot with FinalizeAfter set publishes on it.
 	PublishEvery int
 	// Scheduler runs the session consumers, the engines' parallel stages
 	// and boot recovery. Nil uses the process-global sched.Default().

@@ -767,6 +767,10 @@ func (s *Session) terminate() {
 // replay owns rec: it drops the checkpoint blob once the engine holds the
 // state and each batch once the engine consumed it, so the collector may
 // reclaim that input while the rest of the suffix replays.
+//
+// Unless the tag lifecycle is on, replay publishes no periodic snapshot:
+// a finished session takes only its final one, and a live session comes
+// up with none, detecting on its first refresh or cadence publish.
 func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 	failed := false
 	if rec.Unreplayable != nil {
@@ -811,7 +815,21 @@ func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 		s.consumed.Add(n)
 		s.srv.metrics.readsConsumed.Add(n)
 		s.activeTags.Store(int64(s.eng.Tags()))
-		s.maybePublish(len(batch))
+		if s.srv.opts.FinalizeAfter > 0 {
+			// With the tag lifecycle on, a snapshot is not just a view: its
+			// sweep emits and evicts tags, so the boot keeps the live
+			// cadence to leave emission and eviction where they were.
+			s.maybePublish(len(batch))
+		} else {
+			// Without it, a snapshot is only a view, and none taken before
+			// the listener exists reaches a client: the first refresh,
+			// cadence publish or final snapshot replaces it, with the same
+			// bytes at the same reads (snapshots do not depend on the
+			// path). So detection waits for that one. The count carries
+			// on, so the first post-boot batch publishes if the replay
+			// owed a publish.
+			s.sincePublish += len(batch)
+		}
 	}
 	switch {
 	case rec.Finished:
@@ -844,8 +862,8 @@ func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 }
 
 // maybePublish is the periodic-publish hook, run by the engine owner
-// (drain and boot replay) after each consumed batch of n reads: it
-// publishes a snapshot every PublishEvery reads.
+// (drain, and boot replay with the lifecycle on) after each consumed
+// batch of n reads: it publishes a snapshot every PublishEvery reads.
 func (s *Session) maybePublish(n int) {
 	pe := s.srv.opts.PublishEvery
 	if pe <= 0 {
