@@ -34,11 +34,14 @@ build:
 	go build ./...
 
 # benchmark/ is a nested module the root ./... cannot reach; vet and
-# short-test it explicitly so internal API changes cannot break it unseen.
+# short-test it explicitly so internal API changes cannot break it unseen,
+# then run its TestSmoke, which -short skips: it builds stppd and runs
+# every workload once on tiny inputs.
 test: fmt build
 	go vet ./...
 	go test ./...
 	cd benchmark && GOWORK=off go vet ./... && GOWORK=off go test -short ./...
+	cd benchmark && GOWORK=off go test -run TestSmoke ./...
 
 # fmt fails when gofmt would change any file, as the CI gofmt step does.
 fmt:

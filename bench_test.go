@@ -339,7 +339,7 @@ func BenchmarkShardedAisle(b *testing.B) {
 }
 
 // BenchmarkDaemonIngest pushes a two-reader aisle log through the serve
-// layer — per-session queue, consumer goroutine, periodic snapshots,
+// layer — per-session queue, drain task, periodic snapshots,
 // drain and final snapshot — the full stppd hot path minus HTTP.
 func BenchmarkDaemonIngest(b *testing.B) {
 	ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(1))
@@ -353,7 +353,7 @@ func BenchmarkDaemonIngest(b *testing.B) {
 	hdr := trace.Header{Readers: ms.ReaderMetas()}
 	srv, err := serve.New(serve.Options{
 		Config:       ms.Readers[0].Scene.STPPConfig(),
-		PublishEvery: 2000,
+		PublishEvery: serve.DefaultPublishEvery,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -407,7 +407,7 @@ func BenchmarkHTTPIngest(b *testing.B) {
 	}
 	srv, err := serve.New(serve.Options{
 		Config:          ms.Readers[0].Scene.STPPConfig(),
-		PublishEvery:    2000,
+		PublishEvery:    serve.DefaultPublishEvery,
 		DataDir:         b.TempDir(),
 		Fsync:           wal.SyncNever,
 		CheckpointEvery: 8192,
@@ -625,7 +625,7 @@ func multiSessionDataDir(b *testing.B, live, finished int) (serve.Options, int64
 	opts := serve.Options{
 		DataDir:         b.TempDir(),
 		Fsync:           wal.SyncNever,
-		PublishEvery:    2000,
+		PublishEvery:    serve.DefaultPublishEvery,
 		CheckpointEvery: 8192,
 	}
 	var srv *serve.Server

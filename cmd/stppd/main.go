@@ -89,13 +89,13 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:7080", "listen address (port 0 = ephemeral)")
 		ch      = flag.Int("channel", 6, "carrier channel for the reference wavelength")
 		window  = flag.Int("w", 5, "segmentation window w")
-		queue   = flag.Int("queue", 64, "per-session queue capacity, in batches (backpressure bound)")
-		batch   = flag.Int("batch", 256, "max reads per queued batch")
-		publish = flag.Int("publish", 2000, "publish a snapshot every N consumed reads (0 = only on refresh/finish); reads replayed at boot count but publish nothing unless -finalize-after is set")
+		queue   = flag.Int("queue", serve.DefaultQueueBatches, "per-session queue capacity, in batches (backpressure bound)")
+		batch   = flag.Int("batch", serve.DefaultMaxBatch, "max reads per queued batch")
+		publish = flag.Int("publish", serve.DefaultPublishEvery, "publish a snapshot every N consumed reads (0 = only on refresh/finish); reads replayed at boot count but publish nothing unless -finalize-after is set")
 		dataDir = flag.String("data-dir", "", "write-ahead log directory; empty = in-memory sessions (no durability)")
 		fsync   = flag.String("fsync", "always", "WAL fsync policy: always | never")
-		segMB   = flag.Int("segment-mb", 64, "WAL segment rotation size, MiB")
-		ckptN   = flag.Int("checkpoint-every", 100000, "journal an engine checkpoint every N consumed reads and truncate covered WAL segments (0 = never)")
+		segMB   = flag.Int("segment-mb", wal.DefaultSegmentBytes>>20, "WAL segment rotation size, MiB")
+		ckptN   = flag.Int("checkpoint-every", serve.DefaultCheckpointEvery, "journal an engine checkpoint every N consumed reads and truncate covered WAL segments (0 = never)")
 		finAft  = flag.Float64("finalize-after", 0, "finalize a tag after this many seconds of phase quiet in every zone that saw it (0 = lifecycle off; must exceed the longest mid-pass read gap)")
 		finMrg  = flag.Float64("finalize-margin", 0, "extra seconds the V-zone center must sit behind the frontier before a tag is conclusive")
 		maxTags = flag.Int("max-active-tags", 0, "reject ingest while a session holds this many resident (unfinalized) tags (0 = unbounded)")

@@ -46,12 +46,6 @@ func SegDist(a, b Segment) float64 {
 	}
 }
 
-// segCost is the per-cell matching cost of the coarse DTW recurrence:
-// the segment-range distance weighted by the shorter time interval.
-func segCost(a, b Segment) float64 {
-	return math.Min(a.Interval, b.Interval) * SegDist(a, b)
-}
-
 // SegmentAlignOpts tunes segment-level DTW.
 type SegmentAlignOpts struct {
 	// Stiffness penalizes non-diagonal warping steps, in radians: a
@@ -177,13 +171,6 @@ func NewReference(p []Segment, opts SegmentAlignOpts) *Reference {
 	}
 	return r
 }
-
-// Segments returns the reference segments the panels were derived from.
-func (r *Reference) Segments() []Segment { return r.p }
-
-// Len returns the number of reference segments — the DP row count every
-// aligner over this reference fills per query column.
-func (r *Reference) Len() int { return len(r.p) }
 
 // SegmentAligner runs the paper's coarse DTW as an open-end subsequence
 // alignment — the whole reference must be consumed but it may match any
@@ -488,9 +475,10 @@ func rederive(dir []uint8, col, prev, pVert []float64, horiz float64) {
 }
 
 // fillCost is the fill's first pass for column j: the pointwise matching
-// costs — segCost/SegDist with the reference operands read from the flat
-// panels. It is written as independent straight-line iterations over
-// contiguous float streams with no cross-iteration dependency: the shape
+// costs of the coarse DTW recurrence — SegDist weighted by the shorter
+// of the two segments' intervals — with the reference operands read from
+// the flat panels. It is written as independent straight-line iterations
+// over contiguous float streams with no cross-iteration dependency: the shape
 // the compiler can keep in registers and unroll. The max(0, lo−hi, lo−hi)
 // form equals the original comparison chain exactly — segment ranges are
 // proper intervals, so at most one of the two gaps is positive — and the

@@ -58,6 +58,16 @@ import (
 	"repro/internal/wal"
 )
 
+// stppd's defaults. Options.fill falls back to the queue shape, and
+// stppd's flags default to all four; the cadences stay opt-in here, where
+// 0 turns each one off.
+const (
+	DefaultQueueBatches    = 64
+	DefaultMaxBatch        = 256
+	DefaultPublishEvery    = 2000
+	DefaultCheckpointEvery = 100000
+)
+
 // Options tunes a Server.
 type Options struct {
 	// Config is the base STPP configuration (carrier wavelength, window,
@@ -65,17 +75,19 @@ type Options struct {
 	// deploy.FromHeader, exactly like an offline cmd/stpp replay.
 	Config stpp.Config
 	// QueueBatches bounds each session's ingest queue, in batches; an
-	// enqueue into a full queue blocks (backpressure). Default 64.
+	// enqueue into a full queue blocks (backpressure). Default
+	// DefaultQueueBatches.
 	QueueBatches int
 	// MaxBatch caps the reads per queued batch; the ingest path chunks
 	// longer NDJSON bodies. Bounded queue memory per session is
-	// QueueBatches × MaxBatch reads. Default 256.
+	// QueueBatches × MaxBatch reads. Default DefaultMaxBatch.
 	MaxBatch int
 	// PublishEvery takes and publishes a snapshot every N consumed reads.
 	// 0 (the zero value) disables periodic publishing: snapshots then
 	// happen only on explicit refresh and at finish. stppd's -publish
-	// flag defaults to 2000. Reads replayed at boot count toward the
-	// cadence, but only a boot with FinalizeAfter set publishes on it.
+	// flag defaults to DefaultPublishEvery. Reads replayed at boot count
+	// toward the cadence, but only a boot with FinalizeAfter set
+	// publishes on it.
 	PublishEvery int
 	// Scheduler runs the session consumers, the engines' parallel stages
 	// and boot recovery. Nil uses the process-global sched.Default().
@@ -99,14 +111,15 @@ type Options struct {
 	// durable across process crashes, not power loss). Zero value:
 	// SyncAlways.
 	Fsync wal.Policy
-	// SegmentBytes rotates WAL segment files at this size; 0 = the wal
-	// package default (64 MiB).
+	// SegmentBytes rotates WAL segment files at this size; 0 =
+	// wal.DefaultSegmentBytes (64 MiB).
 	SegmentBytes int64
 	// CheckpointEvery writes a WAL checkpoint record — the serialized
 	// engine state — every N consumed reads per session, letting recovery
 	// restore the state and replay only the journaled suffix, and letting
-	// the log truncate segments the checkpoint covers. 0 (the default)
-	// disables checkpointing: recovery replays the full history.
+	// the log truncate segments the checkpoint covers. 0 (the zero value)
+	// disables checkpointing: recovery replays the full history. stppd's
+	// -checkpoint-every flag defaults to DefaultCheckpointEvery.
 	CheckpointEvery int
 	// FinalizeAfter enables the tag lifecycle on every session: a tag
 	// whose pass has been quiet for this many seconds (stream time) behind
@@ -132,10 +145,10 @@ type Options struct {
 
 func (o *Options) fill() {
 	if o.QueueBatches <= 0 {
-		o.QueueBatches = 64
+		o.QueueBatches = DefaultQueueBatches
 	}
 	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
+		o.MaxBatch = DefaultMaxBatch
 	}
 	if o.PublishEvery < 0 {
 		o.PublishEvery = 0
@@ -385,7 +398,9 @@ func (s *Server) recoverSession(name string) *Session {
 var recoveredHook func(*wal.Recovered)
 
 // CreateSession opens a new ingest session for the deployment a trace
-// header describes and starts its consumer goroutine.
+// header describes. The session holds no goroutine: a drain task is
+// scheduled on the shared pool whenever a batch, a refresh or the finish
+// gives it work.
 func (s *Server) CreateSession(h trace.Header) (*Session, error) {
 	s.mu.Lock()
 	s.nextID++

@@ -585,13 +585,14 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, wantStatus int, out
 	}
 }
 
-// TestCoalescingEquivalenceProperty is the queue-coalescing property:
-// random batch sizes pushed through queues of varying depth — from a
-// depth-1 queue that never coalesces to a deep backlog the drain absorbs
-// in one engine call — under different publish cadences must all land on
-// the byte-identical final orders of the offline sharded replay. The
-// coalesced consume schedule is allowed to differ; the results are not.
-func TestCoalescingEquivalenceProperty(t *testing.T) {
+// TestQueueDepthEquivalenceProperty: how deep a session's queue runs must
+// not change what the session serves. Random batch sizes pushed through
+// queues of varying depth, under different publish cadences, must all
+// land on the byte-identical final orders of the offline sharded replay.
+// And a depth-1 queue and a depth-32 queue whose drain is held until each
+// round is queued whole must publish, checkpoint and emit on the same
+// consumed prefixes.
+func TestQueueDepthEquivalenceProperty(t *testing.T) {
 	tr, want, opts := aisleTrace(t, 9)
 	rng := rand.New(rand.NewSource(41))
 	queues := []int{1, 2, 8, 32}
@@ -629,94 +630,149 @@ func TestCoalescingEquivalenceProperty(t *testing.T) {
 		}
 	}
 
-	// The durable pair: one random batch sequence through a depth-1 queue
-	// that never coalesces, and through a depth-32 queue whose drain is
-	// held off until each round is fully queued, so it absorbs every round
-	// in coalesced pops. Publish and checkpoint points must land on the
-	// same consumed prefixes either way: equal snapshot counts, and
-	// checkpoints journaling the same read counts. A round stays under
-	// CheckpointEvery reads, so it lands at most one checkpoint, which is
-	// read back from the log before the next one reclaims it.
-	const publishEvery, checkpointEvery = 150, 400
+	// The durable pair: one random batch sequence through a depth-1 queue,
+	// and through a depth-32 queue whose drain is held off until each
+	// round is fully queued. Publish and checkpoint points must land on
+	// the same consumed prefixes either way: equal snapshot counts, and
+	// checkpoints journaling the same read counts.
+	opts.PublishEvery, opts.CheckpointEvery = 150, 400
+	rounds := depthRounds(rng, tr.Reads, opts.CheckpointEvery)
+	plain := runQueueDepth(t, tr, opts, rounds, 1, false)
+	held := runQueueDepth(t, tr, opts, rounds, 32, true)
+	for _, r := range []queueDepthRun{plain, held} {
+		if !reflect.DeepEqual(r.final.Result.XOrder, want.XOrder) {
+			t.Errorf("durable queue=%d: X order diverged from the offline replay", r.queue)
+		}
+	}
+	if len(plain.ckptReads) < 2 {
+		t.Fatalf("durable run journaled %d checkpoints over %d reads; the cadence went unexercised",
+			len(plain.ckptReads), len(tr.Reads))
+	}
+	if plain.snapshots != held.snapshots {
+		t.Errorf("snapshots: %d at depth 1, %d held at depth 32", plain.snapshots, held.snapshots)
+	}
+	if !slices.Equal(plain.ckptReads, held.ckptReads) {
+		t.Errorf("checkpoint read counts differ:\n  depth 1  %v\n  depth 32 %v", plain.ckptReads, held.ckptReads)
+	}
+
+	// The lifecycle pair: with FinalizeAfter set, every publish also
+	// sweeps, emitting and evicting tags, so queue depth must leave the
+	// emission stream where it was too.
+	ltr, lwant, lopts := portalTrace(t)
+	lopts.PublishEvery, lopts.CheckpointEvery = 150, 400
+	lrounds := depthRounds(rng, ltr.Reads, lopts.CheckpointEvery)
+	plain = runQueueDepth(t, ltr, lopts, lrounds, 1, false)
+	held = runQueueDepth(t, ltr, lopts, lrounds, 32, true)
+	for _, r := range []queueDepthRun{plain, held} {
+		if !reflect.DeepEqual(r.final.Result.XOrder, lwant.XOrder) {
+			t.Errorf("lifecycle queue=%d: X order diverged from the offline replay:\n  live    %v\n  offline %v",
+				r.queue, r.final.Result.XOrder, lwant.XOrder)
+		}
+	}
+	if plain.finalized == 0 || len(plain.emitted) == 0 {
+		t.Fatalf("lifecycle run finalized %d and emitted %d tags; the lifecycle went unexercised",
+			plain.finalized, len(plain.emitted))
+	}
+	if plain.finalized != held.finalized {
+		t.Errorf("TagsFinalized: %d at depth 1, %d held at depth 32", plain.finalized, held.finalized)
+	}
+	if plain.snapshots != held.snapshots {
+		t.Errorf("lifecycle snapshots: %d at depth 1, %d held at depth 32", plain.snapshots, held.snapshots)
+	}
+	if !reflect.DeepEqual(plain.emitted, held.emitted) {
+		t.Errorf("emission streams differ:\n  depth 1  %v\n  depth 32 %v", plain.emitted, held.emitted)
+	}
+}
+
+// depthRounds splits reads into random batches of 1–120 reads, grouped
+// into rounds that each stay under checkpointEvery reads and within a
+// depth-32 queue. A round therefore lands at most one checkpoint, which
+// runQueueDepth reads back from the log before the next one reclaims it.
+func depthRounds(rng *rand.Rand, reads []reader.TagRead, checkpointEvery int) [][][]reader.TagRead {
 	var rounds [][][]reader.TagRead
-	for pos := 0; pos < len(tr.Reads); {
+	for pos := 0; pos < len(reads); {
 		var round [][]reader.TagRead
-		for total := 0; pos < len(tr.Reads); {
-			n := min(1+rng.Intn(120), len(tr.Reads)-pos)
+		for total := 0; pos < len(reads) && len(round) < 32; {
+			n := min(1+rng.Intn(120), len(reads)-pos)
 			if total+n >= checkpointEvery {
 				break
 			}
-			round = append(round, tr.Reads[pos:pos+n])
+			round = append(round, reads[pos:pos+n])
 			pos += n
 			total += n
 		}
 		rounds = append(rounds, round)
 	}
-	durable := func(queue int, hold bool) (snapshots int64, ckptReads []int64) {
-		sc := sched.New(1)
-		defer sc.Stop()
-		o := opts
-		o.QueueBatches = queue
-		o.PublishEvery = publishEvery
-		o.CheckpointEvery = checkpointEvery
-		o.DataDir = t.TempDir()
-		o.Fsync = wal.SyncNever
-		o.Scheduler = sc
-		srv := newTestServer(t, o)
-		sess, err := srv.CreateSession(tr.Header)
+	return rounds
+}
+
+// queueDepthRun is what one durable run of runQueueDepth served: its
+// snapshot and finalized-tag counts, the read count of each checkpoint
+// it journaled, its emission stream and its final snapshot.
+type queueDepthRun struct {
+	queue                int
+	snapshots, finalized int64
+	ckptReads            []int64
+	emitted              []EmittedEntry
+	final                *Snapshot
+}
+
+// runQueueDepth streams rounds through a durable session with a queue of
+// the given depth on a one-worker scheduler. With hold, the worker is
+// occupied while each round is enqueued, so the drain finds the whole
+// round queued.
+func runQueueDepth(t *testing.T, tr *trace.Trace, o Options, rounds [][][]reader.TagRead, queue int, hold bool) queueDepthRun {
+	t.Helper()
+	sc := sched.New(1)
+	defer sc.Stop()
+	o.QueueBatches = queue
+	o.DataDir = t.TempDir()
+	o.Fsync = wal.SyncNever
+	o.Scheduler = sc
+	srv := newTestServer(t, o)
+	sess, err := srv.CreateSession(tr.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := queueDepthRun{queue: queue}
+	for _, round := range rounds {
+		release := make(chan struct{})
+		if hold {
+			// Occupy the only worker so the round queues up whole.
+			held := make(chan struct{})
+			sc.Go(nil, func() { close(held); <-release })
+			<-held
+		}
+		for _, b := range round {
+			if err := sess.Enqueue(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(release)
+		waitDrained(t, sess)
+		segs, err := wal.SegmentFiles(filepath.Join(o.DataDir, sess.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, round := range rounds {
-			release := make(chan struct{})
-			if hold {
-				// Occupy the only worker so the round queues up whole.
-				held := make(chan struct{})
-				sc.Go(nil, func() { close(held); <-release })
-				<-held
-			}
-			for _, b := range round {
-				if err := sess.Enqueue(b); err != nil {
+		last := int64(-1)
+		for _, r := range walRecords(t, segs) {
+			if r.info.Type == 4 { // checkpoint
+				if _, last, err = wal.InspectCheckpoint(segs[r.seg], r.info); err != nil {
 					t.Fatal(err)
 				}
 			}
-			close(release)
-			waitDrained(t, sess)
-			segs, err := wal.SegmentFiles(filepath.Join(o.DataDir, sess.ID))
-			if err != nil {
-				t.Fatal(err)
-			}
-			last := int64(-1)
-			for _, r := range walRecords(t, segs) {
-				if r.info.Type == 4 { // checkpoint
-					if _, last, err = wal.InspectCheckpoint(segs[r.seg], r.info); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if last >= 0 && (len(ckptReads) == 0 || ckptReads[len(ckptReads)-1] != last) {
-				ckptReads = append(ckptReads, last)
-			}
 		}
-		snap, err := sess.Finish()
-		if err != nil {
-			t.Fatal(err)
+		if last >= 0 && (len(run.ckptReads) == 0 || run.ckptReads[len(run.ckptReads)-1] != last) {
+			run.ckptReads = append(run.ckptReads, last)
 		}
-		if !reflect.DeepEqual(snap.Result.XOrder, want.XOrder) {
-			t.Errorf("durable queue=%d: X order diverged from the offline replay", queue)
-		}
-		return srv.Stats().Snapshots, ckptReads
 	}
-	plainSnaps, plainCkpts := durable(1, false)
-	coalSnaps, coalCkpts := durable(32, true)
-	if len(plainCkpts) < 2 {
-		t.Fatalf("durable run journaled %d checkpoints over %d reads; the cadence went unexercised",
-			len(plainCkpts), len(tr.Reads))
+	if run.final, err = sess.Finish(); err != nil {
+		t.Fatal(err)
 	}
-	if plainSnaps != coalSnaps {
-		t.Errorf("snapshots: %d uncoalesced, %d coalesced", plainSnaps, coalSnaps)
+	for i, e := range run.final.Result.Emitted {
+		run.emitted = append(run.emitted, EmittedEntry{Seq: int64(i), EPC: e.EPC.String(), BottomTime: e.X.BottomTime})
 	}
-	if !slices.Equal(plainCkpts, coalCkpts) {
-		t.Errorf("checkpoint read counts differ:\n  uncoalesced %v\n  coalesced   %v", plainCkpts, coalCkpts)
-	}
+	st := srv.Stats()
+	run.snapshots, run.finalized = st.Snapshots, st.TagsFinalized
+	return run
 }

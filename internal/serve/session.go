@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -17,10 +16,10 @@ import (
 	"repro/internal/wal"
 )
 
-// Session consumer states. A session no longer owns a goroutine: its
-// consumer is a drain task scheduled on the shared scheduler pool
-// whenever there is something to do, so ten thousand idle sessions cost
-// ten thousand idle structs, not ten thousand parked goroutines.
+// Session drain states. A session's consumer is a drain task, scheduled
+// on the shared scheduler pool whenever there is something to do, so ten
+// thousand idle sessions cost ten thousand idle structs, not ten thousand
+// parked goroutines.
 const (
 	stateIdle   = int32(iota) // no drain task scheduled; queue empty at last look
 	stateActive               // exactly one drain task scheduled or running
@@ -89,12 +88,6 @@ type Session struct {
 	// touched only by the engine owner.
 	sincePublish    int
 	sinceCheckpoint int
-	// coalesce is the drain's reused multi-batch buffer: when the queue
-	// holds more than one batch, popBatches concatenates the whole backlog
-	// here so the engine pays one Consume (and at most one periodic
-	// publish) per drain pass instead of one per producer batch. Engine
-	// owner only; bounded by QueueBatches × MaxBatch reads.
-	coalesce []reader.TagRead
 	// ckptBuf is the reused engine-checkpoint serialization buffer, owned
 	// by the engine owner.
 	ckptBuf []byte
@@ -105,7 +98,7 @@ type Session struct {
 	// QueueBatches × MaxBatch bound the way a pre-counted channel send
 	// could — the depth a Stats query reports is exact, not transient.
 	// Producers that find the queue full wait on qcond; drain tasks never
-	// wait (popBatches is non-blocking), so scheduler workers cannot be
+	// wait (popBatch is non-blocking), so scheduler workers cannot be
 	// stranded on ingest backpressure.
 	qmu      sync.Mutex
 	qcond    *sync.Cond
@@ -231,12 +224,12 @@ func (s *Session) Enqueue(batch []reader.TagRead) error {
 		s.qmu.Unlock()
 		return ErrSessionClosed
 	}
-	// Journal-before-visible: the batch reaches the WAL (written and
-	// flushed to the OS, fsync pending below) before the queue, so the log
-	// and the engine never disagree about what was accepted. qmu is held
-	// throughout, so Finish (which takes qmu before journaling its marker)
-	// can never interleave the finish record between a batch's journal
-	// append and its enqueue.
+	// Journal-before-visible: the batch reaches the WAL (written to the
+	// OS, fsync pending below) before the queue, so the log and the engine
+	// never disagree about what was accepted. qmu is held throughout, so
+	// Finish (which takes qmu before journaling its marker) can never
+	// interleave the finish record between a batch's journal append and
+	// its enqueue.
 	seq, log, err := s.journalAsync(batch)
 	if err != nil {
 		s.qmu.Unlock()
@@ -542,14 +535,17 @@ func (s *Session) Refresh() (*Snapshot, error) {
 
 // drainYield is how many batches one drain task absorbs before requeueing
 // itself, so a firehose session shares the pool with its neighbors at a
-// bounded granularity.
+// bounded granularity. Requeueing after every batch measured slower on
+// the query workload (README, "Drain yield").
 const drainYield = 32
 
 // drain is the session's consumer, run as a scheduler task while
 // state == Active. It owns the engine exclusively: the state machine
 // admits one drain at a time, and hand-offs (requeue, idle transition,
 // schedule) all cross the scheduler's or the state atomic's
-// happens-before edges.
+// happens-before edges. It consumes one queued batch per pass and runs
+// the publish and checkpoint cadences after each, so both land on the
+// same consumed prefixes however deep the queue was.
 func (s *Session) drain() {
 	batches := 0
 	for {
@@ -568,8 +564,8 @@ func (s *Session) drain() {
 			continue
 		default:
 		}
-		batch, popped, closed := s.popBatches(s.cadenceLimit())
-		if popped == 0 {
+		batch, closed := s.popBatch()
+		if batch == nil {
 			if closed {
 				// Ingest side closed and the queue is drained: publish the
 				// final snapshot and retire.
@@ -593,19 +589,12 @@ func (s *Session) drain() {
 			}
 			continue
 		}
-		n := int64(len(batch))
-		if err := s.eng.Consume(batch); err != nil {
-			// The HTTP path pre-validates reader IDs but the exported
-			// Enqueue does not; record the failure and stop consuming
-			// so Finish surfaces it (the shutdown path releases any
-			// batches still queued).
-			s.setErr(err)
+		if !s.consume(batch) {
+			// Stop consuming so Finish surfaces the failure; the shutdown
+			// path releases any batches still queued.
 			s.terminate()
 			return
 		}
-		s.consumed.Add(n)
-		s.srv.metrics.readsConsumed.Add(n)
-		s.activeTags.Store(int64(s.eng.Tags()))
 		s.maybePublish(len(batch))
 		if ce := s.srv.opts.CheckpointEvery; ce > 0 {
 			if s.sinceCheckpoint += len(batch); s.sinceCheckpoint >= ce {
@@ -613,7 +602,7 @@ func (s *Session) drain() {
 				s.sinceCheckpoint = 0
 			}
 		}
-		if batches += popped; batches >= drainYield {
+		if batches++; batches >= drainYield {
 			// Yield the worker: requeue ourselves (state stays Active,
 			// so producers won't double-schedule) and let the fairness
 			// pick decide who runs next.
@@ -623,81 +612,45 @@ func (s *Session) drain() {
 	}
 }
 
-// cadenceLimit is how many more reads the drain may absorb in one
-// coalesced pop without sliding past a cadence boundary: the next
-// periodic publish or the next WAL checkpoint, whichever comes first.
-// MaxInt when neither cadence is active — the drain may then swallow the
-// whole backlog.
-func (s *Session) cadenceLimit() int {
-	limit := math.MaxInt
-	if pe := s.srv.opts.PublishEvery; pe > 0 {
-		limit = pe - s.sincePublish
+// consume feeds one batch to the engine, the step the drain and boot
+// replay share, and moves the consumed counters and the resident-tag
+// gauge. A batch the engine rejects parks its error in Err and returns
+// false: the HTTP path pre-validates reader IDs, but the exported Enqueue
+// does not, and a journaled batch can meet a config that has drifted
+// since it was written.
+func (s *Session) consume(batch []reader.TagRead) bool {
+	if err := s.eng.Consume(batch); err != nil {
+		s.setErr(err)
+		return false
 	}
-	if ce := s.srv.opts.CheckpointEvery; ce > 0 {
-		if r := ce - s.sinceCheckpoint; r < limit {
-			limit = r
-		}
-	}
-	return limit
+	n := int64(len(batch))
+	s.consumed.Add(n)
+	s.srv.metrics.readsConsumed.Add(n)
+	s.activeTags.Store(int64(s.eng.Tags()))
+	return true
 }
 
-// popBatches takes queued batches up to the next cadence boundary in one
-// pop, moving the depth gauge under the same lock — space opens and the
-// gauge drops atomically, so a producer admitted into the freed slots
-// can never observe (or cause) a depth above the bound. A single batch
-// is returned as-is (zero copy, the common unloaded case); a backlog is
-// concatenated into the session's reused coalesce buffer, so a
-// backlogged session pays one engine Consume — and one periodic-publish
-// check — per drain pass instead of one per producer batch. popped
-// reports how many producer batches the return covers (0 = queue empty;
-// closed then tells the drain whether that is terminal).
-//
-// Coalescing preserves batch order, so the consumed stream is the exact
-// concatenation the per-batch pops would have fed the engine. The first
-// batch is taken unconditionally; further batches are absorbed while the
-// running total is short of limit, and the batch that reaches it is
-// included — exactly the batch the per-batch drain would have published
-// or checkpointed after. Publish and checkpoint points therefore land on
-// the same consumed prefixes as the un-coalesced schedule, and every
-// published snapshot is byte-identical to it.
-func (s *Session) popBatches(limit int) (batch []reader.TagRead, popped int, closed bool) {
+// popBatch takes the batch at the head of the queue, moving the depth
+// gauge under the same lock — space opens and the gauge drops atomically,
+// so a producer admitted into the freed slot can never observe (or cause)
+// a depth above the bound. A nil batch means the queue is empty (Enqueue
+// never queues an empty one); closed then tells the drain whether that is
+// terminal.
+func (s *Session) popBatch() (batch []reader.TagRead, closed bool) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	avail := len(s.q) - s.qhead
-	if avail == 0 {
-		return nil, 0, s.closed
+	if s.qhead == len(s.q) {
+		return nil, s.closed
 	}
-	take, total := 1, len(s.q[s.qhead])
-	for take < avail && total < limit {
-		total += len(s.q[s.qhead+take])
-		take++
-	}
-	if take == 1 {
-		batch = s.q[s.qhead]
-		s.q[s.qhead] = nil
-		s.qhead++
-		if s.qhead == len(s.q) {
-			s.q, s.qhead = s.q[:0], 0
-		}
-		s.queued.Add(-int64(len(batch)))
-		s.qcond.Signal()
-		return batch, 1, false
-	}
-	out := s.coalesce[:0]
-	for i := 0; i < take; i++ {
-		b := s.q[s.qhead]
-		s.q[s.qhead] = nil
-		s.qhead++
-		out = append(out, b...)
-	}
+	batch = s.q[s.qhead]
+	s.q[s.qhead] = nil
+	s.qhead++
 	if s.qhead == len(s.q) {
 		s.q, s.qhead = s.q[:0], 0
 	}
-	s.coalesce = out
-	s.queued.Add(-int64(total))
-	// Several queue slots opened at once; wake every waiting producer.
-	s.qcond.Broadcast()
-	return out, take, false
+	s.queued.Add(-int64(len(batch)))
+	s.qcond.Signal()
+	return batch, false
 }
 
 // pending reports whether the session has anything a drain task should
@@ -717,10 +670,10 @@ func (s *Session) pending() bool {
 	return s.qhead < len(s.q) || s.closed
 }
 
-// terminate retires the session: same sequence the old consumer
-// goroutine ran on exit — shut the queue, drop the engine, count the
-// finish, close done. Runs exactly once, from the drain task that owns
-// the engine (or from replay, before the session is reachable).
+// terminate retires the session: it shuts the queue, drops the engine,
+// counts the finish and closes done. Runs exactly once, from the drain
+// task that owns the engine (or from replay, before the session is
+// reachable).
 func (s *Session) terminate() {
 	s.state.Store(stateDead)
 	s.shutdownQueue()
@@ -746,7 +699,6 @@ func (s *Session) terminate() {
 	}
 	s.eng = nil
 	s.ckptBuf = nil
-	s.coalesce = nil
 	s.activeTags.Store(0)
 	s.srv.metrics.sessionsFinished.Add(1)
 	close(s.done)
@@ -807,14 +759,10 @@ func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 		n := int64(len(batch))
 		s.enqueued.Add(n)
 		s.srv.metrics.readsIngested.Add(n)
-		if err := s.eng.Consume(batch); err != nil {
-			s.setErr(err)
+		if !s.consume(batch) {
 			failed = true
 			break
 		}
-		s.consumed.Add(n)
-		s.srv.metrics.readsConsumed.Add(n)
-		s.activeTags.Store(int64(s.eng.Tags()))
 		if s.srv.opts.FinalizeAfter > 0 {
 			// With the tag lifecycle on, a snapshot is not just a view: its
 			// sweep emits and evicts tags, so the boot keeps the live
@@ -877,8 +825,9 @@ func (s *Session) maybePublish(n int) {
 	_, _ = s.takeSnapshot(false)
 }
 
-// takeSnapshot runs the engine snapshot on the consumer goroutine and
-// publishes the result.
+// takeSnapshot runs the engine snapshot and publishes the result. Only
+// the engine owner calls it: the drain task, or boot replay before the
+// session is reachable.
 func (s *Session) takeSnapshot(final bool) (*Snapshot, error) {
 	t0 := time.Now()
 	res, err := s.eng.Snapshot()

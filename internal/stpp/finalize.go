@@ -53,23 +53,6 @@ func (p FinalizePolicy) Validate() error {
 	return nil
 }
 
-// Lapsed reports whether a tag's pass is over regardless of how — or
-// whether — detection succeeded: the profile is non-empty and has been
-// quiet for the full After gap. Under the policy's gap precondition a
-// lapsed profile is frozen, so a lapsed tag whose detection still errs
-// (too sparse, no V-zone) is permanently unorderable: no future read will
-// repair it, and a batch replay over any longer prefix leaves it in the
-// unordered NaN tail of the X order, behind every orderable tag. The
-// engine may therefore discard it — evict without emission, changing only
-// that tail — instead of letting one undetectable tag block the emission
-// barrier (and pin memory) forever.
-func (p FinalizePolicy) Lapsed(tr TagResult, frontier float64) bool {
-	if !p.Enabled() || tr.Profile == nil || tr.Profile.Len() == 0 {
-		return false
-	}
-	return tr.Profile.Times[tr.Profile.Len()-1]+p.After <= frontier
-}
-
 // Conclusive reports whether a tag's pass is over under this policy given
 // the stream frontier (the maximum read time consumed so far, across all
 // tags). The decision is monotone in the frontier for a frozen profile:

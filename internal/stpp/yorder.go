@@ -175,13 +175,6 @@ func (l *Localizer) yKeys(sc *asmScratch, states []*DetectState, profiles []*pro
 	return keys, errs
 }
 
-// segmentMeans splits values into k equal-count chunks and returns each
-// chunk's mean (the V-zone coarse representation of Section 3.2.1).
-func segmentMeans(values []float64, k int) ([]float64, error) {
-	out, err := segmentMeansAppend(nil, values, k)
-	return out, err
-}
-
 // errShortVZone and errShortWindow report a tag whose V-zone (or valley
 // window) is still too short to split into Y segments. They are typed
 // with deferred formatting because the incremental Y stage re-keys every
@@ -199,8 +192,9 @@ func (e errShortWindow) Error() string {
 	return fmt.Sprintf("stpp: %d values < %d segments", e.values, e.segments)
 }
 
-// segmentMeansAppend appends the k chunk means to dst (growing it by
-// exactly k on success).
+// segmentMeansAppend splits values into k equal-count chunks and appends
+// each chunk's mean to dst, growing it by exactly k on success (the
+// V-zone coarse representation of Section 3.2.1).
 func segmentMeansAppend(dst, values []float64, k int) ([]float64, error) {
 	n := len(values)
 	if n < k {

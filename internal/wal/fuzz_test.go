@@ -189,10 +189,10 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 // same type around payload, its length and CRC recomputed, so the new
 // payload passes the frame checks and reaches the decoder.
 func reframe(data []byte, ri RecordInfo, payload []byte) []byte {
-	hdr := frameHeader(data[ri.Offset], payload)
+	rec := append(make([]byte, frameLen), payload...)
+	putFrame(rec, data[ri.Offset])
 	out := append([]byte(nil), data[:ri.Offset]...)
-	out = append(out, hdr[:]...)
-	out = append(out, payload...)
+	out = append(out, rec...)
 	return append(out, data[ri.End:]...)
 }
 

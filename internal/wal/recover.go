@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -201,7 +200,7 @@ func Recover(dir string, opts Options) (*Recovered, *Log, error) {
 		return nil, nil, fmt.Errorf("wal: reopen: %w", err)
 	}
 	l := newLog(dir, opts)
-	l.f, l.w, l.seg, l.size = f, bufio.NewWriter(f), segIndex(last), st.Size()
+	l.f, l.seg, l.size = f, segIndex(last), st.Size()
 	l.batches = int64(len(rec.Batches))
 	l.headerJSON = sc.headerJSON
 	base := sc.g - l.batches

@@ -36,7 +36,6 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -51,10 +50,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Process-wide journal totals. Per-Log counters (Bytes) die with
-// their log, which is useless for a long-running daemon whose sessions
-// churn; these accumulate across every log the process ever opens, so a
-// metrics scrape sees the daemon's full journaling activity.
+// Process-wide journal totals. They accumulate across every log the
+// process ever opens, so a metrics scrape of a long-running daemon whose
+// sessions churn sees its full journaling activity.
 var (
 	totalBytes  atomic.Int64 // record bytes appended (frames + payloads)
 	totalFsyncs atomic.Int64 // file fsyncs issued (appends, rotations, closes)
@@ -66,7 +64,7 @@ func TotalBytes() int64 { return totalBytes.Load() }
 
 // TotalFsyncs reports the file fsyncs issued by this process across all
 // logs (inline barrier syncs, group-commit leader syncs, segment
-// rotations, Sync and Close).
+// rotations and Close).
 func TotalFsyncs() int64 { return totalFsyncs.Load() }
 
 // syncFile fsyncs an open segment file, counting it in the process-wide
@@ -116,6 +114,16 @@ func frameCRC(typ byte, payload []byte) uint32 {
 	return crc32.Update(crc, castagnoli, payload)
 }
 
+// putFrame fills the frame prefix of rec, a record whose payload was
+// built after frameLen bytes of free space, so the record leaves in one
+// write.
+func putFrame(rec []byte, typ byte) {
+	payload := rec[frameLen:]
+	rec[0] = typ
+	binary.LittleEndian.PutUint32(rec[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[5:9], frameCRC(typ, payload))
+}
+
 // Policy selects when appends reach stable storage.
 type Policy int
 
@@ -123,7 +131,7 @@ const (
 	// SyncAlways fsyncs after every append: power loss costs at most the
 	// torn tail record.
 	SyncAlways Policy = iota
-	// SyncNever flushes batch appends to the OS but never fsyncs them:
+	// SyncNever writes batch appends to the OS but never fsyncs them:
 	// durable across process crashes, not across power loss. Header,
 	// finish and rotation barriers still sync.
 	SyncNever
@@ -147,19 +155,23 @@ func (p Policy) String() string {
 	return "always"
 }
 
+// DefaultSegmentBytes is the segment rotation size a zero
+// Options.SegmentBytes selects, and stppd's -segment-mb default.
+const DefaultSegmentBytes = 64 << 20
+
 // Options tunes a Log.
 type Options struct {
 	// Fsync is the append durability policy. The zero value is SyncAlways.
 	Fsync Policy
 	// SegmentBytes rotates to a fresh segment file once the current one
 	// reaches this size (records never split across segments). Default
-	// 64 MiB.
+	// DefaultSegmentBytes.
 	SegmentBytes int64
 }
 
 func (o *Options) fill() {
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
+		o.SegmentBytes = DefaultSegmentBytes
 	}
 }
 
@@ -183,13 +195,15 @@ type Log struct {
 	opts Options
 
 	f    *os.File
-	w    *bufio.Writer
 	seg  int   // current segment index
 	size int64 // bytes in the current segment
 
-	bytes   int64 // bytes appended by this process
 	batches int64 // batch records appended by this log instance
 	closed  bool
+	// werr is the first failed record write. It is sticky: a failed write
+	// may have left part of a record on disk, and recovery cuts the log at
+	// the first bad frame, so no later record may be written after it.
+	werr error
 
 	// segs are the live segments, ascending index; segs[len-1] is current.
 	segs []segMeta
@@ -198,7 +212,7 @@ type Log struct {
 	// the original header record.
 	headerJSON []byte
 
-	// ckptBuf is the reused checkpoint envelope buffer.
+	// ckptBuf is the reused checkpoint record buffer.
 	ckptBuf []byte
 
 	// Group-commit state. gAppended (guarded by mu) numbers SyncAlways
@@ -213,10 +227,14 @@ type Log struct {
 	gErrSeq   int64
 }
 
-// marshalPool recycles batch encoding buffers across AppendBatchAsync
-// calls (shared by all logs; a buffer lives only from marshal to frame
-// write, so the pool stays near the producer concurrency in size).
+// marshalPool recycles batch record buffers across AppendBatchAsync
+// calls (shared by all logs; a buffer lives only from encode to write,
+// so the pool stays near the producer concurrency in size).
 var marshalPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeFile writes a record to the current segment; tests replace it to
+// inject short writes.
+var writeFile = (*os.File).Write
 
 // newLog wires up a Log's synchronization state.
 func newLog(dir string, opts Options) *Log {
@@ -264,8 +282,9 @@ func Create(dir string, h trace.Header, opts Options) (l *Log, err error) {
 		l.Close()
 		return nil, fmt.Errorf("wal: encode header: %w", err)
 	}
-	l.headerJSON = payload
-	if err := l.append(recHeader, payload); err != nil {
+	rec := append(make([]byte, frameLen, frameLen+len(payload)), payload...)
+	l.headerJSON = rec[frameLen:]
+	if err := l.append(recHeader, rec); err != nil {
 		l.Close()
 		return nil, err
 	}
@@ -281,7 +300,7 @@ func (l *Log) openSegment(seg int) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.f, l.w, l.seg, l.size = f, bufio.NewWriter(f), seg, 0
+	l.f, l.seg, l.size = f, seg, 0
 	l.segs = append(l.segs, segMeta{idx: seg, firstBatch: l.batches})
 	syncDir(l.dir)
 	return nil
@@ -308,8 +327,8 @@ func (l *Log) AppendBatch(batch []reader.TagRead) error {
 }
 
 // AppendBatchAsync journals one accepted read batch WITHOUT waiting for
-// the fsync: the record is framed and flushed to the OS before returning
-// (so a process crash loses nothing), and the returned sequence number is
+// the fsync: the record is written to the OS before returning (so a
+// process crash loses nothing), and the returned sequence number is
 // the handle to wait for machine durability via WaitDurable. Under
 // SyncNever the append is already as durable as it will get and the
 // sequence is 0 (WaitDurable(0) returns immediately).
@@ -319,27 +338,28 @@ func (l *Log) AppendBatch(batch []reader.TagRead) error {
 // the producer ack alone gated on the sync — the group-commit shape that
 // amortizes fsync=always to near fsync=never throughput.
 //
-// The batch is encoded as fixed-width binary reads (appendBatch) into a
-// pooled buffer that lives only until the frame is written out, so the
-// journal hot path allocates nothing per batch. A read with a NaN or an
-// infinite float fails the append and journals nothing.
+// The batch is encoded as fixed-width binary reads (appendBatch) after
+// the frame prefix of a pooled buffer that lives only until the record is
+// written out, so the journal hot path allocates nothing per batch. A
+// read with a NaN or an infinite float fails the append and journals
+// nothing.
 func (l *Log) AppendBatchAsync(batch []reader.TagRead) (seq int64, err error) {
 	// Encode BEFORE taking the log lock, so concurrent producers overlap
 	// their encodes instead of serializing them behind mu — the contention
 	// window group commit exists to exploit. Pooled buffers keep the
 	// steady state allocation-free with any number of producers.
 	bp := marshalPool.Get().(*[]byte)
-	payload, err := appendBatch((*bp)[:0], batch)
+	rec, err := appendBatch(append((*bp)[:0], make([]byte, frameLen)...), batch)
 	if err != nil {
 		marshalPool.Put(bp)
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	*bp = payload
+	*bp = rec
 	defer marshalPool.Put(bp)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.appendLocked(recBatch, payload); err != nil {
+	if err := l.appendLocked(recBatch, rec); err != nil {
 		return 0, err
 	}
 	if l.opts.Fsync != SyncAlways {
@@ -394,8 +414,8 @@ func (l *Log) leadFlush() {
 		l.recordSyncErr(target, fmt.Errorf("wal: log closed"))
 		return
 	}
-	if err := l.w.Flush(); err != nil {
-		l.recordSyncErr(target, fmt.Errorf("wal: %w", err))
+	if l.werr != nil {
+		l.recordSyncErr(target, l.werr)
 		return
 	}
 	if err := syncFile(l.f); err != nil {
@@ -472,22 +492,22 @@ func (l *Log) AppendCheckpoint(uncovered, reads int64, state []byte) (truncated 
 	if uncovered < 0 || covered < 0 {
 		return 0, fmt.Errorf("wal: checkpoint uncovered %d out of range (batches %d)", uncovered, l.batches)
 	}
-	buf := l.ckptBuf[:0]
-	buf = ckpt.AppendU8(buf, ckptVersion)
-	buf = ckpt.AppendU64(buf, uint64(uncovered))
-	buf = ckpt.AppendU64(buf, uint64(reads))
-	buf = ckpt.AppendBytes(buf, l.headerJSON)
-	buf = ckpt.AppendBytes(buf, state)
-	l.ckptBuf = buf
-	if len(buf) > MaxCheckpoint {
-		return 0, fmt.Errorf("wal: record payload %d exceeds %d bytes", len(buf), MaxCheckpoint)
+	rec := append(l.ckptBuf[:0], make([]byte, frameLen)...)
+	rec = ckpt.AppendU8(rec, ckptVersion)
+	rec = ckpt.AppendU64(rec, uint64(uncovered))
+	rec = ckpt.AppendU64(rec, uint64(reads))
+	rec = ckpt.AppendBytes(rec, l.headerJSON)
+	rec = ckpt.AppendBytes(rec, state)
+	l.ckptBuf = rec
+	if n := len(rec) - frameLen; n > MaxCheckpoint {
+		return 0, fmt.Errorf("wal: record payload %d exceeds %d bytes", n, MaxCheckpoint)
 	}
 	idx := l.seg
 	if l.size > 0 {
 		idx++
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf(segPattern, idx))
-	if err := writeRecordFile(path+tmpSuffix, recCheckpoint, buf); err != nil {
+	if err := writeRecordFile(path+tmpSuffix, recCheckpoint, rec); err != nil {
 		return 0, err
 	}
 	if err := l.seal(); err != nil {
@@ -498,9 +518,7 @@ func (l *Log) AppendCheckpoint(uncovered, reads int64, state []byte) (truncated 
 		os.Remove(path + tmpSuffix)
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	n := int64(frameLen + len(buf))
-	l.bytes += n
-	totalBytes.Add(n)
+	totalBytes.Add(int64(len(rec)))
 	// Alone in its segment, the blob is reclaimable the moment the next
 	// checkpoint lands. Batches journal ahead of consumption, so a segment
 	// mixing a checkpoint with later batch records would stay pinned — its
@@ -521,10 +539,10 @@ func (l *Log) AppendCheckpoint(uncovered, reads int64, state []byte) (truncated 
 	// the reachable log — so stale checkpoint segments are truncated to
 	// zero length instead: an empty segment scans as no records, and the
 	// covered-prefix sweep below unlinks the empty file once consumption
-	// passes it. The new checkpoint was fsynced above (appendLocked always
-	// syncs non-batch records), so a crash anywhere in this sweep leaves
-	// each stale segment either intact (scanned, then superseded) or empty
-	// — both recover to the same session.
+	// passes it. The new checkpoint was fsynced and renamed above, so a
+	// crash anywhere in this sweep leaves each stale segment either intact
+	// (scanned, then superseded) or empty — both recover to the same
+	// session.
 	for i := range l.segs[:len(l.segs)-2] {
 		if !l.segs[i].ckptOnly {
 			continue
@@ -558,41 +576,38 @@ func (l *Log) AppendCheckpoint(uncovered, reads int64, state []byte) (truncated 
 // AppendFinish journals the finish marker, fsynced regardless of policy:
 // once it returns, recovery will rebuild this session as finished.
 func (l *Log) AppendFinish() error {
-	return l.append(recFinish, nil)
+	return l.append(recFinish, make([]byte, frameLen))
 }
 
-func (l *Log) append(typ byte, payload []byte) error {
+func (l *Log) append(typ byte, rec []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(typ, payload)
+	return l.appendLocked(typ, rec)
 }
 
-func (l *Log) appendLocked(typ byte, payload []byte) error {
+// appendLocked writes rec, a header, batch or finish record whose
+// payload follows frameLen bytes of free space, as the next record of
+// the current segment. Callers hold l.mu.
+func (l *Log) appendLocked(typ byte, rec []byte) error {
 	if l.closed {
 		return fmt.Errorf("wal: log closed")
 	}
-	max := MaxRecord
-	if typ == recCheckpoint {
-		max = MaxCheckpoint
+	if l.werr != nil {
+		return l.werr
 	}
-	if len(payload) > max {
-		return fmt.Errorf("wal: record payload %d exceeds %d bytes", len(payload), max)
+	if n := len(rec) - frameLen; n > MaxRecord {
+		return fmt.Errorf("wal: record payload %d exceeds %d bytes", n, MaxRecord)
 	}
-	n := int64(frameLen + len(payload))
+	n := int64(len(rec))
 	if l.size > 0 && l.size+n > l.opts.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
-	hdr := frameHeader(typ, payload)
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	putFrame(rec, typ)
+	if _, err := writeFile(l.f, rec); err != nil {
+		l.werr = fmt.Errorf("wal: %w", err)
+		return l.werr
 	}
 	if typ == recBatch {
 		// Batch fsync is the group-commit leader's job under SyncAlways
@@ -603,41 +618,29 @@ func (l *Log) appendLocked(typ byte, payload []byte) error {
 		}
 		l.batches++
 	} else {
-		// Header, finish and checkpoint records are one-time barriers:
-		// always fsynced inline, which also covers every batch flushed
-		// before them.
+		// Header and finish records are one-time barriers: always
+		// fsynced inline, which also covers every batch written before
+		// them.
 		if err := syncFile(l.f); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 		l.advanceSynced(l.gAppended)
 	}
 	l.size += n
-	l.bytes += n
 	totalBytes.Add(n)
 	return nil
 }
 
-// frameHeader builds a record's frame prefix.
-func frameHeader(typ byte, payload []byte) [frameLen]byte {
-	var hdr [frameLen]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], frameCRC(typ, payload))
-	return hdr
-}
-
-// writeRecordFile writes one framed record as the whole content of a new
-// file at path and fsyncs it; on failure it removes the file.
-func writeRecordFile(path string, typ byte, payload []byte) error {
+// writeRecordFile writes rec, a record whose payload follows frameLen
+// bytes of free space, as the whole content of a new file at path and
+// fsyncs it; on failure it removes the file.
+func writeRecordFile(path string, typ byte, rec []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	hdr := frameHeader(typ, payload)
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		_, err = f.Write(payload)
-	}
+	putFrame(rec, typ)
+	_, err = f.Write(rec)
 	if err == nil {
 		err = syncFile(f)
 	}
@@ -659,11 +662,12 @@ func (l *Log) rotate() error {
 	return l.openSegment(l.seg + 1)
 }
 
-// seal flushes, fsyncs and closes the current segment, whatever the
-// policy.
+// seal fsyncs and closes the current segment, whatever the policy. It
+// refuses after a failed record write, so no later segment can follow the
+// torn bytes.
 func (l *Log) seal() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if l.werr != nil {
+		return l.werr
 	}
 	if err := syncFile(l.f); err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -675,24 +679,7 @@ func (l *Log) seal() error {
 	return nil
 }
 
-// Sync flushes and fsyncs the current segment.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := syncFile(l.f); err != nil {
-		return err
-	}
-	l.advanceSynced(l.gAppended)
-	return nil
-}
-
-// Close flushes, fsyncs and closes the log. Idempotent.
+// Close fsyncs and closes the log. Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -700,9 +687,6 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.w != nil {
-		l.w.Flush()
-	}
 	if l.f != nil {
 		if err := syncFile(l.f); err == nil {
 			// Everything appended made it down; release any group-commit
@@ -712,21 +696,4 @@ func (l *Log) Close() error {
 		return l.f.Close()
 	}
 	return nil
-}
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Bytes reports what this process appended (recovered records are not
-// counted).
-func (l *Log) Bytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes
-}
-
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seg
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/epcgen2"
@@ -545,5 +546,49 @@ func TestAppendBatchRefusesNonFinite(t *testing.T) {
 	l.Close()
 	if rec = recoverDir(t, dir); !reflect.DeepEqual(rec.Batches, batches) {
 		t.Errorf("recovered %d batches, want the 2 finite ones", len(rec.Batches))
+	}
+}
+
+// TestFailedWriteStopsLog: a record write that fails partway leaves torn
+// bytes in the segment, and recovery cuts the log at the first bad frame.
+// So the failure must stick: every later append, checkpoint, finish and
+// durable wait fails instead of being acknowledged and then lost.
+func TestFailedWriteStopsLog(t *testing.T) {
+	dir := t.TempDir()
+	batches := testBatches(3, 4)
+	l, err := Create(dir, testHeader(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := l.AppendBatchAsync(batches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { writeFile = (*os.File).Write })
+	writeFile = func(f *os.File, b []byte) (int, error) {
+		n, _ := f.Write(b[:len(b)/2])
+		return n, syscall.ENOSPC
+	}
+	if err := l.AppendBatch(batches[1]); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("short write: err %v, want ENOSPC", err)
+	}
+	writeFile = (*os.File).Write
+	if err := l.WaitDurable(seq); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("WaitDurable after a failed write: err %v, want ENOSPC", err)
+	}
+	if err := l.AppendBatch(batches[2]); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("append after a failed write: err %v, want ENOSPC", err)
+	}
+	if _, err := l.AppendCheckpoint(1, 0, nil); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("checkpoint after a failed write: err %v, want ENOSPC", err)
+	}
+	if err := l.AppendFinish(); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("finish after a failed write: err %v, want ENOSPC", err)
+	}
+	l.Close()
+	rec := recoverDir(t, dir)
+	if !rec.Torn || rec.Finished || !reflect.DeepEqual(rec.Batches, batches[:1]) {
+		t.Errorf("recovered torn=%v finished=%v %d batches, want torn, live, the 1 batch written whole",
+			rec.Torn, rec.Finished, len(rec.Batches))
 	}
 }
