@@ -10,7 +10,7 @@ BASE ?= HEAD^
 # The gate runs every GATE benchmark in PAIRS interleaved base/change
 # pairs, each run pinned to BENCHTIME, and judges each one's reads/s by
 # median and quartiles (cmd/bench2json). A name gates itself and its
-# sub-benchmarks: the in-process ingest, snapshot-cadence, blocked
+# sub-benchmarks: the in-process ingest, snapshot-cadence, multi-tag
 # detection, recovery, WAL append and endless-stream paths, and the full
 # HTTP ingest path.
 PAIRS ?= 10
@@ -60,12 +60,25 @@ vet:
 # `/`, so one alternation cannot select a sub-benchmark of one benchmark
 # and every sub-benchmark of another. A benchmark that fails on either
 # side fails the target; so does a gated benchmark that regressed or
-# that the base ran and the change did not.
+# that the base ran and the change did not. Both binaries run the same
+# benchmark source: the working tree's bench_test.go is copied over the
+# base's before base.test is built, so a benchmark whose workload changed
+# is timed on the same work on both sides. When that copy does not compile
+# against the base's code, the base keeps its own file; the first line of
+# bench.txt, `base-source: change` or `base-source: base`, records which,
+# and bench2json repeats it on every verdict line.
 bench:
 	rm -f bench.txt bench.json
 	rm -rf $(BASE_TREE) && git worktree prune
 	git worktree add --detach $(BASE_TREE) $(BASE)
-	cd $(BASE_TREE) && go test -c -o base.test .
+	cp bench_test.go $(BASE_TREE)/bench_test.go
+	if (cd $(BASE_TREE) && go test -c -o base.test .); then \
+		echo "base-source: change" > bench.txt; \
+	else \
+		echo "bench: the working tree's bench_test.go does not build at $(BASE); the base runs its own (not like for like)"; \
+		(cd $(BASE_TREE) && git checkout -- bench_test.go && go test -c -o base.test .) && \
+		echo "base-source: base" > bench.txt; \
+	fi
 	go test -c -o bench.test .
 	@set -e; \
 	run() { \

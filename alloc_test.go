@@ -64,8 +64,8 @@ func TestDetectAllocs(t *testing.T) {
 	}
 }
 
-// TestBlockedDetectAllocs pins the blocked multi-tag detection pass —
-// LocalizeTagsIncremental over a 16-tag run — at
+// TestBlockedDetectAllocs pins serial multi-tag detection —
+// LocalizeTagIncremental over 16 tags in turn — at
 // one allocation per tag, amortized. In steady state the pass recycles
 // everything through pools (the bench measures 0 allocs/op); the per-tag
 // budget only absorbs pool misses under GC pressure, not a regression
@@ -89,20 +89,20 @@ func TestBlockedDetectAllocs(t *testing.T) {
 		sts[i] = loc.NewDetectState()
 	}
 	out := make([]stpp.TagResult, len(ps))
-	for i := 0; i < 4; i++ { // warm pools to steady state
+	detect := func() {
 		for _, st := range sts {
 			st.Release()
 		}
-		loc.LocalizeTagsIncremental(sts, ps, out)
+		for k, p := range ps {
+			out[k] = loc.LocalizeTagIncremental(sts[k], p)
+		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, st := range sts {
-			st.Release()
-		}
-		loc.LocalizeTagsIncremental(sts, ps, out)
-	})
+	for i := 0; i < 4; i++ { // warm pools to steady state
+		detect()
+	}
+	allocs := testing.AllocsPerRun(50, detect)
 	if allocs > float64(len(ps)) {
-		t.Fatalf("blocked detection allocates %.1f/op for %d tags, want <= 1/tag amortized", allocs, len(ps))
+		t.Fatalf("multi-tag detection allocates %.1f/op for %d tags, want <= 1/tag amortized", allocs, len(ps))
 	}
 }
 

@@ -173,12 +173,12 @@ func BenchmarkSegmentFill(b *testing.B) {
 	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
-// BenchmarkBlockedDetect isolates the blocked multi-tag detection pass —
-// stpp.LocalizeTagsIncremental over one run of 16 tags, whose DP column
-// fills all read the detector's shared reference panels — from ingest,
-// queueing and profile building. Each iteration releases the per-tag
-// decision arrays first, so every pass refills all columns of all 16
-// tags: the cells/s metric is the pass's throughput on a cold snapshot,
+// BenchmarkBlockedDetect isolates serial multi-tag detection —
+// stpp.LocalizeTagIncremental over 16 tags in turn, whose DP column fills
+// all read the detector's shared reference panels — from ingest, queueing
+// and profile building. Each iteration releases the per-tag decision
+// arrays first, so every pass refills all columns of all 16 tags: the
+// cells/s metric is one core's detection throughput on a cold snapshot,
 // directly comparable to BenchmarkSegmentFill's single-tag ceiling.
 func BenchmarkBlockedDetect(b *testing.B) {
 	s, err := scenario.Population(16, true, 0.3, 1)
@@ -199,20 +199,26 @@ func BenchmarkBlockedDetect(b *testing.B) {
 		sts[i] = loc.NewDetectState()
 	}
 	out := make([]stpp.TagResult, len(ps))
+	detect := func() {
+		for k, p := range ps {
+			out[k] = loc.LocalizeTagIncremental(sts[k], p)
+		}
+	}
 	reads, cells := 0, 0.0
-	refSegs := float64(loc.Detector().RefSegments())
+	ref, _, _ := loc.Detector().Reference()
+	refSegs := float64(len(ref.Segmentize(cfg.Window)))
 	for _, p := range ps {
 		reads += p.Len()
 		cells += refSegs * float64(len(p.Segmentize(cfg.Window)))
 	}
-	loc.LocalizeTagsIncremental(sts, ps, out) // warm segmentation caches and pools
+	detect() // warm segmentation caches and pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, st := range sts {
 			st.Release()
 		}
-		loc.LocalizeTagsIncremental(sts, ps, out)
+		detect()
 	}
 	b.StopTimer()
 	for _, r := range out {
@@ -487,7 +493,8 @@ func BenchmarkWALAppend(b *testing.B) {
 // BenchmarkRecovery measures a cold boot over one finished durable
 // session: WAL scan, replay through a fresh sharded engine, and the
 // rebuilt final snapshot — the restart latency a deployment pays per
-// recovered session.
+// recovered session. It publishes at stppd's default cadence, so the
+// boot is the one the daemon runs.
 func BenchmarkRecovery(b *testing.B) {
 	ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(1))
 	if err != nil {
@@ -498,9 +505,10 @@ func BenchmarkRecovery(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := serve.Options{
-		Config:  ms.Readers[0].Scene.STPPConfig(),
-		DataDir: b.TempDir(),
-		Fsync:   wal.SyncNever,
+		Config:       ms.Readers[0].Scene.STPPConfig(),
+		DataDir:      b.TempDir(),
+		Fsync:        wal.SyncNever,
+		PublishEvery: serve.DefaultPublishEvery,
 	}
 	srv, err := serve.New(opts)
 	if err != nil {

@@ -1,7 +1,10 @@
 // bench2json judges the repository's bench gate. `make bench` runs the
 // gated benchmarks in interleaved pairs on the parent commit and on the
 // working tree and appends every run to one benchstat-compatible file, in
-// which a `side: base` or `side: change` line labels the runs after it:
+// which a `side: base` or `side: change` line labels the runs after it,
+// and a `base-source: change` or `base-source: base` line records whether
+// the parent's binary was built from the working tree's benchmark source
+// (like for like) or, when that did not compile there, from its own:
 //
 //	bench2json -gate 'BenchmarkA BenchmarkB/sub' -o bench.json bench.txt
 //
@@ -32,12 +35,13 @@ type Bench struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// Record is the emitted document: every run of each side and the gate's
-// verdicts.
+// Record is the emitted document: which benchmark source the parent's
+// binary was built from, every run of each side and the gate's verdicts.
 type Record struct {
-	Base     []Bench   `json:"base"`
-	Change   []Bench   `json:"change"`
-	Verdicts []verdict `json:"verdicts"`
+	BaseSource string    `json:"base_source"`
+	Base       []Bench   `json:"base"`
+	Change     []Bench   `json:"change"`
+	Verdicts   []verdict `json:"verdicts"`
 }
 
 func parse(r io.Reader) (*Record, error) {
@@ -50,6 +54,8 @@ func parse(r io.Reader) (*Record, error) {
 			side = &rec.Base
 		case line == "side: change":
 			side = &rec.Change
+		case strings.HasPrefix(line, "base-source: "):
+			rec.BaseSource = strings.TrimPrefix(line, "base-source: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			b, ok := parseBenchLine(line)
 			if !ok || side == nil {
@@ -227,9 +233,9 @@ func main() {
 	rec.Verdicts = checkGate(rec, strings.Fields(*gate))
 	failed := false
 	for _, v := range rec.Verdicts {
-		fmt.Printf("%-40s base %.4g/%.4g/%.4g (n=%d)  change %.4g/%.4g/%.4g (n=%d) %s  worse %+.1f%% (bound %.0f%%)  %s\n",
+		fmt.Printf("%-40s base %.4g/%.4g/%.4g (n=%d)  change %.4g/%.4g/%.4g (n=%d) %s  worse %+.1f%% (bound %.0f%%)  %s  base-source=%s\n",
 			v.Name, v.Base[0], v.Base[1], v.Base[2], v.NBase, v.Change[0], v.Change[1], v.Change[2], v.NChange,
-			gateMetric, 100*v.Worse, 100*bound, v.Verdict)
+			gateMetric, 100*v.Worse, 100*bound, v.Verdict, rec.BaseSource)
 		failed = failed || v.fails()
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")

@@ -100,6 +100,24 @@ FAIL
 	}
 }
 
+// TestParseBaseSource: the base-source line Make writes ahead of the
+// runs lands in the record, and a file without one leaves it empty.
+func TestParseBaseSource(t *testing.T) {
+	for in, want := range map[string]string{
+		"base-source: change\nside: base\nBenchmarkOK-2 10 100 ns/op\n": "change",
+		"base-source: base\nside: base\nBenchmarkOK-2 10 100 ns/op\n":   "base",
+		"side: base\nBenchmarkOK-2 10 100 ns/op\n":                      "",
+	} {
+		rec, err := parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.BaseSource != want {
+			t.Errorf("%q: base source %q, want %q", in, rec.BaseSource, want)
+		}
+	}
+}
+
 // TestParseBenchLineStripsProcs pins the -GOMAXPROCS suffix handling the
 // gate's name matching depends on.
 func TestParseBenchLineStripsProcs(t *testing.T) {

@@ -145,9 +145,8 @@ func putDir(c []uint8) {
 // per-row panels the column fill reads (range bounds, intervals, and the
 // precomputed vertical-step penalty Stiffness×interval). A detector over a
 // wide tag population builds ONE Reference and hands every tag's aligner a
-// pointer to it, so a blocked detection run streams one copy of the panels
-// through the cache instead of one per tag — and the panels never need
-// re-deriving per aligner. A Reference is immutable after construction and
+// pointer to it, so the panels exist once however many tags are resident
+// and never need re-deriving per aligner. A Reference is immutable after construction and
 // safe for concurrent readers.
 type Reference struct {
 	p                     []Segment

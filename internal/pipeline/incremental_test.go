@@ -44,19 +44,16 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1234))
-	// Sweep the detection block size alongside cadence and batch size:
-	// the block a degenerate 1-byte budget clamps to, one small enough to
-	// split the dirty set into several runs, the default, and one block
-	// covering everything. Blocked detection must be invisible in the
-	// results at every size.
-	blockBudgets := []int{1, 4 << 10, detectBudget, 8 << 20}
+	// Sweep the scheduler width alongside cadence and batch size: a lone
+	// worker, the reference box's two, and eight. Which worker detects
+	// which tag must be invisible in the results at every width.
+	widths := []int{1, 2, 8}
 	for trial := 0; trial < 6; trial++ {
 		reads := base
 		if trial%2 == 1 {
 			reads = perturb(rng, base, 0.08)
 		}
-		eng := NewFromLocalizer(loc, Options{Group: widthGroup(t, 1+rng.Intn(4))})
-		eng.block = blockForBudget(blockBudgets[trial%len(blockBudgets)], loc.Detector().RefSegments())
+		eng := NewFromLocalizer(loc, Options{Group: widthGroup(t, widths[trial%len(widths)])})
 		pos, snaps := 0, 0
 		for pos < len(reads) {
 			n := 1 + rng.Intn(97)

@@ -52,47 +52,12 @@ type Options struct {
 	Finalize stpp.FinalizePolicy
 }
 
-// Detection block sizing: one scheduler claim takes a contiguous run of
-// dirty tags, and stpp.LocalizeTagsIncremental fills their DP columns one
-// tag after another over the shared reference panels. The run should be
-// big enough to amortize claim traffic and panel loads, small enough that
-// the panels and each tag's fill scratch stay cache-resident: the budget
-// is an L2 slice, roughly.
-const (
-	detectBudget   = 256 << 10
-	minDetectBlock = 4
-	maxDetectBlock = 64
-)
-
-// blockForBudget sizes a detection run: m is the reference segment count
-// (the DP row count every column pays), and each tag in the run touches a
-// cost buffer, its two-column value ring and one decision byte per row
-// and column — budgeted as 4 m-sized float64 arrays, with the shared
-// panels amortized across the run. Always at least minDetectBlock, so a
-// degenerate budget or a huge reference still makes progress in non-empty
-// runs.
-func blockForBudget(budget, m int) int {
-	if m <= 0 {
-		m = 1
-	}
-	per := 32 * m
-	b := budget / per
-	if b < minDetectBlock {
-		b = minDetectBlock
-	}
-	if b > maxDetectBlock {
-		b = maxDetectBlock
-	}
-	return b
-}
-
 // Engine is the streaming localization engine. It is not safe for
 // concurrent use — Consume and Snapshot must come from one goroutine; the
 // engine parallelizes internally.
 type Engine struct {
 	loc     *stpp.Localizer
 	builder *profile.Builder
-	block   int
 	group   *sched.Group
 	cached  map[epcgen2.EPC]stpp.TagResult
 	states  map[epcgen2.EPC]*tagState
@@ -151,7 +116,6 @@ func NewFromLocalizer(loc *stpp.Localizer, opts Options) *Engine {
 	e := &Engine{
 		loc:     loc,
 		builder: profile.NewBuilder(),
-		block:   blockForBudget(detectBudget, loc.Detector().RefSegments()),
 		group:   group,
 		cached:  make(map[epcgen2.EPC]stpp.TagResult),
 		states:  make(map[epcgen2.EPC]*tagState),
@@ -306,13 +270,13 @@ func (e *Engine) Snapshot() (*stpp.Result, error) {
 }
 
 // recompute refreshes the cached per-tag results for the given tags,
-// fanning cache-budgeted runs of the blocked detection kernel out across
-// the worker pool. Tags whose profile is provably unchanged since their
-// cached result — same builder generation, same length — are skipped
-// outright: the dirty mark alone does not imply new work (detectOne
-// leaves it set, and a read dropped by lifecycle admission dirties
-// nothing), and by the incremental contract a re-detection of an
-// unchanged profile returns the cached result bit for bit.
+// fanning detection out across the worker pool one tag per claim. Tags
+// whose profile is provably unchanged since their cached result — same
+// builder generation, same length — are skipped outright: the dirty mark
+// alone does not imply new work (detectOne leaves it set, and a read
+// dropped by lifecycle admission dirties nothing), and by the incremental
+// contract a re-detection of an unchanged profile returns the cached
+// result bit for bit.
 func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	// The builder is read from worker goroutines: force any lazy re-sort to
 	// happen here, serially, so workers see quiescent profiles — and pick
@@ -334,9 +298,7 @@ func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	}
 	e.results = e.results[:n]
 	results := e.results
-	e.group.ForRuns(n, e.block, func(lo, hi int) {
-		e.loc.LocalizeTagsIncremental(e.sts[lo:hi], e.ps[lo:hi], results[lo:hi])
-	})
+	e.group.For(n, func(i int) { results[i] = e.loc.LocalizeTagIncremental(e.sts[i], e.ps[i]) })
 	for i, epc := range e.depcs {
 		e.cached[epc] = results[i]
 	}

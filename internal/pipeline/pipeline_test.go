@@ -180,20 +180,3 @@ func TestEngineEmptyStream(t *testing.T) {
 		t.Error("snapshot over empty stream succeeded")
 	}
 }
-
-// TestBlockForBudgetNeverEmpty is the regression guard for detection
-// block sizing: whatever the cache budget and reference size — zero,
-// negative, tiny budgets against huge references, or the reverse — the
-// chosen block must stay positive and within its clamp, so the ForRuns
-// fan-out never sees an empty run and every dirty tag is detected.
-func TestBlockForBudgetNeverEmpty(t *testing.T) {
-	for _, budget := range []int{-1, 0, 1, 31, 1024, 256 << 10, 1 << 30} {
-		for _, m := range []int{-5, 0, 1, 7, 335, 100000, 1 << 28} {
-			b := blockForBudget(budget, m)
-			if b < minDetectBlock || b > maxDetectBlock {
-				t.Fatalf("blockForBudget(%d, %d) = %d, want within [%d, %d]",
-					budget, m, b, minDetectBlock, maxDetectBlock)
-			}
-		}
-	}
-}

@@ -17,14 +17,12 @@
 //   - Spawned tasks (Go): plain closures, e.g. one ingest session's queue
 //     drain. They run exactly once on some worker.
 //
-//   - Parallel-for jobs (For/ForRuns): fn(i) over [0, n) with
-//     a result-slot contract — fn(i) may write slot i of
-//     a caller-owned slice and the caller observes every write after For
-//     returns, regardless of which worker ran which index. Indices are
-//     claimed from a shared atomic cursor in contiguous blocks (the
-//     cache-blocked runs batched detection wants), so joining a job
-//     takes a single atomic add per block, and the claim order is
-//     ascending. The CALLER participates too: For always makes progress
+//   - Parallel-for jobs (For): fn(i) over [0, n) with a result-slot
+//     contract — fn(i) may write slot i of a caller-owned slice and the
+//     caller observes every write after For returns, regardless of which
+//     worker ran which index. Indices are claimed one at a time from a
+//     shared atomic cursor, a single atomic add per index, in ascending
+//     order. The CALLER participates too: For always makes progress
 //     even with every worker busy elsewhere, which is what makes nested
 //     For deadlock-free. A worker that joins re-posts one join ticket to
 //     the job's group FIFO while work remains, so discovery spreads
@@ -76,12 +74,6 @@ func (g *Group) Go(fn func()) { g.s.Go(g, fn) }
 // For runs fn(i) over [0, n) under this group. See (*Scheduler).For.
 func (g *Group) For(n int, fn func(int)) { g.s.For(g, n, fn) }
 
-// ForRuns hands each claimed block to fn as a [lo, hi) range. See
-// (*Scheduler).ForRuns.
-func (g *Group) ForRuns(n, block int, fn func(lo, hi int)) {
-	g.s.ForRuns(g, n, block, fn)
-}
-
 // item is one queue entry: either a spawned task (fn != nil) or a
 // join ticket for a parallel-for job (job != nil).
 type item struct {
@@ -91,19 +83,15 @@ type item struct {
 }
 
 // forJob is one parallel-for in flight. Participants claim ascending
-// blocks of indices from next; done counts finished indices and the last
-// finisher closes fin.
+// indices from next; done counts finished indices and the last finisher
+// closes fin.
 type forJob struct {
-	g *Group
-	// Exactly one of fn / fnRun is set: fn receives single indices (For
-	// claims blocks of 1), fnRun whole claimed [lo, hi) ranges (ForRuns).
-	fn    func(int)
-	fnRun func(lo, hi int)
-	n     int64
-	block int64
-	next  atomic.Int64
-	done  atomic.Int64
-	fin   chan struct{}
+	g    *Group
+	fn   func(int)
+	n    int64
+	next atomic.Int64
+	done atomic.Int64
+	fin  chan struct{}
 }
 
 // Scheduler is a fixed-width worker pool. The zero value is not
@@ -222,36 +210,10 @@ func (s *Scheduler) For(g *Group, n int, fn func(int)) {
 		fn(0)
 		return
 	}
-	s.runJob(g, &forJob{fn: fn, n: int64(n), block: 1})
-}
-
-// ForRuns is For with indices claimed in contiguous blocks, each handed
-// to fn whole: participants grab [lo, hi) per atomic claim — block wide
-// except possibly the last — so a batched kernel processes the run in one
-// pass instead of being re-entered per index. block <= 0 means 1. A
-// single block's worth of work runs inline as fn(0, n).
-func (s *Scheduler) ForRuns(g *Group, n, block int, fn func(lo, hi int)) {
-	if block <= 0 {
-		block = 1
-	}
-	if n <= 0 {
-		return
-	}
-	if n <= block {
-		fn(0, n)
-		return
-	}
-	s.runJob(g, &forJob{fnRun: fn, n: int64(n), block: int64(block)})
-}
-
-// runJob completes j under g (nil: the default group): it announces the
-// job so idle workers can join, works it on the calling goroutine, and
-// waits out stragglers.
-func (s *Scheduler) runJob(g *Group, j *forJob) {
 	if g == nil {
 		g = &s.defGroup
 	}
-	j.g, j.fin = g, make(chan struct{})
+	j := &forJob{g: g, fn: fn, n: int64(n), fin: make(chan struct{})}
 	// Announce the job so idle workers can join, then work it ourselves.
 	s.mu.Lock()
 	if !s.stopped {
@@ -267,7 +229,7 @@ func (s *Scheduler) runJob(g *Group, j *forJob) {
 	}
 }
 
-// work participates in a for-job: claim blocks until the cursor runs dry.
+// work participates in a for-job: claim indices until the cursor runs dry.
 // helper is true on a pool worker, false on the submitting caller. While
 // substantial work remains, a helper re-posts a join ticket to the job's
 // group FIFO so the next free worker can join too.
@@ -275,11 +237,11 @@ func (j *forJob) work(s *Scheduler, helper bool) {
 	j.g.inflight.Add(1)
 	propagated := false
 	for {
-		i := j.next.Add(j.block) - j.block
+		i := j.next.Add(1) - 1
 		if i >= j.n {
 			break
 		}
-		if !propagated && helper && j.n-i > j.block {
+		if !propagated && helper && j.n-i > 1 {
 			propagated = true
 			s.mu.Lock()
 			if !s.stopped {
@@ -288,16 +250,8 @@ func (j *forJob) work(s *Scheduler, helper bool) {
 			}
 			s.mu.Unlock()
 		}
-		hi := i + j.block
-		if hi > j.n {
-			hi = j.n
-		}
-		if j.fnRun != nil {
-			j.fnRun(int(i), int(hi))
-		} else {
-			j.fn(int(i))
-		}
-		if j.done.Add(hi-i) == j.n {
+		j.fn(int(i))
+		if j.done.Add(1) == j.n {
 			close(j.fin)
 		}
 	}

@@ -26,31 +26,6 @@ func TestForResultSlots(t *testing.T) {
 	}
 }
 
-// TestForBlocked checks that ForRuns claims whole blocks off one cursor:
-// every run starts on a block boundary and spans the full block, or the
-// remainder up to n, and the runs cover every index exactly once.
-func TestForBlocked(t *testing.T) {
-	s := New(3)
-	defer s.Stop()
-	const n = 257
-	for _, block := range []int{1, 2, 7, 64, 1000} {
-		var hits [n]atomic.Int32
-		s.ForRuns(nil, n, block, func(lo, hi int) {
-			if lo%block != 0 || hi != min(lo+block, n) {
-				t.Errorf("block=%d: run [%d,%d) is not one claimed block", block, lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				hits[i].Add(1)
-			}
-		})
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("block=%d: index %d ran %d times", block, i, got)
-			}
-		}
-	}
-}
-
 // TestNestedFor runs For from inside For tasks — the shard-snapshot →
 // per-tag-fill shape — and must complete without deadlock even when the
 // pool is narrower than the nesting fan-out. Only the participating
@@ -221,69 +196,6 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestForRunsCoverage checks the [lo, hi) run contract across the edge
-// shapes blocked detection produces: n not a multiple of block, block
-// larger than n, and n of zero and one. Every index must be covered
-// exactly once by non-empty runs no longer than block.
-func TestForRunsCoverage(t *testing.T) {
-	s := New(3)
-	defer s.Stop()
-	g := s.NewGroup("runs")
-	for _, n := range []int{0, 1, 5, 64, 257} {
-		for _, block := range []int{1, 2, 7, 64, 1000} {
-			hits := make([]atomic.Int32, n)
-			g.ForRuns(n, block, func(lo, hi int) {
-				if lo >= hi {
-					t.Errorf("n=%d block=%d: empty run [%d,%d)", n, block, lo, hi)
-					return
-				}
-				if hi-lo > block {
-					t.Errorf("n=%d block=%d: run [%d,%d) longer than block", n, block, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					hits[i].Add(1)
-				}
-			})
-			for i := range hits {
-				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("n=%d block=%d: index %d covered %d times", n, block, i, got)
-				}
-			}
-		}
-	}
-}
-
-// TestForBlockedEdges pins ForRuns on the same degenerate shapes —
-// remainder tails (len%block != 0) and a block wider than the index
-// space — on a single-worker scheduler and a wider one, all through a
-// named group.
-func TestForBlockedEdges(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		s := New(workers)
-		g := s.NewGroup("edges")
-		for _, tc := range []struct{ n, block int }{
-			{10, 3},  // remainder tail
-			{5, 100}, // block > len
-			{1, 4},   // single index
-			{0, 4},   // empty
-		} {
-			hits := make([]atomic.Int32, tc.n)
-			g.ForRuns(tc.n, tc.block, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					hits[i].Add(1)
-				}
-			})
-			for i := range hits {
-				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("workers=%d n=%d block=%d: index %d ran %d times",
-						workers, tc.n, tc.block, i, got)
-				}
-			}
-		}
-		s.Stop()
-	}
-}
-
 // TestForCoversAllIndices runs For on the process-global pool — the call
 // the engine fan-out and the experiment runner make — and on private
 // pools narrower and wider than n: every index runs exactly once.
@@ -309,22 +221,17 @@ func TestForCoversAllIndices(t *testing.T) {
 }
 
 // TestForSerialFallback pins the serial path a serial reference run
-// (the experiment runner's, say) relies on: For and ForRuns on a stopped
-// scheduler post nothing, so the caller claims every index itself, one
-// at a time and in ascending order.
+// (the experiment runner's, say) relies on: For on a stopped scheduler
+// posts nothing, so the caller claims every index itself, one at a time
+// and in ascending order.
 func TestForSerialFallback(t *testing.T) {
 	s := New(4)
 	s.Stop()
 	g := s.NewGroup("serial")
 	var order []int // unsynchronized: -race flags any second executor
 	g.For(100, func(i int) { order = append(order, i) })
-	g.ForRuns(100, 7, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			order = append(order, 100+i)
-		}
-	})
-	if len(order) != 200 {
-		t.Fatalf("ran %d of 200 indices", len(order))
+	if len(order) != 100 {
+		t.Fatalf("ran %d of 100 indices", len(order))
 	}
 	for i, v := range order {
 		if v != i {
@@ -333,24 +240,6 @@ func TestForSerialFallback(t *testing.T) {
 	}
 	if st := s.Stats(); st.Queued != 0 {
 		t.Fatalf("stopped scheduler queued %d items", st.Queued)
-	}
-}
-
-// TestForBlockedCoversAllIndices is the ForRuns counterpart on the
-// process-global pool.
-func TestForBlockedCoversAllIndices(t *testing.T) {
-	for _, block := range []int{1, 3, 64} {
-		out := make([]int32, 100)
-		Default().ForRuns(nil, len(out), block, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&out[i], 1)
-			}
-		})
-		for i, v := range out {
-			if v != 1 {
-				t.Fatalf("block=%d: index %d ran %d times", block, i, v)
-			}
-		}
 	}
 }
 
@@ -367,20 +256,13 @@ func TestForNoGoroutinesPerCall(t *testing.T) {
 	}
 }
 
-// forEntries are the two parallel-for entry points, each driving a
-// per-index fn so one test body covers all of them.
+// forEntries lists the parallel-for entry points, each driving a
+// per-index fn, so one test body covers every one of them.
 var forEntries = []struct {
 	name string
 	run  func(s *Scheduler, g *Group, n int, fn func(int))
 }{
 	{"For", func(s *Scheduler, g *Group, n int, fn func(int)) { s.For(g, n, fn) }},
-	{"ForRuns", func(s *Scheduler, g *Group, n int, fn func(int)) {
-		s.ForRuns(g, n, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		})
-	}},
 }
 
 // runCapturing runs one parallel-for over n indices whose closure
@@ -438,7 +320,7 @@ func waitParked(t *testing.T, s *Scheduler) {
 	}
 }
 
-// TestForReleasesFinishedJob: once For/ForRuns returns, the
+// TestForReleasesFinishedJob: once For returns, the
 // scheduler must hold nothing of the job — a join ticket popped from a
 // group FIFO by reslicing stays in the backing array, keeping the job's
 // closure (and everything it captured, such as a boot's recovered logs)

@@ -535,6 +535,54 @@ func TestDropSessionUnblocksProducers(t *testing.T) {
 	}
 }
 
+// TestFinishDropRaceOnWAL: Finish and DropSession may close one durable
+// session's journal at once while a producer still journals batches into
+// it. qmu guards the handle, so under -race no access is unordered, the
+// log closes once, and the dropped session's directory is gone.
+func TestFinishDropRaceOnWAL(t *testing.T) {
+	tr, _, opts := aisleTrace(t, 3)
+	opts.DataDir = t.TempDir()
+	opts.Fsync = wal.SyncNever
+	opts.QueueBatches = 2
+	srv := newTestServer(t, opts)
+	for round := 0; round < 8; round++ {
+		sess, err := srv.CreateSession(tr.Header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			for start := 0; start < len(tr.Reads); start += 64 {
+				err := sess.Enqueue(tr.Reads[start:min(start+64, len(tr.Reads))])
+				if err == ErrSessionClosed {
+					return
+				}
+				if err != nil {
+					t.Errorf("round %d: enqueue: %v", round, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			sess.Finish() // fails when the drop aborts the session first
+		}()
+		go func() {
+			defer wg.Done()
+			srv.DropSession(sess.ID)
+		}()
+		wg.Wait()
+		if _, err := os.Stat(filepath.Join(opts.DataDir, sess.ID)); !os.IsNotExist(err) {
+			t.Fatalf("round %d: dropped session's journal still on disk (stat err %v)", round, err)
+		}
+	}
+	if n := srv.Stats().WALErrors; n != 0 {
+		t.Errorf("%d WAL errors", n)
+	}
+}
+
 func ndjson(t *testing.T, reads []reader.TagRead) []byte {
 	t.Helper()
 	var buf bytes.Buffer

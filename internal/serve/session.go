@@ -109,9 +109,9 @@ type Session struct {
 
 	// wal, when non-nil, journals every accepted batch before it becomes
 	// visible to the consumer; walDir is the journal's directory, kept
-	// even after the log closes so eviction/drop can delete it. Lock
-	// order: qmu before walMu (Enqueue holds qmu.RLock while journaling).
-	walMu  sync.Mutex
+	// even after the log closes so eviction/drop can delete it. Both are
+	// guarded by qmu, except while no producer can reach the session
+	// (attachWAL).
 	wal    *wal.Log
 	walDir string
 
@@ -334,21 +334,17 @@ func (s *Session) abort() {
 }
 
 // attachWAL hands the session its journal. Called before the session is
-// reachable by producers (session creation and boot recovery).
-func (s *Session) attachWAL(l *wal.Log) {
-	s.walMu.Lock()
-	s.wal = l
-	s.walMu.Unlock()
-}
+// reachable by producers (session creation and boot recovery), so it
+// needs no lock.
+func (s *Session) attachWAL(l *wal.Log) { s.wal = l }
 
 // journalAsync appends one accepted batch to the WAL without waiting for
 // its fsync, returning the durability handle for the caller to wait on
 // AFTER releasing qmu; a nil log (in-memory sessions, boot-recovery
 // replay) is a no-op returning (0, nil, nil). The returned log pointer
 // keeps the wait valid even if the session detaches its WAL concurrently.
+// Callers hold qmu.
 func (s *Session) journalAsync(batch []reader.TagRead) (int64, *wal.Log, error) {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
 	if s.wal == nil {
 		return 0, nil, nil
 	}
@@ -385,14 +381,11 @@ func (s *Session) checkpoint() {
 	}
 	uncovered := int64(len(s.q) - s.qhead)
 	reads := s.consumed.Load()
-	s.walMu.Lock()
 	if s.wal == nil {
-		s.walMu.Unlock()
 		s.qmu.Unlock()
 		return
 	}
 	truncated, err := s.wal.AppendCheckpoint(uncovered, reads, blob)
-	s.walMu.Unlock()
 	s.qmu.Unlock()
 	s.srv.metrics.segmentsTruncated.Add(int64(truncated))
 	if err != nil {
@@ -405,10 +398,8 @@ func (s *Session) checkpoint() {
 
 // journalFinish appends the finish marker. A failed append degrades to
 // at-least-once: the caller still gets its final snapshot, and the next
-// boot recovers the session live instead of finished.
+// boot recovers the session live instead of finished. Callers hold qmu.
 func (s *Session) journalFinish() {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
 	if s.wal == nil {
 		return
 	}
@@ -420,24 +411,25 @@ func (s *Session) journalFinish() {
 }
 
 // closeWAL seals the journal file; the directory (and walDir) remain for
-// recovery or a later discard.
+// recovery or a later discard. Finish, abort and discardWAL may close
+// concurrently, so it takes qmu.
 func (s *Session) closeWAL() {
-	s.walMu.Lock()
+	s.qmu.Lock()
 	if s.wal != nil {
 		s.wal.Close()
 		s.wal = nil
 	}
-	s.walMu.Unlock()
+	s.qmu.Unlock()
 }
 
 // discardWAL closes the journal and deletes it from disk — dropped and
 // evicted sessions must not resurrect at the next boot.
 func (s *Session) discardWAL() {
 	s.closeWAL()
-	s.walMu.Lock()
+	s.qmu.Lock()
 	dir := s.walDir
 	s.walDir = ""
-	s.walMu.Unlock()
+	s.qmu.Unlock()
 	if dir != "" {
 		os.RemoveAll(dir)
 	}

@@ -101,68 +101,3 @@ func TestDetectIncrementalReset(t *testing.T) {
 		t.Fatalf("after reset: got %+v (%v), want %+v (%v)", got, gotErr, want, wantErr)
 	}
 }
-
-// TestLocalizeTagsIncrementalMatchesPerTag drives a population through
-// randomized incremental growth — appends, prefixes too short to detect
-// in, and rewrites (Reset onto another tag's profile) — twice: once
-// through per-tag LocalizeTagIncremental calls, once through
-// LocalizeTagsIncremental over the whole run. Every V-zone, X key and
-// error text must be identical.
-func TestLocalizeTagsIncrementalMatchesPerTag(t *testing.T) {
-	s, err := scenario.Population(9, true, 0.3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := s.ProfilesOf()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loc, err := stpp.NewLocalizer(s.STPPConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(99))
-	n := len(full)
-	serial := make([]*stpp.DetectState, n)
-	run := make([]*stpp.DetectState, n)
-	src := make([]*profile.Profile, n) // the profile each tag grows along
-	lens := make([]int, n)
-	for k := range serial {
-		serial[k], run[k] = loc.NewDetectState(), loc.NewDetectState()
-		src[k] = full[k]
-	}
-	ps := make([]*profile.Profile, n)
-	out := make([]stpp.TagResult, n)
-	for round := 0; round < 12; round++ {
-		for k := range ps {
-			if rng.Intn(5) == 0 {
-				// Rewrite: the tag's history is replaced, not appended to.
-				src[k] = full[rng.Intn(n)]
-				lens[k] = rng.Intn(src[k].Len() / 2)
-				if rng.Intn(2) == 0 {
-					lens[k] = 0
-				}
-				serial[k].Reset()
-				run[k].Reset()
-			}
-			stride := 1 + rng.Intn(src[k].Len()/4)
-			if rng.Intn(3) == 0 {
-				stride = 1 + rng.Intn(8)
-			}
-			lens[k] = min(src[k].Len(), lens[k]+stride)
-			ps[k] = src[k].Slice(0, lens[k])
-		}
-		loc.LocalizeTagsIncremental(run, ps, out)
-		for k, p := range ps {
-			want := loc.LocalizeTagIncremental(serial[k], p)
-			got := out[k]
-			if (want.Err == nil) != (got.Err == nil) ||
-				(want.Err != nil && want.Err.Error() != got.Err.Error()) {
-				t.Fatalf("round %d tag %d: err %v, per-tag %v", round, k, got.Err, want.Err)
-			}
-			if want.VZone != got.VZone || want.X != got.X || want.EPC != got.EPC {
-				t.Fatalf("round %d tag %d: run %+v/%+v, per-tag %+v/%+v", round, k, got.VZone, got.X, want.VZone, want.X)
-			}
-		}
-	}
-}

@@ -213,15 +213,10 @@ type asmScratch struct {
 var asmPool = sync.Pool{New: func() any { return new(asmScratch) }}
 
 func (l *Localizer) assembleX(sc *asmScratch, tags []TagResult) []int {
-	var xkeys []XKey
-	if sc != nil && cap(sc.xkeys) >= len(tags) {
-		xkeys = sc.xkeys[:len(tags)]
-	} else {
-		xkeys = make([]XKey, len(tags))
-		if sc != nil {
-			sc.xkeys = xkeys
-		}
+	if cap(sc.xkeys) < len(tags) {
+		sc.xkeys = make([]XKey, len(tags))
 	}
+	xkeys := sc.xkeys[:len(tags)]
 	for i := range tags {
 		if tags[i].Err != nil {
 			xkeys[i] = XKey{BottomTime: math.NaN()}
@@ -234,18 +229,10 @@ func (l *Localizer) assembleX(sc *asmScratch, tags []TagResult) []int {
 
 func (l *Localizer) assembleYScratch(sc *asmScratch, tags []TagResult, states []*DetectState) []int {
 	n := len(tags)
-	var profiles []*profile.Profile
-	var vzones []VZone
-	if sc != nil && cap(sc.profiles) >= n {
-		profiles = sc.profiles[:n]
-		vzones = sc.vzones[:n]
-	} else {
-		profiles = make([]*profile.Profile, n)
-		vzones = make([]VZone, n)
-		if sc != nil {
-			sc.profiles, sc.vzones = profiles, vzones
-		}
+	if cap(sc.profiles) < n {
+		sc.profiles, sc.vzones = make([]*profile.Profile, n), make([]VZone, n)
 	}
+	profiles, vzones := sc.profiles[:n], sc.vzones[:n]
 	for i := range tags {
 		profiles[i] = tags[i].Profile
 		vzones[i] = tags[i].VZone

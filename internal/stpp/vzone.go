@@ -29,9 +29,8 @@ type Detector struct {
 	refVS, refVE int
 	refSegs      []dtw.Segment
 	// refAl is the shared flat-panel form of refSegs: every DetectState's
-	// aligner references it instead of owning a private copy, so a blocked
-	// detection pass streams one copy of the panels for its whole run of
-	// tags.
+	// aligner references it instead of owning a private copy of the
+	// panels.
 	refAl *dtw.Reference
 	// segment indices of the reference V-zone within refSegs
 	refSegVS, refSegVE int
@@ -147,11 +146,6 @@ func (d *Detector) NewDetectState() *DetectState {
 		al:   dtw.NewSharedAligner(d.refAl),
 	}
 }
-
-// RefSegments reports the reference segment count — the DP row count every
-// detection pays per column, which is what a bytes-based detection block
-// budget needs to size cache-resident runs.
-func (d *Detector) RefSegments() int { return len(d.refSegs) }
 
 // Reset invalidates the state after the tag's profile changed other than
 // by appending (an out-of-order read forced a re-sort): the segment cache

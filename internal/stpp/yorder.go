@@ -70,43 +70,29 @@ type YKey struct {
 // entry windows over a pooled one-shot state instead, as Detect does, so
 // both run the same code and give the same bits.
 //
-// A non-nil scratch supplies the returned keys/errs slices and the per-tag
+// The scratch supplies the returned keys/errs slices and the per-tag
 // means (one flat backing array instead of one slice per tag) — the
-// returned slices then alias the scratch and are only valid until its
-// next use.
+// returned slices alias the scratch and are only valid until its next
+// use.
 func (l *Localizer) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile.Profile, vzones []VZone) ([]YKey, []error) {
 	c := l.cfg
 	n := len(profiles)
-	var keys []YKey
-	var errs []error
-	var means [][]float64
-	var flat []float64
-	if sc != nil && cap(sc.keys) >= n {
-		keys, errs, means = sc.keys[:n], sc.errs[:n], sc.means[:n]
-		for i := range keys {
-			keys[i], errs[i], means[i] = YKey{}, nil, nil
-		}
-	} else {
-		keys = make([]YKey, n)
-		errs = make([]error, n)
-		means = make([][]float64, n)
-		if sc != nil {
-			sc.keys, sc.errs, sc.means = keys, errs, means
-		}
+	if cap(sc.keys) < n {
+		sc.keys, sc.errs, sc.means = make([]YKey, n), make([]error, n), make([][]float64, n)
+	}
+	keys, errs, means := sc.keys[:n], sc.errs[:n], sc.means[:n]
+	for i := range keys {
+		keys[i], errs[i], means[i] = YKey{}, nil, nil
 	}
 	if n == 0 {
 		return keys, errs
 	}
 	// Reserve the whole flat backing up front: each success appends
 	// exactly YSegments values, so the per-tag subslices stay valid.
-	if sc != nil {
-		if cap(sc.flat) < n*c.YSegments {
-			sc.flat = make([]float64, 0, n*c.YSegments)
-		}
-		flat = sc.flat[:0]
-	} else {
-		flat = make([]float64, 0, n*c.YSegments)
+	if cap(sc.flat) < n*c.YSegments {
+		sc.flat = make([]float64, 0, n*c.YSegments)
 	}
+	flat := sc.flat[:0]
 	for i, p := range profiles {
 		vz := vzones[i]
 		if vz.End-vz.Start < c.YSegments {
