@@ -16,10 +16,10 @@ import (
 )
 
 // TestSegmentedAlignAllocs pins a full segment alignment on a reused
-// aligner at zero allocations: Release hands the decision array to the
-// shared free-list and the next Align draws it back out, while the
-// operand panels, value ring, cost column and traceback scratch stay with
-// the aligner — any new per-call allocation in the fill or traceback
+// aligner at zero allocations: Release hands the packed decision array to
+// the shared free-list and the next Align draws it back out, while the
+// operand panels, value ring, cost column and byte-decision scratch stay
+// with the aligner — any new per-call allocation in the fill or traceback
 // shows up here.
 func TestSegmentedAlignAllocs(t *testing.T) {
 	det, p := benchProfilePair(t)

@@ -321,7 +321,9 @@ func BenchmarkSnapshotCadence(b *testing.B) {
 
 // BenchmarkShardedAisle runs the two-reader warehouse aisle log through
 // the sharded deployment engine — per-reader routing, concurrent shard
-// localization and order stitching — end to end.
+// localization and order stitching — end to end. retained-MiB is the live
+// heap after a collection while the last engine is still live: mostly its
+// per-tag detection state (DTW decisions, segment caches, profiles).
 func BenchmarkShardedAisle(b *testing.B) {
 	ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(1))
 	if err != nil {
@@ -332,9 +334,10 @@ func BenchmarkShardedAisle(b *testing.B) {
 		b.Fatal(err)
 	}
 	d := deploy.Of(ms)
+	var se *deploy.ShardedEngine
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		se, err := deploy.NewSharded(d, deploy.Options{})
+		se, err = deploy.NewSharded(d, deploy.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,6 +345,12 @@ func BenchmarkShardedAisle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	runtime.GC()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	runtime.KeepAlive(se)
+	b.ReportMetric(float64(mem.HeapAlloc)/(1<<20), "retained-MiB")
 }
 
 // BenchmarkDaemonIngest pushes a two-reader aisle log through the serve

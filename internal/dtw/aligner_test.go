@@ -28,7 +28,53 @@ func randSegs(rng *rand.Rand, n int) []Segment {
 // alignOnce is a one-shot open-end alignment: a fresh aligner's first
 // Align, whose answer nothing resumed can have influenced.
 func alignOnce(p, q []Segment, opts SegmentAlignOpts) (Result, int, int) {
-	return NewSegmentAligner(p, opts).Align(q)
+	return alignPath(NewSegmentAligner(p, opts), q)
+}
+
+// alignPath runs Align and answers like a path-returning aligner: the
+// distance, the warping path tracePath rebuilds from the held decisions,
+// and the match's first and last query columns. An empty reference or
+// query yields the zero Result and a [0, 0] match.
+func alignPath(al *SegmentAligner, q []Segment) (Result, int, int) {
+	mt := al.Align(q)
+	if len(al.ref.p) == 0 || len(q) == 0 {
+		return Result{Distance: mt.Distance}, mt.Start, mt.End
+	}
+	return Result{Distance: mt.Distance, Path: al.tracePath(mt.End)}, mt.Start, mt.End
+}
+
+// tracePath is the test-only full traceback: it decodes the held packed
+// decisions on its own, independently of the production walk, and
+// returns the warping path from row 0 to the free end (m−1, endJ) in
+// forward order.
+func (a *SegmentAligner) tracePath(endJ int) Path {
+	m := len(a.ref.p)
+	stride := (m + 3) / 4
+	i, j := m-1, endJ
+	var rev Path
+	for {
+		rev = append(rev, Step{I: i, J: j})
+		if i == 0 {
+			break
+		}
+		if j == 0 {
+			i--
+			continue
+		}
+		cell := a.dir[j*stride+i/4] >> (2 * (i % 4)) & 3
+		switch cell {
+		case stepDiag:
+			i, j = i-1, j-1
+		case stepVert:
+			i--
+		case stepHoriz:
+			j--
+		default:
+			panic("dtw: undefined packed decision")
+		}
+	}
+	reverse(rev)
+	return rev
 }
 
 // TestSegmentAlignerMatchesBatch grows a query segment by segment and
@@ -48,7 +94,7 @@ func TestSegmentAlignerMatchesBatch(t *testing.T) {
 				n = len(q)
 			}
 			wantRes, wantS, wantE := alignOnce(p, q[:n], opts)
-			gotRes, gotS, gotE := al.Align(q[:n])
+			gotRes, gotS, gotE := alignPath(al, q[:n])
 			if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE {
 				t.Fatalf("trial %d n=%d: got (%v,%d,%d), want (%v,%d,%d)",
 					trial, n, gotRes.Distance, gotS, gotE, wantRes.Distance, wantS, wantE)
@@ -78,7 +124,7 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 	// Rewrite the last 5 segments, then shrink the query.
 	q2 := append(append([]Segment(nil), q[:35]...), randSegs(rng, 5)...)
 	wantRes, wantS, wantE := alignOnce(p, q2, opts)
-	gotRes, gotS, gotE := al.Align(q2)
+	gotRes, gotS, gotE := alignPath(al, q2)
 	if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE ||
 		!reflect.DeepEqual(wantRes.Path, gotRes.Path) {
 		t.Fatal("rewritten tail diverged from batch")
@@ -86,7 +132,7 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 
 	short := q2[:12]
 	wantRes, wantS, wantE = alignOnce(p, short, opts)
-	gotRes, gotS, gotE = al.Align(short)
+	gotRes, gotS, gotE = alignPath(al, short)
 	if al.Cols() != 12 {
 		t.Fatalf("cols after shrink = %d, want 12", al.Cols())
 	}
@@ -110,7 +156,7 @@ func TestSegmentAlignerSignedZero(t *testing.T) {
 	} {
 		al := NewSegmentAligner(p, SegmentAlignOpts{})
 		al.Align([]Segment{tc.before})
-		got, gs, ge := al.Align([]Segment{tc.after})
+		got, gs, ge := alignPath(al, []Segment{tc.after})
 		want, ws, we := alignOnce(p, []Segment{tc.after}, SegmentAlignOpts{})
 		if math.Float64bits(got.Distance) != math.Float64bits(want.Distance) || gs != ws || ge != we {
 			t.Errorf("%+v → %+v: got (%v,%d,%d), fresh aligner (%v,%d,%d)",
@@ -123,11 +169,11 @@ func TestSegmentAlignerSignedZero(t *testing.T) {
 // Result and a [0, 0] match.
 func TestSegmentAlignerEmpty(t *testing.T) {
 	al := NewSegmentAligner(nil, SegmentAlignOpts{})
-	if res, s, e := al.Align([]Segment{{Hi: 1, Interval: 1}}); res.Path != nil || s != 0 || e != 0 {
+	if res, s, e := alignPath(al, []Segment{{Hi: 1, Interval: 1}}); res.Path != nil || s != 0 || e != 0 {
 		t.Errorf("empty reference = %+v %d %d", res, s, e)
 	}
 	al = NewSegmentAligner([]Segment{{Hi: 1, Interval: 1}}, SegmentAlignOpts{})
-	if res, s, e := al.Align(nil); res.Path != nil || s != 0 || e != 0 {
+	if res, s, e := alignPath(al, nil); res.Path != nil || s != 0 || e != 0 {
 		t.Errorf("empty query = %+v %d %d", res, s, e)
 	}
 }
@@ -135,7 +181,7 @@ func TestSegmentAlignerEmpty(t *testing.T) {
 // TestSegmentAlignerBothEmpty: with both reference and query empty the
 // aligner returns a zero distance and a [0, 0] match.
 func TestSegmentAlignerBothEmpty(t *testing.T) {
-	res, s, e := NewSegmentAligner(nil, SegmentAlignOpts{}).Align(nil)
+	res, s, e := alignPath(NewSegmentAligner(nil, SegmentAlignOpts{}), nil)
 	if res.Distance != 0 || s != 0 || e != 0 {
 		t.Errorf("empty = %+v %d %d", res, s, e)
 	}
@@ -151,9 +197,9 @@ func TestAlignSegmentsPooled(t *testing.T) {
 	al := NewSegmentAligner(p, SegmentAlignOpts{Stiffness: 0.5})
 	al.Align(q) // warm the free-list and the aligner's scratch
 
-	// 30×200 decisions = 6000 bytes. Every scratch buffer is already
-	// sized, so anything above zero means the array is not coming back
-	// from the free-list.
+	// 30×200 decisions pack into 1600 bytes. Every scratch buffer is
+	// already sized, so anything above zero means the array is not coming
+	// back from the free-list.
 	allocs := testing.AllocsPerRun(50, func() {
 		al.Release()
 		al.Align(q)
@@ -164,26 +210,72 @@ func TestAlignSegmentsPooled(t *testing.T) {
 }
 
 // TestSegmentAlignerMemory pins what an aligner holds after aligning n
-// query columns against m reference segments: at most 2·m·n decision
-// bytes (one per cell, plus doubling headroom) and at most 4·(m+n)
-// float64s across the value ring, the last-row mirror and the cost
-// scratch — no m×n float matrix. The free-list is emptied first: a
-// recycled array may come from a larger class by design.
+// query columns against m reference segments: at most 2·⌈m/4⌉·n packed
+// decision bytes (2 bits per cell, plus doubling headroom), a two-column
+// byte-decision scratch of m rounded up to 32 bytes per column, at most
+// 4·(m+n) float64s across the value ring, the last-row mirror and the
+// cost scratch — no m×n float matrix — and no warping path: no field
+// holds path steps. The free-list is emptied first: a recycled array may
+// come from a larger class by design.
 func TestSegmentAlignerMemory(t *testing.T) {
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(SegmentAligner{})) {
+		if ft := f.Type; ft == reflect.TypeOf(Path(nil)) || ft == reflect.TypeOf([]Step(nil)) || ft == reflect.TypeOf(Step{}) {
+			t.Errorf("SegmentAligner.%s holds path steps (%v)", f.Name, ft)
+		}
+	}
 	dirMu.Lock()
 	dirFree, dirFreeBytes = [48][][]uint8{}, 0
 	dirMu.Unlock()
 	rng := rand.New(rand.NewSource(4))
 	p, q := randSegs(rng, 465), randSegs(rng, 700)
 	m := len(p)
+	stride := (m + 3) / 4
 	al := NewSegmentAligner(p, SegmentAlignOpts{Stiffness: 0.5})
 	for n := 1; n <= len(q); n += 1 + rng.Intn(40) {
 		al.Align(q[:n])
-		if got := cap(al.dir); got > 2*m*n {
-			t.Fatalf("n=%d: %d decision bytes held, want <= %d", n, got, 2*m*n)
+		if got := cap(al.dir); got > 2*stride*n {
+			t.Fatalf("n=%d: %d decision bytes held, want <= 2·⌈m/4⌉·n = %d", n, got, 2*stride*n)
+		}
+		if got, want := cap(al.steps), 2*stepSlot(m); got != want {
+			t.Fatalf("n=%d: %d decision scratch bytes, want %d", n, got, want)
 		}
 		if got := cap(al.ring) + cap(al.lastRow) + cap(al.cost); got > 4*(m+n) {
 			t.Fatalf("n=%d: %d float64s held, want <= %d", n, got, 4*(m+n))
+		}
+	}
+}
+
+// TestPackStepsMatchesCells pins both pack passes against a per-cell
+// pack, at every length up to a few blocks: each output byte holds its
+// four cells in order, and the pass writes exactly len(dst) bytes.
+func TestPackStepsMatchesCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	passes := map[string]func(dst, src []uint8){"scalar": packSteps}
+	if useFillAsm {
+		passes["avx2"] = func(dst, src []uint8) { packStepsAVX2(&dst[0], &src[0], len(dst)) }
+	}
+	for name, pack := range passes {
+		for m := 1; m <= 100; m++ {
+			src := make([]uint8, (m+31)&^31)
+			for i := 0; i < m; i++ {
+				src[i] = uint8(rng.Intn(3))
+			}
+			s := (m + 3) / 4
+			dst := make([]uint8, s+8)
+			for i := range dst {
+				dst[i] = 0xa5
+			}
+			pack(dst[:s], src)
+			for i := 0; i < m; i++ {
+				if got := dst[i/4] >> (2 * (i % 4)) & 3; got != src[i] {
+					t.Fatalf("%s m=%d: cell %d packed as %d, want %d", name, m, i, got, src[i])
+				}
+			}
+			for i := s; i < len(dst); i++ {
+				if dst[i] != 0xa5 {
+					t.Fatalf("%s m=%d: byte %d past the %d-byte column written", name, m, i, s)
+				}
+			}
 		}
 	}
 }
@@ -232,7 +324,7 @@ func TestSegmentAlignerRestoreState(t *testing.T) {
 			next = q[:1+rng.Intn(n)]
 		}
 		wantRes, wantS, wantE := alignOnce(p, next, opts)
-		gotRes, gotS, gotE := restored.Align(next)
+		gotRes, gotS, gotE := alignPath(restored, next)
 		if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE ||
 			!reflect.DeepEqual(wantRes.Path, gotRes.Path) {
 			t.Fatalf("trial %d: restored aligner diverged from a one-shot alignment", trial)

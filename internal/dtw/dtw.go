@@ -24,8 +24,7 @@ type Step struct {
 type Result struct {
 	// Distance is the accumulated cost of the optimal warping path.
 	Distance float64
-	// Path is the optimal warping path from (0,0) to (len(a)-1, len(b)-1)
-	// (or to the best open end for subsequence variants).
+	// Path is the optimal warping path from (0,0) to (len(a)-1, len(b)-1).
 	Path Path
 }
 

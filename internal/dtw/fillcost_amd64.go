@@ -2,9 +2,9 @@
 
 package dtw
 
-// useFillAsm gates the vectorized cost pass: AVX2 present and the OS
-// saving YMM state. Detected once at init via CPUID/XGETBV (no cgo, no
-// external deps).
+// useFillAsm gates the vectorized cost and pack passes: AVX2 present and
+// the OS saving YMM state. Detected once at init via CPUID/XGETBV (no
+// cgo, no external deps).
 var useFillAsm = x86HasAVX2()
 
 // fillCostAVX2 is fillCost's inner loop, 4 lanes per step:
@@ -24,6 +24,18 @@ var useFillAsm = x86HasAVX2()
 //
 //go:noescape
 func fillCostAVX2(qLo, qHi, qInt float64, pLo, pHi, pInt, cost *float64, n int)
+
+// packStepsAVX2 is packColumn's AVX2 pass, bit-identical to packSteps: it
+// packs the one-byte decisions at src, four to a byte, into the n bytes
+// at dst, 32 cells per step. It reads 32·⌈n/8⌉ bytes of src and writes
+// exactly n bytes of dst; n must be at least 1. Each
+// step multiplies adjacent cell pairs by (1, 4) and sums them to 16-bit
+// lanes (VPMADDUBSW), multiplies adjacent lanes by (1, 16) and sums them
+// to 32-bit lanes (VPMADDWD), which leaves one packed byte in the low
+// byte of each 32-bit lane, and narrows the eight lanes to eight bytes.
+//
+//go:noescape
+func packStepsAVX2(dst, src *uint8, n int)
 
 // x86HasAVX2 reports CPUID AVX2 with OS-enabled YMM state (OSXSAVE +
 // XCR0 SSE|AVX bits).

@@ -90,3 +90,55 @@ tail:
 done:
 	VZEROUPPER
 	RET
+
+// func packStepsAVX2(dst, src *uint8, n int)
+//
+// Y14 = bytes (1, 4) repeated, Y15 = words (1, 16) repeated. Per 32 cells:
+//
+//	Y0 = VPMADDUBSW(cells, Y14)    16 words c0 + 4·c1
+//	Y0 = VPMADDWD(Y0, Y15)         8 dwords (c0 + 4·c1) + 16·(c2 + 4·c3)
+//	Y0 = VPACKUSDW, VPACKUSWB      each lane's 4 dwords to 4 bytes
+//	X0 = VPUNPCKLDQ(low lane, high lane)   8 packed bytes in the low qword
+//
+// Every cell is 0, 1 or 2, so no sum saturates. Full 8-byte outputs are
+// stored whole; the last 1-7 bytes leave a register one byte at a time.
+TEXT ·packStepsAVX2(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVL         $0x04010401, AX
+	VMOVQ        AX, X14
+	VPBROADCASTD X14, Y14
+	MOVL         $0x00100001, AX
+	VMOVQ        AX, X15
+	VPBROADCASTD X15, Y15
+
+pack:
+	VMOVDQU      (SI), Y0
+	VPMADDUBSW   Y14, Y0, Y0
+	VPMADDWD     Y15, Y0, Y0
+	VPACKUSDW    Y0, Y0, Y0
+	VPACKUSWB    Y0, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPUNPCKLDQ   X1, X0, X0
+	CMPQ         CX, $8
+	JLT          tail
+	VMOVQ        X0, (DI)
+	ADDQ         $32, SI
+	ADDQ         $8, DI
+	SUBQ         $8, CX
+	JNZ          pack
+	VZEROUPPER
+	RET
+
+tail:
+	VMOVQ X0, AX
+
+byte:
+	MOVB AX, (DI)
+	SHRQ $8, AX
+	INCQ DI
+	DECQ CX
+	JNZ  byte
+	VZEROUPPER
+	RET

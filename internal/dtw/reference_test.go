@@ -3,6 +3,7 @@ package dtw
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -182,19 +183,42 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
+// spanCols reads the span columns off a full warping path: the column of
+// the first step at a row ≥ lo and of the last step at a row < hi.
+func spanCols(path Path, lo, hi int) (int, int) {
+	p1 := sort.Search(len(path), func(k int) bool { return path[k].I >= lo })
+	p2 := sort.Search(len(path), func(k int) bool { return path[k].I >= hi })
+	return path[p1].J, path[p2-1].J
+}
+
+// coverage counts how often a script reached the aligner's rare branches:
+// alignments answered from the held match, first alignments after a
+// restore (a full recompute), and held columns whose fill re-derived its
+// decisions because of a NaN or non-finite operand.
+type coverage struct {
+	memoHits, restoredAligns, rederived int
+}
+
 // runScript replays a scenario through a SegmentAligner and refAligner
 // side by side, failing on the first difference in distance bits, match
-// bounds, path steps, Cols or TailBase.
-func runScript(t *testing.T, data []byte) {
+// bounds, span columns, path steps, Cols or TailBase. The aligner's path
+// is the test-only tracePath over its held decisions; its span columns
+// come from the path-free production walk (or its memo) and must equal
+// those spanCols reads off the reference's path.
+func runScript(t *testing.T, data []byte) coverage {
 	t.Helper()
 	s := &script{data: data}
 	m := 1 + s.next()%12
 	opts := SegmentAlignOpts{Stiffness: [...]float64{0, 0.5, 1, 0.25}[s.next()%4]}
+	spanLo := s.next() % m
+	spanHi := spanLo + 1 + s.next()%(m-spanLo)
 	p := s.segments(m)
-	ref := NewReference(p, opts)
+	ref := NewReference(p, opts, spanLo, spanHi)
 	al := NewSharedAligner(ref)
 	want := &refAligner{p: p, opts: opts}
 	var q []Segment
+	var cov coverage
+	restored := false
 	check := func(op string) {
 		t.Helper()
 		if al.Cols() != len(want.q) || al.TailBase() != want.tailBase() {
@@ -204,21 +228,45 @@ func runScript(t *testing.T, data []byte) {
 	}
 	align := func(op string) {
 		t.Helper()
-		wr, ws, we := want.align(q)
-		gr, gs, ge := al.Align(q)
-		if !sameBits(wr.Distance, gr.Distance) || ws != gs || we != ge {
-			t.Fatalf("%s (m=%d n=%d): got (%v,%d,%d), reference (%v,%d,%d)",
-				op, m, len(q), gr.Distance, gs, ge, wr.Distance, ws, we)
+		cp := 0
+		for cp < len(al.q) && cp < len(q) && sameSegment(al.q[cp], q[cp]) {
+			cp++
 		}
-		if len(wr.Path) != len(gr.Path) {
-			t.Fatalf("%s (m=%d n=%d): path length %d, reference %d", op, m, len(q), len(gr.Path), len(wr.Path))
+		heldValid, heldEnd := al.heldValid, al.held.End
+		wr, ws, we := want.align(q)
+		got := al.Align(q)
+		if len(q) == 0 {
+			if got != (Match{}) || wr.Path != nil {
+				t.Fatalf("%s (m=%d): empty query answered %+v", op, m, got)
+			}
+			check(op)
+			return
+		}
+		if !sameBits(wr.Distance, got.Distance) || ws != got.Start || we != got.End {
+			t.Fatalf("%s (m=%d n=%d): got (%v,%d,%d), reference (%v,%d,%d)",
+				op, m, len(q), got.Distance, got.Start, got.End, wr.Distance, ws, we)
+		}
+		if vs, ve := spanCols(wr.Path, spanLo, spanHi); got.SpanStart != vs || got.SpanEnd != ve {
+			t.Fatalf("%s (m=%d n=%d span [%d,%d)): span columns %d..%d, reference path %d..%d",
+				op, m, len(q), spanLo, spanHi, got.SpanStart, got.SpanEnd, vs, ve)
+		}
+		path := al.tracePath(got.End)
+		if len(wr.Path) != len(path) {
+			t.Fatalf("%s (m=%d n=%d): path length %d, reference %d", op, m, len(q), len(path), len(wr.Path))
 		}
 		for k := range wr.Path {
-			if wr.Path[k] != gr.Path[k] {
-				t.Fatalf("%s (m=%d n=%d): path step %d = %v, reference %v", op, m, len(q), k, gr.Path[k], wr.Path[k])
+			if wr.Path[k] != path[k] {
+				t.Fatalf("%s (m=%d n=%d): path step %d = %v, reference %v", op, m, len(q), k, path[k], wr.Path[k])
 			}
 		}
 		check(op)
+		if heldValid && heldEnd == got.End && cp > got.End {
+			cov.memoHits++
+		}
+		if restored {
+			cov.restoredAligns++
+			restored = false
+		}
 	}
 	for !s.done() {
 		switch op := s.next() % 8; op {
@@ -249,28 +297,48 @@ func runScript(t *testing.T, data []byte) {
 				t.Fatal(err)
 			}
 			want.q, want.off, want.lastStart, want.stale = held, base, 0, true
+			restored = len(held) > 0
 			check("restore")
 		case 7:
 			al.Release()
 			want.q, want.off, want.lastStart = nil, 0, 0
+			restored = false
 			check("release")
 		}
 	}
+	// Columns whose fill re-derived its decisions: a NaN last-row value in
+	// the column or its predecessor, or a non-finite horizontal penalty.
+	for j := 1; j < len(al.q) && j < len(al.lastRow); j++ {
+		horiz := opts.Stiffness * al.q[j].Interval
+		if al.lastRow[j] != al.lastRow[j] || al.lastRow[j-1] != al.lastRow[j-1] || horiz-horiz != 0 {
+			cov.rederived++
+		}
+	}
+	return cov
 }
 
-// TestSegmentAlignerMatchesReference is the decision-byte aligner's
+// TestSegmentAlignerMatchesReference is the packed-decision aligner's
 // exactness property: over random scenarios of appends, tail rewrites,
 // shrinks, restores and releases on tie-heavy, zero, infinite and NaN
 // operands, every alignment equals the float-matrix reference's in
-// distance bits, match bounds and path, and the checkpoint counters
-// (Cols, TailBase) agree after every step.
+// distance bits, match bounds, span columns and path, and the checkpoint
+// counters (Cols, TailBase) agree after every step. The scenarios must
+// reach the memo, a restore's full recompute and the NaN re-derivation.
 func TestSegmentAlignerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
+	var cov coverage
 	for trial := 0; trial < 400; trial++ {
 		data := make([]byte, 40+rng.Intn(200))
 		rng.Read(data)
-		runScript(t, data)
+		c := runScript(t, data)
+		cov.memoHits += c.memoHits
+		cov.restoredAligns += c.restoredAligns
+		cov.rederived += c.rederived
 	}
+	if cov.memoHits == 0 || cov.restoredAligns == 0 || cov.rederived == 0 {
+		t.Errorf("scenarios missed a branch: %+v", cov)
+	}
+	t.Logf("coverage: %+v", cov)
 }
 
 // FuzzSegmentAligner is TestSegmentAlignerMatchesReference under

@@ -1,6 +1,7 @@
 package dtw
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -61,20 +62,21 @@ type SegmentAlignOpts struct {
 	Stiffness float64
 }
 
-// Traceback decisions, one byte per DP cell: the predecessor the optimal
-// path takes out of the cell. The recurrence needs only the previous
-// column's values, so the aligner rolls those through a two-column ring
-// and keeps, for every held column, just these bytes (the traceback) and
-// the column's last-row value (the free-end scan).
+// Traceback decisions: the predecessor the optimal path takes out of a DP
+// cell. Three values fit in two bits, so the aligner holds four cells per
+// byte. The recurrence needs only the previous column's values, so the
+// aligner rolls those through a two-column ring and keeps, for every held
+// column, just these 2-bit decisions (the traceback) and the column's
+// last-row value (the free-end scan).
 const (
 	stepDiag  uint8 = iota // to (i−1, j−1)
 	stepVert               // to (i−1, j): the reference advances alone
 	stepHoriz              // to (i, j−1): the query advances alone
 )
 
-// dirFree recycles decision arrays by power-of-two capacity class. Every
-// resumable aligner (one per tracked tag) grows its array through
-// doublings as its query extends, and a fresh make() pays the runtime's
+// dirFree recycles packed decision arrays by power-of-two capacity
+// class. Every resumable aligner (one per tracked tag) grows its array
+// through doublings as its query extends, and a fresh make() pays the runtime's
 // zeroing of the entire new capacity. Every byte is written before it is
 // read, so recycled arrays skip that cost entirely.
 //
@@ -96,8 +98,9 @@ var (
 	dirFreeBytes int
 )
 
-// dirFreeMaxBytes bounds the retained decision-array bytes (~a couple of
-// sessions' worth of DP state for a wide population).
+// dirFreeMaxBytes bounds the retained decision-array bytes. At 2 bits per
+// cell a 3-portal, 48-bag airport session holds about 0.8 MiB of packed
+// decisions at its peak, so the cap keeps about five such sessions' worth.
 const dirFreeMaxBytes = 4 << 20
 
 // getDir returns a zero-length slice with capacity ≥ need, recycled when
@@ -143,7 +146,8 @@ func putDir(c []uint8) {
 // Reference is the operand set of one segment-DTW reference, shared by
 // every aligner built over it: the segments, the options, and the flat
 // per-row panels the column fill reads (range bounds, intervals, and the
-// precomputed vertical-step penalty Stiffness×interval). A detector over a
+// precomputed vertical-step penalty Stiffness×interval), and the span rows
+// whose matched query columns every alignment reports. A detector over a
 // wide tag population builds ONE Reference and hands every tag's aligner a
 // pointer to it, so the panels exist once however many tags are resident
 // and never need re-deriving per aligner. A Reference is immutable after construction and
@@ -152,15 +156,25 @@ type Reference struct {
 	p                     []Segment
 	opts                  SegmentAlignOpts
 	pLo, pHi, pInt, pVert []float64
+	// spanLo and spanHi are the span rows [spanLo, spanHi): see
+	// Match.SpanStart and Match.SpanEnd.
+	spanLo, spanHi int
 }
 
-// NewReference derives the shared panels for a reference once.
-func NewReference(p []Segment, opts SegmentAlignOpts) *Reference {
+// NewReference derives the shared panels for a reference once. Every
+// alignment over it reports the query columns matched to the reference
+// rows [spanLo, spanHi), which must satisfy 0 ≤ spanLo < spanHi ≤ len(p)
+// unless p is empty.
+func NewReference(p []Segment, opts SegmentAlignOpts, spanLo, spanHi int) *Reference {
 	m := len(p)
+	if m > 0 && (spanLo < 0 || spanHi <= spanLo || spanHi > m) {
+		panic(fmt.Sprintf("dtw: span rows [%d, %d) of a %d-row reference", spanLo, spanHi, m))
+	}
 	r := &Reference{
 		p: p, opts: opts,
 		pLo: make([]float64, m), pHi: make([]float64, m),
 		pInt: make([]float64, m), pVert: make([]float64, m),
+		spanLo: spanLo, spanHi: spanHi,
 	}
 	for i := range p {
 		r.pLo[i] = p[i].Lo
@@ -169,6 +183,23 @@ func NewReference(p []Segment, opts SegmentAlignOpts) *Reference {
 		r.pVert[i] = opts.Stiffness * p[i].Interval
 	}
 	return r
+}
+
+// Match is the answer of an open-end segment alignment, read off the
+// optimal warping path without building it: the path's accumulated cost
+// and the query columns it passes through at the rows callers read. A
+// warping path visits every reference row, so every column is defined.
+type Match struct {
+	// Distance is the accumulated cost of the optimal path.
+	Distance float64
+	// Start and End are the path's first and last query columns: the run
+	// of the query the whole reference matched.
+	Start, End int
+	// SpanStart is the column of the path's first step at a row ≥ the
+	// reference's span start; SpanEnd is the column of its last step at a
+	// row < the span end. Together they bound the query run matched to the
+	// span rows (see NewReference).
+	SpanStart, SpanEnd int
 }
 
 // SegmentAligner runs the paper's coarse DTW as an open-end subsequence
@@ -190,9 +221,9 @@ func NewReference(p []Segment, opts SegmentAlignOpts) *Reference {
 // re-segmentation after an out-of-order read) transparently degrades to
 // recomputing: from the first changed segment when it is one of the last
 // two columns, from column 0 otherwise. The held state grows with the
-// query: one traceback decision byte per cell, O(m·n) bytes. A one-shot
-// alignment is a fresh aligner's first Align. A SegmentAligner is not safe
-// for concurrent use.
+// query: one 2-bit traceback decision per cell, ⌈m/4⌉ bytes per column,
+// and no warping path. A one-shot alignment is a fresh aligner's first
+// Align. A SegmentAligner is not safe for concurrent use.
 type SegmentAligner struct {
 	// ref holds the reference segments, options and the flat per-row fill
 	// operands. Aligners built by NewSharedAligner point at one Reference
@@ -201,9 +232,15 @@ type SegmentAligner struct {
 	// NewSegmentAligner owns a private one.
 	ref *Reference
 	q   []Segment // query segments the DP currently covers
-	// dir holds the traceback decision of every cell of every held
-	// column, column-major: cell (i, j) at j*m+i.
+	// dir holds the traceback decision of every cell of every held column,
+	// packed four cells to a byte, column-major at a stride of ⌈m/4⌉
+	// bytes: cell (i, j) in bits 2(i%4) and up of byte j·⌈m/4⌉ + i/4.
 	dir []uint8
+	// steps is the column fill's one-byte-per-cell decision scratch: two
+	// slots of m rounded up to a multiple of 32 bytes, column j in slot
+	// j&1, which packColumn packs into dir. The bytes past m stay zero, so
+	// the pack reads whole blocks and writes the same bits on every fill.
+	steps []uint8
 	// ring holds the DP values of the last two filled columns: column j in
 	// slot j&1. ringEnd is one past the last filled column, so the ring
 	// holds columns ringEnd−1 and ringEnd−2; 0 means it holds nothing (a
@@ -218,31 +255,28 @@ type SegmentAligner struct {
 	// lastRow holds every held column's last-row value contiguously: the
 	// free-end scan reads all of them on every Align.
 	lastRow []float64
-	// path is the traceback scratch reused across Aligns; the Result
-	// returned by Align aliases it (see the Align doc).
-	path Path
-	// off and lastStart make up TailBase, a checkpoint field. lastStart is
-	// the previous Align's path-start column. off is the base a state
-	// restore set (see RestoreState); it drops to 0 when an Align rewrites
-	// a column at or before it, or when a path step at a row past 0 lands
-	// in a column in (0, off]. Nothing reads the DP through either.
-	off       int
-	lastStart int
-	// Traceback memo: when the free-end scan picks the same end column as
-	// the previous alignment and no changed column reaches it, every
-	// decision the traceback would visit is unchanged, so the held path IS
-	// the answer. A tag whose pass is over keeps its best end fixed while
-	// the stream appends columns behind it — exactly the steady state of a
-	// high-cadence snapshot loop, where the per-align retrace otherwise
-	// costs O(m+n) each time.
-	lastEndJ int
-	endValid bool
+	// off is the base a state restore set (see RestoreState); it drops to
+	// 0 when an Align rewrites a column at or before it, or when a
+	// traceback step at a row past 0 lands in a column in (0, off].
+	// Nothing reads the DP through it; with held.Start it makes up
+	// TailBase, a checkpoint field.
+	off int
+	// held is the previous Align's answer, valid while heldValid. When the
+	// free-end scan picks the same end column again and no changed column
+	// reaches it, every decision the traceback would visit is unchanged,
+	// so held's columns ARE the answer. A tag whose pass is over keeps its
+	// best end fixed while the stream appends columns behind it — exactly
+	// the steady state of a high-cadence snapshot loop, where the
+	// per-align retrace otherwise costs O(m+n) each time.
+	held      Match
+	heldValid bool
 }
 
-// NewSegmentAligner builds an aligner over its own private Reference.
-// Prefer NewSharedAligner when many aligners run the same reference.
+// NewSegmentAligner builds an aligner over its own private Reference whose
+// span is the whole reference. Prefer NewSharedAligner when many aligners
+// run the same reference.
 func NewSegmentAligner(p []Segment, opts SegmentAlignOpts) *SegmentAligner {
-	return NewSharedAligner(NewReference(p, opts))
+	return NewSharedAligner(NewReference(p, opts, 0, len(p)))
 }
 
 // NewSharedAligner builds an aligner over an existing (shared) Reference:
@@ -257,43 +291,41 @@ func NewSharedAligner(ref *Reference) *SegmentAligner {
 // records it next to TailBase.
 func (a *SegmentAligner) Cols() int { return len(a.q) }
 
-// Release returns the aligner's decision array to the shared free-list
-// and clears its held columns. The array is an aligner's largest holding
-// — the final-size array a tag grew into over a whole session — and
-// without an explicit release it dies with the session while the
-// free-list only ever sees the outgrown smaller rungs. The aligner
-// remains usable; the next Align simply recomputes from scratch.
+// Release returns the aligner's packed decision array to the shared
+// free-list and clears its held columns. The array is an aligner's
+// largest holding — the final-size array a tag grew into over a whole
+// session — and without an explicit release it dies with the session
+// while the free-list only ever sees the outgrown smaller rungs. The
+// aligner remains usable; the next Align simply recomputes from scratch.
 func (a *SegmentAligner) Release() {
 	putDir(a.dir)
 	a.dir = nil
 	a.ringEnd = 0
 	a.off = 0
 	a.q = a.q[:0]
-	a.lastStart = 0
-	a.endValid = false
+	a.held, a.heldValid = Match{}, false
 }
 
 // Align answers the open-end subsequence query over q: the whole reference
 // must be consumed, q may match any contiguous run, ties prefer the latest
-// end. It returns the result plus the first and last matched segment
-// indices of q. Columns shared with the previous call are reused; only new
-// or changed query segments are computed, and the answer is byte-identical
-// to a fresh aligner's over the same q.
-//
-// The returned Result's Path is aligner-owned scratch, overwritten by the
-// next Align on this aligner: callers that retain it across calls must
-// copy it first.
-func (a *SegmentAligner) Align(q []Segment) (Result, int, int) {
+// end. Columns shared with the previous call are reused; only new or
+// changed query segments are computed, and the answer is byte-identical
+// to a fresh aligner's over the same q. An empty reference or query
+// yields the zero Match.
+func (a *SegmentAligner) Align(q []Segment) Match {
 	m := len(a.ref.p)
 	n := len(q)
 	if m == 0 || n == 0 {
-		return Result{}, 0, 0
+		return Match{}
 	}
 	if cap(a.cost) < m {
 		a.cost = make([]float64, m)
 	}
 	if cap(a.ring) < 2*m {
 		a.ring = make([]float64, 2*m)
+	}
+	if len(a.steps) < 2*stepSlot(m) {
+		a.steps = make([]uint8, 2*stepSlot(m))
 	}
 	// Keep the longest prefix of held columns whose segments are unchanged.
 	cp := 0
@@ -319,15 +351,16 @@ func (a *SegmentAligner) Align(q []Segment) (Result, int, int) {
 	// so a stream of small extensions regrows O(log n) times, not once per
 	// snapshot). Growth moves to a recycled pooled array — a fresh make()
 	// would zero the whole new capacity.
-	if need := m * n; cap(a.dir) < need {
+	stride := (m + 3) / 4
+	if need := stride * n; cap(a.dir) < need {
 		if c := 2 * cap(a.dir); need < c {
 			need = c
 		}
-		grown := append(getDir(need), a.dir[:lo*m]...)
+		grown := append(getDir(need), a.dir[:lo*stride]...)
 		putDir(a.dir)
 		a.dir = grown
 	}
-	a.dir = a.dir[:m*n]
+	a.dir = a.dir[:stride*n]
 	if cap(a.lastRow) < n {
 		nl := make([]float64, n, 2*n)
 		copy(nl, a.lastRow[:lo])
@@ -337,9 +370,10 @@ func (a *SegmentAligner) Align(q []Segment) (Result, int, int) {
 	}
 	a.q = append(a.q[:cp], q[cp:]...)
 	for j := lo; j < n; j++ {
-		a.fillColumn(j)
+		a.fillColumn(j, j > lo)
 	}
 	if lo < n {
+		a.packColumn(n - 1)
 		a.ringEnd = n
 	}
 
@@ -354,27 +388,28 @@ func (a *SegmentAligner) Align(q []Segment) (Result, int, int) {
 			best, endJ = c, j
 		}
 	}
-	if a.endValid && endJ == a.lastEndJ && cp > endJ && len(a.path) > 0 {
-		// Same best end as last time and every column the traceback visits
-		// (≤ endJ) predates this call's first changed column — a column
-		// recomputed from 0 gets the same decisions back: the held path and
-		// its start are the answer, cell for cell.
-		return Result{Distance: best, Path: a.path}, a.path[0].J, endJ
+	if !a.heldValid || endJ != a.held.End || cp <= endJ {
+		// A column the traceback visits (≤ endJ) was (re)computed by this
+		// call, or the end moved: walk again. Otherwise every visited
+		// column predates this call's first changed column — a column
+		// recomputed from 0 gets the same decisions back — and the held
+		// columns are the answer, cell for cell.
+		var behind bool
+		a.held, behind = a.traceback(endJ)
+		a.heldValid = true
+		if behind {
+			a.off = 0
+		}
 	}
-	path, behind := tracebackStiff(a.dir, m, m-1, endJ, a.off, a.path)
-	if behind {
-		a.off = 0
-	}
-	a.path = path
-	a.lastStart = path[0].J
-	a.lastEndJ = endJ
-	a.endValid = true
-	return Result{Distance: best, Path: path}, path[0].J, endJ
+	mt := a.held
+	mt.Distance = best
+	return mt
 }
 
 // fillColumn computes DP column j into its ring slot from column j−1's
 // (held in the other slot; none for column 0), records each cell's
-// traceback decision, and records the column's last-row value.
+// traceback decision, and records the column's last-row value. With
+// packPrev it then packs column j−1's decisions (see packColumn).
 //
 // Pass 1 (fillCost) is the pointwise matching cost. Pass 2 is the
 // sequential min-of-three DP, which carries the col[i−1] dependency and
@@ -398,12 +433,17 @@ func (a *SegmentAligner) Align(q []Segment) (Result, int, int) {
 // Columns showing any of those three signs — possible from the wire,
 // since long unvalidated read times can make intervals infinite and 0·Inf
 // is NaN — re-derive their decisions with the traceback predicate.
-func (a *SegmentAligner) fillColumn(j int) {
+//
+// The decisions go to the column's one-byte steps slot, which stays in
+// L1, and packColumn packs them into dir in one pass after the fact:
+// packing inside the loop adds shift-and-or work to every cell and
+// measured slower than the separate pass.
+func (a *SegmentAligner) fillColumn(j int, packPrev bool) {
 	m := len(a.ref.p)
 	// Reslicing to m lets the compiler drop the loops' bounds checks.
 	cost := a.fillCost(j, m)[:m]
 	col := a.ring[(j&1)*m:][:m]
-	dir := a.dir[j*m:][:m]
+	steps := a.steps[(j&1)*stepSlot(m):][:m]
 	pVert := a.ref.pVert[:m]
 
 	// Row 0 is a free start: the first reference segment may match any
@@ -412,10 +452,10 @@ func (a *SegmentAligner) fillColumn(j int) {
 	// reloading it from memory each iteration lengthens the critical path.
 	// Row 0's decision is never read (the walk ends there), nor are column
 	// 0's (the walk can only go up there); both are written so the array
-	// holds no stale bytes.
+	// holds no stale bits.
 	acc := cost[0]
 	col[0] = acc
-	dir[0] = stepVert
+	steps[0] = stepVert
 	if j == 0 {
 		for i := 1; i < m; i++ {
 			// Same association as the general column below
@@ -423,7 +463,7 @@ func (a *SegmentAligner) fillColumn(j int) {
 			// operation, so regrouping would break bit-identity.
 			acc = cost[i] + acc + pVert[i]
 			col[i] = acc
-			dir[i] = stepVert
+			steps[i] = stepVert
 		}
 		a.lastRow[0] = acc
 		return
@@ -445,31 +485,66 @@ func (a *SegmentAligner) fillColumn(j int) {
 		diag = prev[i]
 		acc = cost[i] + best
 		col[i] = acc
-		dir[i] = step
+		steps[i] = step
 	}
 	a.lastRow[j] = acc
 	if acc != acc || prev[m-1] != prev[m-1] || horiz-horiz != 0 {
-		rederive(dir, col, prev, pVert, horiz)
+		rederive(steps, col, prev, pVert, horiz)
+	}
+	if packPrev {
+		a.packColumn(j - 1)
 	}
 }
 
-// rederive rewrites a filled column's decisions with the traceback
-// predicate over its finished values: col is the column, prev its
-// predecessor. fillColumn calls it on the rare columns whose NaN operands
-// could make its in-loop decisions differ from the predicate.
-func rederive(dir []uint8, col, prev, pVert []float64, horiz float64) {
+// stepSlot is the length of one slot of the steps scratch for m rows: m
+// rounded up to the 32-cell block the AVX2 pack reads.
+func stepSlot(m int) int { return (m + 31) &^ 31 }
+
+// packColumn packs filled column j's byte decisions from its steps slot
+// into its ⌈m/4⌉ bytes of dir. Align packs each column one column late,
+// after the next column's fill: a pack that reads the byte decisions just
+// stored stalls until those stores leave the store buffer, which cost 6-9%
+// of a whole alignment on measured profiles' segments.
+func (a *SegmentAligner) packColumn(j int) {
+	m := len(a.ref.p)
+	stride := (m + 3) / 4
+	slot := stepSlot(m)
+	dst, src := a.dir[j*stride:][:stride], a.steps[(j&1)*slot:][:slot]
+	if useFillAsm {
+		packStepsAVX2(&dst[0], &src[0], stride)
+		return
+	}
+	packSteps(dst, src)
+}
+
+// rederive rewrites a filled column's one-byte decisions with the
+// traceback predicate over its finished values: col is the column, prev
+// its predecessor. fillColumn calls it, before packing, on the rare
+// columns whose NaN operands could make its in-loop decisions differ from
+// the predicate.
+func rederive(steps []uint8, col, prev, pVert []float64, horiz float64) {
 	for i := 1; i < len(col); i++ {
 		vert := col[i-1] + pVert[i]
 		left := prev[i] + horiz
 		diag := prev[i-1]
 		switch {
 		case diag <= vert && diag <= left:
-			dir[i] = stepDiag
+			steps[i] = stepDiag
 		case vert <= left:
-			dir[i] = stepVert
+			steps[i] = stepVert
 		default:
-			dir[i] = stepHoriz
+			steps[i] = stepHoriz
 		}
+	}
+}
+
+// packSteps packs one-byte decisions four to a byte into dst, cell i in
+// bits 2(i%4) and up of dst[i/4]: packColumn's portable pass, and the
+// reference its AVX2 pass is tested against.
+func packSteps(dst, src []uint8) {
+	for k := range dst {
+		c := src[4*k:][:4]
+		dst[k] = c[0] | c[1]<<2 | c[2]<<4 | c[3]<<6
 	}
 }
 
@@ -513,26 +588,27 @@ func (a *SegmentAligner) fillCost(j, m int) []float64 {
 	return cost
 }
 
-// tracebackStiff reconstructs the optimal path of a stiffness-weighted
-// open-end segment alignment from cell (i, j) by walking the decision
-// bytes of an m-row column-major dir: the path may start at any column of
-// the first row (subsequence matching). behind reports a step at a row
-// past 0 in a column in (0, off] — see SegmentAligner.off.
-func tracebackStiff(dir []uint8, m, i, j, off int, dst Path) (path Path, behind bool) {
-	// A warping path from (i, j) back to row 0 takes at most i+j+1 steps:
-	// one exact-capacity allocation instead of append doublings — skipped
-	// entirely when the caller hands back a big-enough scratch. A scratch
-	// that must grow doubles, so a steadily lengthening query (the
-	// incremental ingest pattern) reallocates O(log n) times, not per call.
-	rev := dst[:0]
-	if need := i + j + 1; cap(rev) < need {
-		if c := 2 * cap(rev); c > need {
-			need = c
-		}
-		rev = make(Path, 0, need)
-	}
+// traceback walks the packed decisions back from the free end (m−1, endJ)
+// to row 0 and reads the answer's columns off the way, building no path.
+// Rows fall by at most one per step, so the walk passes through every
+// row: SpanEnd is the column where it first reaches a row below the span
+// end, SpanStart the column of its last step in the span's first row,
+// and Start the column where it reaches row 0 (the path may start at any
+// column of the first row: subsequence matching). Distance is left to
+// the caller. behind reports a step at a row past 0 in a column in
+// (0, off] — see SegmentAligner.off.
+func (a *SegmentAligner) traceback(endJ int) (mt Match, behind bool) {
+	m := len(a.ref.p)
+	stride := (m + 3) / 4
+	i, j := m-1, endJ
+	mt.End, mt.SpanEnd = endJ, -1
 	for {
-		rev = append(rev, Step{I: i, J: j})
+		if i < a.ref.spanHi && mt.SpanEnd < 0 {
+			mt.SpanEnd = j
+		}
+		if i == a.ref.spanLo {
+			mt.SpanStart = j
+		}
 		if i == 0 {
 			break
 		}
@@ -540,19 +616,18 @@ func tracebackStiff(dir []uint8, m, i, j, off int, dst Path) (path Path, behind 
 			i--
 			continue
 		}
-		if j <= off {
+		if j <= a.off {
 			behind = true
 		}
-		switch dir[j*m+i] {
+		switch a.dir[j*stride+i/4] >> (2 * (i % 4)) & 3 {
 		case stepDiag:
-			i--
-			j--
+			i, j = i-1, j-1
 		case stepVert:
 			i--
 		default:
 			j--
 		}
 	}
-	reverse(rev)
-	return rev, behind
+	mt.Start = j
+	return mt, behind
 }

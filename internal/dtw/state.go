@@ -12,7 +12,7 @@ import "fmt"
 // depends on the base beyond the checkpoint bytes it fixes.
 func (a *SegmentAligner) TailBase() int {
 	base := a.off
-	if s := a.lastStart - 1; s > base {
+	if s := a.held.Start - 1; s > base {
 		base = s
 	}
 	return base
@@ -35,9 +35,8 @@ func (a *SegmentAligner) RestoreState(q []Segment, base int) error {
 	a.q = append(a.q[:0], q...)
 	a.off = base
 	a.lastRow = a.lastRow[:0]
-	a.lastStart = 0
-	// No path is held for the restored columns; the next Align must
-	// retrace.
-	a.endValid = false
+	// No answer is held for the restored columns; the next Align must
+	// walk the decisions it recomputes.
+	a.held, a.heldValid = Match{}, false
 	return nil
 }

@@ -3,7 +3,6 @@ package stpp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/dsp"
@@ -28,12 +27,10 @@ type Detector struct {
 	ref          *profile.Profile
 	refVS, refVE int
 	refSegs      []dtw.Segment
-	// refAl is the shared flat-panel form of refSegs: every DetectState's
-	// aligner references it instead of owning a private copy of the
-	// panels.
+	// refAl is the shared flat-panel form of refSegs, with the reference
+	// V-zone's segments as its span rows: every DetectState's aligner
+	// references it instead of owning a private copy of the panels.
 	refAl *dtw.Reference
-	// segment indices of the reference V-zone within refSegs
-	refSegVS, refSegVE int
 	// oneShot pools the DetectStates of the one-shot Detect and
 	// Localizer.LocalizeTag, so batch detection reuses their segment
 	// cache, aligner and curve buffers instead of allocating them per tag.
@@ -52,20 +49,21 @@ func NewDetector(cfg Config) (*Detector, error) {
 	}
 	d := &Detector{cfg: cfg, ref: ref, refVS: vs, refVE: ve}
 	d.refSegs = ref.Segmentize(cfg.Window)
-	d.refAl = dtw.NewReference(d.refSegs, dtw.SegmentAlignOpts{Stiffness: cfg.DTWStiffness})
-	// Locate the segments covered by the reference V-zone.
-	d.refSegVS, d.refSegVE = -1, -1
+	// Locate the segments covered by the reference V-zone: the span rows
+	// whose matched query columns every alignment reports.
+	segVS, segVE := -1, -1
 	for i, s := range d.refSegs {
-		if s.End > vs && d.refSegVS < 0 {
-			d.refSegVS = i
+		if s.End > vs && segVS < 0 {
+			segVS = i
 		}
 		if s.Start < ve {
-			d.refSegVE = i + 1
+			segVE = i + 1
 		}
 	}
-	if d.refSegVS < 0 || d.refSegVE <= d.refSegVS {
+	if segVS < 0 || segVE <= segVS {
 		return nil, fmt.Errorf("stpp: reference segmentation lost the V-zone")
 	}
+	d.refAl = dtw.NewReference(d.refSegs, dtw.SegmentAlignOpts{Stiffness: cfg.DTWStiffness}, segVS, segVE)
 	return d, nil
 }
 
@@ -107,10 +105,11 @@ func (d *Detector) putOneShot(st *DetectState) {
 }
 
 // DetectState is the resumable per-tag state behind DetectIncremental: the
-// tag's segment cache, the open-end DTW aligner holding the traceback
-// decisions of the DP columns computed so far, and the V-zone refinement's
-// unwrap/median curves with the prefix length they are valid for. A state belongs to one
-// (detector, tag) pair and is not safe for concurrent use.
+// tag's segment cache, the open-end DTW aligner holding the packed
+// traceback decisions of the DP columns computed so far, and the V-zone
+// refinement's unwrap/median curves with the prefix length they are valid
+// for. A state belongs to one (detector, tag) pair and is not safe for
+// concurrent use.
 type DetectState struct {
 	segs *profile.SegmentCache
 	al   *dtw.SegmentAligner
@@ -233,24 +232,12 @@ func (d *Detector) DetectIncremental(st *DetectState, p *profile.Profile) (VZone
 	if len(segs) == 0 {
 		return VZone{}, fmt.Errorf("stpp: empty segmentation")
 	}
-	res, _, _ := st.al.Align(segs)
-	if len(res.Path) == 0 {
-		return VZone{}, fmt.Errorf("stpp: alignment produced no path")
-	}
-
-	// Map reference V-zone segments [refSegVS, refSegVE) to measured
-	// segments via the path. A warping path is nondecreasing in both
-	// coordinates, so the steps with I in [refSegVS, refSegVE) are one
-	// contiguous span and their J extremes sit at its ends — two binary
-	// searches instead of a full-path walk on every detection.
-	path := res.Path
-	p1 := sort.Search(len(path), func(k int) bool { return path[k].I >= d.refSegVS })
-	p2 := sort.Search(len(path), func(k int) bool { return path[k].I >= d.refSegVE })
-	if p1 >= p2 {
-		return VZone{}, fmt.Errorf("stpp: warping path missed the V-zone")
-	}
-	start := segs[path[p1].J].Start
-	end := segs[path[p2-1].J].End
+	// The aligner reports the measured segments the reference V-zone
+	// segments (its span rows) map to through the warping path: the first
+	// and the last the path pairs with them.
+	mt := st.al.Align(segs)
+	start := segs[mt.SpanStart].Start
+	end := segs[mt.SpanEnd].End
 
 	// Refine: the coarse match localizes the V-zone but its boundaries
 	// inherit the reference's geometry (perpendicular distance), which
@@ -267,7 +254,7 @@ func (d *Detector) DetectIncremental(st *DetectState, p *profile.Profile) (VZone
 	if end-start < d.cfg.MinVZoneSamples {
 		return VZone{}, fmt.Errorf("stpp: detected V-zone too sparse (%d samples)", end-start)
 	}
-	return VZone{Start: start, End: end, Cost: res.Distance}, nil
+	return VZone{Start: start, End: end, Cost: mt.Distance}, nil
 }
 
 // medianWidth is the median-filter window of the V-zone refinement and
