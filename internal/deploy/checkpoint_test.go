@@ -191,8 +191,8 @@ func TestVersion3CheckpointRejected(t *testing.T) {
 			// The first shard's engine version byte follows the sharded
 			// version (u8), the shard count (u32) and the shard ID (u64).
 			const engineVersionAt = 1 + 4 + 8
-			if blob[engineVersionAt] != 4 {
-				t.Fatalf("engine checkpoint version %d, want 4", blob[engineVersionAt])
+			if blob[engineVersionAt] != 5 {
+				t.Fatalf("engine checkpoint version %d, want 5", blob[engineVersionAt])
 			}
 			blob[engineVersionAt] = 3
 			se, fresh := engine(), engine()

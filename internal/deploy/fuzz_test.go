@@ -64,13 +64,13 @@ func (sh *shard) valid() bool { return sh != nil }
 // back: a lying length prefix has to fail validation before make(), or one
 // bad record takes the whole daemon down at boot with an out-of-memory
 // fatal. A restore that succeeds must leave an engine that snapshots
-// without panicking: restored V-zones and coverage counters index the
-// restored profiles, and one that lies past them once took a later
-// Snapshot — in stppd, every session — down with an index panic.
+// without panicking: restored V-zones index the restored profiles, and
+// one that lies past them once took a later Snapshot — in stppd, every
+// session — down with an index panic.
 //
-// Seeds are current-layout checkpoints of three golden traces, one of
-// them taken from an engine that was itself restored (its aligners'
-// columns still pending).
+// Seeds are current-layout checkpoints of three golden traces; aisle's
+// are also written again by an engine restored from them (its tags'
+// detection state still cold).
 func FuzzShardedRestore(f *testing.F) {
 	type target struct {
 		d      Deployment
@@ -125,9 +125,10 @@ func FuzzShardedRestore(f *testing.F) {
 }
 
 // restoreAllocBound is the most a Restore of an n-byte blob may allocate.
-// A real checkpoint restores at about 1.5 bytes allocated per blob byte
-// (decoded arrays plus maps and per-tag state); the generous slack admits
-// adversarial blobs whose small records expand into per-tag structures,
-// while a lying 32-bit count — gigabytes — still fails by orders of
-// magnitude.
+// A real checkpoint restores at about 1.2 bytes allocated per blob byte
+// (decoded arrays plus maps and per-tag state: 1.1-1.3 for the golden
+// traces' half and full checkpoints, up to 1.8 for an eighth); the
+// generous slack admits adversarial blobs whose small records expand
+// into per-tag structures, while a lying 32-bit count — gigabytes —
+// still fails by orders of magnitude.
 func restoreAllocBound(n int) uint64 { return 64*uint64(n) + 4<<20 }

@@ -33,14 +33,16 @@ func alignOnce(p, q []Segment, opts SegmentAlignOpts) (Result, int, int) {
 
 // alignPath runs Align and answers like a path-returning aligner: the
 // distance, the warping path tracePath rebuilds from the held decisions,
-// and the match's first and last query columns. An empty reference or
-// query yields the zero Result and a [0, 0] match.
+// and the match's first and last query columns. The aligners these tests
+// build with NewSegmentAligner span every reference row, row 0 included,
+// so SpanStart is the path's first column. An empty reference or query
+// yields the zero Result and a [0, 0] match.
 func alignPath(al *SegmentAligner, q []Segment) (Result, int, int) {
 	mt := al.Align(q)
 	if len(al.ref.p) == 0 || len(q) == 0 {
-		return Result{Distance: mt.Distance}, mt.Start, mt.End
+		return Result{Distance: mt.Distance}, mt.SpanStart, mt.End
 	}
-	return Result{Distance: mt.Distance, Path: al.tracePath(mt.End)}, mt.Start, mt.End
+	return Result{Distance: mt.Distance, Path: al.tracePath(mt.End)}, mt.SpanStart, mt.End
 }
 
 // tracePath is the test-only full traceback: it decodes the held packed
@@ -117,8 +119,8 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 	opts := SegmentAlignOpts{Stiffness: 0.5}
 	al := NewSegmentAligner(p, opts)
 	al.Align(q)
-	if al.Cols() != 40 {
-		t.Fatalf("cols = %d, want 40", al.Cols())
+	if len(al.q) != 40 {
+		t.Fatalf("cols = %d, want 40", len(al.q))
 	}
 
 	// Rewrite the last 5 segments, then shrink the query.
@@ -133,8 +135,8 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 	short := q2[:12]
 	wantRes, wantS, wantE = alignOnce(p, short, opts)
 	gotRes, gotS, gotE = alignPath(al, short)
-	if al.Cols() != 12 {
-		t.Fatalf("cols after shrink = %d, want 12", al.Cols())
+	if len(al.q) != 12 {
+		t.Fatalf("cols after shrink = %d, want 12", len(al.q))
 	}
 	if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE ||
 		!reflect.DeepEqual(wantRes.Path, gotRes.Path) {
@@ -277,65 +279,5 @@ func TestPackStepsMatchesCells(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSegmentAlignerRestoreState: an aligner resumed from a query and a
-// tail base computes, on its first Align, exactly the decisions and
-// last-row values a live aligner holds, and from there answers every
-// extended, rewritten or shrunken query like a one-shot alignment,
-// reporting the same checkpoint counters as the live aligner.
-func TestSegmentAlignerRestoreState(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 40; trial++ {
-		p := randSegs(rng, 1+rng.Intn(12))
-		q := randSegs(rng, 2+rng.Intn(60))
-		opts := SegmentAlignOpts{Stiffness: []float64{0, 0.5}[rng.Intn(2)]}
-		n := 1 + rng.Intn(len(q)-1)
-		live := NewSegmentAligner(p, opts)
-		live.Align(q[:n])
-		base := live.TailBase()
-
-		shape := NewSegmentAligner(p, opts)
-		if err := shape.RestoreState(q[:n], base); err != nil {
-			t.Fatal(err)
-		}
-		if shape.Cols() != n || shape.TailBase() != base {
-			t.Fatalf("trial %d: restored counters %d/%d, want %d/%d", trial, shape.Cols(), shape.TailBase(), n, base)
-		}
-		shape.Align(q[:n])
-		if !reflect.DeepEqual(shape.dir, live.dir) || !reflect.DeepEqual(shape.lastRow, live.lastRow) {
-			t.Fatalf("trial %d: recomputed columns differ from the live aligner's", trial)
-		}
-		if shape.Cols() != n || shape.TailBase() != base {
-			t.Fatalf("trial %d: counters %d/%d after Align, want %d/%d", trial, shape.Cols(), shape.TailBase(), n, base)
-		}
-
-		restored := NewSegmentAligner(p, opts)
-		if err := restored.RestoreState(q[:n], base); err != nil {
-			t.Fatal(err)
-		}
-		next := q
-		switch rng.Intn(3) {
-		case 1: // rewrite from a random column on
-			k := rng.Intn(n)
-			next = append(append([]Segment(nil), q[:k]...), randSegs(rng, 1+rng.Intn(20))...)
-		case 2: // shrink
-			next = q[:1+rng.Intn(n)]
-		}
-		wantRes, wantS, wantE := alignOnce(p, next, opts)
-		gotRes, gotS, gotE := alignPath(restored, next)
-		if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE ||
-			!reflect.DeepEqual(wantRes.Path, gotRes.Path) {
-			t.Fatalf("trial %d: restored aligner diverged from a one-shot alignment", trial)
-		}
-		live.Align(next)
-		if restored.Cols() != live.Cols() || restored.TailBase() != live.TailBase() {
-			t.Fatalf("trial %d: counters %d/%d after Align, live %d/%d", trial,
-				restored.Cols(), restored.TailBase(), live.Cols(), live.TailBase())
-		}
-	}
-	if err := NewSegmentAligner(nil, SegmentAlignOpts{}).RestoreState(make([]Segment, 3), 4); err == nil {
-		t.Error("base past the column count restored without error")
 	}
 }

@@ -10,47 +10,33 @@ import (
 // refAligner is the float-matrix open-end segment aligner the decision
 // bytes replaced, kept as the reference the exactness tests compare
 // against. It holds the full m×n cost matrix, recomputing it from the
-// first changed column on (from column 0 after a restore), decides each
-// traceback step from the cell values, and keeps TailBase's bookkeeping
-// the way the matrix aligner did: the restore base drops to 0 when an
-// alignment rewrites a column at or before it, or when the traceback
-// would read a column before it (where the matrix aligner, which dropped
-// those columns on restore, rebuilt its matrix).
+// first changed column on, and decides each traceback step from the cell
+// values.
 type refAligner struct {
-	p              []Segment
-	opts           SegmentAlignOpts
-	q              []Segment
-	cells          []float64 // column-major: cell (i, j) at j*m+i
-	stale          bool      // restored: cells hold nothing yet
-	off, lastStart int
+	p     []Segment
+	opts  SegmentAlignOpts
+	q     []Segment
+	cells []float64 // column-major: cell (i, j) at j*m+i
 }
 
 func (r *refAligner) at(i, j int) float64 { return r.cells[j*len(r.p)+i] }
 
-func (r *refAligner) align(q []Segment) (Result, int, int) {
+func (r *refAligner) align(q []Segment) (Result, int) {
 	m, n := len(r.p), len(q)
 	if m == 0 || n == 0 {
-		return Result{}, 0, 0
+		return Result{}, 0
 	}
 	cp := 0
 	for cp < len(r.q) && cp < n && sameSegment(r.q[cp], q[cp]) {
 		cp++
 	}
-	if r.off > 0 && cp <= r.off {
-		r.off = 0
-	}
 	// Columns of the unchanged prefix are kept; a segment that differs in
 	// any bit, the sign of a zero included, is recomputed.
-	keep := cp
-	if r.stale {
-		keep = 0
-	}
 	r.q = append(r.q[:cp:cp], q[cp:]...)
 	q = r.q
-	r.cells = append(make([]float64, 0, m*n), r.cells[:keep*m]...)[:m*n]
-	r.stale = false
+	r.cells = append(make([]float64, 0, m*n), r.cells[:cp*m]...)[:m*n]
 	st := r.opts.Stiffness
-	for j := keep; j < n; j++ {
+	for j := cp; j < n; j++ {
 		col := r.cells[j*m : j*m+m]
 		for i := range col {
 			d := 0.0
@@ -90,17 +76,9 @@ func (r *refAligner) align(q []Segment) (Result, int, int) {
 			best, endJ = c, j
 		}
 	}
-	path := r.traceback(m-1, endJ)
-	if path == nil {
-		r.off = 0
-		path = r.traceback(m-1, endJ)
-	}
-	r.lastStart = path[0].J
-	return Result{Distance: best, Path: path}, path[0].J, endJ
+	return Result{Distance: best, Path: r.traceback(m-1, endJ)}, endJ
 }
 
-// traceback returns nil when deciding a step would read a column before
-// off.
 func (r *refAligner) traceback(i, j int) Path {
 	var rev Path
 	for {
@@ -111,9 +89,6 @@ func (r *refAligner) traceback(i, j int) Path {
 		if j == 0 {
 			i--
 			continue
-		}
-		if j <= r.off {
-			return nil
 		}
 		vert := r.at(i-1, j) + r.opts.Stiffness*r.p[i].Interval
 		horiz := r.at(i, j-1) + r.opts.Stiffness*r.q[j].Interval
@@ -130,8 +105,6 @@ func (r *refAligner) traceback(i, j int) Path {
 	reverse(rev)
 	return rev
 }
-
-func (r *refAligner) tailBase() int { return max(r.off, r.lastStart-1) }
 
 // script reads an alignment scenario from bytes, so the property test
 // and the fuzz target drive the same interpreter: a reference length and
@@ -192,16 +165,15 @@ func spanCols(path Path, lo, hi int) (int, int) {
 }
 
 // coverage counts how often a script reached the aligner's rare branches:
-// alignments answered from the held match, first alignments after a
-// restore (a full recompute), and held columns whose fill re-derived its
-// decisions because of a NaN or non-finite operand.
+// alignments answered from the held match, and held columns whose fill
+// re-derived its decisions because of a NaN or non-finite operand.
 type coverage struct {
-	memoHits, restoredAligns, rederived int
+	memoHits, rederived int
 }
 
 // runScript replays a scenario through a SegmentAligner and refAligner
 // side by side, failing on the first difference in distance bits, match
-// bounds, span columns, path steps, Cols or TailBase. The aligner's path
+// end, span columns, path steps or held column count. The aligner's path
 // is the test-only tracePath over its held decisions; its span columns
 // come from the path-free production walk (or its memo) and must equal
 // those spanCols reads off the reference's path.
@@ -218,12 +190,10 @@ func runScript(t *testing.T, data []byte) coverage {
 	want := &refAligner{p: p, opts: opts}
 	var q []Segment
 	var cov coverage
-	restored := false
 	check := func(op string) {
 		t.Helper()
-		if al.Cols() != len(want.q) || al.TailBase() != want.tailBase() {
-			t.Fatalf("%s (m=%d n=%d): cols/base %d/%d, reference %d/%d",
-				op, m, len(q), al.Cols(), al.TailBase(), len(want.q), want.tailBase())
+		if len(al.q) != len(want.q) {
+			t.Fatalf("%s (m=%d n=%d): %d columns held, reference %d", op, m, len(q), len(al.q), len(want.q))
 		}
 	}
 	align := func(op string) {
@@ -233,7 +203,7 @@ func runScript(t *testing.T, data []byte) coverage {
 			cp++
 		}
 		heldValid, heldEnd := al.heldValid, al.held.End
-		wr, ws, we := want.align(q)
+		wr, we := want.align(q)
 		got := al.Align(q)
 		if len(q) == 0 {
 			if got != (Match{}) || wr.Path != nil {
@@ -242,9 +212,9 @@ func runScript(t *testing.T, data []byte) coverage {
 			check(op)
 			return
 		}
-		if !sameBits(wr.Distance, got.Distance) || ws != got.Start || we != got.End {
-			t.Fatalf("%s (m=%d n=%d): got (%v,%d,%d), reference (%v,%d,%d)",
-				op, m, len(q), got.Distance, got.Start, got.End, wr.Distance, ws, we)
+		if !sameBits(wr.Distance, got.Distance) || we != got.End {
+			t.Fatalf("%s (m=%d n=%d): got (%v,%d), reference (%v,%d)",
+				op, m, len(q), got.Distance, got.End, wr.Distance, we)
 		}
 		if vs, ve := spanCols(wr.Path, spanLo, spanHi); got.SpanStart != vs || got.SpanEnd != ve {
 			t.Fatalf("%s (m=%d n=%d span [%d,%d)): span columns %d..%d, reference path %d..%d",
@@ -263,13 +233,9 @@ func runScript(t *testing.T, data []byte) coverage {
 		if heldValid && heldEnd == got.End && cp > got.End {
 			cov.memoHits++
 		}
-		if restored {
-			cov.restoredAligns++
-			restored = false
-		}
 	}
 	for !s.done() {
-		switch op := s.next() % 8; op {
+		switch op := s.next() % 7; op {
 		case 0, 1, 2: // append
 			q = append(q[:len(q):len(q)], s.segments(1+s.next()%6)...)
 			align("append")
@@ -287,22 +253,9 @@ func runScript(t *testing.T, data []byte) coverage {
 			align("shrink")
 		case 5: // realign the same query
 			align("same")
-		case 6: // restore from the held query and base, in place or fresh
-			base := al.TailBase()
-			held := append([]Segment(nil), want.q...)
-			if s.next()%2 == 0 {
-				al = NewSharedAligner(ref)
-			}
-			if err := al.RestoreState(held, base); err != nil {
-				t.Fatal(err)
-			}
-			want.q, want.off, want.lastStart, want.stale = held, base, 0, true
-			restored = len(held) > 0
-			check("restore")
-		case 7:
+		case 6:
 			al.Release()
-			want.q, want.off, want.lastStart = nil, 0, 0
-			restored = false
+			want.q = nil
 			check("release")
 		}
 	}
@@ -319,11 +272,11 @@ func runScript(t *testing.T, data []byte) coverage {
 
 // TestSegmentAlignerMatchesReference is the packed-decision aligner's
 // exactness property: over random scenarios of appends, tail rewrites,
-// shrinks, restores and releases on tie-heavy, zero, infinite and NaN
-// operands, every alignment equals the float-matrix reference's in
-// distance bits, match bounds, span columns and path, and the checkpoint
-// counters (Cols, TailBase) agree after every step. The scenarios must
-// reach the memo, a restore's full recompute and the NaN re-derivation.
+// shrinks and releases on tie-heavy, zero, infinite and NaN operands,
+// every alignment equals the float-matrix reference's in distance bits,
+// match end, span columns and path, and both hold the same columns after
+// every step. The scenarios must reach the memo and the NaN
+// re-derivation.
 func TestSegmentAlignerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	var cov coverage
@@ -332,10 +285,9 @@ func TestSegmentAlignerMatchesReference(t *testing.T) {
 		rng.Read(data)
 		c := runScript(t, data)
 		cov.memoHits += c.memoHits
-		cov.restoredAligns += c.restoredAligns
 		cov.rederived += c.rederived
 	}
-	if cov.memoHits == 0 || cov.restoredAligns == 0 || cov.rederived == 0 {
+	if cov.memoHits == 0 || cov.rederived == 0 {
 		t.Errorf("scenarios missed a branch: %+v", cov)
 	}
 	t.Logf("coverage: %+v", cov)

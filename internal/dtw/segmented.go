@@ -192,9 +192,9 @@ func NewReference(p []Segment, opts SegmentAlignOpts, spanLo, spanHi int) *Refer
 type Match struct {
 	// Distance is the accumulated cost of the optimal path.
 	Distance float64
-	// Start and End are the path's first and last query columns: the run
-	// of the query the whole reference matched.
-	Start, End int
+	// End is the path's last query column: the free end the whole
+	// reference matched up to.
+	End int
 	// SpanStart is the column of the path's first step at a row ≥ the
 	// reference's span start; SpanEnd is the column of its last step at a
 	// row < the span end. Together they bound the query run matched to the
@@ -244,7 +244,7 @@ type SegmentAligner struct {
 	// ring holds the DP values of the last two filled columns: column j in
 	// slot j&1. ringEnd is one past the last filled column, so the ring
 	// holds columns ringEnd−1 and ringEnd−2; 0 means it holds nothing (a
-	// fresh, released or restored aligner).
+	// fresh or released aligner).
 	ring    []float64
 	ringEnd int
 
@@ -255,12 +255,6 @@ type SegmentAligner struct {
 	// lastRow holds every held column's last-row value contiguously: the
 	// free-end scan reads all of them on every Align.
 	lastRow []float64
-	// off is the base a state restore set (see RestoreState); it drops to
-	// 0 when an Align rewrites a column at or before it, or when a
-	// traceback step at a row past 0 lands in a column in (0, off].
-	// Nothing reads the DP through it; with held.Start it makes up
-	// TailBase, a checkpoint field.
-	off int
 	// held is the previous Align's answer, valid while heldValid. When the
 	// free-end scan picks the same end column again and no changed column
 	// reaches it, every decision the traceback would visit is unchanged,
@@ -286,11 +280,6 @@ func NewSharedAligner(ref *Reference) *SegmentAligner {
 	return &SegmentAligner{ref: ref}
 }
 
-// Cols reports how many query columns of DP state are held — the next
-// Align pays only for columns beyond the common prefix. A checkpoint
-// records it next to TailBase.
-func (a *SegmentAligner) Cols() int { return len(a.q) }
-
 // Release returns the aligner's packed decision array to the shared
 // free-list and clears its held columns. The array is an aligner's
 // largest holding — the final-size array a tag grew into over a whole
@@ -301,7 +290,6 @@ func (a *SegmentAligner) Release() {
 	putDir(a.dir)
 	a.dir = nil
 	a.ringEnd = 0
-	a.off = 0
 	a.q = a.q[:0]
 	a.held, a.heldValid = Match{}, false
 }
@@ -332,19 +320,14 @@ func (a *SegmentAligner) Align(q []Segment) Match {
 	for cp < len(a.q) && cp < n && sameSegment(a.q[cp], q[cp]) {
 		cp++
 	}
-	if cp <= a.off {
-		a.off = 0
-	}
-	// The held decisions and last-row values cover every held column,
-	// unless a restore left them empty (ringEnd 0, so cp > ringEnd). Column
-	// cp extends from column cp−1's values, which the ring holds only when
-	// cp is one of the last two columns filled — append-only growth, or a
-	// rewrite of the last column. Any other extension, and the first Align
-	// after a restore, recomputes from column 0: the values are a
-	// deterministic function of (reference, q), so the rewritten prefix is
-	// byte-identical.
+	// The held decisions and last-row values cover every held column.
+	// Column cp extends from column cp−1's values, which the ring holds
+	// only when cp is one of the last two columns filled — append-only
+	// growth, or a rewrite of the last column. Any other extension
+	// recomputes from column 0: the values are a deterministic function of
+	// (reference, q), so the rewritten prefix is byte-identical.
 	lo := cp
-	if cp > a.ringEnd || (cp < n && cp < a.ringEnd-1) {
+	if cp < n && cp < a.ringEnd-1 {
 		lo = 0
 	}
 	// Reserve all columns this call needs up front (with doubling headroom
@@ -394,12 +377,7 @@ func (a *SegmentAligner) Align(q []Segment) Match {
 		// column predates this call's first changed column — a column
 		// recomputed from 0 gets the same decisions back — and the held
 		// columns are the answer, cell for cell.
-		var behind bool
-		a.held, behind = a.traceback(endJ)
-		a.heldValid = true
-		if behind {
-			a.off = 0
-		}
+		a.held, a.heldValid = a.traceback(endJ), true
 	}
 	mt := a.held
 	mt.Distance = best
@@ -592,12 +570,9 @@ func (a *SegmentAligner) fillCost(j, m int) []float64 {
 // to row 0 and reads the answer's columns off the way, building no path.
 // Rows fall by at most one per step, so the walk passes through every
 // row: SpanEnd is the column where it first reaches a row below the span
-// end, SpanStart the column of its last step in the span's first row,
-// and Start the column where it reaches row 0 (the path may start at any
-// column of the first row: subsequence matching). Distance is left to
-// the caller. behind reports a step at a row past 0 in a column in
-// (0, off] — see SegmentAligner.off.
-func (a *SegmentAligner) traceback(endJ int) (mt Match, behind bool) {
+// end, SpanStart the column of its last step in the span's first row.
+// Distance is left to the caller.
+func (a *SegmentAligner) traceback(endJ int) (mt Match) {
 	m := len(a.ref.p)
 	stride := (m + 3) / 4
 	i, j := m-1, endJ
@@ -616,9 +591,6 @@ func (a *SegmentAligner) traceback(endJ int) (mt Match, behind bool) {
 			i--
 			continue
 		}
-		if j <= a.off {
-			behind = true
-		}
 		switch a.dir[j*stride+i/4] >> (2 * (i % 4)) & 3 {
 		case stepDiag:
 			i, j = i-1, j-1
@@ -628,6 +600,5 @@ func (a *SegmentAligner) traceback(endJ int) (mt Match, behind bool) {
 			j--
 		}
 	}
-	mt.Start = j
-	return mt, behind
+	return mt
 }

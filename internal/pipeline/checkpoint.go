@@ -20,33 +20,29 @@ import (
 // the X key's Sigma (bottom-time uncertainty) to every serialized key,
 // so restored engines publish the same per-pair confidences as the
 // engines that wrote them. Version 4 cut each tag's detection state to
-// four counters (stpp.DetectState.AppendCheckpoint): the segments, DTW
-// columns and unwrap curves version 3 journaled are recomputed from the
-// restored profile. RestoreCheckpoint reads this version only; any other
-// fails with ckpt.ErrCorrupt.
-const engineCkptVersion = 4
+// four counters. Version 5 journals no detection state and no profile
+// generations: a restored tag starts cold. RestoreCheckpoint reads this
+// version only; any other fails with ckpt.ErrCorrupt.
+const engineCkptVersion = 5
 
-// Checkpoint serializes the engine's state — the profile builder, every
-// tag's cached per-tag result, and the counters of every tag's resumable
-// detection state (how much of the profile its segment cache, DTW columns
-// and unwrap/median curves cover) — appending to dst. The encoding is
+// Checkpoint serializes the engine's state — the profile builder and
+// every tag's cached per-tag result — appending to dst. The encoding is
 // byte-stable: it iterates the builder's first-appearance order, never a
 // map, so checkpointing the same state twice yields identical bytes.
 //
-// Because every piece of incremental state is a deterministic function of
-// the profile contents, the restoring side recomputes it from the
-// restored profiles, and an engine restored from this checkpoint behaves
-// byte-identically to the engine that wrote it: same snapshot results,
-// same future checkpoints after the same suffix of reads.
+// A tag's resumable detection state (segment cache, DTW columns,
+// unwrap/median curves) is not journaled: it is a deterministic function
+// of the profile, so the restoring side starts every tag cold and the
+// tag's first detection rebuilds it. By the incremental contract an
+// engine restored from this checkpoint behaves byte-identically to the
+// engine that wrote it: same snapshot results, same future checkpoints
+// after the same suffix of reads.
 //
-// Checkpoint first brings the incremental state current — the same
-// deterministic recompute a Snapshot runs, minus the assembly — so the
-// serialized detection state covers every consumed read. Without this, a
-// session that checkpoints more often than it publishes would journal
-// cold DTW state and the restoring side's first snapshot would pay for
-// the whole history, exactly the cost checkpoints exist to avoid. The
-// recompute is O(reads since the last snapshot or checkpoint), so the
-// advance amortizes the same way snapshots do.
+// Checkpoint first runs the recompute a Snapshot runs, minus the
+// assembly, so the cached results it writes cover every consumed read
+// and the dirty set it writes is empty. Both then depend only on the
+// reads consumed, not on when the last snapshot ran: two engines fed the
+// same reads write the same bytes whatever their snapshot cadence.
 func (e *Engine) Checkpoint(dst []byte) []byte {
 	e.recompute(e.builder.TakeDirty())
 	dst = ckpt.AppendU8(dst, engineCkptVersion)
@@ -76,14 +72,6 @@ func (e *Engine) Checkpoint(dst []byte) []byte {
 			} else {
 				dst = ckpt.AppendU8(dst, 0)
 			}
-		}
-		ts := e.states[epc]
-		if ts == nil {
-			dst = ckpt.AppendU8(dst, 0)
-		} else {
-			dst = ckpt.AppendU8(dst, 1)
-			dst = ckpt.AppendU64(dst, ts.gen)
-			dst = ts.det.AppendCheckpoint(dst)
 		}
 	}
 	dst = ckpt.AppendF64(dst, e.frontier)
@@ -139,10 +127,12 @@ func ReadFinalSet(r *ckpt.Reader, keep bool) (map[epcgen2.EPC]bool, []epcgen2.EP
 
 // RestoreCheckpoint rebuilds the engine from Checkpoint output read
 // sequentially from r, replacing any current contents. A version other
-// than engineCkptVersion fails with ckpt.ErrCorrupt. Cached V-zones and
-// detection-state counters are checked against their restored profiles,
-// so a CRC-valid but hostile blob fails here instead of panicking a later
-// Snapshot. On error the engine is left empty (as if freshly
+// than engineCkptVersion fails with ckpt.ErrCorrupt. Cached V-zones are
+// checked against their restored profiles, so a CRC-valid but hostile
+// blob fails here instead of panicking a later Snapshot. Every restored
+// profile gets a cold detection state, so the Y stage resumes curves from
+// its first snapshot on instead of re-unwrapping clean tags one-shot on
+// every snapshot. On error the engine is left empty (as if freshly
 // constructed).
 func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 	reset := e.resetEmpty
@@ -165,6 +155,7 @@ func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 			break
 		}
 		p := e.builder.LiveProfile(epc)
+		states[epc] = &tagState{det: e.loc.NewDetectState(), gen: e.builder.Generation(epc)}
 		if r.U8() != 0 {
 			tr := stpp.TagResult{EPC: epc, Profile: p}
 			tr.VZone.Start = int(r.U64())
@@ -184,14 +175,6 @@ func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 				r.Failf("tag %v: cached V-zone [%d, %d) outside its %d-sample profile", epc, vz.Start, vz.End, p.Len())
 			}
 			cached[epc] = tr
-		}
-		if r.U8() != 0 {
-			ts := &tagState{det: e.loc.NewDetectState(), gen: r.U64()}
-			if err := ts.det.RestoreCheckpoint(r, p); err != nil {
-				reset()
-				return fmt.Errorf("pipeline: restore tag state: %w", err)
-			}
-			states[epc] = ts
 		}
 	}
 	frontier := r.F64()

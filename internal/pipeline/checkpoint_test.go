@@ -99,6 +99,55 @@ func TestCheckpointRestoreEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestCheckpointIndependentOfSnapshotCadence: Checkpoint's bytes are a
+// function of the reads consumed, not of when the engine last snapshotted.
+// Two engines fed the same reads — one snapshotting at random points, one
+// never — write identical checkpoints at every point where both write
+// one, in order and with out-of-order reads alike.
+func TestCheckpointIndependentOfSnapshotCadence(t *testing.T) {
+	s := scenes(t)["conveyor"]
+	base, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := stpp.NewLocalizer(s.STPPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 4; trial++ {
+		reads := base
+		if trial%2 == 1 {
+			reads = perturb(rng, base, 0.08)
+		}
+		snapper := NewFromLocalizer(loc, Options{Group: widthGroup(t, 1+rng.Intn(4))})
+		quiet := NewFromLocalizer(loc, Options{Group: widthGroup(t, 1+rng.Intn(4))})
+		snaps, ckpts := 0, 0
+		for pos := 0; pos < len(reads); {
+			n := min(1+rng.Intn(97), len(reads)-pos)
+			snapper.Consume(reads[pos : pos+n])
+			quiet.Consume(reads[pos : pos+n])
+			pos += n
+			if rng.Float64() < 0.4 {
+				if _, err := snapper.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				snaps++
+			}
+			if rng.Float64() < 0.2 || pos == len(reads) {
+				if a, b := snapper.Checkpoint(nil), quiet.Checkpoint(nil); !bytes.Equal(a, b) {
+					t.Fatalf("trial %d pos %d: checkpoints differ after %d snapshots (%d vs %d bytes)",
+						trial, pos, snaps, len(a), len(b))
+				}
+				ckpts++
+			}
+		}
+		if snaps < 2 || ckpts < 2 {
+			t.Fatalf("trial %d exercised %d snapshots and %d checkpoints", trial, snaps, ckpts)
+		}
+	}
+}
+
 // TestRestoreRejectsCorruptCheckpoint: a damaged blob must error and leave
 // the engine empty but usable, never half-restored.
 func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {

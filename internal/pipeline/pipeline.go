@@ -258,13 +258,10 @@ func (e *Engine) Snapshot() (*stpp.Result, error) {
 	for _, epc := range epcs {
 		e.tags = append(e.tags, e.cached[epc])
 		// Hand the Y stage each tag's detection state so valley windowing
-		// resumes the cached unwrap/median curves (every seen tag has one:
-		// a new tag is dirty on its first snapshot).
-		if ts := e.states[epc]; ts != nil {
-			e.yst = append(e.yst, ts.det)
-		} else {
-			e.yst = append(e.yst, nil)
-		}
+		// resumes the cached unwrap/median curves. Every resident tag has
+		// one: a new tag is dirty on its first snapshot, and a restore
+		// gives every restored tag a cold one.
+		e.yst = append(e.yst, e.states[epc].det)
 	}
 	return e.loc.AssembleStates(e.tags, e.yst), nil
 }

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"repro/internal/ckpt"
-	"repro/internal/dtw"
 	"repro/internal/epcgen2"
 )
 
@@ -10,7 +9,10 @@ import (
 // first-appearance order (the iteration order is the order slice, never a
 // map, so the encoding is byte-stable), then the pending dirty set in
 // first-touch order. Restoring reproduces the builder exactly, including
-// which tags a consumer has not yet drained via TakeDirty.
+// which tags a consumer has not yet drained via TakeDirty, except for the
+// generations (see Generation): they are not encoded and restore as 0. A
+// generation only means something next to the state a consumer built
+// from the same builder, and a restored consumer holds none.
 func (b *Builder) AppendCheckpoint(dst []byte) []byte {
 	dst = ckpt.AppendU32(dst, uint32(len(b.order)))
 	for _, e := range b.order {
@@ -21,7 +23,6 @@ func (b *Builder) AppendCheckpoint(dst []byte) []byte {
 			sorted = 1
 		}
 		dst = ckpt.AppendU8(dst, sorted)
-		dst = ckpt.AppendU64(dst, ent.gen)
 		dst = ckpt.AppendF64s(dst, ent.p.Times)
 		dst = ckpt.AppendF64s(dst, ent.p.Phases)
 		dst = ckpt.AppendF64s(dst, ent.p.RSSI)
@@ -48,7 +49,6 @@ func (b *Builder) RestoreCheckpoint(r *ckpt.Reader) error {
 	for i := 0; i < tags && r.Err() == nil; i++ {
 		e := readEPC(r)
 		sorted := r.U8()
-		gen := r.U64()
 		p := &Profile{EPC: e}
 		p.Times = r.F64s(nil)
 		p.Phases = r.F64s(nil)
@@ -64,7 +64,7 @@ func (b *Builder) RestoreCheckpoint(r *ckpt.Reader) error {
 			r.Failf("duplicate profile %v", e)
 			break
 		}
-		ent := &builderEntry{p: p, sorted: sorted != 0, gen: gen}
+		ent := &builderEntry{p: p, sorted: sorted != 0}
 		// maxT is not serialized — recompute it (the scan is O(profile),
 		// but restore already reads every sample anyway).
 		for i, t := range p.Times {
@@ -91,18 +91,4 @@ func (b *Builder) RestoreCheckpoint(r *ckpt.Reader) error {
 	}
 	*b = *nb
 	return nil
-}
-
-// Covered reports how many profile samples the cached segmentation covers
-// — the cache's whole resume position, since the segments themselves are
-// a pure function of those samples.
-func (c *SegmentCache) Covered() int { return c.n }
-
-// Restore rebuilds the cache over the first n samples of p, as a
-// checkpoint restore does from Covered: by the cache's own contract the
-// result is element-for-element what the writer held. n must not exceed
-// p.Len().
-func (c *SegmentCache) Restore(p *Profile, n int) []dtw.Segment {
-	c.Invalidate()
-	return c.Segments(p.Slice(0, n))
 }

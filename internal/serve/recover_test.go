@@ -546,14 +546,14 @@ func TestNonCanonicalNumbersRecoverBitExact(t *testing.T) {
 	}
 }
 
-// TestVersion3CheckpointFailsOneSession: a data directory holding a log
+// TestVersion4CheckpointFailsOneSession: a data directory holding a log
 // whose checkpoint record is CRC-valid but stamped with the retired
-// engine checkpoint version 3 still boots. That one session comes up
-// finished, holding an error that names the version — GET
-// /v1/sessions/{id} reports it — and its segment files stay on disk
-// untouched. The live session beside it recovers and resumes to the
-// offline replay.
-func TestVersion3CheckpointFailsOneSession(t *testing.T) {
+// engine checkpoint version 4, the last that journaled detection state,
+// still boots. That one session comes up finished, holding an error that
+// names the version — GET /v1/sessions/{id} reports it — and its segment
+// files stay on disk untouched. The live session beside it recovers and
+// resumes to the offline replay.
+func TestVersion4CheckpointFailsOneSession(t *testing.T) {
 	tr, want, opts := aisleTrace(t, 3)
 	opts.DataDir = t.TempDir()
 	opts.Fsync = wal.SyncNever
@@ -568,8 +568,8 @@ func TestVersion3CheckpointFailsOneSession(t *testing.T) {
 	waitDrained(t, healthy)
 	// Crash: that server is abandoned with its log open.
 
-	// The v3 log: a batch, a checkpoint covering it whose first shard's
-	// engine version byte reads 3, and a batch past the checkpoint.
+	// The v4 log: a batch, a checkpoint covering it whose first shard's
+	// engine version byte reads 4, and a batch past the checkpoint.
 	dir := filepath.Join(opts.DataDir, "s000002")
 	log, err := wal.Create(dir, tr.Header, wal.Options{Fsync: wal.SyncNever})
 	if err != nil {
@@ -590,10 +590,10 @@ func TestVersion3CheckpointFailsOneSession(t *testing.T) {
 	// The version byte follows the sharded version (u8), the shard count
 	// (u32) and the first shard's ID (u64).
 	const engineVersionAt = 1 + 4 + 8
-	if blob[engineVersionAt] != 4 {
-		t.Fatalf("engine checkpoint version %d, want 4", blob[engineVersionAt])
+	if blob[engineVersionAt] != 5 {
+		t.Fatalf("engine checkpoint version %d, want 5", blob[engineVersionAt])
 	}
-	blob[engineVersionAt] = 3
+	blob[engineVersionAt] = 4
 	if _, err := log.AppendCheckpoint(0, int64(len(prefix)), blob); err != nil {
 		t.Fatal(err)
 	}
@@ -614,32 +614,32 @@ func TestVersion3CheckpointFailsOneSession(t *testing.T) {
 	}
 	bad, ok := srv.Session("s000002")
 	if !ok {
-		t.Fatal("the version-3 session was not brought up")
+		t.Fatal("the version-4 session was not brought up")
 	}
 	if !bad.finished() {
-		t.Error("the version-3 session is not finished")
+		t.Error("the version-4 session is not finished")
 	}
-	if err := bad.Err(); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "engine checkpoint version 3") {
-		t.Errorf("version-3 session error %v, want ckpt.ErrCorrupt naming version 3", err)
+	if err := bad.Err(); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "engine checkpoint version 4") {
+		t.Errorf("version-4 session error %v, want ckpt.ErrCorrupt naming version 4", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	var st SessionStats
 	getJSON(t, ts, "/v1/sessions/s000002", http.StatusOK, &st)
-	if !st.Finished || !strings.Contains(st.Error, "engine checkpoint version 3") {
-		t.Errorf("GET /v1/sessions/s000002: finished %v, error %q; want finished, naming version 3", st.Finished, st.Error)
+	if !st.Finished || !strings.Contains(st.Error, "engine checkpoint version 4") {
+		t.Errorf("GET /v1/sessions/s000002: finished %v, error %q; want finished, naming version 4", st.Finished, st.Error)
 	}
 	// A client polling the order must see the failure, not the 202 of a
 	// session still warming up.
 	for _, path := range []string{"/v1/sessions/s000002/order", "/v1/sessions/s000002/order?refresh=1"} {
 		var e errorResponse
 		getJSON(t, ts, path, http.StatusConflict, &e)
-		if !strings.Contains(e.Error, "engine checkpoint version 3") {
-			t.Errorf("GET %s: error %q, want one naming version 3", path, e.Error)
+		if !strings.Contains(e.Error, "engine checkpoint version 4") {
+			t.Errorf("GET %s: error %q, want one naming version 4", path, e.Error)
 		}
 	}
 	if !reflect.DeepEqual(segmentBytes(t, dir), before) {
-		t.Error("the boot changed the version-3 session's segment files")
+		t.Error("the boot changed the version-4 session's segment files")
 	}
 
 	sess, ok := srv.Session(healthy.ID)
