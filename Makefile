@@ -40,6 +40,7 @@ build:
 test: fmt build
 	go vet ./...
 	go test ./...
+	GOARCH=386 go test ./...
 	cd benchmark && GOWORK=off go vet ./... && GOWORK=off go test -short ./...
 	cd benchmark && GOWORK=off go test -run TestSmoke ./...
 

@@ -141,20 +141,30 @@ func (r *Reader) F64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
+// Count reads a u32 count of what (a plural noun, for the error) whose
+// elements take at least size bytes each. It checks the count against
+// the remaining input before converting it to int, so a hostile count
+// fails the reader instead of sizing an allocation or, on a 32-bit
+// build, turning negative. It returns 0 once the reader has failed.
+func (r *Reader) Count(size int, what string) int {
+	n := r.U32()
+	if r.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(size) > uint64(len(r.data)) {
+		r.Failf("%d %s in %d bytes", n, what, len(r.data))
+		return 0
+	}
+	return int(n)
+}
+
 // F64s reads a u32-counted float64 slice into dst[:0], growing as needed.
 // The count is validated against the remaining input before allocating.
 // The elements are decoded in one pass over a single take, not one
 // bounds-checked read each — restore speed is what bounds recovery time,
 // and float arrays dominate the blob.
 func (r *Reader) F64s(dst []float64) []float64 {
-	n := int(r.U32())
-	if r.err != nil {
-		return nil
-	}
-	if n*8 > len(r.data) {
-		r.fail("f64 slice")
-		return nil
-	}
+	n := r.Count(8, "f64s")
 	b := r.take(n*8, "f64 slice")
 	if b == nil {
 		return nil
@@ -172,11 +182,7 @@ func (r *Reader) F64s(dst []float64) []float64 {
 // Bytes reads a u32-length-prefixed byte slice. The returned slice aliases
 // the Reader's input.
 func (r *Reader) Bytes() []byte {
-	n := int(r.U32())
-	if r.err != nil {
-		return nil
-	}
-	return r.take(n, "byte slice")
+	return r.take(r.Count(1, "bytes"), "byte slice")
 }
 
 // String reads a u32-length-prefixed string.

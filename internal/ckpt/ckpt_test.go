@@ -169,3 +169,19 @@ func TestOversizedCountsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestCountsOverflowingIntFail: a count whose byte size overflows a
+// 32-bit int still fails. 0x20000001 f64s need 0x100000008 bytes, which a
+// 32-bit int wraps to 8 — exactly what this 12-byte blob holds past its
+// count — and on GOARCH=386 the slice make sized by the count then
+// panicked. A 0xFFFFFFFF count, -1 as a 32-bit int, fails Count too.
+func TestCountsOverflowingIntFail(t *testing.T) {
+	r := NewReader(append(AppendU32(nil, 0x20000001), make([]byte, 8)...))
+	if got := r.F64s(nil); got != nil || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("F64s count 0x20000001 over 8 bytes: len %d, err %v", len(got), r.Err())
+	}
+	r = NewReader(append(AppendU32(nil, math.MaxUint32), make([]byte, 8)...))
+	if n := r.Count(1, "bytes"); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("Count 0xFFFFFFFF over 8 bytes: %d, err %v", n, r.Err())
+	}
+}

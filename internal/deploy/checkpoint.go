@@ -4,12 +4,13 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/pipeline"
+	"repro/internal/epcgen2"
 )
 
 // shardedCkptVersion versions the ShardedEngine checkpoint encoding.
 // Version 2 added the deployment-level lifecycle state: the router's
-// late-read count, the global emission stream and the finalized-tag set.
+// late-read count, the global emission stream and the finalized-tag set,
+// the deployment's only one (shard engines keep none).
 const shardedCkptVersion = 2
 
 // Checkpoint serializes every shard engine in zone order (byte-stable:
@@ -29,7 +30,7 @@ func (se *ShardedEngine) Checkpoint(dst []byte) []byte {
 	for _, em := range se.emitted {
 		dst = appendEmittedTag(dst, em)
 	}
-	return pipeline.AppendFinalSet(dst, se.finalOrder)
+	return appendFinalSet(dst, se.finalOrder)
 }
 
 // Restore rebuilds the shard engines from Checkpoint output. The engine
@@ -41,7 +42,7 @@ func (se *ShardedEngine) Restore(data []byte) error {
 	if v := r.U8(); r.Err() == nil && v != shardedCkptVersion {
 		r.Failf("sharded checkpoint version %d", v)
 	}
-	if n := int(r.U32()); r.Err() == nil && n != len(se.shards) {
+	if n := r.Count(8, "shards"); r.Err() == nil && n != len(se.shards) {
 		r.Failf("%d shards in checkpoint, engine has %d", n, len(se.shards))
 	}
 	if err := r.Err(); err != nil {
@@ -62,12 +63,10 @@ func (se *ShardedEngine) Restore(data []byte) error {
 	}
 	late := int64(r.U64())
 	var emitted []EmittedTag
-	if n := int(r.U32()); r.Err() == nil {
-		for i := 0; i < n && r.Err() == nil; i++ {
-			emitted = append(emitted, readEmittedTag(r))
-		}
+	for i, n := 0, r.Count(emittedTagBytes, "emitted tags"); i < n && r.Err() == nil; i++ {
+		emitted = append(emitted, readEmittedTag(r))
 	}
-	final, finalOrder := pipeline.ReadFinalSet(r, se.policy.Enabled())
+	final, finalOrder := readFinalSet(r)
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("deploy: restore: %w", err)
 	}
@@ -78,6 +77,46 @@ func (se *ShardedEngine) Restore(data []byte) error {
 	se.final, se.finalOrder = final, finalOrder
 	return nil
 }
+
+// appendFinalSet serializes the finalized-tag set in marking order: a u32
+// count, then each EPC's raw bytes.
+func appendFinalSet(dst []byte, order []epcgen2.EPC) []byte {
+	dst = ckpt.AppendU32(dst, uint32(len(order)))
+	for _, epc := range order {
+		dst = append(dst, epc[:]...)
+	}
+	return dst
+}
+
+// readFinalSet decodes an appendFinalSet section into the set and its
+// marking order. A count the remaining input cannot back or a duplicate
+// EPC fails the reader: a CRC-valid blob with a hostile count must not
+// reach a make() hint.
+func readFinalSet(r *ckpt.Reader) (map[epcgen2.EPC]bool, []epcgen2.EPC) {
+	n := r.Count(len(epcgen2.EPC{}), "finalized tags")
+	final := make(map[epcgen2.EPC]bool, n)
+	var order []epcgen2.EPC
+	for i := 0; i < n && r.Err() == nil; i++ {
+		epc := readEPC(r)
+		if final[epc] {
+			r.Failf("duplicate finalized tag %v", epc)
+			break
+		}
+		final[epc] = true
+		order = append(order, epc)
+	}
+	return final, order
+}
+
+func readEPC(r *ckpt.Reader) (epc epcgen2.EPC) {
+	for j := range epc {
+		epc[j] = r.U8()
+	}
+	return epc
+}
+
+// emittedTagBytes is the size of one appendEmittedTag entry.
+const emittedTagBytes = len(epcgen2.EPC{}) + 7*8
 
 // appendEmittedTag serializes one emission-stream entry: the raw EPC bytes
 // plus the seven XKey floats. The compact per-tag footprint is what keeps
@@ -97,9 +136,7 @@ func appendEmittedTag(dst []byte, em EmittedTag) []byte {
 
 // readEmittedTag decodes one appendEmittedTag entry.
 func readEmittedTag(r *ckpt.Reader) (em EmittedTag) {
-	for j := range em.EPC {
-		em.EPC[j] = r.U8()
-	}
+	em.EPC = readEPC(r)
 	em.X.BottomTime = r.F64()
 	em.X.BottomPhase = r.F64()
 	em.X.Fit.A = r.F64()

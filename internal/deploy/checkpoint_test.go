@@ -139,7 +139,9 @@ func TestShardedRestoreRejectsMismatch(t *testing.T) {
 // values must fail the restore with ckpt.ErrCorrupt before any count
 // sizes an allocation. A finalized-tag count of 0xFFFFFFFF once reached a
 // map make() hint unchecked and ended Restore in an unrecoverable
-// out-of-memory fatal, taking the daemon down at boot.
+// out-of-memory fatal, taking the daemon down at boot; on a 32-bit build
+// it once converted to -1 and restored as an empty section. A count of 1
+// is corrupt too: no bytes follow to back the entry.
 func TestShardedRestoreRejectsHostileCounts(t *testing.T) {
 	d, tr := goldenTrace(t, "portals")
 	se, err := NewSharded(d, Options{Finalize: portalPolicy()})
@@ -156,14 +158,16 @@ func TestShardedRestoreRejectsHostileCounts(t *testing.T) {
 	// The blob ends with the global emission-stream count and the
 	// finalized-tag count, both little-endian u32.
 	for name, off := range map[string]int{"finalized": len(blob) - 4, "emitted": len(blob) - 8} {
-		bad := append([]byte(nil), blob...)
-		binary.LittleEndian.PutUint32(bad[off:], 0xFFFFFFFF)
-		fresh, err := NewSharded(d, Options{Finalize: portalPolicy()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Restore(bad); !errors.Is(err, ckpt.ErrCorrupt) {
-			t.Errorf("%s count 0xFFFFFFFF: restore error %v, want ckpt.ErrCorrupt", name, err)
+		for _, n := range []uint32{1, 0xFFFFFFFF} {
+			bad := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint32(bad[off:], n)
+			fresh, err := NewSharded(d, Options{Finalize: portalPolicy()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Restore(bad); !errors.Is(err, ckpt.ErrCorrupt) {
+				t.Errorf("%s count %#x: restore error %v, want ckpt.ErrCorrupt", name, n, err)
+			}
 		}
 	}
 }
@@ -191,8 +195,8 @@ func TestVersion3CheckpointRejected(t *testing.T) {
 			// The first shard's engine version byte follows the sharded
 			// version (u8), the shard count (u32) and the shard ID (u64).
 			const engineVersionAt = 1 + 4 + 8
-			if blob[engineVersionAt] != 5 {
-				t.Fatalf("engine checkpoint version %d, want 5", blob[engineVersionAt])
+			if blob[engineVersionAt] != 6 {
+				t.Fatalf("engine checkpoint version %d, want 6", blob[engineVersionAt])
 			}
 			blob[engineVersionAt] = 3
 			se, fresh := engine(), engine()

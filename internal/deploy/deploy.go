@@ -150,12 +150,13 @@ type Options struct {
 	// scheduler, shared by every shard.
 	Group *sched.Group
 	// Finalize enables the tag lifecycle across the deployment. Shard
-	// engines only run the lifecycle's admission path (late-read drop,
-	// frontier tracking) and never emit or evict on their own; the
-	// sharded engine is the one lifecycle coordinator: it finalizes a
-	// tag only when every zone holding it agrees its pass concluded and
-	// the deployment-wide frontier has moved past it, then emits it to
-	// the global emission stream and evicts it from every shard. The
+	// engines only run the lifecycle's admission path (frontier tracking,
+	// the pre-read conclusive check) and never emit, evict or remember a
+	// finalized tag on their own; the sharded engine is the one lifecycle
+	// coordinator: it finalizes a tag only when every zone holding it
+	// agrees its pass concluded and the deployment-wide frontier has
+	// moved past it, then emits it to the global emission stream, evicts
+	// it from every shard and drops its later reads at the router. The
 	// zero policy disables the lifecycle.
 	Finalize stpp.FinalizePolicy
 }
@@ -181,9 +182,10 @@ type ShardedEngine struct {
 	byID   map[int]*shard
 	group  *sched.Group
 
-	// Lifecycle state (nil/zero when the policy is disabled). final and
-	// finalOrder track globally-finalized tags (set + deterministic
-	// marking order for checkpoints); emitted is the global emission
+	// Lifecycle state (empty when the policy is disabled). final and
+	// finalOrder track the deployment's finalized tags (set +
+	// deterministic marking order for checkpoints); shard engines keep
+	// no finalized set of their own. emitted is the global emission
 	// stream, X keys on the deployment clock; late counts reads dropped
 	// at the router because their tag was already globally final.
 	policy     stpp.FinalizePolicy
@@ -213,9 +215,11 @@ func NewSharded(d Deployment, opts Options) (*ShardedEngine, error) {
 	if group == nil {
 		group = sched.Default().NewGroup("deploy")
 	}
-	se := &ShardedEngine{group: group, byID: make(map[int]*shard, len(d.Readers)), policy: opts.Finalize}
-	if se.policy.Enabled() {
-		se.final = make(map[epcgen2.EPC]bool)
+	se := &ShardedEngine{
+		group:  group,
+		byID:   make(map[int]*shard, len(d.Readers)),
+		policy: opts.Finalize,
+		final:  make(map[epcgen2.EPC]bool),
 	}
 	for _, spec := range d.Readers {
 		eng, err := pipeline.New(spec.Config, pipeline.Options{
@@ -500,7 +504,7 @@ func (se *ShardedEngine) sweep() {
 func (se *ShardedEngine) evictEverywhere(epc epcgen2.EPC) {
 	for _, sh := range se.shards {
 		if !sh.eng.Evict(epc) {
-			continue // not a holder: marked final, nothing to refresh
+			continue // not a holder: nothing to refresh
 		}
 		sh.dirty = true
 		if sh.eng.Tags() == 0 {
@@ -747,11 +751,7 @@ func (se *ShardedEngine) Close() {
 	se.emitted, se.finalOrder, se.routeBuf = nil, nil, nil
 	se.xStitch.reset()
 	se.yStitch.reset()
-	if se.policy.Enabled() {
-		se.final = make(map[epcgen2.EPC]bool)
-	} else {
-		se.final = nil
-	}
+	se.final = make(map[epcgen2.EPC]bool)
 }
 
 // Localize runs the engine over a complete read log in one call.

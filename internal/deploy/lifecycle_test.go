@@ -1,8 +1,10 @@
 package deploy
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/epcgen2"
@@ -220,4 +222,120 @@ func TestShardedLifecycleDisabledIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameGlobal(t, want, got)
+}
+
+// portalStragglers returns the portal-belt reads with three straggler
+// re-reads injected for every other bag, at the reader that read the bag
+// last, starting a little more than After+Margin after that last read.
+// Only stragglers that land before the belt's final read are kept, so
+// each arrives mid-stream; each is inserted before the first read later
+// than it. It also returns the stragglers and the first one of each bag.
+func portalStragglers(reads []reader.TagRead) (out, strays []reader.TagRead, first map[reader.TagRead]bool) {
+	last := make(map[epcgen2.EPC]reader.TagRead)
+	var bags []epcgen2.EPC
+	end := math.Inf(-1)
+	for _, r := range reads {
+		if prev, ok := last[r.EPC]; !ok {
+			bags = append(bags, r.EPC)
+			last[r.EPC] = r
+		} else if r.Time >= prev.Time {
+			last[r.EPC] = r
+		}
+		end = max(end, r.Time)
+	}
+	first = make(map[reader.TagRead]bool)
+	out = append([]reader.TagRead(nil), reads...)
+	for i, epc := range bags {
+		if i%2 == 0 {
+			continue
+		}
+		for k := 0; k < 3; k++ {
+			s := last[epc]
+			s.Time += portalAfter + portalMargin + 0.2 + 0.3*float64(k)
+			if s.Time >= end {
+				break
+			}
+			if k == 0 {
+				first[s] = true
+			}
+			strays = append(strays, s)
+			at := slices.IndexFunc(out, func(r reader.TagRead) bool { return r.Time > s.Time })
+			out = slices.Insert(out, at, s)
+		}
+	}
+	return out, strays, first
+}
+
+// TestShardedLifecycleStragglers pins the shards' pre-read conclusive
+// check, the only thing that drops a straggler read for a bag whose pass
+// is over but which no sweep has finalized yet. Stragglers re-read some
+// portal-belt bags a little more than After+Margin after their last read
+// (see portalStragglers). Three schedules must agree on the emitted
+// stream and count every straggler late: a snapshot after every batch
+// (the stragglers find their bag already finalized and drop at the
+// router), a snapshot only at the end (every straggler meets a resident
+// bag at its shard), and the end-only schedule crash-restored from a
+// checkpoint taken right after each bag's first straggler, before any
+// sweep: the restored shard holds no memory of that verdict and must
+// re-derive it for the bag's later stragglers.
+func TestShardedLifecycleStragglers(t *testing.T) {
+	d, base := portalBelt(t)
+	reads, strays, first := portalStragglers(base)
+	if len(first) < 3 || len(strays) <= len(first) {
+		t.Fatalf("%d stragglers over %d bags; the test needs several bags with more than one", len(strays), len(first))
+	}
+	run := func(every, crash bool) ([]EmittedTag, int64) {
+		t.Helper()
+		opts := Options{Group: widthGroup(t, 2), Finalize: portalPolicy()}
+		se, err := NewSharded(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos := 0; pos < len(reads); {
+			n := min(40, len(reads)-pos)
+			cut := false
+			if crash {
+				if j := slices.IndexFunc(reads[pos:pos+n], func(r reader.TagRead) bool { return first[r] }); j >= 0 {
+					n, cut = j+1, true
+				}
+			}
+			if err := se.Consume(reads[pos : pos+n]); err != nil {
+				t.Fatal(err)
+			}
+			pos += n
+			if every {
+				if _, err := se.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if cut {
+				blob := se.Checkpoint(nil)
+				if se, err = NewSharded(d, opts); err != nil {
+					t.Fatal(err)
+				}
+				if err := se.Restore(blob); err != nil {
+					t.Fatalf("pos %d: restore: %v", pos, err)
+				}
+			}
+		}
+		if _, err := se.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		return se.Emitted(), se.LateReads()
+	}
+	var ref []EmittedTag
+	for i, s := range []struct{ every, crash bool }{{true, false}, {false, false}, {false, true}} {
+		emitted, late := run(s.every, s.crash)
+		if i == 0 {
+			if ref = emitted; len(ref) == 0 {
+				t.Fatal("portal belt finalized nothing — the lifecycle went unexercised")
+			}
+		}
+		if late != int64(len(strays)) {
+			t.Errorf("schedule %d: %d late reads, want all %d stragglers", i, late, len(strays))
+		}
+		if !reflect.DeepEqual(emitted, ref) {
+			t.Errorf("schedule %d: emitted stream diverged from the every-batch schedule:\n  ref %v\n  got %v", i, ref, emitted)
+		}
+	}
 }

@@ -21,9 +21,13 @@ import (
 // so restored engines publish the same per-pair confidences as the
 // engines that wrote them. Version 4 cut each tag's detection state to
 // four counters. Version 5 journals no detection state and no profile
-// generations: a restored tag starts cold. RestoreCheckpoint reads this
-// version only; any other fails with ckpt.ErrCorrupt.
-const engineCkptVersion = 5
+// generations: a restored tag starts cold. Version 6 drops what the
+// leading recompute in Checkpoint made constant (the per-tag has-cached
+// byte, the builder's dirty set and per-profile sorted byte) and the
+// emission count and finalized set a shard no longer keeps: the deploy
+// coordinator holds the deployment's one finalized set. RestoreCheckpoint
+// reads this version only; any other fails with ckpt.ErrCorrupt.
+const engineCkptVersion = 6
 
 // Checkpoint serializes the engine's state — the profile builder and
 // every tag's cached per-tag result — appending to dst. The encoding is
@@ -39,10 +43,11 @@ const engineCkptVersion = 5
 // after the same suffix of reads.
 //
 // Checkpoint first runs the recompute a Snapshot runs, minus the
-// assembly, so the cached results it writes cover every consumed read
-// and the dirty set it writes is empty. Both then depend only on the
-// reads consumed, not on when the last snapshot ran: two engines fed the
-// same reads write the same bytes whatever their snapshot cadence.
+// assembly, so every resident tag has a cached result covering all its
+// reads, and the builder holds no dirty tag and no unsorted profile. The
+// blob then depends only on the reads consumed, not on when the last
+// snapshot ran: two engines fed the same reads write the same bytes
+// whatever their snapshot cadence.
 func (e *Engine) Checkpoint(dst []byte) []byte {
 	e.recompute(e.builder.TakeDirty())
 	dst = ckpt.AppendU8(dst, engineCkptVersion)
@@ -51,85 +56,34 @@ func (e *Engine) Checkpoint(dst []byte) []byte {
 	epcs := e.builder.EPCs()
 	dst = ckpt.AppendU32(dst, uint32(len(epcs)))
 	for _, epc := range epcs {
-		tr, hasCached := e.cached[epc]
-		if !hasCached {
-			dst = ckpt.AppendU8(dst, 0)
-		} else {
+		tr := e.cached[epc]
+		dst = ckpt.AppendU64(dst, uint64(tr.VZone.Start))
+		dst = ckpt.AppendU64(dst, uint64(tr.VZone.End))
+		dst = ckpt.AppendF64(dst, tr.VZone.Cost)
+		dst = ckpt.AppendF64(dst, tr.X.BottomTime)
+		dst = ckpt.AppendF64(dst, tr.X.BottomPhase)
+		dst = ckpt.AppendF64(dst, tr.X.Fit.A)
+		dst = ckpt.AppendF64(dst, tr.X.Fit.B)
+		dst = ckpt.AppendF64(dst, tr.X.Fit.C)
+		dst = ckpt.AppendF64(dst, tr.X.R2)
+		dst = ckpt.AppendF64(dst, tr.X.Sigma)
+		if tr.Err != nil {
 			dst = ckpt.AppendU8(dst, 1)
-			dst = ckpt.AppendU64(dst, uint64(tr.VZone.Start))
-			dst = ckpt.AppendU64(dst, uint64(tr.VZone.End))
-			dst = ckpt.AppendF64(dst, tr.VZone.Cost)
-			dst = ckpt.AppendF64(dst, tr.X.BottomTime)
-			dst = ckpt.AppendF64(dst, tr.X.BottomPhase)
-			dst = ckpt.AppendF64(dst, tr.X.Fit.A)
-			dst = ckpt.AppendF64(dst, tr.X.Fit.B)
-			dst = ckpt.AppendF64(dst, tr.X.Fit.C)
-			dst = ckpt.AppendF64(dst, tr.X.R2)
-			dst = ckpt.AppendF64(dst, tr.X.Sigma)
-			if tr.Err != nil {
-				dst = ckpt.AppendU8(dst, 1)
-				dst = ckpt.AppendString(dst, tr.Err.Error())
-			} else {
-				dst = ckpt.AppendU8(dst, 0)
-			}
+			dst = ckpt.AppendString(dst, tr.Err.Error())
+		} else {
+			dst = ckpt.AppendU8(dst, 0)
 		}
 	}
 	dst = ckpt.AppendF64(dst, e.frontier)
-	dst = ckpt.AppendU64(dst, uint64(e.late))
-	dst = ckpt.AppendU32(dst, 0) // emission-stream count: shards never emit
-	return AppendFinalSet(dst, e.finalOrder)
-}
-
-// AppendFinalSet serializes a finalized-tag set in marking order: a u32
-// count, then each EPC's raw bytes. deploy.ShardedEngine checkpoints its
-// global set with the same codec.
-func AppendFinalSet(dst []byte, order []epcgen2.EPC) []byte {
-	dst = ckpt.AppendU32(dst, uint32(len(order)))
-	for _, epc := range order {
-		dst = append(dst, epc[:]...)
-	}
-	return dst
-}
-
-// ReadFinalSet decodes an AppendFinalSet section into the set and its
-// marking order. The set is nil when it is empty and keep is false (a
-// disabled lifecycle holds none). A count the remaining input cannot back
-// or a duplicate EPC fails the reader before anything is sized by it: a
-// CRC-valid blob with a hostile count must not reach a make() hint.
-func ReadFinalSet(r *ckpt.Reader, keep bool) (map[epcgen2.EPC]bool, []epcgen2.EPC) {
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil, nil
-	}
-	if n > r.Len()/len(epcgen2.EPC{}) {
-		r.Failf("%d finalized tags in %d bytes", n, r.Len())
-		return nil, nil
-	}
-	var final map[epcgen2.EPC]bool
-	if n > 0 || keep {
-		final = make(map[epcgen2.EPC]bool, n)
-	}
-	var order []epcgen2.EPC
-	for i := 0; i < n && r.Err() == nil; i++ {
-		var epc epcgen2.EPC
-		for j := range epc {
-			epc[j] = r.U8()
-		}
-		if final[epc] {
-			r.Failf("duplicate finalized tag %v", epc)
-			break
-		}
-		final[epc] = true
-		order = append(order, epc)
-	}
-	return final, order
+	return ckpt.AppendU64(dst, uint64(e.late))
 }
 
 // RestoreCheckpoint rebuilds the engine from Checkpoint output read
 // sequentially from r, replacing any current contents. A version other
 // than engineCkptVersion fails with ckpt.ErrCorrupt. Cached V-zones are
-// checked against their restored profiles, so a CRC-valid but hostile
-// blob fails here instead of panicking a later Snapshot. Every restored
+// checked against their restored profiles, and a profile whose times
+// decrease fails the builder's restore, so a CRC-valid but hostile blob
+// fails here instead of panicking a later Snapshot. Every restored
 // profile gets a cold detection state, so the Y stage resumes curves from
 // its first snapshot on instead of re-unwrapping clean tags one-shot on
 // every snapshot. On error the engine is left empty (as if freshly
@@ -147,49 +101,42 @@ func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 	cached := make(map[epcgen2.EPC]stpp.TagResult)
 	states := make(map[epcgen2.EPC]*tagState)
 	epcs := e.builder.EPCs()
-	if n := int(r.U32()); r.Err() == nil && n != len(epcs) {
+	if n := r.Count(1, "tag entries"); r.Err() == nil && n != len(epcs) {
 		r.Failf("%d tag entries for %d profiles", n, len(epcs))
 	}
 	for _, epc := range epcs {
 		if r.Err() != nil {
 			break
 		}
-		p := e.builder.LiveProfile(epc)
+		p := e.builder.Profile(epc)
 		states[epc] = &tagState{det: e.loc.NewDetectState(), gen: e.builder.Generation(epc)}
+		tr := stpp.TagResult{EPC: epc, Profile: p}
+		tr.VZone.Start = int(r.U64())
+		tr.VZone.End = int(r.U64())
+		tr.VZone.Cost = r.F64()
+		tr.X.BottomTime = r.F64()
+		tr.X.BottomPhase = r.F64()
+		tr.X.Fit.A = r.F64()
+		tr.X.Fit.B = r.F64()
+		tr.X.Fit.C = r.F64()
+		tr.X.R2 = r.F64()
+		tr.X.Sigma = r.F64()
 		if r.U8() != 0 {
-			tr := stpp.TagResult{EPC: epc, Profile: p}
-			tr.VZone.Start = int(r.U64())
-			tr.VZone.End = int(r.U64())
-			tr.VZone.Cost = r.F64()
-			tr.X.BottomTime = r.F64()
-			tr.X.BottomPhase = r.F64()
-			tr.X.Fit.A = r.F64()
-			tr.X.Fit.B = r.F64()
-			tr.X.Fit.C = r.F64()
-			tr.X.R2 = r.F64()
-			tr.X.Sigma = r.F64()
-			if r.U8() != 0 {
-				tr.Err = errors.New(r.String())
-			}
-			if vz := tr.VZone; r.Err() == nil && (vz.Start < 0 || vz.End < vz.Start || vz.End > p.Len()) {
-				r.Failf("tag %v: cached V-zone [%d, %d) outside its %d-sample profile", epc, vz.Start, vz.End, p.Len())
-			}
-			cached[epc] = tr
+			tr.Err = errors.New(r.String())
 		}
+		if vz := tr.VZone; r.Err() == nil && (vz.Start < 0 || vz.End < vz.Start || vz.End > p.Len()) {
+			r.Failf("tag %v: cached V-zone [%d, %d) outside its %d-sample profile", epc, vz.Start, vz.End, p.Len())
+		}
+		cached[epc] = tr
 	}
 	frontier := r.F64()
 	late := int64(r.U64())
-	if n := r.U32(); r.Err() == nil && n != 0 {
-		r.Failf("%d emitted entries in a shard checkpoint", n)
-	}
-	final, finalOrder := ReadFinalSet(r, e.policy.Enabled())
 	if err := r.Err(); err != nil {
 		reset()
 		return fmt.Errorf("pipeline: restore: %w", err)
 	}
 	e.cached, e.states, e.reads = cached, states, reads
 	e.frontier, e.late = frontier, late
-	e.final, e.finalOrder = final, finalOrder
 	return nil
 }
 
@@ -200,11 +147,6 @@ func (e *Engine) resetEmpty() {
 	e.states = make(map[epcgen2.EPC]*tagState)
 	e.reads = 0
 	e.frontier, e.late = 0, 0
-	e.finalOrder = nil
-	e.final = nil
-	if e.policy.Enabled() {
-		e.final = make(map[epcgen2.EPC]bool)
-	}
 }
 
 // Restore is RestoreCheckpoint over a standalone blob, requiring the blob

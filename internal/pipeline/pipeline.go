@@ -22,11 +22,14 @@
 // the sharing runs the other way: stpp owns the two stages and both the
 // batch facade and this engine compose them.
 //
-// The engine never emits or evicts tags on its own. With a finalize
-// policy it runs only the tag lifecycle's admission path (frontier
-// tracking, the pre-read conclusive check, dropping late reads) and
-// exposes Evict; deploy.ShardedEngine, which runs one Engine per reader,
-// is the one lifecycle coordinator that decides emission and eviction.
+// The engine never emits or evicts tags on its own, and it keeps no
+// finalized set. With a finalize policy it runs only the tag lifecycle's
+// admission path (frontier tracking and the pre-read conclusive check,
+// which drops a read for a resident tag whose pass is over) and exposes
+// Evict; deploy.ShardedEngine, which runs one Engine per reader, is the
+// one lifecycle coordinator: it decides emission and eviction, keeps the
+// deployment's one finalized set and drops every later read for a
+// finalized tag before any shard sees it.
 package pipeline
 
 import (
@@ -46,9 +49,9 @@ type Options struct {
 	// of its own on the default scheduler.
 	Group *sched.Group
 	// Finalize enables the lifecycle's admission path (see Consume): the
-	// engine tracks the read frontier and drops reads for tags marked
-	// final, by its own pre-read check or by Evict, as late. The zero
-	// policy disables the lifecycle.
+	// engine tracks the read frontier and drops a read as late when its
+	// resident tag's pass has concluded. The zero policy disables the
+	// lifecycle.
 	Finalize stpp.FinalizePolicy
 }
 
@@ -66,12 +69,7 @@ type Engine struct {
 	// Lifecycle state (all zero/nil when the policy is disabled).
 	policy   stpp.FinalizePolicy
 	frontier float64 // running max read time across every consumed read
-	late     int64   // reads dropped because their tag was already final
-	// final marks tags whose pass concluded; finalOrder is the same set
-	// in marking order (map iteration is nondeterministic, checkpoints
-	// need a stable order).
-	final      map[epcgen2.EPC]bool
-	finalOrder []epcgen2.EPC
+	late     int64   // reads dropped because their tag's pass had concluded
 
 	// Snapshot-path scratch, reused across snapshots (the engine is
 	// single-goroutine by contract): the assembled tag slice plus the
@@ -113,7 +111,7 @@ func NewFromLocalizer(loc *stpp.Localizer, opts Options) *Engine {
 	if group == nil {
 		group = sched.Default().NewGroup("pipeline")
 	}
-	e := &Engine{
+	return &Engine{
 		loc:     loc,
 		builder: profile.NewBuilder(),
 		group:   group,
@@ -121,10 +119,6 @@ func NewFromLocalizer(loc *stpp.Localizer, opts Options) *Engine {
 		states:  make(map[epcgen2.EPC]*tagState),
 		policy:  opts.Finalize,
 	}
-	if e.policy.Enabled() {
-		e.final = make(map[epcgen2.EPC]bool)
-	}
-	return e
 }
 
 // Tags returns the number of resident tags — distinct tags seen and not
@@ -146,14 +140,18 @@ func (e *Engine) Reads() int64 { return e.reads }
 // touched tag, not one per read.
 //
 // With a finalize policy enabled, Consume also runs the lifecycle's
-// admission path per read: reads for finalized tags are counted and
-// dropped (the pass is over — re-admitting them would reopen an emitted
-// position), and a read that arrives after a tag's quiet gap has already
-// elapsed triggers an immediate conclusive-pass check of the pre-read
-// profile. Deciding *here*, against the read-stream frontier rather than
-// at the coordinator's next sweep, makes the finalized set a pure function
-// of the read prefix — independent of snapshot or checkpoint cadence —
-// which is what the emitted-prefix immutability property rests on.
+// admission path per read: a read that arrives after its resident tag's
+// quiet gap has already elapsed triggers a conclusive-pass check of the
+// pre-read profile, and a conclusive one drops the read as late (the pass
+// is over; admitting it would reopen the tag's position). Deciding
+// *here*, against the read-stream frontier rather than at the
+// coordinator's next sweep, makes which reads are admitted a pure
+// function of the read prefix, independent of snapshot or checkpoint
+// cadence, which is what the emitted-prefix immutability property rests
+// on. The check needs no memory of earlier verdicts: a dropped read
+// leaves the profile frozen, and for a frozen profile the verdict cannot
+// flip back as the frontier grows, so every later read for the tag is
+// dropped by the same check.
 func (e *Engine) Consume(batch []reader.TagRead) {
 	if !e.policy.Enabled() {
 		e.builder.AddBatch(batch)
@@ -161,32 +159,23 @@ func (e *Engine) Consume(batch []reader.TagRead) {
 		return
 	}
 	for _, r := range batch {
-		nf := e.frontier
-		if r.Time > nf {
-			nf = r.Time
+		if r.Time > e.frontier {
+			e.frontier = r.Time
 		}
-		switch {
-		case e.final[r.EPC]:
-			e.late++
-		default:
-			if mt, seen := e.builder.MaxTime(r.EPC); seen && mt+e.policy.After <= nf {
-				// The tag was quiet for the full gap before this read
-				// arrived: judge the pre-read profile now. If it is
-				// conclusive the pass is over and this read is late;
-				// otherwise the pass genuinely resumes (possible only
-				// when the workload violates the policy's gap
-				// precondition) and the read is admitted.
-				if tr := e.detectOne(r.EPC); e.policy.Conclusive(tr, nf) {
-					e.markFinal(r.EPC)
-					e.late++
-					e.frontier = nf
-					continue
-				}
+		if mt, seen := e.builder.MaxTime(r.EPC); seen && mt+e.policy.After <= e.frontier {
+			// The tag was quiet for the full gap before this read
+			// arrived: judge the pre-read profile now. If it is
+			// conclusive the pass is over and this read is late;
+			// otherwise the pass genuinely resumes (possible only when
+			// the workload violates the policy's gap precondition) and
+			// the read is admitted.
+			if tr := e.detectOne(r.EPC); e.policy.Conclusive(tr, e.frontier) {
+				e.late++
+				continue
 			}
-			e.builder.Add(r)
-			e.reads++
 		}
-		e.frontier = nf
+		e.builder.Add(r)
+		e.reads++
 	}
 }
 
@@ -227,13 +216,6 @@ func (e *Engine) detectOne(epc epcgen2.EPC) stpp.TagResult {
 	tr := e.loc.LocalizeTagIncremental(ts.det, p)
 	e.cached[epc] = tr
 	return tr
-}
-
-func (e *Engine) markFinal(epc epcgen2.EPC) {
-	if !e.final[epc] {
-		e.final[epc] = true
-		e.finalOrder = append(e.finalOrder, epc)
-	}
 }
 
 // Snapshot localizes the stream consumed so far. Tags with new reads since
@@ -301,13 +283,13 @@ func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	}
 }
 
-// Evict force-evicts one resident tag: its profile leaves the builder, its
-// detection state returns to the free-lists, and the EPC is marked final
-// so later reads for it are dropped as late instead of resurrecting the
-// tag. deploy.ShardedEngine calls it on its shards once every overlapping
-// zone agrees the pass concluded (or that the tag can never be ordered).
-// Evicting a non-resident tag
-// still marks it final; the return reports whether the tag was resident.
+// Evict force-evicts one resident tag: its profile leaves the builder and
+// its detection state returns to the free-lists. deploy.ShardedEngine
+// calls it on its shards once every overlapping zone agrees the pass
+// concluded (or that the tag can never be ordered). The engine keeps no
+// mark of the tag: a later read for it would start a new profile, so the
+// caller drops such reads itself, as deploy does for every tag it
+// finalized. The return reports whether the tag was resident.
 func (e *Engine) Evict(epc epcgen2.EPC) bool {
 	if ts := e.states[epc]; ts != nil {
 		ts.det.Release()
@@ -316,12 +298,11 @@ func (e *Engine) Evict(epc epcgen2.EPC) bool {
 	delete(e.cached, epc)
 	_, resident := e.builder.MaxTime(epc)
 	e.builder.Remove(epc)
-	e.markFinal(epc)
 	return resident
 }
 
-// LateReads counts reads dropped because their tag had already been
-// finalized when they arrived.
+// LateReads counts reads dropped because their resident tag's pass had
+// already concluded when they arrived.
 func (e *Engine) LateReads() int64 { return e.late }
 
 // Frontier returns the maximum read time consumed so far (on this
@@ -331,7 +312,7 @@ func (e *Engine) Frontier() float64 { return e.frontier }
 
 // Close returns the engine's pooled holdings — every tag's DTW decision
 // array — to their shared free-lists and drops every per-tag reference —
-// profiles, cached results, detection states, the finalized set —
+// profiles, cached results, detection states —
 // returning the engine to its freshly-constructed state. A dropped or
 // evicted ingest session calls it so the engine stops pinning its largest
 // allocations the moment the session goes away, and the next session

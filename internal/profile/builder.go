@@ -85,21 +85,6 @@ func (b *Builder) Profile(e epcgen2.EPC) *Profile {
 	return ent.p
 }
 
-// LiveProfile returns the tag's profile as stored, WITHOUT forcing the
-// lazy re-sort Profile performs (and without bumping the generation).
-// Checkpoint restore uses it to re-link consumers to the live profile
-// exactly as the serialized builder holds it: a pending unsorted tail
-// stays pending, and the re-sort (plus its generation bump) happens at the
-// same point of the replayed timeline as it would have originally. Returns
-// nil for an unseen tag.
-func (b *Builder) LiveProfile(e epcgen2.EPC) *Profile {
-	ent, ok := b.byEPC[e]
-	if !ok {
-		return nil
-	}
-	return ent.p
-}
-
 // Generation counts how many times a tag's profile has been re-sorted; it
 // only moves when an out-of-order read forced Profile to re-order history.
 // Consumers holding incremental state derived from the profile (segment

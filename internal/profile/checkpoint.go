@@ -7,32 +7,29 @@ import (
 
 // AppendCheckpoint serializes the builder: every profile in
 // first-appearance order (the iteration order is the order slice, never a
-// map, so the encoding is byte-stable), then the pending dirty set in
-// first-touch order. Restoring reproduces the builder exactly, including
-// which tags a consumer has not yet drained via TakeDirty, except for the
-// generations (see Generation): they are not encoded and restore as 0. A
-// generation only means something next to the state a consumer built
-// from the same builder, and a restored consumer holds none.
+// map, so the encoding is byte-stable). It writes neither the dirty set
+// nor the sort flags, so the caller drains the dirty set (TakeDirty) and
+// forces every pending re-sort (Profile) first, as pipeline.Engine's
+// Checkpoint does; RestoreCheckpoint rejects a profile whose times
+// decrease. Generations (see Generation) are not encoded either and
+// restore as 0: a generation only means something next to the state a
+// consumer built from the same builder, and a restored consumer holds
+// none.
 func (b *Builder) AppendCheckpoint(dst []byte) []byte {
 	dst = ckpt.AppendU32(dst, uint32(len(b.order)))
 	for _, e := range b.order {
 		ent := b.byEPC[e]
 		dst = append(dst, e[:]...)
-		sorted := uint8(0)
-		if ent.sorted {
-			sorted = 1
-		}
-		dst = ckpt.AppendU8(dst, sorted)
 		dst = ckpt.AppendF64s(dst, ent.p.Times)
 		dst = ckpt.AppendF64s(dst, ent.p.Phases)
 		dst = ckpt.AppendF64s(dst, ent.p.RSSI)
 	}
-	dst = ckpt.AppendU32(dst, uint32(len(b.dirty)))
-	for _, e := range b.dirty {
-		dst = append(dst, e[:]...)
-	}
 	return dst
 }
+
+// ckptProfileMin is the fewest bytes one encoded profile takes: its EPC
+// and three empty series' counts.
+const ckptProfileMin = len(epcgen2.EPC{}) + 3*4
 
 func readEPC(r *ckpt.Reader) (e epcgen2.EPC) {
 	for i := range e {
@@ -42,13 +39,13 @@ func readEPC(r *ckpt.Reader) (e epcgen2.EPC) {
 }
 
 // RestoreCheckpoint rebuilds the builder from AppendCheckpoint output,
-// replacing any current contents.
+// replacing any current contents. Every restored profile is sorted and
+// clean (not dirty).
 func (b *Builder) RestoreCheckpoint(r *ckpt.Reader) error {
 	nb := NewBuilder()
-	tags := int(r.U32())
+	tags := r.Count(ckptProfileMin, "profiles")
 	for i := 0; i < tags && r.Err() == nil; i++ {
 		e := readEPC(r)
-		sorted := r.U8()
 		p := &Profile{EPC: e}
 		p.Times = r.F64s(nil)
 		p.Phases = r.F64s(nil)
@@ -64,27 +61,18 @@ func (b *Builder) RestoreCheckpoint(r *ckpt.Reader) error {
 			r.Failf("duplicate profile %v", e)
 			break
 		}
-		ent := &builderEntry{p: p, sorted: sorted != 0}
-		// maxT is not serialized — recompute it (the scan is O(profile),
-		// but restore already reads every sample anyway).
+		ent := &builderEntry{p: p, sorted: true}
+		// maxT is not serialized: it is the last time of the sorted
+		// profile.
 		for i, t := range p.Times {
-			if i == 0 || t > ent.maxT {
-				ent.maxT = t
+			if i > 0 && t < p.Times[i-1] {
+				r.Failf("profile %v: times decrease at sample %d", e, i)
+				break
 			}
+			ent.maxT = t
 		}
 		nb.byEPC[e] = ent
 		nb.order = append(nb.order, e)
-	}
-	dirty := int(r.U32())
-	for i := 0; i < dirty && r.Err() == nil; i++ {
-		e := readEPC(r)
-		ent, ok := nb.byEPC[e]
-		if !ok || ent.dirty {
-			r.Failf("dirty set references %v", e)
-			break
-		}
-		ent.dirty = true
-		nb.dirty = append(nb.dirty, e)
 	}
 	if err := r.Err(); err != nil {
 		return err

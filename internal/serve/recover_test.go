@@ -546,14 +546,15 @@ func TestNonCanonicalNumbersRecoverBitExact(t *testing.T) {
 	}
 }
 
-// TestVersion4CheckpointFailsOneSession: a data directory holding a log
+// TestVersion5CheckpointFailsOneSession: a data directory holding a log
 // whose checkpoint record is CRC-valid but stamped with the retired
-// engine checkpoint version 4, the last that journaled detection state,
+// engine checkpoint version 5, the last that journaled a shard's
+// finalized set and the fields a checkpoint's recompute made constant,
 // still boots. That one session comes up finished, holding an error that
 // names the version — GET /v1/sessions/{id} reports it — and its segment
 // files stay on disk untouched. The live session beside it recovers and
 // resumes to the offline replay.
-func TestVersion4CheckpointFailsOneSession(t *testing.T) {
+func TestVersion5CheckpointFailsOneSession(t *testing.T) {
 	tr, want, opts := aisleTrace(t, 3)
 	opts.DataDir = t.TempDir()
 	opts.Fsync = wal.SyncNever
@@ -568,8 +569,8 @@ func TestVersion4CheckpointFailsOneSession(t *testing.T) {
 	waitDrained(t, healthy)
 	// Crash: that server is abandoned with its log open.
 
-	// The v4 log: a batch, a checkpoint covering it whose first shard's
-	// engine version byte reads 4, and a batch past the checkpoint.
+	// The v5 log: a batch, a checkpoint covering it whose first shard's
+	// engine version byte reads 5, and a batch past the checkpoint.
 	dir := filepath.Join(opts.DataDir, "s000002")
 	log, err := wal.Create(dir, tr.Header, wal.Options{Fsync: wal.SyncNever})
 	if err != nil {
@@ -590,10 +591,10 @@ func TestVersion4CheckpointFailsOneSession(t *testing.T) {
 	// The version byte follows the sharded version (u8), the shard count
 	// (u32) and the first shard's ID (u64).
 	const engineVersionAt = 1 + 4 + 8
-	if blob[engineVersionAt] != 5 {
-		t.Fatalf("engine checkpoint version %d, want 5", blob[engineVersionAt])
+	if blob[engineVersionAt] != 6 {
+		t.Fatalf("engine checkpoint version %d, want 6", blob[engineVersionAt])
 	}
-	blob[engineVersionAt] = 4
+	blob[engineVersionAt] = 5
 	if _, err := log.AppendCheckpoint(0, int64(len(prefix)), blob); err != nil {
 		t.Fatal(err)
 	}
@@ -614,32 +615,32 @@ func TestVersion4CheckpointFailsOneSession(t *testing.T) {
 	}
 	bad, ok := srv.Session("s000002")
 	if !ok {
-		t.Fatal("the version-4 session was not brought up")
+		t.Fatal("the version-5 session was not brought up")
 	}
 	if !bad.finished() {
-		t.Error("the version-4 session is not finished")
+		t.Error("the version-5 session is not finished")
 	}
-	if err := bad.Err(); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "engine checkpoint version 4") {
-		t.Errorf("version-4 session error %v, want ckpt.ErrCorrupt naming version 4", err)
+	if err := bad.Err(); !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), "engine checkpoint version 5") {
+		t.Errorf("version-5 session error %v, want ckpt.ErrCorrupt naming version 5", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	var st SessionStats
 	getJSON(t, ts, "/v1/sessions/s000002", http.StatusOK, &st)
-	if !st.Finished || !strings.Contains(st.Error, "engine checkpoint version 4") {
-		t.Errorf("GET /v1/sessions/s000002: finished %v, error %q; want finished, naming version 4", st.Finished, st.Error)
+	if !st.Finished || !strings.Contains(st.Error, "engine checkpoint version 5") {
+		t.Errorf("GET /v1/sessions/s000002: finished %v, error %q; want finished, naming version 5", st.Finished, st.Error)
 	}
 	// A client polling the order must see the failure, not the 202 of a
 	// session still warming up.
 	for _, path := range []string{"/v1/sessions/s000002/order", "/v1/sessions/s000002/order?refresh=1"} {
 		var e errorResponse
 		getJSON(t, ts, path, http.StatusConflict, &e)
-		if !strings.Contains(e.Error, "engine checkpoint version 4") {
-			t.Errorf("GET %s: error %q, want one naming version 4", path, e.Error)
+		if !strings.Contains(e.Error, "engine checkpoint version 5") {
+			t.Errorf("GET %s: error %q, want one naming version 5", path, e.Error)
 		}
 	}
 	if !reflect.DeepEqual(segmentBytes(t, dir), before) {
-		t.Error("the boot changed the version-4 session's segment files")
+		t.Error("the boot changed the version-5 session's segment files")
 	}
 
 	sess, ok := srv.Session(healthy.ID)
