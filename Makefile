@@ -18,11 +18,12 @@ BENCHTIME := 1s
 GATE := BenchmarkDaemonIngest BenchmarkHTTPIngest BenchmarkSnapshotCadence/snapshots=32 BenchmarkBlockedDetect BenchmarkRecovery BenchmarkWALAppend BenchmarkEndlessStream
 
 # Recorded once per side next to the gated runs, not gated: the other
-# snapshot cadences, streaming vs batch, the sharded aisle, the segment-DTW
+# snapshot cadences, streaming vs batch, the sharded aisle, the four-session
+# airport census with its retained heap, the segment-DTW
 # kernel (whole alignment and isolated column fill), checkpointed-recovery
 # flatness, group-commit throughput, and the multi-session cold boot with
 # its retained heap and data-directory size.
-RECORD := BenchmarkSnapshotCadence/snapshots=1 BenchmarkSnapshotCadence/snapshots=8 BenchmarkStreamingVsBatch BenchmarkShardedAisle BenchmarkSegmentedAlign BenchmarkSegmentFill BenchmarkCheckpointedRecovery BenchmarkWALGroupCommit BenchmarkMultiSessionRecovery
+RECORD := BenchmarkSnapshotCadence/snapshots=1 BenchmarkSnapshotCadence/snapshots=8 BenchmarkStreamingVsBatch BenchmarkShardedAisle BenchmarkShardedPortals BenchmarkSegmentedAlign BenchmarkSegmentFill BenchmarkCheckpointedRecovery BenchmarkWALGroupCommit BenchmarkMultiSessionRecovery
 
 # The base commit's checkout, a git worktree that lives only while
 # `make bench` runs.

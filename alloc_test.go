@@ -17,23 +17,25 @@ import (
 
 // TestSegmentedAlignAllocs pins a full segment alignment on a reused
 // aligner at zero allocations: Release hands the packed decision array to
-// the shared free-list and the next Align draws it back out, while the
-// operand panels, value ring, cost column and byte-decision scratch stay
-// with the aligner — any new per-call allocation in the fill or traceback
-// shows up here.
+// the shared free-list and the next Align draws it back out, the operand
+// panels and value ring stay with the aligner, and the fill's cost column
+// and byte decisions stay in the caller's reused Scratch — any new
+// per-call allocation in the fill or traceback shows up here.
 func TestSegmentedAlignAllocs(t *testing.T) {
 	det, p := benchProfilePair(t)
 	ref, _, _ := det.Reference()
 	al := dtw.NewSegmentAligner(ref.Segmentize(5), dtw.SegmentAlignOpts{Stiffness: 0.5})
 	qs := p.Segmentize(5)
-	// Warm the aligner's scratch and the decision free-list to steady state.
+	var sc dtw.Scratch
+	// Warm the aligner, the scratch and the decision free-list to steady
+	// state.
 	for i := 0; i < 4; i++ {
 		al.Release()
-		al.Align(qs)
+		al.Align(qs, 0, &sc)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		al.Release()
-		al.Align(qs)
+		al.Align(qs, 0, &sc)
 	})
 	if allocs > 0 {
 		t.Fatalf("a full re-alignment allocates %.1f/op, want 0", allocs)
@@ -43,7 +45,8 @@ func TestSegmentedAlignAllocs(t *testing.T) {
 // TestDetectAllocs pins the one-shot Detect — what the batch Localizer
 // runs once per tag — at one allocation per call, amortized: its
 // DetectState comes from the detector's pool with segment cache, aligner
-// and curve buffers intact (the bench measures 0 allocs/op). The budget
+// and curve buffers intact, and its call scratch from the bounded
+// free-list (the bench measures 0 allocs/op). The budget
 // absorbs a pool miss after a GC, not a state built per call, which costs
 // a dozen allocations and trips this immediately.
 func TestDetectAllocs(t *testing.T) {

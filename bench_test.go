@@ -140,11 +140,12 @@ func BenchmarkSegmentedAlign(b *testing.B) {
 	ref, _, _ := det.Reference()
 	al := dtw.NewSegmentAligner(ref.Segmentize(5), dtw.SegmentAlignOpts{Stiffness: 0.5})
 	qs := p.Segmentize(5)
+	var sc dtw.Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		al.Release()
-		al.Align(qs)
+		al.Align(qs, 0, &sc)
 	}
 }
 
@@ -162,12 +163,13 @@ func BenchmarkSegmentFill(b *testing.B) {
 	qb := append([]dtw.Segment(nil), qa...)
 	qb[0].Lo += 1e-9 // distinct column 0: no reusable prefix, full refill
 	al := dtw.NewSegmentAligner(rs, dtw.SegmentAlignOpts{Stiffness: 0.5})
-	al.Align(qa)
+	var sc dtw.Scratch
+	al.Align(qa, 0, &sc)
 	qs := [2][]dtw.Segment{qa, qb}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		al.Align(qs[i&1])
+		al.Align(qs[i&1], 0, &sc)
 	}
 	cells := float64(len(rs)) * float64(len(qa))
 	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
@@ -350,6 +352,70 @@ func BenchmarkShardedAisle(b *testing.B) {
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	runtime.KeepAlive(se)
+	b.ReportMetric(float64(mem.HeapAlloc)/(1<<20), "retained-MiB")
+}
+
+// BenchmarkShardedPortals is the detection-state census: four live
+// three-portal, 48-bag airport sessions (seeds 1-4) fed round robin in
+// 256-read batches through their sharded engines, each snapshotting every
+// 2048 of its reads, as stppd's portals workload drives them.
+// retained-MiB is the live heap after a collection with all four engines
+// still live and every read consumed — the per-tag resumable state
+// (profiles, segment caches, DTW decisions and columns, unwrap curves)
+// that a memory change to detection moves.
+func BenchmarkShardedPortals(b *testing.B) {
+	const sessions, batch, every = 4, 256, 2048
+	ds := make([]deploy.Deployment, sessions)
+	logs := make([][]reader.TagRead, sessions)
+	for k := range ds {
+		o := scenario.DefaultPortalsOpts(48, int64(k+1))
+		o.Portals = 3
+		ms, err := scenario.AirportPortals(o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if logs[k], err = ms.Run(); err != nil {
+			b.Fatal(err)
+		}
+		ds[k] = deploy.Of(ms)
+	}
+	ses := make([]*deploy.ShardedEngine, sessions)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range ses {
+			if ses[k] != nil {
+				ses[k].Close()
+			}
+			se, err := deploy.NewSharded(ds[k], deploy.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ses[k] = se
+		}
+		for off, more := 0, true; more; off += batch {
+			more = false
+			for k, se := range ses {
+				if off >= len(logs[k]) {
+					continue
+				}
+				end := min(off+batch, len(logs[k]))
+				if err := se.Consume(logs[k][off:end]); err != nil {
+					b.Fatal(err)
+				}
+				if end/every != off/every {
+					if _, err := se.Snapshot(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				more = more || end < len(logs[k])
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	runtime.KeepAlive(ses)
 	b.ReportMetric(float64(mem.HeapAlloc)/(1<<20), "retained-MiB")
 }
 

@@ -28,17 +28,19 @@ func randSegs(rng *rand.Rand, n int) []Segment {
 // alignOnce is a one-shot open-end alignment: a fresh aligner's first
 // Align, whose answer nothing resumed can have influenced.
 func alignOnce(p, q []Segment, opts SegmentAlignOpts) (Result, int, int) {
-	return alignPath(NewSegmentAligner(p, opts), q)
+	return alignPath(NewSegmentAligner(p, opts), q, 0)
 }
 
-// alignPath runs Align and answers like a path-returning aligner: the
-// distance, the warping path tracePath rebuilds from the held decisions,
-// and the match's first and last query columns. The aligners these tests
-// build with NewSegmentAligner span every reference row, row 0 included,
-// so SpanStart is the path's first column. An empty reference or query
+// alignPath runs Align, told that q changed from index changed on, and
+// answers like a path-returning aligner: the distance, the warping path
+// tracePath rebuilds from the held decisions, and the match's first and
+// last query columns. The aligners these tests build with
+// NewSegmentAligner span every reference row, row 0 included, so
+// SpanStart is the path's first column. An empty reference or query
 // yields the zero Result and a [0, 0] match.
-func alignPath(al *SegmentAligner, q []Segment) (Result, int, int) {
-	mt := al.Align(q)
+func alignPath(al *SegmentAligner, q []Segment, changed int) (Result, int, int) {
+	var sc Scratch
+	mt := al.Align(q, changed, &sc)
 	if len(al.ref.p) == 0 || len(q) == 0 {
 		return Result{Distance: mt.Distance}, mt.SpanStart, mt.End
 	}
@@ -91,12 +93,13 @@ func TestSegmentAlignerMatchesBatch(t *testing.T) {
 		al := NewSegmentAligner(p, opts)
 		n := 0
 		for n < len(q) {
+			prev := n
 			n += 1 + rng.Intn(7)
 			if n > len(q) {
 				n = len(q)
 			}
 			wantRes, wantS, wantE := alignOnce(p, q[:n], opts)
-			gotRes, gotS, gotE := alignPath(al, q[:n])
+			gotRes, gotS, gotE := alignPath(al, q[:n], prev)
 			if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE {
 				t.Fatalf("trial %d n=%d: got (%v,%d,%d), want (%v,%d,%d)",
 					trial, n, gotRes.Distance, gotS, gotE, wantRes.Distance, wantS, wantE)
@@ -118,15 +121,15 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 	q := randSegs(rng, 40)
 	opts := SegmentAlignOpts{Stiffness: 0.5}
 	al := NewSegmentAligner(p, opts)
-	al.Align(q)
-	if len(al.q) != 40 {
-		t.Fatalf("cols = %d, want 40", len(al.q))
+	alignPath(al, q, 0)
+	if len(al.lastRow) != 40 {
+		t.Fatalf("cols = %d, want 40", len(al.lastRow))
 	}
 
 	// Rewrite the last 5 segments, then shrink the query.
 	q2 := append(append([]Segment(nil), q[:35]...), randSegs(rng, 5)...)
 	wantRes, wantS, wantE := alignOnce(p, q2, opts)
-	gotRes, gotS, gotE := alignPath(al, q2)
+	gotRes, gotS, gotE := alignPath(al, q2, firstChanged(q, q2))
 	if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE ||
 		!reflect.DeepEqual(wantRes.Path, gotRes.Path) {
 		t.Fatal("rewritten tail diverged from batch")
@@ -134,9 +137,9 @@ func TestSegmentAlignerRewrittenTail(t *testing.T) {
 
 	short := q2[:12]
 	wantRes, wantS, wantE = alignOnce(p, short, opts)
-	gotRes, gotS, gotE = alignPath(al, short)
-	if len(al.q) != 12 {
-		t.Fatalf("cols after shrink = %d, want 12", len(al.q))
+	gotRes, gotS, gotE = alignPath(al, short, firstChanged(q2, short))
+	if len(al.lastRow) != 12 {
+		t.Fatalf("cols after shrink = %d, want 12", len(al.lastRow))
 	}
 	if wantRes.Distance != gotRes.Distance || wantS != gotS || wantE != gotE ||
 		!reflect.DeepEqual(wantRes.Path, gotRes.Path) {
@@ -157,8 +160,9 @@ func TestSegmentAlignerSignedZero(t *testing.T) {
 		{Segment{Lo: math.NaN(), Hi: 1, End: 1, Interval: 1}, Segment{Lo: math.NaN(), Hi: 1, End: 1, Interval: 1}},
 	} {
 		al := NewSegmentAligner(p, SegmentAlignOpts{})
-		al.Align([]Segment{tc.before})
-		got, gs, ge := alignPath(al, []Segment{tc.after})
+		before, after := []Segment{tc.before}, []Segment{tc.after}
+		alignPath(al, before, 0)
+		got, gs, ge := alignPath(al, after, firstChanged(before, after))
 		want, ws, we := alignOnce(p, []Segment{tc.after}, SegmentAlignOpts{})
 		if math.Float64bits(got.Distance) != math.Float64bits(want.Distance) || gs != ws || ge != we {
 			t.Errorf("%+v → %+v: got (%v,%d,%d), fresh aligner (%v,%d,%d)",
@@ -171,11 +175,11 @@ func TestSegmentAlignerSignedZero(t *testing.T) {
 // Result and a [0, 0] match.
 func TestSegmentAlignerEmpty(t *testing.T) {
 	al := NewSegmentAligner(nil, SegmentAlignOpts{})
-	if res, s, e := alignPath(al, []Segment{{Hi: 1, Interval: 1}}); res.Path != nil || s != 0 || e != 0 {
+	if res, s, e := alignPath(al, []Segment{{Hi: 1, Interval: 1}}, 0); res.Path != nil || s != 0 || e != 0 {
 		t.Errorf("empty reference = %+v %d %d", res, s, e)
 	}
 	al = NewSegmentAligner([]Segment{{Hi: 1, Interval: 1}}, SegmentAlignOpts{})
-	if res, s, e := alignPath(al, nil); res.Path != nil || s != 0 || e != 0 {
+	if res, s, e := alignPath(al, nil, 0); res.Path != nil || s != 0 || e != 0 {
 		t.Errorf("empty query = %+v %d %d", res, s, e)
 	}
 }
@@ -183,7 +187,7 @@ func TestSegmentAlignerEmpty(t *testing.T) {
 // TestSegmentAlignerBothEmpty: with both reference and query empty the
 // aligner returns a zero distance and a [0, 0] match.
 func TestSegmentAlignerBothEmpty(t *testing.T) {
-	res, s, e := alignPath(NewSegmentAligner(nil, SegmentAlignOpts{}), nil)
+	res, s, e := alignPath(NewSegmentAligner(nil, SegmentAlignOpts{}), nil, 0)
 	if res.Distance != 0 || s != 0 || e != 0 {
 		t.Errorf("empty = %+v %d %d", res, s, e)
 	}
@@ -197,14 +201,15 @@ func TestAlignSegmentsPooled(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, q := randSegs(rng, 30), randSegs(rng, 200)
 	al := NewSegmentAligner(p, SegmentAlignOpts{Stiffness: 0.5})
-	al.Align(q) // warm the free-list and the aligner's scratch
+	var sc Scratch
+	al.Align(q, 0, &sc) // warm the free-list, the aligner and the scratch
 
-	// 30×200 decisions pack into 1600 bytes. Every scratch buffer is
+	// 30×200 decisions pack into 1600 bytes. Every other buffer is
 	// already sized, so anything above zero means the array is not coming
 	// back from the free-list.
 	allocs := testing.AllocsPerRun(50, func() {
 		al.Release()
-		al.Align(q)
+		al.Align(q, 0, &sc)
 	})
 	if allocs > 0 {
 		t.Errorf("release + full re-alignment allocates %.0f objects/op, want 0", allocs)
@@ -213,16 +218,20 @@ func TestAlignSegmentsPooled(t *testing.T) {
 
 // TestSegmentAlignerMemory pins what an aligner holds after aligning n
 // query columns against m reference segments: at most 2·⌈m/4⌉·n packed
-// decision bytes (2 bits per cell, plus doubling headroom), a two-column
-// byte-decision scratch of m rounded up to 32 bytes per column, at most
-// 4·(m+n) float64s across the value ring, the last-row mirror and the
-// cost scratch — no m×n float matrix — and no warping path: no field
-// holds path steps. The free-list is emptied first: a recycled array may
+// decision bytes (2 bits per cell, plus doubling headroom) and at most
+// 2m+2n float64s across the value ring and the last-row mirror — no m×n
+// float matrix and none of the fill's cost or byte-decision scratch,
+// which live in the caller's Scratch. By reflection it also pins that no
+// field holds path steps or query segments: the caller's segment cache
+// holds the query. The free-list is emptied first: a recycled array may
 // come from a larger class by design.
 func TestSegmentAlignerMemory(t *testing.T) {
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(SegmentAligner{})) {
 		if ft := f.Type; ft == reflect.TypeOf(Path(nil)) || ft == reflect.TypeOf([]Step(nil)) || ft == reflect.TypeOf(Step{}) {
 			t.Errorf("SegmentAligner.%s holds path steps (%v)", f.Name, ft)
+		}
+		if ft := f.Type; ft == reflect.TypeOf([]Segment(nil)) {
+			t.Errorf("SegmentAligner.%s holds query segments (%v)", f.Name, ft)
 		}
 	}
 	dirMu.Lock()
@@ -233,16 +242,16 @@ func TestSegmentAlignerMemory(t *testing.T) {
 	m := len(p)
 	stride := (m + 3) / 4
 	al := NewSegmentAligner(p, SegmentAlignOpts{Stiffness: 0.5})
+	var sc Scratch
+	prev := 0
 	for n := 1; n <= len(q); n += 1 + rng.Intn(40) {
-		al.Align(q[:n])
+		al.Align(q[:n], prev, &sc)
+		prev = n
 		if got := cap(al.dir); got > 2*stride*n {
 			t.Fatalf("n=%d: %d decision bytes held, want <= 2·⌈m/4⌉·n = %d", n, got, 2*stride*n)
 		}
-		if got, want := cap(al.steps), 2*stepSlot(m); got != want {
-			t.Fatalf("n=%d: %d decision scratch bytes, want %d", n, got, want)
-		}
-		if got := cap(al.ring) + cap(al.lastRow) + cap(al.cost); got > 4*(m+n) {
-			t.Fatalf("n=%d: %d float64s held, want <= %d", n, got, 4*(m+n))
+		if got := cap(al.ring) + cap(al.lastRow); got > 2*m+2*n {
+			t.Fatalf("n=%d: %d float64s held, want <= 2m+2n = %d", n, got, 2*m+2*n)
 		}
 	}
 }

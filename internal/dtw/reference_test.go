@@ -21,15 +21,33 @@ type refAligner struct {
 
 func (r *refAligner) at(i, j int) float64 { return r.cells[j*len(r.p)+i] }
 
+// sameSegment is the bit-for-bit segment equality profile.SegmentCache
+// reports its changed index by, restated for the tests that replay
+// queries here: == would keep a column across a change in the sign of a
+// zero and would never keep one whose segment holds a NaN.
+func sameSegment(a, b Segment) bool {
+	return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) &&
+		math.Float64bits(a.Hi) == math.Float64bits(b.Hi) &&
+		math.Float64bits(a.Interval) == math.Float64bits(b.Interval) &&
+		a.Start == b.Start && a.End == b.End
+}
+
+// firstChanged is the changed index Align is owed for q after prev: the
+// first index at which they differ bit for bit.
+func firstChanged(prev, q []Segment) int {
+	cp := 0
+	for cp < len(prev) && cp < len(q) && sameSegment(prev[cp], q[cp]) {
+		cp++
+	}
+	return cp
+}
+
 func (r *refAligner) align(q []Segment) (Result, int) {
 	m, n := len(r.p), len(q)
 	if m == 0 || n == 0 {
 		return Result{}, 0
 	}
-	cp := 0
-	for cp < len(r.q) && cp < n && sameSegment(r.q[cp], q[cp]) {
-		cp++
-	}
+	cp := firstChanged(r.q, q)
 	// Columns of the unchanged prefix are kept; a segment that differs in
 	// any bit, the sign of a zero included, is recomputed.
 	r.q = append(r.q[:cp:cp], q[cp:]...)
@@ -173,11 +191,13 @@ type coverage struct {
 
 // runScript replays a scenario through a SegmentAligner and refAligner
 // side by side, failing on the first difference in distance bits, match
-// end, span columns, path steps or held column count. The aligner's path
+// end, span columns, path steps or held column count. The aligner is told
+// the first segment that differs bit for bit from the reference's
+// previous query, and fills in sc. The aligner's path
 // is the test-only tracePath over its held decisions; its span columns
 // come from the path-free production walk (or its memo) and must equal
 // those spanCols reads off the reference's path.
-func runScript(t *testing.T, data []byte) coverage {
+func runScript(t *testing.T, data []byte, sc *Scratch) coverage {
 	t.Helper()
 	s := &script{data: data}
 	m := 1 + s.next()%12
@@ -192,19 +212,16 @@ func runScript(t *testing.T, data []byte) coverage {
 	var cov coverage
 	check := func(op string) {
 		t.Helper()
-		if len(al.q) != len(want.q) {
-			t.Fatalf("%s (m=%d n=%d): %d columns held, reference %d", op, m, len(q), len(al.q), len(want.q))
+		if len(al.lastRow) != len(want.q) {
+			t.Fatalf("%s (m=%d n=%d): %d columns held, reference %d", op, m, len(q), len(al.lastRow), len(want.q))
 		}
 	}
 	align := func(op string) {
 		t.Helper()
-		cp := 0
-		for cp < len(al.q) && cp < len(q) && sameSegment(al.q[cp], q[cp]) {
-			cp++
-		}
+		cp := firstChanged(want.q, q)
 		heldValid, heldEnd := al.heldValid, al.held.End
 		wr, we := want.align(q)
-		got := al.Align(q)
+		got := al.Align(q, cp, sc)
 		if len(q) == 0 {
 			if got != (Match{}) || wr.Path != nil {
 				t.Fatalf("%s (m=%d): empty query answered %+v", op, m, got)
@@ -261,8 +278,8 @@ func runScript(t *testing.T, data []byte) coverage {
 	}
 	// Columns whose fill re-derived its decisions: a NaN last-row value in
 	// the column or its predecessor, or a non-finite horizontal penalty.
-	for j := 1; j < len(al.q) && j < len(al.lastRow); j++ {
-		horiz := opts.Stiffness * al.q[j].Interval
+	for j := 1; j < len(want.q) && j < len(al.lastRow); j++ {
+		horiz := opts.Stiffness * want.q[j].Interval
 		if al.lastRow[j] != al.lastRow[j] || al.lastRow[j-1] != al.lastRow[j-1] || horiz-horiz != 0 {
 			cov.rederived++
 		}
@@ -276,14 +293,16 @@ func runScript(t *testing.T, data []byte) coverage {
 // every alignment equals the float-matrix reference's in distance bits,
 // match end, span columns and path, and both hold the same columns after
 // every step. The scenarios must reach the memo and the NaN
-// re-derivation.
+// re-derivation. One Scratch serves every trial, as one serves many tags'
+// aligners, over references of every size.
 func TestSegmentAlignerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	var cov coverage
+	var sc Scratch
 	for trial := 0; trial < 400; trial++ {
 		data := make([]byte, 40+rng.Intn(200))
 		rng.Read(data)
-		c := runScript(t, data)
+		c := runScript(t, data, &sc)
 		cov.memoHits += c.memoHits
 		cov.rederived += c.rederived
 	}
@@ -303,6 +322,6 @@ func FuzzSegmentAligner(f *testing.F) {
 		if len(data) > 4096 {
 			return
 		}
-		runScript(t, data)
+		runScript(t, data, new(Scratch))
 	})
 }

@@ -2,7 +2,6 @@ package dtw
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 )
@@ -20,17 +19,6 @@ type Segment struct {
 	Start, End int
 	// Interval is the time span of the segment in seconds (s^T).
 	Interval float64
-}
-
-// sameSegment reports whether a and b are equal bit for bit, the test a
-// held column must pass to be reused: == would keep a column across a
-// change in the sign of a zero (which can change the distance's sign) and
-// would never keep one whose segment holds a NaN.
-func sameSegment(a, b Segment) bool {
-	return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) &&
-		math.Float64bits(a.Hi) == math.Float64bits(b.Hi) &&
-		math.Float64bits(a.Interval) == math.Float64bits(b.Interval) &&
-		a.Start == b.Start && a.End == b.End
 }
 
 // SegDist is the paper's distance between two segment ranges: the gap
@@ -216,13 +204,17 @@ type Match struct {
 // instead of recomputing the full O(m·n) matrix — the property that makes
 // periodic snapshots over an append-only profile pay for new reads only.
 //
-// Align compares the new query against the columns already held and keeps
-// the longest unchanged prefix, so a query whose tail was rewritten (a
-// re-segmentation after an out-of-order read) transparently degrades to
-// recomputing: from the first changed segment when it is one of the last
-// two columns, from column 0 otherwise. The held state grows with the
-// query: one 2-bit traceback decision per cell, ⌈m/4⌉ bytes per column,
-// and no warping path. A one-shot alignment is a fresh aligner's first
+// The aligner keeps no copy of the query: the caller names the first
+// segment that may differ from the previous Align's query (see Align),
+// and the held columns before it are kept. A query whose tail was
+// rewritten (a re-segmentation after an out-of-order read) transparently
+// degrades to recomputing: from the first changed segment when it is one
+// of the last two columns, from column 0 otherwise. What the aligner
+// holds is what the next call resumes from: one 2-bit traceback decision
+// per cell (⌈m/4⌉ bytes per column), the last two columns' values, every
+// column's last-row value and the previous answer — no warping path, and
+// none of the fill's working memory, which comes from the caller's
+// Scratch for one call. A one-shot alignment is a fresh aligner's first
 // Align. A SegmentAligner is not safe for concurrent use.
 type SegmentAligner struct {
 	// ref holds the reference segments, options and the flat per-row fill
@@ -231,29 +223,19 @@ type SegmentAligner struct {
 	// facade over the shared panels plus this tag's private DP state;
 	// NewSegmentAligner owns a private one.
 	ref *Reference
-	q   []Segment // query segments the DP currently covers
 	// dir holds the traceback decision of every cell of every held column,
 	// packed four cells to a byte, column-major at a stride of ⌈m/4⌉
 	// bytes: cell (i, j) in bits 2(i%4) and up of byte j·⌈m/4⌉ + i/4.
 	dir []uint8
-	// steps is the column fill's one-byte-per-cell decision scratch: two
-	// slots of m rounded up to a multiple of 32 bytes, column j in slot
-	// j&1, which packColumn packs into dir. The bytes past m stay zero, so
-	// the pack reads whole blocks and writes the same bits on every fill.
-	steps []uint8
 	// ring holds the DP values of the last two filled columns: column j in
 	// slot j&1. ringEnd is one past the last filled column, so the ring
 	// holds columns ringEnd−1 and ringEnd−2; 0 means it holds nothing (a
 	// fresh or released aligner).
 	ring    []float64
 	ringEnd int
-
-	// cost is the per-column scratch of the fill's first pass: the
-	// pointwise matching costs, computed branch-light over the flat
-	// operand arrays before the sequential DP pass consumes them.
-	cost []float64
 	// lastRow holds every held column's last-row value contiguously: the
-	// free-end scan reads all of them on every Align.
+	// free-end scan reads all of them on every Align. Its length is the
+	// number of held columns.
 	lastRow []float64
 	// held is the previous Align's answer, valid while heldValid. When the
 	// free-end scan picks the same end column again and no changed column
@@ -266,6 +248,33 @@ type SegmentAligner struct {
 	heldValid bool
 }
 
+// Scratch is the working memory of one Align: the fill's pointwise cost
+// column (m floats) and its one-byte-per-cell decision scratch — two
+// slots of m rounded up to a multiple of 32 bytes, column j in slot j&1,
+// which packColumn packs into the aligner's held decisions. Nothing in it
+// outlives the call, so a caller that runs many aligners holds one
+// Scratch per concurrent Align, not one per aligner. The zero Scratch is
+// ready for use and serves references of any size. A Scratch is not safe
+// for concurrent use.
+type Scratch struct {
+	cost  []float64
+	steps []uint8
+	// m is the row count steps is laid out for. The bytes past m in each
+	// slot stay zero, so the pack reads whole blocks and writes the same
+	// bits on every fill; a different m gets fresh, zeroed slots.
+	m int
+}
+
+// fit sizes the scratch for an m-row reference.
+func (s *Scratch) fit(m int) {
+	if cap(s.cost) < m {
+		s.cost = make([]float64, m)
+	}
+	if s.m != m {
+		s.steps, s.m = make([]uint8, 2*stepSlot(m)), m
+	}
+}
+
 // NewSegmentAligner builds an aligner over its own private Reference whose
 // span is the whole reference. Prefer NewSharedAligner when many aligners
 // run the same reference.
@@ -274,8 +283,8 @@ func NewSegmentAligner(p []Segment, opts SegmentAlignOpts) *SegmentAligner {
 }
 
 // NewSharedAligner builds an aligner over an existing (shared) Reference:
-// the aligner carries only its own DP state and scratch, so a thousand
-// tags over one reference hold one copy of the panels.
+// the aligner carries only its own DP state, so a thousand tags over one
+// reference hold one copy of the panels.
 func NewSharedAligner(ref *Reference) *SegmentAligner {
 	return &SegmentAligner{ref: ref}
 }
@@ -290,36 +299,31 @@ func (a *SegmentAligner) Release() {
 	putDir(a.dir)
 	a.dir = nil
 	a.ringEnd = 0
-	a.q = a.q[:0]
+	a.lastRow = a.lastRow[:0]
 	a.held, a.heldValid = Match{}, false
 }
 
 // Align answers the open-end subsequence query over q: the whole reference
 // must be consumed, q may match any contiguous run, ties prefer the latest
-// end. Columns shared with the previous call are reused; only new or
-// changed query segments are computed, and the answer is byte-identical
-// to a fresh aligner's over the same q. An empty reference or query
-// yields the zero Match.
-func (a *SegmentAligner) Align(q []Segment) Match {
+// end. changed is the caller's promise about q: the segments before index
+// changed equal, bit for bit, the previous Align's query at the same
+// indices (profile.SegmentCache.Segments reports it). The held columns
+// before it are reused; only new or changed query segments are computed,
+// and the answer is byte-identical to a fresh aligner's over the same q.
+// The fill works in sc, which the call leaves holding nothing the aligner
+// needs. An empty reference or query yields the zero Match.
+func (a *SegmentAligner) Align(q []Segment, changed int, sc *Scratch) Match {
 	m := len(a.ref.p)
 	n := len(q)
 	if m == 0 || n == 0 {
 		return Match{}
 	}
-	if cap(a.cost) < m {
-		a.cost = make([]float64, m)
-	}
+	sc.fit(m)
 	if cap(a.ring) < 2*m {
 		a.ring = make([]float64, 2*m)
 	}
-	if len(a.steps) < 2*stepSlot(m) {
-		a.steps = make([]uint8, 2*stepSlot(m))
-	}
-	// Keep the longest prefix of held columns whose segments are unchanged.
-	cp := 0
-	for cp < len(a.q) && cp < n && sameSegment(a.q[cp], q[cp]) {
-		cp++
-	}
+	// Keep the held columns before the first changed segment.
+	cp := max(0, min(changed, len(a.lastRow), n))
 	// The held decisions and last-row values cover every held column.
 	// Column cp extends from column cp−1's values, which the ring holds
 	// only when cp is one of the last two columns filled — append-only
@@ -351,12 +355,11 @@ func (a *SegmentAligner) Align(q []Segment) Match {
 	} else {
 		a.lastRow = a.lastRow[:n]
 	}
-	a.q = append(a.q[:cp], q[cp:]...)
 	for j := lo; j < n; j++ {
-		a.fillColumn(j, j > lo)
+		a.fillColumn(sc, q, j, j > lo)
 	}
 	if lo < n {
-		a.packColumn(n - 1)
+		a.packColumn(sc, n-1)
 		a.ringEnd = n
 	}
 
@@ -384,10 +387,11 @@ func (a *SegmentAligner) Align(q []Segment) Match {
 	return mt
 }
 
-// fillColumn computes DP column j into its ring slot from column j−1's
-// (held in the other slot; none for column 0), records each cell's
-// traceback decision, and records the column's last-row value. With
-// packPrev it then packs column j−1's decisions (see packColumn).
+// fillColumn computes DP column j of query q into its ring slot from
+// column j−1's (held in the other slot; none for column 0), records each
+// cell's traceback decision in sc, and records the column's last-row
+// value. With packPrev it then packs column j−1's decisions (see
+// packColumn).
 //
 // Pass 1 (fillCost) is the pointwise matching cost. Pass 2 is the
 // sequential min-of-three DP, which carries the col[i−1] dependency and
@@ -412,16 +416,16 @@ func (a *SegmentAligner) Align(q []Segment) Match {
 // since long unvalidated read times can make intervals infinite and 0·Inf
 // is NaN — re-derive their decisions with the traceback predicate.
 //
-// The decisions go to the column's one-byte steps slot, which stays in
+// The decisions go to the column's one-byte slot of sc.steps, which stays in
 // L1, and packColumn packs them into dir in one pass after the fact:
 // packing inside the loop adds shift-and-or work to every cell and
 // measured slower than the separate pass.
-func (a *SegmentAligner) fillColumn(j int, packPrev bool) {
+func (a *SegmentAligner) fillColumn(sc *Scratch, q []Segment, j int, packPrev bool) {
 	m := len(a.ref.p)
 	// Reslicing to m lets the compiler drop the loops' bounds checks.
-	cost := a.fillCost(j, m)[:m]
+	cost := a.fillCost(sc, q[j], m)[:m]
 	col := a.ring[(j&1)*m:][:m]
-	steps := a.steps[(j&1)*stepSlot(m):][:m]
+	steps := sc.steps[(j&1)*stepSlot(m):][:m]
 	pVert := a.ref.pVert[:m]
 
 	// Row 0 is a free start: the first reference segment may match any
@@ -446,7 +450,7 @@ func (a *SegmentAligner) fillColumn(j int, packPrev bool) {
 		a.lastRow[0] = acc
 		return
 	}
-	horiz := a.ref.opts.Stiffness * a.q[j].Interval
+	horiz := a.ref.opts.Stiffness * q[j].Interval
 	prev := a.ring[((j-1)&1)*m:][:m]
 	diag := prev[0]
 	for i := 1; i < m; i++ {
@@ -470,7 +474,7 @@ func (a *SegmentAligner) fillColumn(j int, packPrev bool) {
 		rederive(steps, col, prev, pVert, horiz)
 	}
 	if packPrev {
-		a.packColumn(j - 1)
+		a.packColumn(sc, j-1)
 	}
 }
 
@@ -478,16 +482,16 @@ func (a *SegmentAligner) fillColumn(j int, packPrev bool) {
 // rounded up to the 32-cell block the AVX2 pack reads.
 func stepSlot(m int) int { return (m + 31) &^ 31 }
 
-// packColumn packs filled column j's byte decisions from its steps slot
+// packColumn packs filled column j's byte decisions from its slot of sc.steps
 // into its ⌈m/4⌉ bytes of dir. Align packs each column one column late,
 // after the next column's fill: a pack that reads the byte decisions just
 // stored stalls until those stores leave the store buffer, which cost 6-9%
 // of a whole alignment on measured profiles' segments.
-func (a *SegmentAligner) packColumn(j int) {
+func (a *SegmentAligner) packColumn(sc *Scratch, j int) {
 	m := len(a.ref.p)
 	stride := (m + 3) / 4
 	slot := stepSlot(m)
-	dst, src := a.dir[j*stride:][:stride], a.steps[(j&1)*slot:][:slot]
+	dst, src := a.dir[j*stride:][:stride], sc.steps[(j&1)*slot:][:slot]
 	if useFillAsm {
 		packStepsAVX2(&dst[0], &src[0], stride)
 		return
@@ -526,7 +530,7 @@ func packSteps(dst, src []uint8) {
 	}
 }
 
-// fillCost is the fill's first pass for column j: the pointwise matching
+// fillCost is the fill's first pass for query segment qj: the pointwise matching
 // costs of the coarse DTW recurrence — SegDist weighted by the shorter
 // of the two segments' intervals — with the reference operands read from
 // the flat panels. It is written as independent straight-line iterations
@@ -536,10 +540,9 @@ func packSteps(dst, src []uint8) {
 // proper intervals, so at most one of the two gaps is positive — and the
 // interval branch equals math.Min bit-for-bit on these finite
 // non-negative operands.
-func (a *SegmentAligner) fillCost(j, m int) []float64 {
-	qj := a.q[j]
+func (a *SegmentAligner) fillCost(sc *Scratch, qj Segment, m int) []float64 {
 	qLo, qHi, qInt := qj.Lo, qj.Hi, qj.Interval
-	cost := a.cost[:m]
+	cost := sc.cost[:m]
 	pLo := a.ref.pLo[:m]
 	pHi := a.ref.pHi[:m]
 	pInt := a.ref.pInt[:m]

@@ -39,16 +39,6 @@ func (p *Profile) Duration() float64 {
 	return p.Times[p.Len()-1] - p.Times[0]
 }
 
-// Slice returns the sub-profile of samples [i, j). The underlying arrays
-// are shared.
-func (p *Profile) Slice(i, j int) *Profile {
-	out := &Profile{EPC: p.EPC, Times: p.Times[i:j], Phases: p.Phases[i:j]}
-	if p.RSSI != nil {
-		out.RSSI = p.RSSI[i:j]
-	}
-	return out
-}
-
 // Validate reports structural problems.
 func (p *Profile) Validate() error {
 	if len(p.Times) != len(p.Phases) {
@@ -110,15 +100,20 @@ func (p *Profile) Segmentize(w int) []dtw.Segment {
 	if w < 1 {
 		w = 1
 	}
-	return p.appendSegments(nil, 0, w)
+	segs, _ := p.appendSegments(nil, 0, 0, w)
+	return segs
 }
 
 // appendSegments runs the segmentation scan from sample `start` to the end
-// of the profile, appending to dst. Segment boundaries are a pure forward
-// function of the starting index and the samples at or after it, which is
-// what makes the scan resumable (see SegmentCache).
-func (p *Profile) appendSegments(dst []dtw.Segment, start, w int) []dtw.Segment {
+// of the profile, appending to old[:keep] in place. Segment boundaries are
+// a pure forward function of the starting index and the samples at or
+// after it, which is what makes the scan resumable (see SegmentCache).
+// changed is the first index at which the result differs bit for bit from
+// old: each new segment is compared with the old one at its index just
+// before it overwrites it.
+func (p *Profile) appendSegments(old []dtw.Segment, keep, start, w int) (segs []dtw.Segment, changed int) {
 	n := p.Len()
+	segs, changed = old[:keep], -1
 	for start < n {
 		end := start + w
 		if end > n {
@@ -132,10 +127,17 @@ func (p *Profile) appendSegments(dst []dtw.Segment, start, w int) []dtw.Segment 
 				break
 			}
 		}
-		dst = append(dst, p.segment(start, cut))
+		s := p.segment(start, cut)
+		if changed < 0 && (len(segs) == len(old) || !sameSegment(s, old[len(segs)])) {
+			changed = len(segs)
+		}
+		segs = append(segs, s)
 		start = cut
 	}
-	return dst
+	if changed < 0 {
+		changed = len(segs) // a prefix of old, or all of it
+	}
+	return segs, changed
 }
 
 // segment builds one dtw.Segment over samples [i, j).

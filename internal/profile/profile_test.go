@@ -84,6 +84,16 @@ func TestValidateCatchesBadData(t *testing.T) {
 	}
 }
 
+// Slice returns the sub-profile of samples [i, j), sharing the underlying
+// arrays: the tests' way to replay a profile's growth prefix by prefix.
+func (p *Profile) Slice(i, j int) *Profile {
+	out := &Profile{EPC: p.EPC, Times: p.Times[i:j], Phases: p.Phases[i:j]}
+	if p.RSSI != nil {
+		out.RSSI = p.RSSI[i:j]
+	}
+	return out
+}
+
 func TestSliceSharesAndBounds(t *testing.T) {
 	p := mkProfile([]float64{1, 2, 3, 4, 5})
 	p.RSSI = []float64{-1, -2, -3, -4, -5}

@@ -1,6 +1,10 @@
 package profile
 
-import "repro/internal/dtw"
+import (
+	"math"
+
+	"repro/internal/dtw"
+)
 
 // SegmentCache makes Segmentize resumable for an append-only profile: it
 // caches the segment list and, when the profile has only grown since the
@@ -25,7 +29,7 @@ import "repro/internal/dtw"
 type SegmentCache struct {
 	w    int
 	segs []dtw.Segment
-	n    int // samples covered by segs
+	n    int // samples covered by segs; −1 once invalidated
 }
 
 // NewSegmentCache builds a cache for segment width w (clamped to 1 like
@@ -37,35 +41,53 @@ func NewSegmentCache(w int) *SegmentCache {
 	return &SegmentCache{w: w}
 }
 
-// Invalidate drops the cached segmentation; the next Segments call rebuilds
-// from sample 0. Call it whenever the profile changed other than by
-// appending (e.g. it was re-sorted after an out-of-order read).
+// Invalidate marks the cached segmentation stale; the next Segments call
+// rebuilds from sample 0. Call it whenever the profile changed other than
+// by appending (e.g. it was re-sorted after an out-of-order read). The
+// stale list stays until that rebuild, which compares against it.
 func (c *SegmentCache) Invalidate() {
-	c.segs = c.segs[:0]
-	c.n = 0
+	c.n = -1
 }
 
 // Segments returns p.Segmentize(w), reusing every cached segment that
-// appended samples cannot have changed. The returned slice is owned by the
-// cache and is overwritten by the next call — callers needing a stable view
-// must copy (the V-zone detector consumes it within one detection pass).
-func (c *SegmentCache) Segments(p *Profile) []dtw.Segment {
+// appended samples cannot have changed, and the first index at which the
+// returned list differs bit for bit from the list the previous call
+// returned: a segment whose fields differ in any bit (the sign of a zero,
+// a NaN's payload) counts as changed, and so does a segment past the
+// shorter list's end. A caller that resumes work per segment — the
+// detector's DP columns — keeps everything before that index. On append-only
+// growth it is the first rescanned segment that came out different;
+// with no new samples it is len(segs); after Invalidate or a shrink the
+// rebuild compares every segment against the stale list as it overwrites
+// it.
+//
+// The returned slice is owned by the cache and is overwritten by the next
+// call — callers needing a stable view must copy (the V-zone detector
+// consumes it within one detection pass).
+func (c *SegmentCache) Segments(p *Profile) (segs []dtw.Segment, changed int) {
 	n := p.Len()
-	if n < c.n {
-		c.Invalidate()
-	}
 	if n == c.n {
-		return c.segs
+		return c.segs, len(c.segs)
 	}
-	start := 0
-	if k := len(c.segs); k > 0 {
+	keep, start := 0, 0
+	if k := len(c.segs); k > 0 && c.n >= 0 && n > c.n {
 		// The last cached segment ends at the old profile tail: its cut may
 		// move now that more samples follow, so rescan from its start. All
 		// earlier segments ended at a wrap or a full w-chunk and are final.
-		start = c.segs[k-1].Start
-		c.segs = c.segs[:k-1]
+		keep, start = k-1, c.segs[k-1].Start
 	}
-	c.segs = p.appendSegments(c.segs, start, c.w)
+	c.segs, changed = p.appendSegments(c.segs, keep, start, c.w)
 	c.n = n
-	return c.segs
+	return c.segs, changed
+}
+
+// sameSegment reports whether a and b are equal bit for bit, the test a
+// resumed DP column must pass to be kept: == would keep a column across a
+// change in the sign of a zero (which can change the distance's sign) and
+// would never keep one whose segment holds a NaN.
+func sameSegment(a, b dtw.Segment) bool {
+	return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) &&
+		math.Float64bits(a.Hi) == math.Float64bits(b.Hi) &&
+		math.Float64bits(a.Interval) == math.Float64bits(b.Interval) &&
+		a.Start == b.Start && a.End == b.End
 }

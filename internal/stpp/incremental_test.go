@@ -35,6 +35,12 @@ func incrementalFixture(t *testing.T) (*stpp.Localizer, []*profile.Profile) {
 	return loc, ps
 }
 
+// prefix is the profile of p's first n samples, sharing its arrays: a
+// growing stream's view of the profile after n reads.
+func prefix(p *profile.Profile, n int) *profile.Profile {
+	return &profile.Profile{EPC: p.EPC, Times: p.Times[:n], Phases: p.Phases[:n]}
+}
+
 // TestDetectIncrementalMatchesDetect grows each profile prefix by random
 // strides — including prefixes too short to detect in — and asserts the
 // resumed state returns exactly what a one-shot Detect over a fresh state
@@ -51,7 +57,7 @@ func TestDetectIncrementalMatchesDetect(t *testing.T) {
 			if n > full.Len() {
 				n = full.Len()
 			}
-			p := full.Slice(0, n)
+			p := prefix(full, n)
 			want, wantErr := det.Detect(p)
 			got, gotErr := det.DetectIncremental(st, p)
 			if (wantErr == nil) != (gotErr == nil) ||
@@ -73,7 +79,7 @@ func TestLocalizeTagIncrementalMatches(t *testing.T) {
 	for pi, full := range ps {
 		st := loc.NewDetectState()
 		for _, frac := range []int{3, 2, 1} {
-			p := full.Slice(0, full.Len()/frac)
+			p := prefix(full, full.Len()/frac)
 			want := loc.LocalizeTag(p)
 			got := loc.LocalizeTagIncremental(st, p)
 			if want.VZone != got.VZone || want.X != got.X {
@@ -99,5 +105,22 @@ func TestDetectIncrementalReset(t *testing.T) {
 	got, gotErr := det.DetectIncremental(st, ps[1])
 	if (wantErr == nil) != (gotErr == nil) || want != got {
 		t.Fatalf("after reset: got %+v (%v), want %+v (%v)", got, gotErr, want, wantErr)
+	}
+	// Rewrite samples near the tail in place, as a re-sort after a late
+	// read does: the rebuilt segmentation changes only its last segments,
+	// so the aligner resumes from the first of them.
+	p := &profile.Profile{
+		Times:  append([]float64(nil), ps[1].Times...),
+		Phases: append([]float64(nil), ps[1].Phases...),
+	}
+	for back := 1; back <= 12 && back < p.Len(); back += 3 {
+		k := p.Len() - back
+		p.Phases[k], p.Phases[k-1] = p.Phases[k-1], p.Phases[k]
+		st.Reset()
+		want, wantErr := det.Detect(p)
+		got, gotErr := det.DetectIncremental(st, p)
+		if (wantErr == nil) != (gotErr == nil) || want != got {
+			t.Fatalf("after rewriting sample %d: got %+v (%v), want %+v (%v)", k, got, gotErr, want, wantErr)
+		}
 	}
 }

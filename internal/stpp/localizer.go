@@ -129,16 +129,19 @@ func (l *Localizer) LocalizeTag(p *profile.Profile) TagResult {
 // to LocalizeTag over the same profile. The profile must have grown
 // append-only since the state's last use (call st.Reset after a re-sort).
 // Like LocalizeTag it is safe to call concurrently for different tags —
-// each tag owns its state.
+// each tag owns its state, and each call borrows its own working memory
+// for the DTW fill and the X-key fit.
 func (l *Localizer) LocalizeTagIncremental(st *DetectState, p *profile.Profile) TagResult {
+	sc := getScratch()
+	defer putScratch(sc)
 	tr := TagResult{EPC: p.EPC, Profile: p}
-	vz, err := l.det.DetectIncremental(st, p)
+	vz, err := l.det.detect(st, sc, p)
 	if err != nil {
 		tr.Err = err
 		return tr
 	}
 	tr.VZone = vz
-	xk, err := l.cfg.xKeyOf(st, p, vz)
+	xk, err := l.cfg.xKeyOf(st, sc, p, vz)
 	if err != nil {
 		tr.Err = err
 		return tr
@@ -196,10 +199,12 @@ func XConfidences(tags []TagResult, order []int) []float64 {
 	return out
 }
 
-// asmScratch pools the assembly stage's tag-count-sized temporaries: the
-// streaming engine assembles on every snapshot, so fresh slices here made
-// the per-snapshot allocation count scale with cadence. The X/Y order
-// index slices are NOT pooled — they are retained in the returned Result.
+// asmScratch pools the assembly stage's temporaries: the tag-count-sized
+// slices and the Y stage's valley window, which yKeys threads through
+// every tag in turn. The streaming engine assembles on every snapshot, so
+// fresh slices here made the per-snapshot allocation count scale with
+// cadence. The X/Y order index slices are NOT pooled — they are retained
+// in the returned Result.
 type asmScratch struct {
 	xkeys    []XKey
 	profiles []*profile.Profile
@@ -208,6 +213,7 @@ type asmScratch struct {
 	errs     []error
 	means    [][]float64
 	flat     []float64
+	vw       []float64
 }
 
 var asmPool = sync.Pool{New: func() any { return new(asmScratch) }}

@@ -2,9 +2,12 @@ package stpp
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dsp"
+	"repro/internal/dtw"
 	"repro/internal/epcgen2"
 	"repro/internal/geom"
 	"repro/internal/motion"
@@ -14,6 +17,27 @@ import (
 )
 
 var testWavelength = phys.ChinaBand.Wavelength(6)
+
+// TestDetectStateHoldsResumableOnly pins, by reflection, that a tag's
+// DetectState holds only what its next detection resumes from: its only
+// float slices are the unwrap and median curves u and um, so the X-key
+// fit's buffers and the valley window cannot come back as per-tag
+// holdings, and no field holds a call scratch or a DTW fill scratch.
+func TestDetectStateHoldsResumableOnly(t *testing.T) {
+	var floats []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(DetectState{})) {
+		switch f.Type {
+		case reflect.TypeOf([]float64(nil)):
+			floats = append(floats, f.Name)
+		case reflect.TypeOf(callScratch{}), reflect.TypeOf(&callScratch{}),
+			reflect.TypeOf(dtw.Scratch{}), reflect.TypeOf(&dtw.Scratch{}):
+			t.Errorf("DetectState.%s holds per-call scratch (%v)", f.Name, f.Type)
+		}
+	}
+	if want := []string{"u", "um"}; !slices.Equal(floats, want) {
+		t.Errorf("DetectState float-slice fields %v, want only the resumable curves %v", floats, want)
+	}
+}
 
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig(testWavelength).Validate(); err != nil {

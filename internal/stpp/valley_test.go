@@ -27,7 +27,7 @@ func valleyWindow(t *testing.T, p *profile.Profile, vz VZone, rise float64) (tim
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d.NewDetectState().ValleyWindow(p, vz, rise)
+	return d.NewDetectState().ValleyWindow(nil, p, vz, rise)
 }
 
 func TestValleyWindowFixedDepth(t *testing.T) {

@@ -79,7 +79,8 @@ func (d *Detector) Reference() (*profile.Profile, int, int) {
 // reference's period count, so the reference is located as a subsequence —
 // and maps the reference's a-priori V-zone bounds through the warping
 // path. It is a one-shot DetectIncremental over a pooled, reset state, so
-// batch and incremental detection share every line of code.
+// batch and incremental detection share every line of code, the borrowed
+// call scratch included.
 func (d *Detector) Detect(p *profile.Profile) (VZone, error) {
 	st := d.oneShotState()
 	defer d.putOneShot(st)
@@ -104,12 +105,61 @@ func (d *Detector) putOneShot(st *DetectState) {
 	d.oneShot.Put(st)
 }
 
-// DetectState is the resumable per-tag state behind DetectIncremental: the
-// tag's segment cache, the open-end DTW aligner holding the packed
-// traceback decisions of the DP columns computed so far, and the V-zone
-// refinement's unwrap/median curves with the prefix length they are valid
-// for. A state belongs to one (detector, tag) pair and is not safe for
-// concurrent use.
+// callScratch is the working memory of one per-tag detection: the
+// segment-DTW fill's scratch and the X-key fit's three V-zone-length
+// buffers. Nothing in it is read by a later call, so it is borrowed for
+// one DetectIncremental or LocalizeTagIncremental rather than held by
+// every resident tag: at most as many exist as detections run at once.
+type callScratch struct {
+	fill            dtw.Scratch
+	un, clean, pred []float64
+}
+
+// scratchFree recycles call scratches, capped at scratchFreeMax. It is an
+// explicit list rather than a sync.Pool for the reason dtw's decision
+// free-list gives: sync.Pool drops its items at every collection (and at
+// random under the race detector), and each refill regrows the buffers
+// from empty.
+var (
+	scratchMu   sync.Mutex
+	scratchFree []*callScratch
+)
+
+// scratchFreeMax bounds the retained call scratches: more than the
+// detections that run at once on any machine this serves, a few KiB each.
+const scratchFreeMax = 32
+
+// getScratch borrows a call scratch; putScratch returns it.
+func getScratch() *callScratch {
+	scratchMu.Lock()
+	defer scratchMu.Unlock()
+	if k := len(scratchFree); k > 0 {
+		sc := scratchFree[k-1]
+		scratchFree[k-1] = nil
+		scratchFree = scratchFree[:k-1]
+		return sc
+	}
+	return new(callScratch)
+}
+
+func putScratch(sc *callScratch) {
+	scratchMu.Lock()
+	if len(scratchFree) < scratchFreeMax {
+		scratchFree = append(scratchFree, sc)
+	}
+	scratchMu.Unlock()
+}
+
+// DetectState is the resumable per-tag state behind DetectIncremental,
+// and only that — everything the next call resumes from: the tag's
+// segment cache, the open-end DTW aligner holding the packed traceback
+// decisions of the DP columns computed so far, the V-zone refinement's
+// unwrap/median curves with the prefix length they are valid for, and the
+// X-key memo. The working memory of one call — the DTW fill's cost column
+// and byte decisions, the X-key fit's buffers — is borrowed per call
+// (getScratch), and the Y stage's valley window lives in the assembly
+// scratch, so a resident tag between snapshots holds none of it. A state
+// belongs to one (detector, tag) pair and is not safe for concurrent use.
 type DetectState struct {
 	segs *profile.SegmentCache
 	al   *dtw.SegmentAligner
@@ -119,12 +169,6 @@ type DetectState struct {
 	// resume from uLen instead of recomputing from sample 0.
 	u, um []float64
 	uLen  int
-	// vw is the valley-window output scratch of this state's ValleyWindow;
-	// the X-key buffers back the per-tag fit stage. Both stages run once
-	// per tag on every snapshot, so per-call allocation of these scaled
-	// the snapshot-cadence allocation count linearly with cadence.
-	vw                    []float64
-	xkUn, xkClean, xkPred []float64
 	// X-key memo: the quadratic fit depends only on the profile samples
 	// inside the V-zone, and within a state's validity window the profile
 	// grows append-only — so when detection lands on the same [Start, End)
@@ -148,9 +192,10 @@ func (d *Detector) NewDetectState() *DetectState {
 
 // Reset invalidates the state after the tag's profile changed other than
 // by appending (an out-of-order read forced a re-sort): the segment cache
-// rebuilds from sample 0, the aligner recomputes from the first changed
-// segment (or column 0), and the refinement curves recompute in full on the next
-// DetectIncremental.
+// rebuilds from sample 0 and reports the first segment the rebuild
+// changed, the aligner recomputes from that segment (or from column 0
+// when it is not one of the last two), and the refinement curves
+// recompute in full on the next DetectIncremental.
 func (s *DetectState) Reset() {
 	s.segs.Invalidate()
 	s.uLen = 0
@@ -224,18 +269,26 @@ func (s *DetectState) unwrapMedian(p *profile.Profile) []float64 {
 // code. The profile must extend the one from the previous call by appends
 // only, unless Reset was called in between.
 func (d *Detector) DetectIncremental(st *DetectState, p *profile.Profile) (VZone, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return d.detect(st, sc, p)
+}
+
+// detect is DetectIncremental working in a borrowed call scratch.
+func (d *Detector) detect(st *DetectState, sc *callScratch, p *profile.Profile) (VZone, error) {
 	if p.Len() < d.cfg.MinVZoneSamples {
 		return VZone{}, fmt.Errorf("stpp: profile has %d samples, need >= %d",
 			p.Len(), d.cfg.MinVZoneSamples)
 	}
-	segs := st.segs.Segments(p)
+	segs, changed := st.segs.Segments(p)
 	if len(segs) == 0 {
 		return VZone{}, fmt.Errorf("stpp: empty segmentation")
 	}
-	// The aligner reports the measured segments the reference V-zone
+	// The aligner keeps its DP columns before the first segment the cache
+	// changed, and reports the measured segments the reference V-zone
 	// segments (its span rows) map to through the warping path: the first
 	// and the last the path pairs with them.
-	mt := st.al.Align(segs)
+	mt := st.al.Align(segs, changed, &sc.fill)
 	start := segs[mt.SpanStart].Start
 	end := segs[mt.SpanEnd].End
 
@@ -378,9 +431,11 @@ func anchoredPhasesTo(dst []float64, p *profile.Profile, vz VZone) (times, phase
 // The window reads the state's unwrap/median curves, resumed by
 // unwrapMedian under the usual append-only/Reset contract: the streaming
 // engine's Y stage runs it once per tag on every snapshot, so the curves
-// must cost O(new reads), not O(profile). The phases are state-owned
-// scratch, overwritten by the next call.
-func (s *DetectState) ValleyWindow(p *profile.Profile, vz VZone, rise float64) (times, phases []float64) {
+// must cost O(new reads), not O(profile). The phases are written into dst
+// when its capacity suffices, else into a fresh array with doubling
+// headroom, so a caller threading the result back in as the next dst
+// allocates O(log growth) times.
+func (s *DetectState) ValleyWindow(dst []float64, p *profile.Profile, vz VZone, rise float64) (times, phases []float64) {
 	n := p.Len()
 	if n == 0 || vz.End <= vz.Start {
 		return nil, nil
@@ -402,10 +457,7 @@ func (s *DetectState) ValleyWindow(p *profile.Profile, vz VZone, rise float64) (
 		end++
 	}
 	anchor := p.Phases[bottom] - u[bottom]
-	dst := s.vw
 	if cap(dst) < end-start {
-		// Geometric growth — the scratch is threaded through every
-		// snapshot of a growing window.
 		c := 2 * cap(dst)
 		if c < end-start {
 			c = end - start
@@ -416,7 +468,6 @@ func (s *DetectState) ValleyWindow(p *profile.Profile, vz VZone, rise float64) (
 	for i := start; i < end; i++ {
 		phases[i-start] = u[i] + anchor
 	}
-	s.vw = phases // keep the (possibly grown) scratch for the next snapshot
 	return p.Times[start:end], phases
 }
 

@@ -38,14 +38,15 @@ type XKey struct {
 // unwrapped first: the nadir of a noisy profile may wrap through 0, which
 // would otherwise destroy the parabola.
 func (c Config) XKeyOf(p *profile.Profile, vz VZone) (XKey, error) {
-	return c.xKeyOf(nil, p, vz)
+	return c.xKeyOf(nil, nil, p, vz)
 }
 
-// xKeyOf is XKeyOf with the V-zone-length temporaries drawn from a tag's
-// detection state (nil degrades to fresh allocations): the incremental
+// xKeyOf is XKeyOf memoized on a tag's detection state, with the
+// V-zone-length temporaries drawn from a borrowed call scratch (nil for
+// either degrades to no memo and fresh allocations): the incremental
 // per-tag stage re-keys every dirty tag on every snapshot, and these three
 // buffers were a per-snapshot-linear allocation term.
-func (c Config) xKeyOf(st *DetectState, p *profile.Profile, vz VZone) (XKey, error) {
+func (c Config) xKeyOf(st *DetectState, sc *callScratch, p *profile.Profile, vz VZone) (XKey, error) {
 	// Memo: the key is a pure function of the samples inside [Start, End),
 	// which cannot have changed since the last call — the profile grows
 	// append-only while the state is valid (Reset clears the memo on
@@ -53,7 +54,7 @@ func (c Config) xKeyOf(st *DetectState, p *profile.Profile, vz VZone) (XKey, err
 	if st != nil && st.xkValid && st.xkVZ.Start == vz.Start && st.xkVZ.End == vz.End {
 		return st.xkKey, st.xkErr
 	}
-	k, err := c.xKeyFit(st, p, vz)
+	k, err := c.xKeyFit(sc, p, vz)
 	if st != nil {
 		st.xkVZ, st.xkKey, st.xkErr, st.xkValid = vz, k, err, true
 	}
@@ -61,7 +62,7 @@ func (c Config) xKeyOf(st *DetectState, p *profile.Profile, vz VZone) (XKey, err
 }
 
 // xKeyFit is the uncached fit behind xKeyOf.
-func (c Config) xKeyFit(st *DetectState, p *profile.Profile, vz VZone) (XKey, error) {
+func (c Config) xKeyFit(sc *callScratch, p *profile.Profile, vz VZone) (XKey, error) {
 	n := vz.End - vz.Start
 	if n < 3 {
 		return XKey{}, fmt.Errorf("stpp: V-zone has %d samples, need >= 3", n)
@@ -70,8 +71,8 @@ func (c Config) xKeyFit(st *DetectState, p *profile.Profile, vz VZone) (XKey, er
 	// the wrapped bottom (handles the nadir wrapping through 0), with a
 	// median prefilter against multipath outliers.
 	var unDst, cleanDst, predDst []float64
-	if st != nil {
-		unDst, cleanDst, predDst = st.xkUn, st.xkClean, st.xkPred
+	if sc != nil {
+		unDst, cleanDst, predDst = sc.un, sc.clean, sc.pred
 	}
 	times, un := anchoredPhasesTo(unDst, p, vz)
 	clean := dsp.MedianFilterRangeTo(cleanDst, un, c.MedianWidth, 0)
@@ -82,8 +83,8 @@ func (c Config) xKeyFit(st *DetectState, p *profile.Profile, vz VZone) (XKey, er
 		}
 		predDst = make([]float64, len(times), c)
 	}
-	if st != nil {
-		st.xkUn, st.xkClean, st.xkPred = un, clean, predDst
+	if sc != nil {
+		sc.un, sc.clean, sc.pred = un, clean, predDst
 	}
 
 	q, err := dsp.FitQuadratic(times, clean)

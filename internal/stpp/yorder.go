@@ -70,10 +70,10 @@ type YKey struct {
 // entry windows over a pooled one-shot state instead, as Detect does, so
 // both run the same code and give the same bits.
 //
-// The scratch supplies the returned keys/errs slices and the per-tag
-// means (one flat backing array instead of one slice per tag) — the
-// returned slices alias the scratch and are only valid until its next
-// use.
+// The scratch supplies the returned keys/errs slices, the per-tag means
+// (one flat backing array instead of one slice per tag) and the valley
+// window each tag's means are read from — the returned slices alias the
+// scratch and are only valid until its next use.
 func (l *Localizer) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile.Profile, vzones []VZone) ([]YKey, []error) {
 	c := l.cfg
 	n := len(profiles)
@@ -110,7 +110,8 @@ func (l *Localizer) yKeys(sc *asmScratch, states []*DetectState, profiles []*pro
 		if oneShot {
 			st = l.det.oneShotState()
 		}
-		_, phases := st.ValleyWindow(p, vz, c.YRiseWindow)
+		_, phases := st.ValleyWindow(sc.vw, p, vz, c.YRiseWindow)
+		sc.vw = phases
 		grown, err := segmentMeansAppend(flat, phases, c.YSegments)
 		if oneShot {
 			l.det.putOneShot(st)
