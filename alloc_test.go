@@ -42,6 +42,42 @@ func TestSegmentedAlignAllocs(t *testing.T) {
 	}
 }
 
+// TestScratchAcrossReferencesAllocs pins one Scratch serving aligners over
+// references of different lengths, as the shared call scratches do when a
+// deployment's readers differ in geometry: after both sizes are warm,
+// alternating them allocates nothing, and each answer equals the one a
+// fresh Scratch gives.
+func TestScratchAcrossReferencesAllocs(t *testing.T) {
+	det, p := benchProfilePair(t)
+	ref, _, _ := det.Reference()
+	long := ref.Segmentize(5)
+	opts := dtw.SegmentAlignOpts{Stiffness: 0.5}
+	als := []*dtw.SegmentAligner{
+		dtw.NewSegmentAligner(long, opts),
+		dtw.NewSegmentAligner(long[:len(long)/2+1], opts),
+	}
+	qs := p.Segmentize(5)
+	want := make([]dtw.Match, len(als))
+	for i, al := range als {
+		want[i] = al.Align(qs, 0, new(dtw.Scratch))
+	}
+	var sc dtw.Scratch
+	alignBoth := func() {
+		for i, al := range als {
+			al.Release()
+			if got := al.Align(qs, 0, &sc); got != want[i] {
+				t.Fatalf("aligner %d on a shared Scratch: %+v, want %+v", i, got, want[i])
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		alignBoth()
+	}
+	if allocs := testing.AllocsPerRun(50, alignBoth); allocs > 0 {
+		t.Fatalf("alternating references on one Scratch allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // TestDetectAllocs pins the one-shot Detect — what the batch Localizer
 // runs once per tag — at one allocation per call, amortized: its
 // DetectState comes from the detector's pool with segment cache, aligner

@@ -212,10 +212,10 @@ type Match struct {
 // of the last two columns, from column 0 otherwise. What the aligner
 // holds is what the next call resumes from: one 2-bit traceback decision
 // per cell (⌈m/4⌉ bytes per column), the last two columns' values, every
-// column's last-row value and the previous answer — no warping path, and
-// none of the fill's working memory, which comes from the caller's
-// Scratch for one call. A one-shot alignment is a fresh aligner's first
-// Align. A SegmentAligner is not safe for concurrent use.
+// column's last-row value — no warping path, and none of the fill's
+// working memory, which comes from the caller's Scratch for one call. A
+// one-shot alignment is a fresh aligner's first Align. A SegmentAligner
+// is not safe for concurrent use.
 type SegmentAligner struct {
 	// ref holds the reference segments, options and the flat per-row fill
 	// operands. Aligners built by NewSharedAligner point at one Reference
@@ -237,15 +237,6 @@ type SegmentAligner struct {
 	// free-end scan reads all of them on every Align. Its length is the
 	// number of held columns.
 	lastRow []float64
-	// held is the previous Align's answer, valid while heldValid. When the
-	// free-end scan picks the same end column again and no changed column
-	// reaches it, every decision the traceback would visit is unchanged,
-	// so held's columns ARE the answer. A tag whose pass is over keeps its
-	// best end fixed while the stream appends columns behind it — exactly
-	// the steady state of a high-cadence snapshot loop, where the
-	// per-align retrace otherwise costs O(m+n) each time.
-	held      Match
-	heldValid bool
 }
 
 // Scratch is the working memory of one Align: the fill's pointwise cost
@@ -261,18 +252,27 @@ type Scratch struct {
 	steps []uint8
 	// m is the row count steps is laid out for. The bytes past m in each
 	// slot stay zero, so the pack reads whole blocks and writes the same
-	// bits on every fill; a different m gets fresh, zeroed slots.
+	// bits on every fill; a different m clears its slots.
 	m int
 }
 
-// fit sizes the scratch for an m-row reference.
+// fit sizes the scratch for an m-row reference. Neither buffer shrinks,
+// so a scratch that serves references of several sizes stops allocating
+// once it has seen the largest.
 func (s *Scratch) fit(m int) {
 	if cap(s.cost) < m {
 		s.cost = make([]float64, m)
 	}
-	if s.m != m {
-		s.steps, s.m = make([]uint8, 2*stepSlot(m)), m
+	if s.m == m {
+		return
 	}
+	if n := 2 * stepSlot(m); cap(s.steps) < n {
+		s.steps = make([]uint8, n)
+	} else {
+		s.steps = s.steps[:n]
+		clear(s.steps)
+	}
+	s.m = m
 }
 
 // NewSegmentAligner builds an aligner over its own private Reference whose
@@ -300,7 +300,6 @@ func (a *SegmentAligner) Release() {
 	a.dir = nil
 	a.ringEnd = 0
 	a.lastRow = a.lastRow[:0]
-	a.held, a.heldValid = Match{}, false
 }
 
 // Align answers the open-end subsequence query over q: the whole reference
@@ -374,15 +373,7 @@ func (a *SegmentAligner) Align(q []Segment, changed int, sc *Scratch) Match {
 			best, endJ = c, j
 		}
 	}
-	if !a.heldValid || endJ != a.held.End || cp <= endJ {
-		// A column the traceback visits (≤ endJ) was (re)computed by this
-		// call, or the end moved: walk again. Otherwise every visited
-		// column predates this call's first changed column — a column
-		// recomputed from 0 gets the same decisions back — and the held
-		// columns are the answer, cell for cell.
-		a.held, a.heldValid = a.traceback(endJ), true
-	}
-	mt := a.held
+	mt := a.traceback(endJ)
 	mt.Distance = best
 	return mt
 }

@@ -107,27 +107,22 @@ func (d *Detector) putOneShot(st *DetectState) {
 
 // callScratch is the working memory of one per-tag detection: the
 // segment-DTW fill's scratch and the X-key fit's three V-zone-length
-// buffers. Nothing in it is read by a later call, so it is borrowed for
-// one DetectIncremental or LocalizeTagIncremental rather than held by
-// every resident tag: at most as many exist as detections run at once.
+// buffers. No later call reads it, so it is borrowed for one
+// DetectIncremental or LocalizeTagIncremental, not held by every tag.
 type callScratch struct {
 	fill            dtw.Scratch
 	un, clean, pred []float64
 }
 
-// scratchFree recycles call scratches, capped at scratchFreeMax. It is an
-// explicit list rather than a sync.Pool for the reason dtw's decision
-// free-list gives: sync.Pool drops its items at every collection (and at
-// random under the race detector), and each refill regrows the buffers
-// from empty.
+// scratchFree recycles call scratches; a sync.Pool would drop them at
+// every collection (and at random under the race detector) and regrow
+// their buffers from empty. A scratch is made only when the list is
+// empty, so the list and the borrowed scratches never outnumber the most
+// detections ever in progress at once.
 var (
 	scratchMu   sync.Mutex
 	scratchFree []*callScratch
 )
-
-// scratchFreeMax bounds the retained call scratches: more than the
-// detections that run at once on any machine this serves, a few KiB each.
-const scratchFreeMax = 32
 
 // getScratch borrows a call scratch; putScratch returns it.
 func getScratch() *callScratch {
@@ -144,9 +139,7 @@ func getScratch() *callScratch {
 
 func putScratch(sc *callScratch) {
 	scratchMu.Lock()
-	if len(scratchFree) < scratchFreeMax {
-		scratchFree = append(scratchFree, sc)
-	}
+	scratchFree = append(scratchFree, sc)
 	scratchMu.Unlock()
 }
 
