@@ -102,28 +102,6 @@ type Segment struct {
 // At returns the point at parameter t in [0,1] along the segment.
 func (s Segment) At(t float64) Vec3 { return s.A.Lerp(s.B, t) }
 
-// ClosestParam returns the parameter t in [0,1] of the point on the segment
-// closest to p.
-func (s Segment) ClosestParam(p Vec3) float64 {
-	d := s.B.Sub(s.A)
-	den := d.Dot(d)
-	if den == 0 {
-		return 0
-	}
-	t := p.Sub(s.A).Dot(d) / den
-	return clamp(t, 0, 1)
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // Plane is an infinite plane given by a point and a unit normal, used by the
 // image-method multipath model to mirror the reader position across
 // reflecting surfaces (floor, shelf back panel, metal cart, ...).

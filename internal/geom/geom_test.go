@@ -98,29 +98,6 @@ func TestSegmentAtAndLength(t *testing.T) {
 	}
 }
 
-func TestSegmentClosest(t *testing.T) {
-	s := Segment{A: V3(0, 0, 0), B: V3(10, 0, 0)}
-	// Point above middle.
-	if tp := s.ClosestParam(V3(5, 3, 0)); !approx(tp, 0.5) {
-		t.Errorf("ClosestParam = %v, want 0.5", tp)
-	}
-	// Point beyond the end clamps to 1.
-	if tp := s.ClosestParam(V3(20, 0, 0)); !approx(tp, 1) {
-		t.Errorf("ClosestParam = %v, want 1", tp)
-	}
-	// Point before the start clamps to 0.
-	if tp := s.ClosestParam(V3(-5, 0, 0)); !approx(tp, 0) {
-		t.Errorf("ClosestParam = %v, want 0", tp)
-	}
-}
-
-func TestSegmentDegenerate(t *testing.T) {
-	s := Segment{A: V3(1, 1, 1), B: V3(1, 1, 1)}
-	if tp := s.ClosestParam(V3(5, 5, 5)); tp != 0 {
-		t.Errorf("degenerate ClosestParam = %v", tp)
-	}
-}
-
 func TestPlaneMirror(t *testing.T) {
 	floor := Plane{Point: V3(0, 0, 0), Normal: V3(0, 0, 1)}
 	got := floor.Mirror(V3(2, 3, 5))

@@ -26,7 +26,7 @@ import (
 
 // aisleTrace builds a small two-reader warehouse-aisle trace plus the
 // offline ground result every daemon replay must reproduce.
-func aisleTrace(t *testing.T, seed int64) (*trace.Trace, *deploy.GlobalResult, Options) {
+func aisleTrace(t testing.TB, seed int64) (*trace.Trace, *deploy.GlobalResult, Options) {
 	t.Helper()
 	o := scenario.DefaultAisleOpts(seed)
 	o.Tags = 8
@@ -62,48 +62,6 @@ func newTestServer(t *testing.T, opts Options) *Server {
 		t.Fatal(err)
 	}
 	return srv
-}
-
-// TestSessionMatchesOffline: a session fed a recorded trace in batches
-// through Enqueue must land on the byte-identical final global orders the
-// offline sharded replay produces.
-func TestSessionMatchesOffline(t *testing.T) {
-	tr, want, opts := aisleTrace(t, 3)
-	opts.PublishEvery = 700
-	srv := newTestServer(t, opts)
-	sess, err := srv.CreateSession(tr.Header)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for start := 0; start < len(tr.Reads); start += 97 {
-		end := min(start+97, len(tr.Reads))
-		if err := sess.Enqueue(tr.Reads[start:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err := sess.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Final {
-		t.Error("Finish returned a non-final snapshot")
-	}
-	if snap.Reads != int64(len(tr.Reads)) {
-		t.Errorf("consumed %d reads, want %d", snap.Reads, len(tr.Reads))
-	}
-	if !reflect.DeepEqual(snap.Result.XOrder, want.XOrder) {
-		t.Errorf("X order diverged:\n  live    %v\n  offline %v", snap.Result.XOrder, want.XOrder)
-	}
-	if !reflect.DeepEqual(snap.Result.YOrder, want.YOrder) {
-		t.Errorf("Y order diverged:\n  live    %v\n  offline %v", snap.Result.YOrder, want.YOrder)
-	}
-	// Periodic publishing must have produced intermediate snapshots.
-	if got := srv.Stats().Snapshots; got < 2 {
-		t.Errorf("only %d snapshots taken; periodic publishing inactive", got)
-	}
-	if err := sess.Enqueue(tr.Reads[:1]); err != ErrSessionClosed {
-		t.Errorf("enqueue after finish: err = %v, want ErrSessionClosed", err)
-	}
 }
 
 // TestConcurrentProducers drives one session's ShardedEngine through the
@@ -306,58 +264,10 @@ func TestBackpressureBoundsQueue(t *testing.T) {
 	}
 }
 
-// TestHTTPEndToEnd replays a trace through the full HTTP API — create,
-// NDJSON ingest, intermediate order query, finish — and checks the final
-// wire order against the offline replay.
-func TestHTTPEndToEnd(t *testing.T) {
-	tr, want, opts := aisleTrace(t, 7)
-	opts.PublishEvery = 600
-	srv := newTestServer(t, opts)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	hdr, _ := json.Marshal(tr.Header)
-	var created CreateResponse
-	postJSON(t, ts, "/v1/sessions", hdr, http.StatusCreated, &created)
-
-	// Ingest in two NDJSON bodies, querying the order in between.
-	half := len(tr.Reads) / 2
-	var ing IngestResponse
-	postJSON(t, ts, "/v1/sessions/"+created.ID+"/reads", ndjson(t, tr.Reads[:half]), http.StatusOK, &ing)
-	if ing.Accepted != half {
-		t.Errorf("first body accepted %d, want %d", ing.Accepted, half)
-	}
-	var mid OrderResponse
-	getJSON(t, ts, "/v1/sessions/"+created.ID+"/order?refresh=1", http.StatusOK, &mid)
-	if mid.Final || len(mid.XOrder) == 0 {
-		t.Errorf("mid-stream order: final=%v tags=%d", mid.Final, len(mid.XOrder))
-	}
-	postJSON(t, ts, "/v1/sessions/"+created.ID+"/reads", ndjson(t, tr.Reads[half:]), http.StatusOK, &ing)
-
-	var final OrderResponse
-	postJSON(t, ts, "/v1/sessions/"+created.ID+"/finish", nil, http.StatusOK, &final)
-	if !final.Final {
-		t.Error("finish returned non-final order")
-	}
-	if !reflect.DeepEqual(final.XOrder, trace.EncodeEPCs(want.XOrder)) {
-		t.Errorf("wire X order diverged:\n  live    %v\n  offline %v", final.XOrder, trace.EncodeEPCs(want.XOrder))
-	}
-	if !reflect.DeepEqual(final.YOrder, trace.EncodeEPCs(want.YOrder)) {
-		t.Errorf("wire Y order diverged")
-	}
-	if len(final.Shards) != 2 {
-		t.Errorf("expected 2 shard orders, got %d", len(final.Shards))
-	}
-
-	var stats Stats
-	getJSON(t, ts, "/v1/stats", http.StatusOK, &stats)
-	if stats.ReadsConsumed != int64(len(tr.Reads)) || stats.SessionsFinished != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
-}
-
-// TestHTTPRejectsMalformed: malformed headers, bodies and unknown reader
-// IDs come back as 4xx errors — and never panic or wedge the daemon.
+// TestHTTPRejectsMalformed: malformed headers, oversized read lines and
+// unknown session IDs come back as 4xx errors — and never panic or wedge
+// the daemon. TestDaemonModel covers malformed read lines and unknown
+// reader IDs.
 func TestHTTPRejectsMalformed(t *testing.T) {
 	tr, _, opts := aisleTrace(t, 3)
 	srv := newTestServer(t, opts)
@@ -385,52 +295,25 @@ func TestHTTPRejectsMalformed(t *testing.T) {
 	var created CreateResponse
 	postJSON(t, ts, "/v1/sessions", hdr, http.StatusCreated, &created)
 
-	// Unknown reader ID and broken NDJSON both 400; the session survives.
-	for _, body := range []string{
-		`{"epc":"306400000000000000000001","t":0,"phase":0,"rssi":-60,"ch":6,"rdr":99}`,
-		`{"epc":"xyz","t":0}`,
-		`not json at all`,
-	} {
-		resp, err := http.Post(ts.URL+"/v1/sessions/"+created.ID+"/reads", "application/x-ndjson", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
-		}
-	}
-	var ing IngestResponse
-	postJSON(t, ts, "/v1/sessions/"+created.ID+"/reads", ndjson(t, tr.Reads[:100]), http.StatusOK, &ing)
-	if ing.Accepted != 100 {
-		t.Errorf("session wedged after rejected bodies: accepted %d", ing.Accepted)
-	}
-
-	// A bad line after valid ones — malformed, or longer than the 1 MiB
-	// line bound — still 400s, and the lines before it are enqueued (the
-	// documented partial-batch semantics).
+	// A line longer than the 1 MiB line bound after valid ones still
+	// 400s, and the lines before it are enqueued (the documented
+	// partial-batch semantics).
 	sess, _ := srv.Session(created.ID)
-	for name, bad := range map[string]string{
-		"malformed": "not json at all",
-		"oversized": strings.Repeat("x", 2<<20),
-	} {
-		before := sess.Enqueued()
-		body := append(ndjson(t, tr.Reads[100:110]), bad...)
-		resp, err := http.Post(ts.URL+"/v1/sessions/"+created.ID+"/reads", "application/x-ndjson", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s line after 10 valid ones: status %d, want 400", name, resp.StatusCode)
-		}
-		if got := sess.Enqueued() - before; got != 10 {
-			t.Errorf("%s line after 10 valid ones: %d reads enqueued, want 10", name, got)
-		}
+	body := append(ndjson(t, tr.Reads[:10]), strings.Repeat("x", 2<<20)...)
+	resp, err := http.Post(ts.URL+"/v1/sessions/"+created.ID+"/reads", "application/x-ndjson", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized line after 10 valid ones: status %d, want 400", resp.StatusCode)
+	}
+	if got := sess.Enqueued(); got != 10 {
+		t.Errorf("oversized line after 10 valid ones: %d reads enqueued, want 10", got)
 	}
 
 	// Unknown session IDs 404.
-	resp, err := http.Get(ts.URL + "/v1/sessions/nope/order")
+	resp, err = http.Get(ts.URL + "/v1/sessions/nope/order")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,49 +517,14 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, wantStatus int, out
 }
 
 // TestQueueDepthEquivalenceProperty: how deep a session's queue runs must
-// not change what the session serves. Random batch sizes pushed through
-// queues of varying depth, under different publish cadences, must all
-// land on the byte-identical final orders of the offline sharded replay.
-// And a depth-1 queue and a depth-32 queue whose drain is held until each
-// round is queued whole must publish, checkpoint and emit on the same
-// consumed prefixes.
+// not change what the session serves. A depth-1 queue and a depth-32
+// queue whose drain is held until each round is queued whole must publish,
+// checkpoint and emit on the same consumed prefixes. (TestDaemonModel
+// holds the orders of depth-1 and depth-4 queues under every publish
+// cadence to the offline replay.)
 func TestQueueDepthEquivalenceProperty(t *testing.T) {
 	tr, want, opts := aisleTrace(t, 9)
 	rng := rand.New(rand.NewSource(41))
-	queues := []int{1, 2, 8, 32}
-	cadence := []int{0, 90, 700, 150}
-	for trial := range queues {
-		o := opts
-		o.QueueBatches = queues[trial]
-		o.PublishEvery = cadence[trial]
-		srv := newTestServer(t, o)
-		sess, err := srv.CreateSession(tr.Header)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pos := 0; pos < len(tr.Reads); {
-			n := 1 + rng.Intn(120)
-			if pos+n > len(tr.Reads) {
-				n = len(tr.Reads) - pos
-			}
-			if err := sess.Enqueue(tr.Reads[pos : pos+n]); err != nil {
-				t.Fatalf("trial %d: enqueue at %d: %v", trial, pos, err)
-			}
-			pos += n
-		}
-		snap, err := sess.Finish()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !reflect.DeepEqual(snap.Result.XOrder, want.XOrder) {
-			t.Errorf("trial %d (queue=%d publish=%d): X order diverged:\n  live    %v\n  offline %v",
-				trial, queues[trial], cadence[trial], snap.Result.XOrder, want.XOrder)
-		}
-		if !reflect.DeepEqual(snap.Result.YOrder, want.YOrder) {
-			t.Errorf("trial %d (queue=%d publish=%d): Y order diverged:\n  live    %v\n  offline %v",
-				trial, queues[trial], cadence[trial], snap.Result.YOrder, want.YOrder)
-		}
-	}
 
 	// The durable pair: one random batch sequence through a depth-1 queue,
 	// and through a depth-32 queue whose drain is held off until each

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -132,6 +134,13 @@ func TestDaemonCrashRecoveryEndToEnd(t *testing.T) {
 		t.Fatalf("pause run did not pause all sessions:\n%s", out)
 	}
 
+	// The checkpoints are asynchronous: the drain writes them once it has
+	// consumed past the cadence, which on a loaded machine can be well after
+	// loadgen's last ack. Wait until every acked read is consumed and each
+	// of the 6 sessions has journaled a checkpoint, so the kill lands past
+	// them.
+	waitCheckpointed(t, addr1, 6)
+
 	// The crash: SIGKILL, no drain, no shutdown hooks.
 	daemon1.Process.Kill()
 	daemon1.Wait()
@@ -179,6 +188,30 @@ func TestDaemonCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	daemon2.Process.Kill()
 	daemon2.Wait()
+}
+
+// waitCheckpointed polls a daemon's /v1/stats until it has consumed every
+// read it ingested and journaled at least n checkpoints.
+func waitCheckpointed(t *testing.T, addr string, n int64) {
+	t.Helper()
+	var st struct {
+		Ingested    int64 `json:"reads_ingested"`
+		Consumed    int64 `json:"reads_consumed"`
+		Checkpoints int64 `json:"wal_checkpoints"`
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get("http://" + addr + "/v1/stats")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+		}
+		if err == nil && st.Consumed == st.Ingested && st.Checkpoints >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never checkpointed: %+v (last error %v)", st, err)
+		}
+	}
 }
 
 // bannerReadCounts pulls the recovered-total and replayed-suffix read
