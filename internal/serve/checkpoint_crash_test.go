@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -736,6 +737,81 @@ func TestLifecycleCrashAtSweepBoundaries(t *testing.T) {
 		}
 		if late := srv2.Stats().LateReadsDropped; late != 0 {
 			t.Errorf("%s: %d reads dropped as late on a gap-honoring workload", name, late)
+		}
+	}
+}
+
+// TestCheckpointRestartEquivalenceProperty is the serve-level version of
+// the checkpoint property: random checkpoint cadences × random batch
+// sizes × out-of-order reads, ingested live and then abandoned
+// mid-session. The rebooted server — restoring the last checkpoint and
+// replaying only the journaled suffix — must finish on orders
+// byte-identical to the offline replay of everything enqueued.
+func TestCheckpointRestartEquivalenceProperty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restart property sweep in -short mode")
+	}
+	base := crashScenes(t)[1] // warehouse-aisle
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 4; trial++ {
+		cs := base
+		if trial%2 == 1 {
+			cs.reads = perturbReads(rng, base.reads, 0.05)
+		}
+		cadence := 1 + rng.Intn(len(cs.reads))
+		nBatches := 3 + rng.Intn(10)
+		name := fmt.Sprintf("trial%d-every%d-batches%d", trial, cadence, nBatches)
+		batches := chunkReads(cs.reads, nBatches)
+		dataDir := t.TempDir()
+		opts := Options{
+			Config:          cs.cfg,
+			DataDir:         dataDir,
+			Fsync:           wal.SyncNever,
+			SegmentBytes:    32 << 10,
+			CheckpointEvery: cadence,
+		}
+		srv1 := newTestServer(t, opts)
+		sess1, err := srv1.CreateSession(cs.header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			if err := sess1.Enqueue(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitDrained(t, sess1)
+		ckpts := srv1.Stats().CheckpointsWritten
+		if ckpts == 0 {
+			t.Fatalf("%s: cadence %d <= %d reads wrote no checkpoints", name, cadence, len(cs.reads))
+		}
+		// Crash: srv1 abandoned unfinished.
+
+		srv2, err := New(opts)
+		if err != nil {
+			t.Fatalf("%s: reboot: %v", name, err)
+		}
+		sess2, ok := srv2.Session(sess1.ID)
+		if !ok {
+			t.Fatalf("%s: session not recovered", name)
+		}
+		m := srv2.Stats()
+		if got, want := m.ReadsRecovered, int64(len(cs.reads)); got != want {
+			t.Errorf("%s: ReadsRecovered = %d, want %d", name, got, want)
+		}
+		if suf, rec := m.SuffixReadsReplayed, m.ReadsRecovered; suf >= rec {
+			t.Errorf("%s: suffix replay (%d of %d reads) saved nothing despite %d checkpoints", name, suf, rec, ckpts)
+		}
+		snap, err := sess2.Finish()
+		if err != nil {
+			t.Fatalf("%s: finish recovered session: %v", name, err)
+		}
+		offline := &offlinePrefix{cs: cs, batches: batches, cache: map[int][2][]string{}}
+		wantX, wantY := offline.orders(t, len(batches))
+		gotX, gotY := snapOrders(snap)
+		if !slices.Equal(gotX, wantX) || !slices.Equal(gotY, wantY) {
+			t.Errorf("%s: recovered orders diverged from the offline replay:\n  got  %v / %v\n  want %v / %v",
+				name, gotX, gotY, wantX, wantY)
 		}
 	}
 }

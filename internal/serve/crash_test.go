@@ -486,3 +486,163 @@ func TestSkippedWALReservesID(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDurableRestartResume is the straight-line restart story: half a
+// session, process goes away, a new server boots over the same data dir,
+// the producer pushes the other half, and the final order equals the
+// offline replay of the whole trace — plus the recovery stats surface it.
+func TestDurableRestartResume(t *testing.T) {
+	cs := crashScenes(t)[1] // warehouse-aisle
+	batches := chunkReads(cs.reads, 6)
+	dataDir := t.TempDir()
+	opts := Options{Config: cs.cfg, DataDir: dataDir, Fsync: wal.SyncNever}
+
+	srv1 := newTestServer(t, opts)
+	sess1, err := srv1.CreateSession(cs.header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches[:3] {
+		if err := sess1.Enqueue(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Crash: srv1 is simply abandoned — nothing is flushed or finished.
+
+	srv2, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv2.Stats().SessionsRecovered; got != 1 {
+		t.Fatalf("recovered %d sessions, want 1", got)
+	}
+	half := 0
+	for _, b := range batches[:3] {
+		half += len(b)
+	}
+	if got := srv2.Stats().ReadsRecovered; got != int64(half) {
+		t.Errorf("recovered %d reads, want %d", got, half)
+	}
+	st := srv2.Stats()
+	if !st.WALEnabled || st.SessionsRecovered != 1 {
+		t.Errorf("stats missing recovery: %+v", st)
+	}
+
+	sess2, ok := srv2.Session(sess1.ID)
+	if !ok {
+		t.Fatalf("session %s not recovered", sess1.ID)
+	}
+	for _, b := range batches[3:] {
+		if err := sess2.Enqueue(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := sess2.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline := &offlinePrefix{cs: cs, batches: batches, cache: map[int][2][]string{}}
+	wantX, wantY := offline.orders(t, len(batches))
+	gotX, gotY := snapOrders(snap)
+	if !slices.Equal(gotX, wantX) || !slices.Equal(gotY, wantY) {
+		t.Errorf("resumed session diverged from offline replay:\n  got  %v / %v\n  want %v / %v", gotX, gotY, wantX, wantY)
+	}
+	// A second restart must rebuild the now-finished session at its final
+	// snapshot without producer-side help.
+	srv3, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess3, ok := srv3.Session(sess1.ID)
+	if !ok || !sess3.finished() {
+		t.Fatal("finished session not rebuilt at the next boot")
+	}
+	snap3 := sess3.Latest()
+	if snap3 == nil || !snap3.Final {
+		t.Fatal("rebuilt session has no final snapshot")
+	}
+	gotX3, gotY3 := snapOrders(snap3)
+	if !slices.Equal(gotX3, wantX) || !slices.Equal(gotY3, wantY) {
+		t.Error("rebuilt final snapshot diverged")
+	}
+}
+
+// TestRecoverManySessions: one boot rebuilds a mix of finished and live
+// sessions (the replay fan-out path) with every session landing on the
+// offline-replay orders and live ones still accepting reads.
+func TestRecoverManySessions(t *testing.T) {
+	tr, want, opts := aisleTrace(t, 3)
+	opts.DataDir = t.TempDir()
+	opts.Fsync = wal.SyncNever
+	srv1 := newTestServer(t, opts)
+
+	half := len(tr.Reads) / 2
+	var finishedIDs, liveIDs []string
+	for i := 0; i < 3; i++ {
+		sess, err := srv1.CreateSession(tr.Header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Enqueue(tr.Reads); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		finishedIDs = append(finishedIDs, sess.ID)
+	}
+	for i := 0; i < 2; i++ {
+		sess, err := srv1.CreateSession(tr.Header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Enqueue(tr.Reads[:half]); err != nil {
+			t.Fatal(err)
+		}
+		liveIDs = append(liveIDs, sess.ID)
+	}
+	// Crash: srv1 abandoned unflushed.
+
+	srv2, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv2.Stats().SessionsRecovered; got != 5 {
+		t.Fatalf("recovered %d sessions, want 5", got)
+	}
+	wantX, wantY := trace.EncodeEPCs(want.XOrder), trace.EncodeEPCs(want.YOrder)
+	for _, id := range finishedIDs {
+		sess, ok := srv2.Session(id)
+		if !ok || !sess.finished() {
+			t.Fatalf("finished session %s not rebuilt", id)
+		}
+		snap := sess.Latest()
+		if snap == nil || !snap.Final {
+			t.Fatalf("session %s has no final snapshot", id)
+		}
+		gotX, gotY := snapOrders(snap)
+		if !slices.Equal(gotX, wantX) || !slices.Equal(gotY, wantY) {
+			t.Errorf("session %s diverged from the offline replay", id)
+		}
+	}
+	for _, id := range liveIDs {
+		sess, ok := srv2.Session(id)
+		if !ok {
+			t.Fatalf("live session %s not rebuilt", id)
+		}
+		if sess.finished() {
+			t.Fatalf("live session %s recovered as finished", id)
+		}
+		if err := sess.Enqueue(tr.Reads[half:]); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := sess.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotX, gotY := snapOrders(snap)
+		if !slices.Equal(gotX, wantX) || !slices.Equal(gotY, wantY) {
+			t.Errorf("resumed session %s diverged from the offline replay", id)
+		}
+	}
+}

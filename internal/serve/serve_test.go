@@ -672,3 +672,53 @@ func runQueueDepth(t *testing.T, tr *trace.Trace, o Options, rounds [][][]reader
 	run.snapshots, run.finalized = st.Snapshots, st.TagsFinalized
 	return run
 }
+
+// TestHTTPEndToEnd replays a trace through the full HTTP API — create,
+// NDJSON ingest, intermediate order query, finish — and checks the final
+// wire order against the offline replay.
+func TestHTTPEndToEnd(t *testing.T) {
+	tr, want, opts := aisleTrace(t, 7)
+	opts.PublishEvery = 600
+	srv := newTestServer(t, opts)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	hdr, _ := json.Marshal(tr.Header)
+	var created CreateResponse
+	postJSON(t, ts, "/v1/sessions", hdr, http.StatusCreated, &created)
+
+	// Ingest in two NDJSON bodies, querying the order in between.
+	half := len(tr.Reads) / 2
+	var ing IngestResponse
+	postJSON(t, ts, "/v1/sessions/"+created.ID+"/reads", ndjson(t, tr.Reads[:half]), http.StatusOK, &ing)
+	if ing.Accepted != half {
+		t.Errorf("first body accepted %d, want %d", ing.Accepted, half)
+	}
+	var mid OrderResponse
+	getJSON(t, ts, "/v1/sessions/"+created.ID+"/order?refresh=1", http.StatusOK, &mid)
+	if mid.Final || len(mid.XOrder) == 0 {
+		t.Errorf("mid-stream order: final=%v tags=%d", mid.Final, len(mid.XOrder))
+	}
+	postJSON(t, ts, "/v1/sessions/"+created.ID+"/reads", ndjson(t, tr.Reads[half:]), http.StatusOK, &ing)
+
+	var final OrderResponse
+	postJSON(t, ts, "/v1/sessions/"+created.ID+"/finish", nil, http.StatusOK, &final)
+	if !final.Final {
+		t.Error("finish returned non-final order")
+	}
+	if !reflect.DeepEqual(final.XOrder, trace.EncodeEPCs(want.XOrder)) {
+		t.Errorf("wire X order diverged:\n  live    %v\n  offline %v", final.XOrder, trace.EncodeEPCs(want.XOrder))
+	}
+	if !reflect.DeepEqual(final.YOrder, trace.EncodeEPCs(want.YOrder)) {
+		t.Errorf("wire Y order diverged")
+	}
+	if len(final.Shards) != 2 {
+		t.Errorf("expected 2 shard orders, got %d", len(final.Shards))
+	}
+
+	var stats Stats
+	getJSON(t, ts, "/v1/stats", http.StatusOK, &stats)
+	if stats.ReadsConsumed != int64(len(tr.Reads)) || stats.SessionsFinished != 1 {
+		t.Errorf("stats = %+v", stats)
+	}
+}
